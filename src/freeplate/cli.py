@@ -9,6 +9,7 @@ verification check failed, 2 bad input or solver failure.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,24 +92,16 @@ def cmd_verify(args):
 
 
 def _quadrature_from(args, d):
-    if args.quad is None:
-        quad = geom.default_quadrature(d)
-        if args.samples is not None:
-            quad = geom.QuadratureSpec(quad.kind, quad.cells, args.samples,
-                                       args.seed if args.seed is not None
-                                       else quad.seed)
-        elif args.seed is not None:
-            quad = geom.QuadratureSpec(quad.kind, quad.cells, quad.samples,
-                                       args.seed)
-        return quad
-    kw = {}
+    # --samples sets the cells per axis whenever the rule is grid, chosen
+    # or the dimension default, and the sample count otherwise
+    kw = {"kind": args.quad or geom.default_quadrature(d).kind}
     if args.samples is not None:
         kw["samples"] = args.samples
-        if args.quad == "grid":
+        if kw["kind"] == "grid":
             kw["cells"] = args.samples
     if args.seed is not None:
         kw["seed"] = args.seed
-    return geom.QuadratureSpec(args.quad, **kw)
+    return replace(geom.default_quadrature(d), **kw)
 
 
 def cmd_quotient(args):

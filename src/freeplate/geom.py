@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
 from scipy.interpolate import CubicSpline
+from scipy.special import betainc
 
 from . import trial
 from .ball import fundamental_tone
@@ -45,8 +46,8 @@ class Domain:
         Cumulative dilation applied to the base shape; normalize_volume
         records its factor here.
     volume : float
-        Exact for the analytic shapes, Monte Carlo estimate for implicit
-        or overlapping unions.
+        Exact for the library shapes; a Monte Carlo estimate for implicit
+        domains given without their volume.
     volume_error : float
         Standard error of the volume estimate; 0 when exact.
     bbox : tuple
@@ -174,8 +175,16 @@ def annulus(d, inner, outer, center=None):
                   vol, 0.0, (_tup(c - outer), _tup(c + outer)))
 
 
-def two_balls(d, radii, centers, samples=_VOLUME_SAMPLES,
-              seed=_VOLUME_SEED):
+def _ball_below(d, r, x):
+    # volume of the d-ball of radius r on the side {y_1 <= x} of a plane,
+    # |x| <= r, from the regularized incomplete beta form of the cap
+    t = x / r
+    cap = 0.5 * unit_ball_volume(d) * r**d * betainc(
+        0.5 * (d + 1), 0.5, (1.0 - t) * (1.0 + t))
+    return unit_ball_volume(d) * r**d - cap if t >= 0.0 else cap
+
+
+def two_balls(d, radii, centers):
     r1, r2 = float(radii[0]), float(radii[1])
     c1 = np.asarray(centers[0], dtype=float)
     c2 = np.asarray(centers[1], dtype=float)
@@ -184,13 +193,18 @@ def two_balls(d, radii, centers, samples=_VOLUME_SAMPLES,
     lo = _tup(np.minimum(c1 - r1, c2 - r2))
     hi = _tup(np.maximum(c1 + r1, c2 + r2))
     params = {"radii": (r1, r2), "centers": (_tup(c1), _tup(c2))}
-    dom = Domain(d, "two-balls", params, _tup(np.zeros(d)), 1.0, 1.0, 0.0,
-                 (lo, hi))
-    if np.linalg.norm(c2 - c1) >= r1 + r2:
-        vol, err = unit_ball_volume(d) * (r1**d + r2**d), 0.0
+    dist = float(np.linalg.norm(c2 - c1))
+    if dist >= r1 + r2:
+        vol = unit_ball_volume(d) * (r1**d + r2**d)
+    elif dist <= abs(r1 - r2):
+        vol = unit_ball_volume(d) * max(r1, r2) ** d
     else:
-        vol, err = _estimate_volume(dom, samples, seed)
-    return replace(dom, volume=vol, volume_error=err)
+        # the radical plane, at x1 from c1 towards c2, splits the union
+        # into the part of each ball on its own center's side
+        x1 = (dist**2 + r1**2 - r2**2) / (2.0 * dist)
+        vol = _ball_below(d, r1, x1) + _ball_below(d, r2, dist - x1)
+    return Domain(d, "two-balls", params, _tup(np.zeros(d)), 1.0, vol, 0.0,
+                  (lo, hi))
 
 
 def implicit_domain(d, expr, bounds, volume=None,
@@ -217,30 +231,26 @@ def implicit_domain(d, expr, bounds, volume=None,
         if volume <= 0.0:
             raise ValueError("volume must be positive")
         return replace(dom, volume=float(volume))
-    vol, err = _estimate_volume(dom, samples, seed)
-    if vol <= 0.0:
+    vols, errs, _ = _integrate(dom, [np.ones_like],
+                               QuadratureSpec("mc", samples=samples,
+                                              seed=seed), np.zeros(d))
+    if vols[0] <= 0.0:
         raise ValueError("implicit domain appears empty")
-    return replace(dom, volume=vol, volume_error=err)
-
-
-def _estimate_volume(domain, samples, seed):
-    value, err = _mc_integral(domain, lambda pts: 1.0, samples, seed)
-    return value, err
+    return replace(dom, volume=float(vols[0]), volume_error=float(errs[0]))
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature selection: radial (centered balls only), grid, or mc.
 
-    error_estimate is informational plumbing; the integrators return their
-    error bars explicitly (for mc the bar is the sample standard error).
+    cells is the grid resolution per axis; samples and seed fix the mc
+    stream. The integrators return their error bars explicitly.
     """
 
     kind: str
     cells: int = 1024
     samples: int = 10**7
     seed: int = 7
-    error_estimate: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("radial", "grid", "mc"):
@@ -293,28 +303,62 @@ def _grid_points(domain, cells):
     return pts[inside], float(np.prod(steps))
 
 
-def _mc_integral(domain, F, samples, seed):
-    # hit-or-miss over the bbox; fixed chunking keeps the reduction tree
-    # and the random stream independent of call context
+def _nodes(domain, quad, coarse=False):
+    """The quadrature node set: (points inside the domain, weight) chunks.
+
+    grid: the midpoints of the bbox cells (quad.cells per axis, half as
+    many when coarse) that lie inside, in one chunk weighted by the cell
+    volume. mc: the uniform stream over the bbox seeded by quad.seed, in
+    _MC_CHUNK draws so memory stays bounded, each point weighted
+    |bbox| / quad.samples; the fixed chunking keeps the stream and the
+    reduction order independent of the caller.
+    """
+    if quad.kind == "radial":
+        raise ValueError("radial quadrature has no node set; use grid or mc")
+    if quad.kind == "grid":
+        yield _grid_points(domain, quad.cells // 2 if coarse else quad.cells)
+        return
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
-    vbox = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    sums, squares = [], []
-    left = int(samples)
+    w = float(np.prod(hi - lo)) / int(quad.samples)
+    rng = np.random.default_rng(quad.seed)
+    left = int(quad.samples)
     while left > 0:
         n = min(left, _MC_CHUNK)
         pts = rng.uniform(lo, hi, size=(n, domain.d))
-        inside = domain.contains(pts)
-        g = np.zeros(n)
-        if np.any(inside):
-            g[inside] = F(pts[inside])
-        sums.append(np.sum(g))
-        squares.append(np.sum(g * g))
+        pts = pts[domain.contains(pts)]
+        yield pts, w
         left -= n
-    n = int(samples)
-    mean = float(np.sum(sums)) / n
-    var = max(0.0, (float(np.sum(squares)) - n * mean**2) / (n - 1))
-    return vbox * mean, vbox * math.sqrt(var / n)
+
+
+def _integrate(domain, fs, quad, center):
+    """Integrals of the radial functions fs(|x - center|) over the domain
+    from one pass over the node set.
+
+    Returns (values, error bars, covariance). grid: midpoint-rule values,
+    bars |full - half| from a second pass at half the cells per axis, and
+    no covariance. mc: the hit-or-miss means, their standard errors and
+    the covariance matrix of the values.
+    """
+    c = np.asarray(center, dtype=float)
+    mc = quad.kind == "mc"
+
+    def sweep(coarse):
+        w, s, ss = 0.0, 0.0, 0.0
+        for pts, w in _nodes(domain, quad, coarse):
+            r = np.linalg.norm(pts - c, axis=1)
+            g = [f(r) for f in fs]
+            s = s + np.array([np.sum(gi) for gi in g])
+            if mc:
+                ss = ss + np.array([[gi @ gj for gj in g] for gi in g])
+        return w, s, ss
+
+    w, s, ss = sweep(False)
+    if not mc:
+        w2, s2, _ = sweep(True)
+        return w * s, np.abs(w * s - w2 * s2), None
+    n = int(quad.samples)
+    cov = w * w * (ss - np.outer(s, s) / n) * (n / (n - 1))
+    return w * s, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
 
 class _RadialTable:
@@ -382,17 +426,8 @@ def integrate_radial(domain, f, quad, center=None):
             lambda r: f(r) * r ** (domain.d - 1), 0.0, R,
             epsabs=1e-300, epsrel=_RADIAL_TOL, limit=200)
         return surface * val, surface * err
-
-    def F(pts):
-        return f(np.linalg.norm(pts - c, axis=1))
-
-    if quad.kind == "grid":
-        pts, w = _grid_points(domain, quad.cells)
-        full = w * float(np.sum(F(pts)))
-        pts2, w2 = _grid_points(domain, quad.cells // 2)
-        half = w2 * float(np.sum(F(pts2)))
-        return full, abs(full - half)
-    return _mc_integral(domain, F, quad.samples, quad.seed)
+    vals, errs, _ = _integrate(domain, [f], quad, c)
+    return float(vals[0]), float(errs[0])
 
 
 def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
@@ -417,21 +452,12 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
         raise ValueError("max_iter must be at least 1")
     if quad is None:
         quad = default_quadrature(domain.d)
-    if quad.kind == "grid":
-        pts, w = _grid_points(domain, quad.cells)
-    elif quad.kind == "mc":
-        lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
-        rng = np.random.default_rng(quad.seed)
-        kept, left = [], int(quad.samples)
-        while left > 0:
-            n = min(left, _MC_CHUNK)
-            raw = rng.uniform(lo, hi, size=(n, domain.d))
-            kept.append(raw[domain.contains(raw)])
-            left -= n
-        pts = np.concatenate(kept, axis=0)
-        w = float(np.prod(hi - lo)) / int(quad.samples)
-    else:
-        raise ValueError("centering needs grid or mc quadrature")
+    # the iteration revisits the nodes, so they are kept in memory, in one
+    # array and not also in chunks
+    chunks = list(_nodes(domain, quad))
+    w = chunks[0][1]
+    pts = np.concatenate([p for p, _ in chunks], axis=0)
+    del chunks
     if pts.shape[0] == 0:
         raise ValueError("no quadrature nodes fall inside the domain")
     if tol is None:
@@ -492,10 +518,44 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
 
 def _trial_center(domain, profile, quad):
     # symmetric library shapes are centered at their offset by
-    # construction; everything else gets the fixed-point search
-    if domain.shape in ("ball", "ellipsoid", "box", "annulus"):
+    # construction, and radial quadrature takes only centered balls;
+    # everything else gets the fixed-point search
+    if quad.kind == "radial" or \
+            domain.shape in ("ball", "ellipsoid", "box", "annulus"):
         return np.asarray(domain.offset, dtype=float)
     return center_trial(domain, profile, quad)
+
+
+def _num_den(domain, profile, s, quad, center):
+    """Quotient numerator and denominator for the profile dilated by s.
+
+    Returns (num, den, num error, den error, relative error of num/den).
+    radial and grid: the ratio's relative bar is the sum of the relative
+    bars. mc: both integrands share one sample stream and the delta
+    method keeps their covariance. Grid and mc evaluate the profile
+    through spline tables.
+    """
+    def fN(u):
+        return trial.numerator_integrand(profile, u) / s**4
+
+    def fD(u):
+        return trial.rho(profile, u) ** 2
+
+    if quad.kind == "radial":
+        (num, en), (den, ed) = [
+            integrate_radial(domain, lambda r, f=f: f(r / s), quad, center)
+            for f in (fN, fD)]
+        return num, den, en, ed, en / abs(num) + ed / abs(den)
+    umax = 1.5 * domain.diameter() / s + 1.0
+    tables = [_RadialTable(f, umax) for f in (fN, fD)]
+    (num, den), (en, ed), cov = _integrate(
+        domain, [lambda r, t=t: t(r / s) for t in tables], quad, center)
+    if cov is None:
+        rel = en / abs(num) + ed / abs(den)
+    else:
+        rel = math.sqrt(max(0.0, cov[0, 0] / num**2 + cov[1, 1] / den**2
+                            - 2.0 * cov[0, 1] / (num * den)))
+    return float(num), float(den), float(en), float(ed), float(rel)
 
 
 def quotient_bound(domain, tau, d=None, quad=None, center=None):
@@ -534,68 +594,11 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
         quad = default_quadrature(d)
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
     prof = trial.TrialProfile(fundamental_tone(tau * s * s, d, 1.0))
-
-    if quad.kind == "radial":
-        c = np.asarray(domain.offset) if center is None \
-            else np.asarray(center, dtype=float)
-        num, en = integrate_radial(
-            domain, lambda r: trial.numerator_integrand(prof, r / s) / s**4,
-            quad, c)
-        den, ed = integrate_radial(
-            domain, lambda r: trial.rho(prof, r / s) ** 2, quad, c)
-        Q = num / den
-        return Q, abs(Q) * (en / abs(num) + ed / abs(den))
-
     c = _trial_center(domain, prof, quad) if center is None \
         else np.asarray(center, dtype=float)
-    umax = 1.5 * domain.diameter() / s + 1.0
-    tN = _RadialTable(lambda u: trial.numerator_integrand(prof, u) / s**4,
-                      umax)
-    tD = _RadialTable(lambda u: trial.rho(prof, u) ** 2, umax)
-
-    def fN(r):
-        return tN(r / s)
-
-    def fD(r):
-        return tD(r / s)
-
-    if quad.kind == "grid":
-        num, en = integrate_radial(domain, fN, quad, c)
-        den, ed = integrate_radial(domain, fD, quad, c)
-        Q = num / den
-        return Q, abs(Q) * (en / abs(num) + ed / abs(den))
-
-    # one sample stream for both integrands; delta-method error bar with
-    # the numerator/denominator covariance retained
-    lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
-    rng = np.random.default_rng(quad.seed)
-    sn, sd, snn, sdd, snd = [], [], [], [], []
-    left = int(quad.samples)
-    while left > 0:
-        n = min(left, _MC_CHUNK)
-        raw = rng.uniform(lo, hi, size=(n, d))
-        inside = domain.contains(raw)
-        gn = np.zeros(n)
-        gd = np.zeros(n)
-        if np.any(inside):
-            r = np.linalg.norm(raw[inside] - c, axis=1)
-            gn[inside] = fN(r)
-            gd[inside] = fD(r)
-        sn.append(np.sum(gn))
-        sd.append(np.sum(gd))
-        snn.append(np.sum(gn * gn))
-        sdd.append(np.sum(gd * gd))
-        snd.append(np.sum(gn * gd))
-        left -= n
-    n = int(quad.samples)
-    mn = float(np.sum(sn)) / n
-    md = float(np.sum(sd)) / n
-    vn = max(0.0, (float(np.sum(snn)) - n * mn**2) / (n - 1))
-    vd = max(0.0, (float(np.sum(sdd)) - n * md**2) / (n - 1))
-    cv = (float(np.sum(snd)) - n * mn * md) / (n - 1)
-    Q = mn / md
-    rel2 = max(0.0, vn / mn**2 + vd / md**2 - 2.0 * cv / (mn * md))
-    return Q, abs(Q) * math.sqrt(rel2 / n)
+    num, den, _, _, rel = _num_den(domain, prof, s, quad, c)
+    Q = num / den
+    return Q, abs(Q) * rel
 
 
 def monotone_domain_comparison(domain, profile, quad=None):
@@ -613,26 +616,9 @@ def monotone_domain_comparison(domain, profile, quad=None):
     if quad is None:
         quad = default_quadrature(d)
     c = _trial_center(domain, profile, quad)
-
-    def fN(r):
-        return trial.numerator_integrand(profile, r)
-
-    def fD(r):
-        return trial.rho(profile, r) ** 2
-
-    if quad.kind == "radial":
-        num, en = integrate_radial(domain, fN, quad, c)
-        den, ed = integrate_radial(domain, fD, quad, c)
-    else:
-        umax = 1.5 * domain.diameter() + 1.0
-        tN = _RadialTable(fN, umax)
-        tD = _RadialTable(fD, umax)
-        num, en = integrate_radial(domain, tN, quad, c)
-        den, ed = integrate_radial(domain, tD, quad, c)
-    ref = ball(d)
-    rq = QuadratureSpec("radial")
-    bn, ebn = integrate_radial(ref, fN, rq)
-    bd, ebd = integrate_radial(ref, fD, rq)
+    num, den, en, ed, _ = _num_den(domain, profile, 1.0, quad, c)
+    bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, 1.0,
+                                   QuadratureSpec("radial"), np.zeros(d))
     margin_num = (bn - num) + (en + ebn)
     margin_den = (den - bd) + (ed + ebd)
     margin = min(margin_num, margin_den)
@@ -727,14 +713,7 @@ def parse_domain_config(text):
             raise ValueError("config: centers must be numeric") from None
         if any(len(cc) != d for cc in centers):
             raise ValueError("config: each center must have dim entries")
-        kw = {}
-        if "samples" in entries:
-            kw["samples"] = int(floats("samples")[0])
-            entries.pop("samples")
-        if "seed" in entries:
-            kw["seed"] = int(floats("seed")[0])
-            entries.pop("seed")
-        dom = two_balls(d, radii, centers, **kw)
+        dom = two_balls(d, radii, centers)
         entries.pop("radii")
         entries.pop("centers")
     elif shape == "implicit":

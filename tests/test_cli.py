@@ -183,6 +183,37 @@ def test_quotient_error_paths(capsys, tmp_path):
     assert code == 2 and "ball" in err
 
 
+def test_samples_sets_grid_cells_when_grid_is_the_default(capsys, tmp_path):
+    cfg = tmp_path / "el.cfg"
+    cfg.write_text("shape=ellipsoid\ndim=2\nsemiaxes=2,0.5\n",
+                   encoding="utf-8")
+    outs = []
+    for extra in ([], ["--quad", "grid"]):
+        code, out, _ = run(capsys, "quotient", "--domain", str(cfg),
+                           "--tau", "1", "--samples", "256", *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, out, _ = run(capsys, "quotient", "--domain", str(cfg),
+                       "--tau", "1")
+    assert code == 0
+    assert parse_kv(out)["error_bar"] != parse_kv(outs[0])["error_bar"]
+
+
+def test_quotient_on_overlapping_3d_two_balls(capsys, tmp_path):
+    cfg = tmp_path / "tb.cfg"
+    cfg.write_text("shape=two-balls\ndim=3\nradii=1,0.7\n"
+                   "centers=0,0,0;0.5,0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "quotient", "--domain", str(cfg),
+                         "--tau", "1", "--samples", "1000000")
+    assert code == 0, err
+    vals = parse_kv(out)
+    Q, bar = float(vals["Q"]), float(vals["error_bar"])
+    assert bar > 0.0
+    assert Q + 5 * bar < float(vals["omega"])
+    assert vals["Q_below_omega_beyond_bars"] == "yes"
+
+
 def test_outputs_are_byte_identical_across_reruns(capsys, tmp_path):
     cfg = tmp_path / "el.cfg"
     cfg.write_text("shape=ellipsoid\ndim=2\nsemiaxes=2,0.5\n",

@@ -29,6 +29,11 @@ def test_factory_volumes_are_closed_form():
     tb = geom.two_balls(2, (0.5, 0.5), ((-1.0, 0.0), (1.0, 0.0)))
     assert tb.volume == pytest.approx(math.pi / 2, rel=1e-14)
     assert tb.volume_error == 0.0
+    # a ball inside the other: the union is the larger ball
+    for d in (2, 3, 4):
+        tb = geom.two_balls(d, (0.3, 1.2), (np.zeros(d), np.full(d, 0.1)))
+        larger = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * 1.2**d
+        assert tb.volume == pytest.approx(larger, rel=1e-15)
 
 
 def test_two_balls_overlap_volume_matches_lens_formula():
@@ -37,8 +42,19 @@ def test_two_balls_overlap_volume_matches_lens_formula():
     lens = 2 * math.acos(dist / 2) - (dist / 2) * math.sqrt(4 - dist**2)
     union = 2 * math.pi - lens
     tb = geom.two_balls(2, (1.0, 1.0), ((-0.5, 0.0), (0.5, 0.0)))
-    assert tb.volume_error > 0.0
-    assert abs(tb.volume - union) <= 4 * tb.volume_error
+    assert tb.volume == pytest.approx(union, rel=1e-14)
+    assert tb.volume_error == 0.0
+    # 3-d: the sphere-sphere lens at center distance c (Weisstein,
+    # Sphere-Sphere Intersection), subtracted from the two ball volumes
+    for r1, r2, c in ((1.0, 0.7, 0.5), (1.0, 1.0, 1.0), (0.6, 1.1, 1.2),
+                      (1.0, 0.3, 0.75)):
+        lens = (math.pi * (r1 + r2 - c) ** 2
+                * (c**2 + 2 * c * r2 - 3 * r2**2 + 2 * c * r1 + 6 * r1 * r2
+                   - 3 * r1**2) / (12 * c))
+        union = 4 * math.pi / 3 * (r1**3 + r2**3) - lens
+        tb = geom.two_balls(3, (r1, r2), ((0.0, 0.0, 0.0), (c, 0.0, 0.0)))
+        assert tb.volume == pytest.approx(union, rel=1e-14)
+        assert tb.volume_error == 0.0
 
 
 def test_contains_matches_analytic_predicates():
@@ -291,6 +307,23 @@ def test_domain_comparison_reports():
         geom.monotone_domain_comparison(geom.ball(2, 2.0), prof)
 
 
+def test_domain_comparison_integrals_give_the_quotient():
+    # on a unit-volume domain the comparison integrates the same
+    # numerator and denominator as quotient_bound, on the same nodes
+    tau = 1.5
+    prof = profile(tau=tau)
+    doms = [geom.normalize_volume(geom.ellipsoid(2, (1.5, 2.0 / 3.0))),
+            geom.normalize_volume(geom.two_balls(
+                2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1))))]
+    for quad in (QuadratureSpec("grid", cells=256),
+                 QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
+        for dom in doms:
+            Q, _ = geom.quotient_bound(dom, tau, quad=quad)
+            num, _, den, _ = geom.monotone_domain_comparison(
+                dom, prof, quad).worst_point
+            assert Q == pytest.approx(num / den, rel=1e-14)
+
+
 def test_config_round_trips():
     dom = geom.parse_domain_config(
         "# comment\nshape=ball\ndim=3\nradius=1.5\ncenter=0,0,0.5\n")
@@ -327,6 +360,10 @@ def test_config_diagnostics():
         ("shape=ball\ndim=2\nradius=1\ncenter=0", "center must have dim"),
         ("shape=two-balls\ndim=2\nradii=1\ncenters=0,0;1,0", "radii=r1,r2"),
         ("shape=two-balls\ndim=2\nradii=1,1\ncenters=0;1", "dim entries"),
+        ("shape=two-balls\ndim=2\nradii=1,1\ncenters=0,0;1,0\nsamples=9",
+         "unrecognized keys samples"),
+        ("shape=two-balls\ndim=2\nradii=1,1\ncenters=0,0;1,0\nseed=3",
+         "unrecognized keys seed"),
         ("shape=implicit\ndim=2\nexpr=x +* y\nbounds=-1,1,-1,1",
          "does not parse"),
         ("shape=implicit\ndim=2\nexpr=x + y\nbounds=-1,1,-1,1\nvolume=1",

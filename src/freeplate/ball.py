@@ -6,23 +6,26 @@ natural boundary conditions has an l = 1 mode u = R(r) Y_1 with radial part
     R(r) = j_1(a r) + gamma i_1(b r),    b^2 - a^2 = tau,  omega = a^2 b^2.
 
 gamma enforces the second-derivative boundary condition R''(radius) = 0; the
-wavenumber a is the smallest root of the scalar residual of the remaining
-natural condition (secular_V below). This module solves for the mode and
-exposes the linear-in-tension eigenvalue bounds and the membrane comparison
+wavenumber a is the root of the scalar residual of the remaining natural
+condition (secular_V below) inside the bracket that the linear bounds
+tau mu < omega < tau (d+2) put on it. This module solves for the mode at
+many tensions at once and exposes those bounds and the membrane comparison
 constant.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .specfun import first_zero_j1prime, ultra_i, ultra_j
 
 RESIDUAL_TOL = 1e-9
+_WIDEN = 1e-6    # relative widening of the bracket from the linear bounds
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class BallMode:
             raise ValueError("dimension d must be an integer >= 2")
         if not (self.tau > 0 and self.radius > 0):
             raise ValueError("tau and radius must be positive")
-        if abs(self.b**2 - self.a**2 - self.tau) > 1e-9 * (1.0 + self.tau):
+        if abs(self.b**2 - self.a**2 - self.tau) > 1e-9 * self.b**2:
             raise ValueError("wavenumbers do not satisfy b^2 - a^2 = tau")
         if abs(self.omega - self.a**2 * self.b**2) > 1e-9 * self.omega:
             raise ValueError("omega does not equal a^2 b^2")
@@ -53,38 +56,36 @@ class BallMode:
             raise ValueError("a radius must lie in (0, first zero of j_1')")
 
 
-def _check_wavenumber(a, tau, d, radius):
+def _unit_args(a, tau, d, radius):
+    # validate (a, tau) and map them to the unit ball: (a R, tau R^2)
     if not tau > 0:
         raise ValueError("tau must be positive")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    amax = first_zero_j1prime(d) / radius
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0) or np.any(a >= amax):
-        raise ValueError(f"wavenumber a must lie in (0, {amax:.6g})")
-    return a
+    z = np.asarray(a, dtype=float) * radius
+    ainf = first_zero_j1prime(d)
+    if np.any(z <= 0) or np.any(z >= ainf):
+        raise ValueError(f"wavenumber a must lie in (0, {ainf / radius:.6g})")
+    return z, tau * radius**2
 
 
-def _gamma_vec(a, tau, d, radius):
+def _secular_parts(a, tau, d):
+    # gamma and V on the unit ball from j_1..j_3 at a and i_1..i_3 at b.
+    # The order recurrences give j_1'' = j_3 - 3 j_2/z, i_1'' = i_3 + 3 i_2/z
+    # and z j_1' - j_1 = -z j_2, z i_1' - i_1 = z i_2; with R''(1) = 0 the
+    # radial equations turn (d-1)(R'(1) - R(1)) into gamma b^2 i_1 - a^2 j_1,
+    # so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2, three terms of V's own
+    # order z^5: nothing cancels at small tension
     b = np.sqrt(a * a + tau)
-    za, zb = a * radius, b * radius
-    j1pp = ultra_j(1, d, za, deriv=2)
-    i1pp = ultra_i(1, d, zb, deriv=2)
-    return -(a * a) * j1pp / (b * b * i1pp)
+    j1, j2, j3 = (ultra_j(l, d, a) for l in (1, 2, 3))
+    i1, i2, i3 = (ultra_i(l, d, b) for l in (1, 2, 3))
+    gamma = -a * (a * j3 - 3.0 * j2) / (b * (b * i3 + 3.0 * i2))
+    slope = j1 - a * j2 + gamma * (i1 + b * i2)
+    return gamma, tau * slope - a**3 * j2 - gamma * b**3 * i2
 
 
-def _secular_vec(a, tau, d, radius):
-    b = np.sqrt(a * a + tau)
-    za, zb = a * radius, b * radius
-    gamma = _gamma_vec(a, tau, d, radius)
-    j1 = ultra_j(1, d, za)
-    i1 = ultra_i(1, d, zb)
-    j1p = ultra_j(1, d, za, deriv=1)
-    i1p = ultra_i(1, d, zb, deriv=1)
-    val = j1 + gamma * i1
-    slope = a * j1p + gamma * b * i1p
-    return (tau + (d - 1) / radius**2) * slope - (d - 1) / radius**3 * val \
-        + a**3 * j1p - gamma * b**3 * i1p
+def _secular_vec(a, tau, d):
+    return _secular_parts(a, tau, d)[1]
 
 
 def gamma_of(a, tau, d, radius=1.0):
@@ -93,8 +94,7 @@ def gamma_of(a, tau, d, radius=1.0):
     Strictly positive on 0 < aR < first zero of j_1', because j_1'' < 0 there
     and i_1'' > 0 everywhere; makes R''(radius) vanish identically.
     """
-    a = _check_wavenumber(a, tau, d, radius)
-    return float(_gamma_vec(a, tau, d, radius))
+    return float(_secular_parts(*_unit_args(a, tau, d, radius), d)[0])
 
 
 def secular_V(a, tau, d, radius=1.0):
@@ -104,14 +104,16 @@ def secular_V(a, tau, d, radius=1.0):
     Closed form (validated in the tests against a finite-difference
     application of the boundary operator on the sphere):
         (tau + (d-1)/R^2) R'(R) - ((d-1)/R^3) R(R)
-        + a^3 j_1'(aR) - gamma b^3 i_1'(bR).
+        + a^3 j_1'(aR) - gamma b^3 i_1'(bR),
+    evaluated in the cancellation-free form of _secular_parts through
+    V_R(a, tau) = R^-3 V_1(aR, tau R^2).
     """
-    a = _check_wavenumber(a, tau, d, radius)
-    return float(_secular_vec(a, tau, d, radius))
+    return float(_secular_vec(*_unit_args(a, tau, d, radius), d)) / radius**3
 
 
 def _residual_scales(mode):
-    """Natural scales and residuals of the two boundary conditions."""
+    """Natural scales and residuals of the two boundary conditions, in
+    the closed form of secular_V; a, b, gamma and tau may be arrays."""
     d, R = mode.d, mode.radius
     a, b, gamma, tau = mode.a, mode.b, mode.gamma, mode.tau
     t1 = a * a * ultra_j(1, d, a * R, deriv=2)
@@ -135,40 +137,69 @@ def boundary_residuals(mode):
     return m_res / m_scale, v_res / v_scale
 
 
-def fundamental_tone(tau, d, radius=1.0):
-    """Solve for the fundamental mode of the ball: smallest positive root of
-    secular_V in (0, ainf/radius), refined to relative tolerance 1e-12."""
+def fundamental_tones(taus, d, radius=1.0, strict=True):
+    """Solve for the fundamental mode of the ball at every tension of taus
+    at once, as a list of BallMode.
+
+    The linear bounds tau mu < omega < tau (d+2) with omega = a^2 (a^2 +
+    tau) bracket the unit-ball wavenumber in closed form. Widened by a
+    relative _WIDEN and clipped below ainf, the brackets go to one
+    vectorized find_root (Chandrupatla) at a relative tolerance of 1e-13;
+    other radii follow from omega_R(tau) = R^-4 omega_1(tau R^2). With
+    strict a failed tension raises its RuntimeError, otherwise that error
+    stands in its place.
+    """
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
-    if not (np.isfinite(tau) and tau > 0):
+    taus = np.asarray(taus, dtype=float).ravel()
+    if not np.all(np.isfinite(taus) & (taus > 0)):
         raise ValueError("tau must be positive")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("radius must be positive")
-    amax = first_zero_j1prime(d) / radius
-    grid = amax * np.linspace(1e-6, 1.0 - 1e-10, 1600)
-    vals = _secular_vec(grid, tau, d, radius)
-    sgn = np.sign(vals)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    if flips.size == 0:
-        raise RuntimeError(
-            "no sign change of the secular function in (0, ainf/radius); "
-            f"scan trace: {grid.size} points on ({grid[0]:.6g}, {grid[-1]:.6g}), "
-            f"V range [{vals.min():.6g}, {vals.max():.6g}], "
-            f"endpoints V={vals[0]:.6g} and V={vals[-1]:.6g} "
-            f"(tau={tau:g}, d={d}, radius={radius:g})")
-    i = flips[0]
-    a = brentq(lambda t: float(_secular_vec(np.float64(t), tau, d, radius)),
-               grid[i], grid[i + 1], xtol=1e-14 * amax, rtol=1e-13)
-    b = math.sqrt(a * a + tau)
-    gamma = float(_gamma_vec(np.float64(a), tau, d, radius))
-    mode = BallMode(d=d, tau=float(tau), radius=float(radius), a=float(a),
-                    b=b, gamma=gamma, omega=a * a * b * b)
-    m_res, m_scale, v_res, v_scale = _residual_scales(mode)
-    if m_res > RESIDUAL_TOL * m_scale or v_res > RESIDUAL_TOL * v_scale:
-        raise RuntimeError(
-            f"boundary residuals exceed tolerance: M {m_res:.3g}/{m_scale:.3g}, "
-            f"V {v_res:.3g}/{v_scale:.3g}")
-    return mode
+    t = taus * radius**2
+    ainf = first_zero_j1prime(d)
+    # a^2 (a^2 + t) = w at the two bounds w, solved free of cancellation
+    w = np.outer([ainf**2, d + 2], t)
+    lo, hi = np.sqrt(2.0 * w / (t + np.sqrt(t * t + 4.0 * w)))
+    lo, hi = lo * (1.0 - _WIDEN), np.minimum(hi * (1.0 + _WIDEN),
+                                             ainf * (1.0 - 1e-12))
+    res = find_root(lambda a, tt: _secular_vec(a, tt, d), (lo, hi),
+                    args=(t,), tolerances={"xatol": 0.0, "xrtol": 1e-13})
+    ok = res.status == 0
+    a = np.where(ok, res.x, lo)     # lo stands in where the solve failed
+    gamma = _secular_parts(a, t, d)[0]
+    m_res, m_scale, v_res, v_scale = _residual_scales(SimpleNamespace(
+        d=d, radius=1.0, a=a, b=np.sqrt(a * a + t), gamma=gamma, tau=t))
+    (xl, xr), (vl, vr) = res.bracket, res.f_bracket
+    modes = []
+    for i, tau in enumerate(taus):
+        try:
+            if not ok[i]:
+                raise RuntimeError(
+                    "no root of the secular function in the bracket from the "
+                    f"linear bounds: tau={tau:g}, d={d}, radius={radius:g}, "
+                    f"a*radius in [{xl[i]:.17g}, {xr[i]:.17g}], V={vl[i]:.6g} "
+                    f"and V={vr[i]:.6g} there, find_root status {res.status[i]}")
+            if m_res[i] > RESIDUAL_TOL * m_scale[i] \
+                    or v_res[i] > RESIDUAL_TOL * v_scale[i]:
+                raise RuntimeError(
+                    f"boundary residuals exceed tolerance at tau={tau:g}: M "
+                    f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
+                    f"{v_scale[i]:.3g}")
+            ar = float(a[i]) / radius
+            br = math.sqrt(ar * ar + tau)
+            modes.append(BallMode(d, float(tau), float(radius), ar, br,
+                                  float(gamma[i]), ar * ar * br * br))
+        except (RuntimeError, ValueError) as exc:
+            if strict:
+                raise
+            modes.append(exc)
+    return modes
+
+
+def fundamental_tone(tau, d, radius=1.0):
+    """Solve for the fundamental mode of the ball at one tension."""
+    return fundamental_tones([tau], d, radius)[0]
 
 
 @lru_cache(maxsize=None)
@@ -209,8 +240,6 @@ def infinite_tension_ratio(d, tau_list):
     """omega_1(tau)/tau along an increasing list of positive tensions; the
     ratio approaches mu = ainf^2 from above, squeezed by mu + C(B)/tau."""
     taus = [float(t) for t in tau_list]
-    if any(t <= 0 for t in taus):
-        raise ValueError("tensions must be positive")
     if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
         raise ValueError("tensions must be increasing")
-    return [fundamental_tone(t, d).omega / t for t in taus]
+    return [m.omega / t for t, m in zip(taus, fundamental_tones(taus, d))]

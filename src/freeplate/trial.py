@@ -180,11 +180,13 @@ def numerator_integrand(profile, r):
     float or ndarray
     """
     arr = _validate_r(r)
-    m = profile.mode
-    pc = _eval_pieces(profile, np.atleast_1d(arr))
-    vals = (pc["d2"] ** 2 + 3.0 * (m.d - 1) * pc["q"] ** 2
-            + m.tau * pc["d1"] ** 2 + m.tau * (m.d - 1) * pc["p"] ** 2)
+    vals = _numerator(profile.mode, _eval_pieces(profile, np.atleast_1d(arr)))
     return float(vals[0]) if arr.ndim == 0 else vals
+
+
+def _numerator(m, pc):
+    return (pc["d2"] ** 2 + 3.0 * (m.d - 1) * pc["q"] ** 2
+            + m.tau * pc["d1"] ** 2 + m.tau * (m.d - 1) * pc["p"] ** 2)
 
 
 def h_decrease_quantity(profile, r):
@@ -194,14 +196,12 @@ def h_decrease_quantity(profile, r):
     + tau rho^2/r^2 decreasing, the step that needs the gamma chain.
     """
     arr = _validate_r(r)
-    pc = _eval_pieces(profile, np.atleast_1d(arr))
-    vals = 6.0 * pc["q"] + 3.0 * pc["d2"] + profile.mode.tau * pc["rho"]
+    vals = _h_quantity(profile.mode, _eval_pieces(profile, np.atleast_1d(arr)))
     return float(vals[0]) if arr.ndim == 0 else vals
 
 
-def _h_values(profile, r):
-    pc = _eval_pieces(profile, r)
-    return 3.0 * pc["q"] ** 2 + profile.mode.tau * pc["p"] ** 2
+def _h_quantity(m, pc):
+    return 6.0 * pc["q"] + 3.0 * pc["d2"] + m.tau * pc["rho"]
 
 
 def concavity_scan(profile, grid_size=4096):
@@ -290,39 +290,43 @@ def partial_monotonicity_scan(profile, inner_grid=None, outer_grid=None,
     if outer.size == 0 or np.any(outer < 1) or np.any(outer > r_max):
         raise ValueError("outer grid must lie within [1, r_max]")
     m = profile.mode
+    ni = inner.size
+    # one evaluation on both grids and r = 1 serves every sub-check
+    pc = _eval_pieces(profile, np.concatenate([inner, outer, [1.0]]))
+    combined = np.concatenate([inner, outer])
     checks = []
 
-    n_in = numerator_integrand(profile, inner)
-    n_out = numerator_integrand(profile, outer)
+    n = _numerator(m, pc)
+    n_in, n_out = n[:ni], n[ni:-1]
     i, j = int(np.argmin(n_in)), int(np.argmax(n_out))
     checks.append((float(n_in[i] - n_out[j]), (inner[i], outer[j])))
 
-    d2_in = rho(profile, inner, deriv=2)
-    i = int(np.argmin(d2_in**2))
-    checks.append((float(d2_in[i] ** 2), (inner[i],)))
-    d2_out_max = float(np.max(rho(profile, outer, deriv=2) ** 2))
+    d2 = pc["d2"]
+    i = int(np.argmin(d2[:ni] ** 2))
+    checks.append((float(d2[i] ** 2), (inner[i],)))
+    d2_out_max = float(np.max(d2[ni:-1] ** 2))
     checks.append((_EQ_SLACK - d2_out_max, (outer[0],)))
 
-    combined = np.concatenate([inner, outer])
-    grad = m.tau * rho(profile, combined, deriv=1) ** 2
+    grad = m.tau * pc["d1"][:-1] ** 2
     drops = grad[:-1] - grad[1:]
     i = int(np.argmin(drops))
     checks.append((float(drops[i]) + _EQ_SLACK * float(np.max(grad)),
                    (combined[i],)))
 
-    h = _h_values(profile, combined)
+    h = 3.0 * pc["q"][:-1] ** 2 + m.tau * pc["p"][:-1] ** 2
     drops = h[:-1] - h[1:]
     i = int(np.argmin(drops))
     checks.append((float(drops[i]), (combined[i],)))
 
-    den = rho(profile, combined) ** 2
+    den = pc["rho"][:-1] ** 2
     rises = den[1:] - den[:-1]
     i = int(np.argmin(rises))
     checks.append((float(rises[i]), (combined[i],)))
-    checks.append((float(np.min(den[inner.size:]) - np.max(den[:inner.size])),
+    checks.append((float(np.min(den[ni:]) - np.max(den[:ni])),
                    (inner[-1], outer[0])))
 
-    quant = h_decrease_quantity(profile, np.append(inner, 1.0))
+    quant = _h_quantity(m, pc)
+    quant = np.append(quant[:ni], quant[-1])
     i = int(np.argmin(quant))
     checks.append((float(quant[i]), (np.append(inner, 1.0)[i],)))
 

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import trial
-from .ball import fundamental_tone
+from .ball import fundamental_tones
 from .report import VerificationReport
 from .specfun import first_zero_j1prime, series_coeff_dk, ultra_i, ultra_j
 
@@ -247,8 +247,7 @@ def _small_tau_checks(tau_grid, d):
     #   d a^2/(d - a^2) > b^2 > (d+2) a^2/(d+2-a^2)
     # over the small-tension regime tau <= 9/(d+5)
     checks = []
-    for tau in tau_grid:
-        m = fundamental_tone(float(tau), d)
+    for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
         a2, b2 = m.a**2, m.b**2
         checks.append((m.gamma - gamma_star(m.a, d), (tau, m.a), "gamma"))
         checks.append((b2 - (d + 2) * a2 / (d + 2 - a2), (tau, m.a), "b2-low"))
@@ -258,8 +257,7 @@ def _small_tau_checks(tau_grid, d):
 
 def _large_tau_checks(tau_grid, d):
     checks = []
-    for tau in tau_grid:
-        m = fundamental_tone(float(tau), d)
+    for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
         checks.append((tau - 3.0 * m.a**2 / (d + 2), (tau, m.a), "large-tau"))
     return checks
 
@@ -350,8 +348,9 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
     combined = np.concatenate([inner, outer])
-    for tau in trial_tau_grid:
-        prof = trial.TrialProfile(fundamental_tone(float(tau), d))
+    for tau, mode in zip(trial_tau_grid,
+                         fundamental_tones(trial_tau_grid, d)):
+        prof = trial.TrialProfile(mode)
         rep = trial.concavity_scan(prof, grid_size)
         conc.append((rep.worst_margin, (tau,) + rep.worst_point))
         rep = trial.partial_monotonicity_scan(prof, inner, outer)

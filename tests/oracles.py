@@ -270,3 +270,54 @@ def mp_quartic_min(dps=30):
 
         c = mp.findroot(lambda x: mp.diff(q_over_x, x), mp.mpf("1.4"))
         return float(c), float(q_over_x(c))
+
+
+def _mp_ainf(d):
+    # first zero of j_1'(z) = j_1(z)/z - j_2(z), z^-s J_(s+l) in mpmath
+    s = mp.mpf(d - 2) / 2
+
+    def j1p(z):
+        return (mp.besselj(s + 1, z) / z - mp.besselj(s + 2, z)) * z ** (-s)
+
+    z = mp.mpf("0.5")
+    while j1p(z + mp.mpf("0.5")) > 0:
+        z += mp.mpf("0.5")
+    return mp.findroot(j1p, (z, z + mp.mpf("0.5")), solver="anderson")
+
+
+def mp_tone(tau, d, dps=60):
+    """Fundamental tone omega = a^2 (a^2 + tau) of the unit ball, in mpmath.
+
+    j_l(z) = z^-s J_(s+l)(z) and i_l(z) = z^-s I_(s+l)(z), s = (d-2)/2, with
+    first derivatives from j_1' = j_1/z - j_2, i_1' = i_1/z + i_2 and second
+    derivatives from the radial equations
+        j_1'' = -(d-1) j_1'/z - (1 - (d-1)/z^2) j_1,
+        i_1'' = -(d-1) i_1'/z + (1 + (d-1)/z^2) i_1.
+    gamma = -a^2 j_1''(a) / (b^2 i_1''(b)), b^2 = a^2 + tau, and a is the
+    root on (a_lo, ainf) of the natural boundary condition
+        (tau + d - 1) R'(1) - (d - 1) R(1) + a^3 j_1'(a) - gamma b^3 i_1'(b),
+    R = j_1(a r) + gamma i_1(b r), with a_lo from omega = tau ainf^2 / 2.
+    The working precision absorbs the cancellation of this form at small
+    tension. Returns a float.
+    """
+    with mp.workdps(dps):
+        s = mp.mpf(d - 2) / 2
+        tau = mp.mpf(tau)
+
+        def V(a):
+            b = mp.sqrt(a * a + tau)
+            j1, j2 = (mp.besselj(s + l, a) * a ** (-s) for l in (1, 2))
+            i1, i2 = (mp.besseli(s + l, b) * b ** (-s) for l in (1, 2))
+            j1p, i1p = j1 / a - j2, i1 / b + i2
+            j1pp = -(d - 1) * j1p / a - (1 - (d - 1) / a**2) * j1
+            i1pp = -(d - 1) * i1p / b + (1 + (d - 1) / b**2) * i1
+            g = -a * a * j1pp / (b * b * i1pp)
+            return ((tau + d - 1) * (a * j1p + g * b * i1p)
+                    - (d - 1) * (j1 + g * i1) + a**3 * j1p - g * b**3 * i1p)
+
+        top = _mp_ainf(d)
+        w = tau * top**2 / 2
+        lo = mp.sqrt(2 * w / (tau + mp.sqrt(tau * tau + 4 * w)))
+        a = mp.findroot(V, (lo, top * (1 - mp.mpf(10) ** (-dps // 2))),
+                        solver="anderson")
+        return float(a * a * (a * a + tau))

@@ -6,8 +6,8 @@ import pytest
 from freeplate import ball
 from freeplate.specfun import first_zero_j1prime, ultra_i, ultra_j
 
-from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_ultra,
-                     rayleigh_ritz_tone, uniform_ball_samples)
+from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_tone,
+                     mp_ultra, rayleigh_ritz_tone, uniform_ball_samples)
 
 
 def secular_term_scale(a, tau, d, radius):
@@ -57,7 +57,7 @@ def test_secular_single_sign_change():
         ainf = first_zero_j1prime(d)
         grid = np.linspace(0.05, ainf - 0.05, 4000)
         for tau in (0.1, 1.0, 10.0):
-            vals = ball._secular_vec(grid, tau, d, 1.0)
+            vals = ball._secular_vec(grid, tau, d)
             sgn = np.sign(vals)
             flips = np.count_nonzero(sgn[:-1] * sgn[1:] < 0)
             assert flips == 1
@@ -208,3 +208,46 @@ def test_error_contracts():
         ball.gamma_of(0.5, -1.0, 2)
     with pytest.raises(ValueError):
         ball.secular_V(-0.5, 1.0, 2)
+
+
+def test_tone_against_mpmath_oracle_across_tension():
+    taus = np.array([1e-12, 1e-8, 1e-4, 1.0, 1e4])
+    for d in (2, 5, 30):
+        mu = first_zero_j1prime(d) ** 2
+        for tau, m in zip(taus, ball.fundamental_tones(taus, d)):
+            ref = mp_tone(tau, d)
+            assert abs(m.omega - ref) <= 1e-9 * ref, (d, tau)
+            assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
+            if tau >= 1e-8:
+                assert tau * mu < m.omega < tau * (d + 2), (d, tau)
+
+
+def test_batched_solve_matches_one_tension_solves():
+    taus = np.logspace(-6, 4, 9)
+    for d, radius in ((2, 1.0), (7, 0.3)):
+        batch = ball.fundamental_tones(taus, d, radius)
+        for tau, m in zip(taus, batch):
+            one = ball.fundamental_tone(float(tau), d, radius)
+            assert (m.d, m.tau, m.radius) == (one.d, one.tau, one.radius)
+            assert m.omega == pytest.approx(one.omega, rel=1e-13)
+            assert m.gamma == pytest.approx(one.gamma, rel=1e-12)
+
+
+def test_solver_failure_carries_its_trace(monkeypatch):
+    monkeypatch.setattr(ball, "_secular_vec",
+                        lambda a, tau, d: np.ones_like(a))
+    with pytest.raises(RuntimeError) as info:
+        ball.fundamental_tone(0.5, 3)
+    msg = str(info.value)
+    for part in ("tau=0.5", "d=3", "a*radius in [", "V=1 and V=1",
+                 "status -1"):
+        assert part in msg
+    modes = ball.fundamental_tones([0.5, 2.0], 3, strict=False)
+    assert all(isinstance(m, RuntimeError) for m in modes)
+    assert "tau=2" in str(modes[1])
+
+
+def test_overflow_propagates_from_the_batch():
+    # i_l leaves double range past z = 690; the whole batch raises
+    with pytest.raises(OverflowError):
+        ball.fundamental_tones([1.0, 1e6], 2)

@@ -13,10 +13,8 @@ many tensions at once and exposes those bounds and the membrane comparison
 constant.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
@@ -111,11 +109,9 @@ def secular_V(a, tau, d, radius=1.0):
     return float(_secular_vec(*_unit_args(a, tau, d, radius), d)) / radius**3
 
 
-def _residual_scales(mode):
+def _residual_scales(d, R, a, b, gamma, tau):
     """Natural scales and residuals of the two boundary conditions, in
     the closed form of secular_V; a, b, gamma and tau may be arrays."""
-    d, R = mode.d, mode.radius
-    a, b, gamma, tau = mode.a, mode.b, mode.gamma, mode.tau
     t1 = a * a * ultra_j(1, d, a * R, deriv=2)
     t2 = gamma * b * b * ultra_i(1, d, b * R, deriv=2)
     m_res, m_scale = abs(t1 + t2), abs(t1) + abs(t2)
@@ -133,11 +129,12 @@ def _residual_scales(mode):
 def boundary_residuals(mode):
     """Relative residuals of the moment and shear boundary conditions,
     each scaled by the sum of magnitudes of its terms."""
-    m_res, m_scale, v_res, v_scale = _residual_scales(mode)
+    m_res, m_scale, v_res, v_scale = _residual_scales(
+        mode.d, mode.radius, mode.a, mode.b, mode.gamma, mode.tau)
     return m_res / m_scale, v_res / v_scale
 
 
-def fundamental_tones(taus, d, radius=1.0, strict=True):
+def fundamental_tones(taus, d, radius=1.0):
     """Solve for the fundamental mode of the ball at every tension of taus
     at once, as a list of BallMode.
 
@@ -145,9 +142,8 @@ def fundamental_tones(taus, d, radius=1.0, strict=True):
     tau) bracket the unit-ball wavenumber in closed form. Widened by a
     relative _WIDEN and clipped below ainf, the brackets go to one
     vectorized find_root (Chandrupatla) at a relative tolerance of 1e-13;
-    other radii follow from omega_R(tau) = R^-4 omega_1(tau R^2). With
-    strict a failed tension raises its RuntimeError, otherwise that error
-    stands in its place.
+    other radii follow from omega_R(tau) = R^-4 omega_1(tau R^2). The
+    first tension that fails raises a RuntimeError.
     """
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
@@ -167,34 +163,29 @@ def fundamental_tones(taus, d, radius=1.0, strict=True):
                     args=(t,), tolerances={"xatol": 0.0, "xrtol": 1e-13})
     ok = res.status == 0
     a = np.where(ok, res.x, lo)     # lo stands in where the solve failed
+    b = np.sqrt(a * a + t)
     gamma = _secular_parts(a, t, d)[0]
-    m_res, m_scale, v_res, v_scale = _residual_scales(SimpleNamespace(
-        d=d, radius=1.0, a=a, b=np.sqrt(a * a + t), gamma=gamma, tau=t))
-    (xl, xr), (vl, vr) = res.bracket, res.f_bracket
-    modes = []
-    for i, tau in enumerate(taus):
-        try:
-            if not ok[i]:
-                raise RuntimeError(
-                    "no root of the secular function in the bracket from the "
-                    f"linear bounds: tau={tau:g}, d={d}, radius={radius:g}, "
-                    f"a*radius in [{xl[i]:.17g}, {xr[i]:.17g}], V={vl[i]:.6g} "
-                    f"and V={vr[i]:.6g} there, find_root status {res.status[i]}")
-            if m_res[i] > RESIDUAL_TOL * m_scale[i] \
-                    or v_res[i] > RESIDUAL_TOL * v_scale[i]:
-                raise RuntimeError(
-                    f"boundary residuals exceed tolerance at tau={tau:g}: M "
-                    f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
-                    f"{v_scale[i]:.3g}")
-            ar = float(a[i]) / radius
-            br = math.sqrt(ar * ar + tau)
-            modes.append(BallMode(d, float(tau), float(radius), ar, br,
-                                  float(gamma[i]), ar * ar * br * br))
-        except (RuntimeError, ValueError) as exc:
-            if strict:
-                raise
-            modes.append(exc)
-    return modes
+    m_res, m_scale, v_res, v_scale = _residual_scales(d, 1.0, a, b, gamma, t)
+    bad = ~ok | (m_res > RESIDUAL_TOL * m_scale) \
+        | (v_res > RESIDUAL_TOL * v_scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        (xl, xr), (vl, vr) = res.bracket, res.f_bracket
+        if not ok[i]:
+            raise RuntimeError(
+                "no root of the secular function in the bracket from the "
+                f"linear bounds: tau={taus[i]:g}, d={d}, radius={radius:g}, "
+                f"a*radius in [{xl[i]:.17g}, {xr[i]:.17g}], V={vl[i]:.6g} "
+                f"and V={vr[i]:.6g} there, find_root status {res.status[i]}")
+        raise RuntimeError(
+            f"boundary residuals exceed tolerance at tau={taus[i]:g}: M "
+            f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
+            f"{v_scale[i]:.3g}")
+    ar = a / radius
+    br = np.sqrt(ar * ar + taus)
+    return [BallMode(d, float(tau), float(radius), float(x), float(y),
+                     float(g), float(x * x * y * y))
+            for tau, x, y, g in zip(taus, ar, br, gamma)]
 
 
 def fundamental_tone(tau, d, radius=1.0):

@@ -54,19 +54,21 @@ def cmd_sweep(args):
     else:
         taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     rows = ["tau,omega,lower,upper_coord,upper_membrane,ratio"]
-    modes = ball.fundamental_tones(taus, args.dim, strict=False)
-    for tau, mode in zip(taus, modes):
+    failed = False
+    for tau in taus:
         tau = float(tau)
         lower, up_c, up_m = ball.tone_bounds(tau, args.dim)
-        w = ratio = ""
-        if isinstance(mode, Exception):
-            print(f"solver failed at tau = {tau:g}: {mode}", file=sys.stderr)
-        else:
-            w, ratio = format_float(mode.omega), format_float(mode.omega / tau)
+        try:
+            omega = ball.fundamental_tone(tau, args.dim).omega
+            w, ratio = format_float(omega), format_float(omega / tau)
+        except (RuntimeError, ValueError) as exc:
+            print(f"solver failed at tau = {tau:g}: {exc}", file=sys.stderr)
+            w, ratio = "", ""
+            failed = True
         rows.append(",".join([format_float(tau), w, format_float(lower),
                               format_float(up_c), format_float(up_m), ratio]))
     _emit("\n".join(rows) + "\n", args.out)
-    return 2 if any(isinstance(m, Exception) for m in modes) else 0
+    return 2 if failed else 0
 
 
 def cmd_verify(args):

@@ -188,7 +188,8 @@ def test_mode_invariant_matrix():
             assert m.omega == pytest.approx(m.a**2 * m.b**2, rel=1e-14)
             assert m.gamma > 0
             assert 0 < m.a * m.radius < ainf
-            m_res, m_scale, v_res, v_scale = ball._residual_scales(m)
+            m_res, m_scale, v_res, v_scale = ball._residual_scales(
+                m.d, m.radius, m.a, m.b, m.gamma, m.tau)
             assert m_res <= 1e-9 * m_scale
             assert v_res <= 1e-9 * v_scale
 
@@ -216,7 +217,8 @@ def test_tone_against_mpmath_oracle_across_tension():
         mu = first_zero_j1prime(d) ** 2
         for tau, m in zip(taus, ball.fundamental_tones(taus, d)):
             ref = mp_tone(tau, d)
-            assert abs(m.omega - ref) <= 1e-9 * ref, (d, tau)
+            rtol = 1e-12 if tau >= 1e-8 else 1e-9
+            assert abs(m.omega - ref) <= rtol * ref, (d, tau)
             assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
             if tau >= 1e-8:
                 assert tau * mu < m.omega < tau * (d + 2), (d, tau)
@@ -242,9 +244,6 @@ def test_solver_failure_carries_its_trace(monkeypatch):
     for part in ("tau=0.5", "d=3", "a*radius in [", "V=1 and V=1",
                  "status -1"):
         assert part in msg
-    modes = ball.fundamental_tones([0.5, 2.0], 3, strict=False)
-    assert all(isinstance(m, RuntimeError) for m in modes)
-    assert "tau=2" in str(modes[1])
 
 
 def test_overflow_propagates_from_the_batch():

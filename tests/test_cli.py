@@ -108,14 +108,14 @@ def test_sweep_validation(capsys):
 
 
 def test_sweep_records_solver_failures_as_empty_omega(capsys, monkeypatch):
-    real = ball.fundamental_tones
+    real = ball.fundamental_tone
 
-    def flaky(taus, d, radius=1.0, strict=True):
-        return [RuntimeError("no sign change of the secular function")
-                if tau > 1.0 else mode
-                for tau, mode in zip(taus, real(taus, d, radius, strict))]
+    def flaky(tau, d, radius=1.0):
+        if tau > 1.0:
+            raise RuntimeError("no sign change of the secular function")
+        return real(tau, d, radius)
 
-    monkeypatch.setattr("freeplate.ball.fundamental_tones", flaky)
+    monkeypatch.setattr("freeplate.ball.fundamental_tone", flaky)
     code, out, err = run(capsys, "sweep", "--dim", "2", "--tau-min", "0.5",
                          "--tau-max", "2", "--tau-steps", "3")
     assert code == 2

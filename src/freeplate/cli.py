@@ -92,12 +92,13 @@ def cmd_verify(args):
 
 
 def _quadrature_from(args, d):
-    # --samples sets the cells per axis whenever the rule is grid, chosen
-    # or the dimension default, and the sample count otherwise
+    # --samples sets the direction count (radial) or the cells per axis
+    # (grid), whether the rule is chosen or the dimension default, and the
+    # sample count for mc
     kw = {"kind": args.quad or geom.default_quadrature(d).kind}
     if args.samples is not None:
         kw["samples"] = args.samples
-        if kw["kind"] == "grid":
+        if kw["kind"] != "mc":
             kw["cells"] = args.samples
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -116,7 +117,8 @@ def cmd_quotient(args):
     if args.tol is not None and dom.shape in ("two-balls", "implicit"):
         center = geom.center_trial(dom, trial.TrialProfile(mode), quad,
                                    tol=args.tol)
-    Q, err = geom.quotient_bound(dom, args.tau, quad=quad, center=center)
+    # the normalized domain has s = 1, so this is quotient_bound's mode
+    Q, err = geom._quotient(dom, mode, quad, center)
     omega = mode.omega
     margin = omega - Q
     sigmas = margin / err if err > 0.0 else float("inf")
@@ -171,7 +173,8 @@ def build_parser():
     q.add_argument("--tau", type=float, required=True)
     q.add_argument("--quad", choices=("radial", "grid", "mc"), default=None)
     q.add_argument("--samples", type=int, default=None,
-                   help="sample count (mc) or cells per axis (grid)")
+                   help="directions (radial), cells per axis (grid) or "
+                        "sample count (mc)")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--tol", type=float, default=None,
                    help="centering tolerance override")

@@ -1,17 +1,22 @@
 """Domains of prescribed volume, the centering translation for the trial
 function, and quadrature driving the quotient bound: normalize a domain to
 unit-ball volume, locate the vanishing point of the centering field X(v),
-integrate the numerator and denominator with radial, tensor-grid, or
-Monte Carlo rules, and compare against the ball.
+integrate the numerator and denominator with the radial reduction (or the
+tensor-grid and Monte Carlo fallbacks), and compare against the ball.
+
+The radial reduction: every integrand is a function of |x - c|, so
+int_Omega f(|x - c|) dx = int_{S^{d-1}} sum_j sign_j G(t_j) dtheta, where
+G(R) = int_0^R f(r) r^(d-1) dr and t_j are the signed distances at which
+the ray from c in the direction theta crosses the boundary.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
-from scipy.interpolate import CubicSpline
-from scipy.special import betainc
+from numpy.polynomial import legendre
+from scipy.special import betainc, roots_gegenbauer
 
 from . import trial
 from .ball import fundamental_tone
@@ -19,9 +24,16 @@ from .report import VerificationReport
 
 _SHAPES = ("ball", "ellipsoid", "box", "annulus", "two-balls", "implicit")
 _MC_CHUNK = 2**20
-_VOLUME_SAMPLES = 4 * 10**7
-_VOLUME_SEED = 11
-_RADIAL_TOL = 1e-10
+# implicit domains: each ray is sampled on contains every 1/_RAY_STEPS of
+# the bbox diagonal, so this is the thinnest feature the ray cast resolves
+# (as the cell is for the grid); sign changes are then bisected
+_RAY_STEPS = 256
+_RAY_CHUNK = 2**18      # ray samples per contains call
+_BISECTIONS = 45        # a step halved 45 times is below eps * diameter
+_GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
+_PANELS = 64            # radial panels per unit of the table's variable
+# the rules' sums carry rounding, so no error bar is smaller than this
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 def unit_ball_volume(d):
@@ -46,10 +58,11 @@ class Domain:
         Cumulative dilation applied to the base shape; normalize_volume
         records its factor here.
     volume : float
-        Exact for the library shapes; a Monte Carlo estimate for implicit
-        domains given without their volume.
+        Exact for the library shapes; the radial reduction of f = 1 for
+        implicit domains given without their volume.
     volume_error : float
-        Standard error of the volume estimate; 0 when exact.
+        Error estimate of the volume (from the radial rule's companion
+        rules); 0 when exact.
     bbox : tuple
         (lower corner, upper corner), both tuples of floats.
     """
@@ -99,6 +112,88 @@ class Domain:
             mask = _eval_implicit(p["expr"], y)
         return bool(mask[0]) if single else mask
 
+    def crossings(self, origin, dirs):
+        """Signed distances at which rays from origin cross the boundary.
+
+        dirs holds unit directions u as rows; ray i is origin + t u_i,
+        t >= 0. Returns (t, sign), two (len(dirs), k) arrays such that for
+        any F with F(0) = 0 the integral of F'(t) over the part of ray i
+        inside the domain is sum_j sign[i, j] F(t[i, j]). sign is +1 where
+        a segment ends and -1 where it starts (inclusion-exclusion for
+        unions and holes), 0 on padding. The origin need not be inside
+        and the domain need not be star-shaped.
+        """
+        o = np.asarray(origin, dtype=float)
+        u = np.atleast_2d(np.asarray(dirs, dtype=float))
+        if o.shape != (self.d,) or u.shape[1] != self.d:
+            raise ValueError("origin and directions must have d entries")
+        if self.shape == "implicit":
+            return self._ray_cast(o, u)
+        y0 = (o - np.asarray(self.offset)) / self.scale
+        p = self.params
+        if self.shape == "ball":
+            segs = [(_chord(y0, u, p["radius"]), 1.0)]
+        elif self.shape == "ellipsoid":
+            ax = np.asarray(p["semiaxes"])
+            segs = [(_chord(y0 / ax, u / ax, 1.0), 1.0)]
+        elif self.shape == "box":
+            segs = [(_slab(y0, u, 0.5 * np.asarray(p["sides"])), 1.0)]
+        elif self.shape == "annulus":
+            segs = [(_chord(y0, u, p["outer"]), 1.0),
+                    (_chord(y0, u, p["inner"]), -1.0)]
+        else:
+            (c1, c2), (r1, r2) = p["centers"], p["radii"]
+            a1, b1 = _chord(y0 - np.asarray(c1), u, r1)
+            a2, b2 = _chord(y0 - np.asarray(c2), u, r2)
+            a12 = np.maximum(a1, a2)
+            both = (a12, np.maximum(a12, np.minimum(b1, b2)))
+            segs = [((a1, b1), 1.0), ((a2, b2), 1.0), (both, -1.0)]
+        t = np.stack([x for (a, b), _ in segs for x in (b, a)], axis=1)
+        sign = np.array([x for _, w in segs for x in (w, -w)])
+        return t * self.scale, np.broadcast_to(sign, t.shape)
+
+    def _ray_cast(self, o, u):
+        # sample each ray inside the bbox at steps of at most
+        # diameter / _RAY_STEPS, then bisect every change of membership;
+        # beyond the bbox counts as outside
+        lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
+        t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
+        m, span = u.shape[0], t_out - t_in
+        steps = max(1, math.ceil(float(np.max(span)) * _RAY_STEPS
+                                 / self.diameter()))
+        frac = np.arange(steps + 1) / steps
+        inside = np.zeros((m, steps + 3), dtype=bool)
+        rows = max(1, _RAY_CHUNK // (steps + 1))
+        for i in range(0, m, rows):
+            ts = t_in[i:i + rows, None] + span[i:i + rows, None] * frac
+            # one column per coordinate keeps the implicit expression's
+            # coordinate arrays contiguous
+            pts = np.empty((ts.size, self.d), order="F")
+            for k in range(self.d):
+                pts[:, k] = (o[k] + ts * u[i:i + rows, k, None]).ravel()
+            inside[i:i + rows, 1:-1] = \
+                self.contains(pts).reshape(-1, steps + 1)
+        inside[span <= 0.0] = False
+        change = inside[:, 1:] != inside[:, :-1]
+        r, c = np.nonzero(change)
+        sign = np.where(inside[r, c + 1], -1.0, 1.0)
+        # a change at either sentinel is the bbox boundary itself
+        tc = t_in[r] + span[r] * frac[np.clip(c, 0, steps)]
+        mid = (c > 0) & (c <= steps)
+        rm, a_in = r[mid], inside[r[mid], c[mid]]
+        bm = tc[mid]
+        am = t_in[rm] + span[rm] * frac[c[mid] - 1]
+        for _ in range(_BISECTIONS):
+            h = 0.5 * (am + bm)
+            same = self.contains(o + h[:, None] * u[rm]) == a_in
+            am, bm = np.where(same, h, am), np.where(same, bm, h)
+        tc[mid] = 0.5 * (am + bm)
+        slot = np.arange(r.size) - np.searchsorted(r, r)
+        k = int(slot.max()) + 1 if slot.size else 1
+        t, sg = np.zeros((m, k)), np.zeros((m, k))
+        t[r, slot], sg[r, slot] = tc, sign
+        return t, sg
+
     def diameter(self):
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
         return float(np.linalg.norm(hi - lo))
@@ -110,13 +205,18 @@ def _names(d):
     return tuple(f"x{k}" for k in range(1, d + 1))
 
 
+@lru_cache(maxsize=32)
+def _compiled(expr):
+    return compile(expr, "<domain-config>", "eval")
+
+
 def _eval_implicit(expr, y):
     ns = {name: y[:, k] for k, name in enumerate(_names(y.shape[1]))}
     ns.update(abs=np.abs, sqrt=np.sqrt, exp=np.exp, minimum=np.minimum,
               maximum=np.maximum, hypot=np.hypot, pi=np.pi, cos=np.cos,
               sin=np.sin)
     try:
-        out = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - names above
+        out = eval(_compiled(expr), {"__builtins__": {}}, ns)  # noqa: S307
     except Exception as exc:
         raise ValueError(f"implicit expr failed: {exc}") from None
     mask = np.asarray(out)
@@ -134,6 +234,29 @@ def _center_arg(d, center):
 
 def _tup(a):
     return tuple(float(v) for v in np.asarray(a).ravel())
+
+
+def _chord(p, u, radius):
+    # segment {s >= 0 : |p + s u| <= radius} per row u, (0, 0) when empty
+    A = np.einsum("ij,ij->i", u, u)
+    B = u @ p
+    disc = B * B - A * (p @ p - radius * radius)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum((-B - root) / A, 0.0)
+    hi = np.maximum((-B + root) / A, lo)
+    hit = disc > 0.0
+    return np.where(hit, lo, 0.0), np.where(hit, hi, 0.0)
+
+
+def _slab(p, u, half):
+    # segment {s >= 0 : |p + s u| <= half componentwise} per row u; a
+    # direction parallel to a face gives +-inf bounds, which fmin/fmax keep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = (-half - p) / u
+        s2 = (half - p) / u
+    lo = np.maximum(np.max(np.fmin(s1, s2), axis=1), 0.0)
+    hi = np.maximum(np.min(np.fmax(s1, s2), axis=1), lo)
+    return lo, hi
 
 
 def ball(d, radius=1.0, center=None):
@@ -207,12 +330,12 @@ def two_balls(d, radii, centers):
                   (lo, hi))
 
 
-def implicit_domain(d, expr, bounds, volume=None,
-                    samples=_VOLUME_SAMPLES, seed=_VOLUME_SEED):
+def implicit_domain(d, expr, bounds, volume=None):
     """Domain from a boolean numpy expression in x, y, z (or x1..xd).
 
-    bounds is the bounding box (lo_1, hi_1, ..., lo_d, hi_d). The volume
-    is Monte Carlo estimated unless given exactly.
+    bounds is the bounding box (lo_1, hi_1, ..., lo_d, hi_d). Unless given
+    exactly, the volume is the radial reduction of f = 1 (G = R^d / d)
+    about the bbox center, with the default rule's direction count.
     """
     if "__" in expr:
         raise ValueError("implicit expr must not contain '__'")
@@ -231,20 +354,22 @@ def implicit_domain(d, expr, bounds, volume=None,
         if volume <= 0.0:
             raise ValueError("volume must be positive")
         return replace(dom, volume=float(volume))
-    vols, errs, _ = _integrate(dom, [np.ones_like],
-                               QuadratureSpec("mc", samples=samples,
-                                              seed=seed), np.zeros(d))
-    if vols[0] <= 0.0:
+    dirs, W = _sphere_rule(d, default_quadrature(d).cells)
+    t, sign = dom.crossings(0.5 * (b[0::2] + b[1::2]), dirs)
+    vol, err = (float(x) for x in _estimate(W @ np.sum(sign * t**d, axis=1)
+                                            / d))
+    if vol <= 0.0:
         raise ValueError("implicit domain appears empty")
-    return replace(dom, volume=float(vols[0]), volume_error=float(errs[0]))
+    return replace(dom, volume=vol, volume_error=err)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature selection: radial (centered balls only), grid, or mc.
+    """Quadrature selection: radial (the default), grid, or mc.
 
-    cells is the grid resolution per axis; samples and seed fix the mc
-    stream. The integrators return their error bars explicitly.
+    cells is the direction count of the radial rule or the grid
+    resolution per axis; samples and seed fix the mc stream. The
+    integrators return their error bars explicitly.
     """
 
     kind: str
@@ -260,11 +385,9 @@ class QuadratureSpec:
 
 
 def default_quadrature(d):
-    # bounded piecewise-smooth integrands: tensor grid in the plane,
-    # Monte Carlo with a fixed seed beyond it
-    if d == 2:
-        return QuadratureSpec("grid", cells=1024)
-    return QuadratureSpec("mc", samples=10**7, seed=7)
+    # the radial reduction everywhere, with 8192 directions spread over
+    # the d - 1 angles
+    return QuadratureSpec("radial", cells=8192)
 
 
 def normalize_volume(domain, target=None):
@@ -313,8 +436,6 @@ def _nodes(domain, quad, coarse=False):
     |bbox| / quad.samples; the fixed chunking keeps the stream and the
     reduction order independent of the caller.
     """
-    if quad.kind == "radial":
-        raise ValueError("radial quadrature has no node set; use grid or mc")
     if quad.kind == "grid":
         yield _grid_points(domain, quad.cells // 2 if coarse else quad.cells)
         return
@@ -361,40 +482,139 @@ def _integrate(domain, fs, quad, center):
     return w * s, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
 
+def _product_rule(d, n_az, n_polar):
+    # S^1: n_az trapezoid nodes; S^(k+1) from S^k: x_0 = cos(psi), the
+    # rest sin(psi) times a point of S^k, dsigma = sin^k(psi) dpsi dsigma_k,
+    # which in t = cos(psi) is the Gauss-Gegenbauer weight with alpha = k/2
+    phi = 2.0 * math.pi * np.arange(n_az) / n_az
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    w = np.full(n_az, 2.0 * math.pi / n_az)
+    for k in range(1, d - 1):
+        t, wt = roots_gegenbauer(n_polar, 0.5 * k)
+        st = np.sqrt(1.0 - t * t)
+        dirs = np.concatenate(
+            [np.repeat(t, len(w))[:, None],
+             (st[:, None, None] * dirs).reshape(-1, dirs.shape[1])], axis=1)
+        w = np.outer(wt, w).ravel()
+    return dirs, w
+
+
+def _turn(d):
+    # a fixed rotation: each coordinate plane (k, k+1) turned by 1 radian
+    R = np.eye(d)
+    c, s = math.cos(1.0), math.sin(1.0)
+    for k in range(d - 1):
+        R[[k, k + 1]] = np.array([[c, -s], [s, c]]) @ R[[k, k + 1]]
+    return R
+
+
+def _sphere_rule(d, cells):
+    """Directions of the product rule on S^(d-1) with about cells
+    directions, and the weights of the rule and of its companions.
+
+    The rule has n Gauss nodes in each of the d - 2 polar angles and 2n
+    trapezoid nodes in the azimuth, 2 n^(d-1) directions (n even). The
+    rows of the returned weights: 0 the rule; 1 the rule with half the
+    nodes in every angle (in the plane, every other direction); 2-5 the
+    four interleaved rules on every fourth azimuth node; 6 the rule
+    turned by a fixed rotation. Each row is 0 on the directions it does
+    not use.
+    """
+    if d < 2:
+        raise ValueError("radial quadrature needs d >= 2")
+    n = 2 * max(1, round(0.5 * (cells / 2.0) ** (1.0 / (d - 1))))
+    dirs, w = _product_rule(d, 2 * n, n)
+    m = len(w)
+    az = np.arange(m) % (2 * n) % 4
+    blocks = [dirs]
+    if d > 2:
+        cdirs, cw = _product_rule(d, n, n // 2)
+        blocks.append(cdirs)
+    blocks.append(dirs @ _turn(d).T)
+    W = np.zeros((7, sum(len(b) for b in blocks)))
+    W[0, :m] = w
+    if d == 2:
+        W[1, :m] = np.where(az % 2 == 0, 2.0 * w, 0.0)
+    else:
+        W[1, m:m + len(cw)] = cw
+    for j in range(4):
+        W[2 + j, :m] = np.where(az == j, 4.0 * w, 0.0)
+    W[6, -m:] = w
+    return np.concatenate(blocks), W
+
+
+def _estimate(rows):
+    """Value and error estimate from the values of the _sphere_rule rows.
+
+    The estimate is |I - I_half| + max_j |I - I_j| / 4 over the quarter
+    rules + 2 |I - I_turned|, plus rounding. It is not a bound. Corners
+    and tangent rays leave the rule an O(h^2) or O(h^1.5) error that
+    oscillates with where the nodes fall, so any one difference can
+    vanish where the error does not: the four quarter rules sample four
+    azimuth offsets (for a single corner their spread exceeds six times
+    the rule's error), and the turned rule, whose error is as large as
+    the rule's, samples new offsets in every angle.
+    """
+    I = rows[0]
+    bar = abs(I - rows[1]) + np.max(np.abs(I - rows[2:6]), axis=0) / 4.0 \
+        + 2.0 * abs(I - rows[6])
+    return I, bar + _ROUNDING * np.abs(I)
+
+
+# interpolation at the Gauss-Legendre nodes: Legendre coefficients of the
+# polynomial through the values, and of its antiderivative from -1
+_NODES, _NODE_WEIGHTS = legendre.leggauss(_GAUSS_NODES)
+_TO_SERIES = np.linalg.inv(legendre.legvander(_NODES, _GAUSS_NODES - 1))
+_TO_INTEGRAL = legendre.legint(_TO_SERIES, lbnd=-1.0)
+
+
 class _RadialTable:
-    """Cubic-spline table of a radial profile, split at the extension
-    knot u = 1 where the third derivative jumps. Interpolation error is
-    O(step^4), orders of magnitude below the quadrature error bars this
-    feeds; the radial-1D path never uses tables.
+    """A radial profile g(u) on [0, umax] from its values at the
+    Gauss-Legendre nodes of panels of width 1 / panels.
+
+    u = 1, where the trial profile's third derivative jumps, is a panel
+    edge. Inside each panel g is the polynomial through the panel's
+    values: calling the table evaluates it (grid and mc nodes), and G(d)
+    gives R -> int_0^R g(u) u^(d-1) du, each panel's integral exact for
+    polynomials of degree 2 * _GAUSS_NODES - 1 (radial rule).
     """
 
-    def __init__(self, g, umax, n=4096, value_at_zero=None):
-        u1 = np.linspace(0.0, 1.0, n + 1)
-        v1 = np.empty(n + 1)
-        if value_at_zero is None:
-            v1[:] = g(u1)
-        else:
-            v1[0] = value_at_zero
-            v1[1:] = g(u1[1:])
-        self.lo = CubicSpline(u1, v1)
-        u2 = np.linspace(1.0, max(umax, 1.0 + 1e-9), n + 1)
-        self.hi = CubicSpline(u2, g(u2))
+    def __init__(self, g, umax, panels=_PANELS):
+        self.panels = panels
+        self.top = math.ceil(max(umax, 1.0) * panels)
+        self.u = (np.arange(self.top)[:, None] + 0.5 * (_NODES + 1.0)) \
+            / panels
+        self.gu = g(self.u.ravel()).reshape(self.u.shape)
+
+    def _series(self, R, coef):
+        # panel index of each R and the panel's Legendre series there,
+        # summed by the three-term recurrence
+        R = np.asarray(R, dtype=float)
+        if R.size and R.max() > self.top / self.panels:
+            raise ValueError("radius beyond the radial table")
+        j = np.minimum((R * self.panels).astype(int), self.top - 1)
+        x = 2.0 * (R * self.panels - j) - 1.0
+        p0, p1 = np.ones_like(x), x
+        out = coef[j, 0] + coef[j, 1] * x
+        for k in range(1, coef.shape[1] - 1):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            out += coef[j, k + 1] * p1
+        return j, out
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        m = u <= 1.0
-        out[m] = self.lo(u[m])
-        out[~m] = self.hi(u[~m])
-        return out
+        return self._series(u, self.gu @ _TO_SERIES.T)[1]
 
+    def G(self, d):
+        y = self.gu * self.u ** (d - 1)
+        cum = np.concatenate([[0.0], np.cumsum(y @ _NODE_WEIGHTS)])
+        cum *= 0.5 / self.panels
+        coef = (0.5 / self.panels) * (y @ _TO_INTEGRAL.T)
 
-def _require_centered_ball(domain, center):
-    if domain.shape != "ball":
-        raise ValueError("radial quadrature requires a ball domain")
-    if not np.allclose(center, domain.offset,
-                       atol=1e-12 * (1.0 + np.abs(domain.offset).max())):
-        raise ValueError("radial quadrature requires the trial center")
+        def G(R):
+            j, part = self._series(R, coef)
+            return cum[j] + part
+
+        return G
 
 
 def integrate_radial(domain, f, quad, center=None):
@@ -406,11 +626,13 @@ def integrate_radial(domain, f, quad, center=None):
     f : callable
         Radial profile; must accept numpy arrays of radii.
     quad : QuadratureSpec
-        radial: surface_area * adaptive 1D integral (centered balls only);
-        grid: midpoint rule on bbox cells, error bar from a half-resolution
-        pass; mc: hit-or-miss mean with sample standard error.
+        radial: the sphere rule over the rays' crossings with
+        G(R) = int_0^R f(r) r^(d-1) dr, error estimate from the rule's
+        companion rules (see _estimate); grid: midpoint rule on bbox
+        cells, error bar from a half-resolution pass; mc: hit-or-miss mean
+        with sample standard error.
     center : array_like, optional
-        Trial center; defaults to the domain offset.
+        Center of the radial function; defaults to the domain offset.
 
     Returns
     -------
@@ -419,13 +641,11 @@ def integrate_radial(domain, f, quad, center=None):
     c = np.asarray(domain.offset) if center is None \
         else np.asarray(center, dtype=float)
     if quad.kind == "radial":
-        _require_centered_ball(domain, c)
-        R = domain.params["radius"] * domain.scale
-        surface = domain.d * unit_ball_volume(domain.d)
-        val, err = _adaptive_quad(
-            lambda r: f(r) * r ** (domain.d - 1), 0.0, R,
-            epsabs=1e-300, epsrel=_RADIAL_TOL, limit=200)
-        return surface * val, surface * err
+        dirs, W = _sphere_rule(domain.d, quad.cells)
+        t, sign = domain.crossings(c, dirs)
+        G = _RadialTable(f, float(t.max())).G(domain.d)
+        return tuple(float(x) for x in _estimate(W @ np.sum(sign * G(t),
+                                                            axis=1)))
     vals, errs, _ = _integrate(domain, [f], quad, c)
     return float(vals[0]), float(errs[0])
 
@@ -434,8 +654,11 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
                  tol=None):
     """Translation v at which the centering field X(v) vanishes.
 
-    X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx,
-    evaluated on a fixed node set, so the iteration targets the zero of
+    X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx.
+    radial: X(v) = int_{S^{d-1}} theta sum_j sign_j H(t_j) dtheta with
+    H(R) = int_0^R rho(r) r^(d-1) dr over the crossings of the rays from
+    v (the rule itself, after a warm start on its quarter rule); grid and
+    mc: a sum over a fixed node set. The iteration targets the zero of
     the discretized field. Damped fixed-point steps
     v <- v + damping * X(v) / (rho'(0) |Omega|) run from the bbox center;
     on non-convergence a coordinate bisection sweep is tried before
@@ -452,29 +675,53 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
         raise ValueError("max_iter must be at least 1")
     if quad is None:
         quad = default_quadrature(domain.d)
-    # the iteration revisits the nodes, so they are kept in memory, in one
-    # array and not also in chunks
-    chunks = list(_nodes(domain, quad))
-    w = chunks[0][1]
-    pts = np.concatenate([p for p, _ in chunks], axis=0)
-    del chunks
-    if pts.shape[0] == 0:
-        raise ValueError("no quadrature nodes fall inside the domain")
     if tol is None:
         tol = 1e-6 * domain.volume * trial.rho(profile, domain.diameter())
     slope0 = trial.rho(profile, 0.0, 1)
     step_scale = slope0 * domain.volume
-    ptable = _RadialTable(lambda u: trial.rho(profile, u) / u,
-                          1.5 * domain.diameter() + 1.0,
-                          value_at_zero=slope0)
+    umax = 1.5 * domain.diameter() + 1.0
+    warm = None
+    if quad.kind == "radial":
+        dirs, W = _sphere_rule(domain.d, quad.cells)
+        H = _RadialTable(lambda u: trial.rho(profile, u), umax,
+                         _panels(profile)).G(domain.d)
 
-    def field(v):
-        dx = pts - v
-        r = np.linalg.norm(dx, axis=1)
-        return w * np.sum(ptable(r)[:, None] * dx, axis=0)
+        def on(w):
+            u, wu = dirs[w > 0.0], w[w > 0.0]
+
+            def field(v):
+                t, sign = domain.crossings(v, u)
+                return (wu * np.sum(sign * H(t), axis=1)) @ u
+            return field
+
+        # the quarter rule's field, on a quarter of the rays, brings v
+        # close to the zero of the rule's field before the iteration on it
+        warm, field = on(W[2]), on(W[0])
+    else:
+        # the iteration revisits the nodes, so they are kept in memory, in
+        # one array and not also in chunks
+        chunks = list(_nodes(domain, quad))
+        wn = chunks[0][1]
+        pts = np.concatenate([p for p, _ in chunks], axis=0)
+        del chunks
+        if pts.shape[0] == 0:
+            raise ValueError("no quadrature nodes fall inside the domain")
+        ptable = _RadialTable(lambda u: trial.rho(profile, u) / u, umax,
+                              _panels(profile))
+
+        def field(v):
+            dx = pts - v
+            r = np.linalg.norm(dx, axis=1)
+            return wn * np.sum(ptable(r)[:, None] * dx, axis=0)
 
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
     v = 0.5 * (lo + hi)
+    if warm is not None:
+        for _ in range(max_iter):
+            X = warm(v)
+            if np.linalg.norm(X) <= tol:
+                break
+            v = v + damping * X / step_scale
     trace = []
     for _ in range(max_iter):
         X = field(v)
@@ -517,23 +764,27 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
 
 
 def _trial_center(domain, profile, quad):
-    # symmetric library shapes are centered at their offset by
-    # construction, and radial quadrature takes only centered balls;
-    # everything else gets the fixed-point search
-    if quad.kind == "radial" or \
-            domain.shape in ("ball", "ellipsoid", "box", "annulus"):
+    # the symmetric library shapes are centered at their offset by
+    # construction; everything else gets the fixed-point search
+    if domain.shape in ("ball", "ellipsoid", "box", "annulus"):
         return np.asarray(domain.offset, dtype=float)
     return center_trial(domain, profile, quad)
+
+
+def _panels(profile):
+    # radial panels per unit radius: the profile varies on the scale 1/b
+    return _PANELS + math.ceil(2.0 * profile.mode.b)
 
 
 def _num_den(domain, profile, s, quad, center):
     """Quotient numerator and denominator for the profile dilated by s.
 
     Returns (num, den, num error, den error, relative error of num/den).
-    radial and grid: the ratio's relative bar is the sum of the relative
-    bars. mc: both integrands share one sample stream and the delta
-    method keeps their covariance. Grid and mc evaluate the profile
-    through spline tables.
+    radial: every bar is the companion rules' estimate (_estimate), the
+    ratio's from the companions' ratios; grid: the ratio's relative bar
+    is the sum of the relative bars; mc: both integrands share one sample
+    stream and the delta method keeps their covariance. Grid and mc
+    evaluate the profile through the tables, radial through their G.
     """
     def fN(u):
         return trial.numerator_integrand(profile, u) / s**4
@@ -542,12 +793,18 @@ def _num_den(domain, profile, s, quad, center):
         return trial.rho(profile, u) ** 2
 
     if quad.kind == "radial":
-        (num, en), (den, ed) = [
-            integrate_radial(domain, lambda r, f=f: f(r / s), quad, center)
-            for f in (fN, fD)]
-        return num, den, en, ed, en / abs(num) + ed / abs(den)
+        d = domain.d
+        dirs, W = _sphere_rule(d, quad.cells)
+        t, sign = domain.crossings(center, dirs)
+        rows = []
+        for f in (fN, fD):
+            G = _RadialTable(f, float(t.max()) / s, _panels(profile)).G(d)
+            rows.append(W @ (s**d * np.sum(sign * G(t / s), axis=1)))
+        num, den = rows
+        (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
+        return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
     umax = 1.5 * domain.diameter() / s + 1.0
-    tables = [_RadialTable(f, umax) for f in (fN, fD)]
+    tables = [_RadialTable(f, umax, _panels(profile)) for f in (fN, fD)]
     (num, den), (en, ed), cov = _integrate(
         domain, [lambda r, t=t: t(r / s) for t in tables], quad, center)
     if cov is None:
@@ -575,7 +832,7 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     d : int, optional
         Must match domain.d when given.
     quad : QuadratureSpec, optional
-        Defaults to the dimension default (grid in 2d, mc beyond).
+        Defaults to the dimension default (the radial rule).
     center : array_like, optional
         Trial center; default is the domain offset for symmetric shapes
         and the fixed-point center otherwise.
@@ -583,17 +840,26 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     Returns
     -------
     (Q, error_estimate)
-        The quotient and its propagated quadrature error bar.
+        The quotient and its quadrature error estimate.
     """
     if d is not None and d != domain.d:
         raise ValueError("d disagrees with domain.d")
     d = domain.d
     if tau <= 0.0:
         raise ValueError("tau must be positive")
+    s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
+    return _quotient(domain, fundamental_tone(tau * s * s, d, 1.0), quad,
+                     center)
+
+
+def _quotient(domain, mode, quad, center):
+    # quotient_bound with the unit-ball mode already solved at the
+    # domain's tension tau s^2
+    d = domain.d
     if quad is None:
         quad = default_quadrature(d)
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
-    prof = trial.TrialProfile(fundamental_tone(tau * s * s, d, 1.0))
+    prof = trial.TrialProfile(mode)
     c = _trial_center(domain, prof, quad) if center is None \
         else np.asarray(center, dtype=float)
     num, den, _, _, rel = _num_den(domain, prof, s, quad, c)
@@ -722,12 +988,6 @@ def parse_domain_config(text):
         if "volume" in entries:
             kw["volume"] = floats("volume")[0]
             entries.pop("volume")
-        if "samples" in entries:
-            kw["samples"] = int(floats("samples")[0])
-            entries.pop("samples")
-        if "seed" in entries:
-            kw["seed"] = int(floats("seed")[0])
-            entries.pop("seed")
         dom = implicit_domain(d, entries["expr"], floats("bounds"), **kw)
         entries.pop("expr")
         entries.pop("bounds")

@@ -198,15 +198,15 @@ def test_quotient_error_paths(capsys, tmp_path):
     assert code == 2 and "disagrees" in err
     code, _, err = run(capsys, "quotient", "--domain", str(cfg),
                        "--tau", "1", "--quad", "radial")
-    assert code == 2 and "ball" in err
+    assert code == 0, err
 
 
-def test_samples_sets_grid_cells_when_grid_is_the_default(capsys, tmp_path):
+def test_samples_sets_the_default_rules_resolution(capsys, tmp_path):
     cfg = tmp_path / "el.cfg"
     cfg.write_text("shape=ellipsoid\ndim=2\nsemiaxes=2,0.5\n",
                    encoding="utf-8")
     outs = []
-    for extra in ([], ["--quad", "grid"]):
+    for extra in ([], ["--quad", "radial"]):
         code, out, _ = run(capsys, "quotient", "--domain", str(cfg),
                            "--tau", "1", "--samples", "256", *extra)
         assert code == 0
@@ -223,13 +223,36 @@ def test_quotient_on_overlapping_3d_two_balls(capsys, tmp_path):
     cfg.write_text("shape=two-balls\ndim=3\nradii=1,0.7\n"
                    "centers=0,0,0;0.5,0,0\n", encoding="utf-8")
     code, out, err = run(capsys, "quotient", "--domain", str(cfg),
-                         "--tau", "1", "--samples", "1000000")
+                         "--tau", "1")
     assert code == 0, err
     vals = parse_kv(out)
     Q, bar = float(vals["Q"]), float(vals["error_bar"])
     assert bar > 0.0
     assert Q + 5 * bar < float(vals["omega"])
     assert vals["Q_below_omega_beyond_bars"] == "yes"
+
+
+def test_quotient_on_implicit_3d_ball_without_volume(capsys, tmp_path):
+    # the volume comes from the radial reduction, and the shape is the
+    # ball, so Q is the tone
+    cfg = tmp_path / "ib.cfg"
+    cfg.write_text("shape=implicit\ndim=3\nexpr=x**2 + y**2 + z**2 <= 1\n"
+                   "bounds=-1,1,-1,1,-1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "quotient", "--domain", str(cfg),
+                         "--tau", "1")
+    assert code == 0, err
+    vals = parse_kv(out)
+    assert float(vals["Q"]) == pytest.approx(float(vals["omega"]), rel=1e-6)
+
+
+def test_implicit_config_rejects_samples_and_seed(capsys, tmp_path):
+    cfg = tmp_path / "disk.cfg"
+    for key in ("samples", "seed"):
+        cfg.write_text("shape=implicit\ndim=2\nexpr=x**2 + y**2 <= 1\n"
+                       f"bounds=-1,1,-1,1\n{key}=3\n", encoding="utf-8")
+        code, _, err = run(capsys, "quotient", "--domain", str(cfg),
+                           "--tau", "1")
+        assert code == 2 and f"unrecognized keys {key}" in err
 
 
 def test_outputs_are_byte_identical_across_reruns(capsys, tmp_path):

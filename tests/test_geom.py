@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_implicit_domain_basics():
     assert bool(hi.contains(np.zeros((1, 4)))[0])
     assert not bool(hi.contains(np.full((1, 4), 0.9))[0])
     with pytest.raises(ValueError, match="empty"):
-        geom.implicit_domain(2, "x > 2", (-1, 1, -1, 1), samples=10**5)
+        geom.implicit_domain(2, "x > 2", (-1, 1, -1, 1))
     with pytest.raises(ValueError, match="parse"):
         geom.implicit_domain(2, "x +* y", (-1, 1, -1, 1))
     with pytest.raises(ValueError, match="boolean"):
@@ -136,15 +137,14 @@ def test_normalize_volume_examples():
     retarget = geom.normalize_volume(geom.ball(2), target=4 * math.pi)
     assert retarget.scale == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ValueError, match="noisy"):
-        geom.normalize_volume(geom.implicit_domain(
-            2, "x**2 + y**2 <= 1", (-1, 1, -1, 1), samples=10**6))
+        geom.normalize_volume(replace(geom.ball(2), volume_error=1e-3))
     with pytest.raises(ValueError, match="positive"):
         geom.normalize_volume(geom.ball(2), target=0.0)
 
 
 def test_quadrature_spec_validation():
-    assert geom.default_quadrature(2).kind == "grid"
-    assert geom.default_quadrature(3).kind == "mc"
+    assert geom.default_quadrature(2).kind == "radial"
+    assert geom.default_quadrature(3).kind == "radial"
     with pytest.raises(ValueError):
         QuadratureSpec("simpson")
     with pytest.raises(ValueError):
@@ -177,14 +177,23 @@ def test_integrate_radial_grid_and_mc_agree():
     assert abs(mval - gval) <= 4 * (merr + gerr)
 
 
-def test_radial_quadrature_rejects_mismatch():
+def test_radial_quadrature_off_balls_and_off_center():
+    f = lambda r: r**2
     el = geom.ellipsoid(2, (2.0, 0.5))
-    with pytest.raises(ValueError, match="ball"):
-        geom.integrate_radial(el, lambda r: r, QuadratureSpec("radial"))
-    dom = geom.ball(2)
-    with pytest.raises(ValueError, match="center"):
-        geom.integrate_radial(dom, lambda r: r, QuadratureSpec("radial"),
-                              center=(0.3, 0.0))
+    exact = math.pi * 2.0 * 0.5 * (2.0**2 + 0.5**2) / 4
+    val, err = geom.integrate_radial(el, f, QuadratureSpec("radial"))
+    assert val == pytest.approx(exact, rel=1e-10)
+    assert abs(val - exact) <= err
+    # about an off-center point the second moment gains the parallel-axis
+    # term |Omega| |c|^2
+    for c in ((0.3, 0.0), (0.2, -0.1, 0.25)):
+        dom = geom.ball(len(c))
+        vol = dom.volume
+        exact = vol * len(c) / (len(c) + 2) + vol * float(np.dot(c, c))
+        val, err = geom.integrate_radial(dom, f, QuadratureSpec("radial"),
+                                         center=c)
+        assert val == pytest.approx(exact, rel=1e-10)
+        assert abs(val - exact) <= err
 
 
 def test_centering_recovers_translated_ball():
@@ -214,8 +223,9 @@ def test_centering_argument_validation():
         geom.center_trial(dom, prof, damping=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         geom.center_trial(dom, prof, max_iter=0)
-    with pytest.raises(ValueError, match="grid or mc"):
-        geom.center_trial(dom, prof, QuadratureSpec("radial"))
+    shifted = geom.ball(2, center=(0.3, 0.0))
+    v = geom.center_trial(shifted, prof, QuadratureSpec("radial"))
+    assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 1e-9
 
 
 def test_centering_reports_nonconvergence():

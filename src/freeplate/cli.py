@@ -10,6 +10,7 @@ verification check failed, 2 bad input or solver failure.
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def cmd_sweep(args):
         try:
             omega = ball.fundamental_tone(tau, args.dim).omega
             w, ratio = format_float(omega), format_float(omega / tau)
-        except (RuntimeError, ValueError) as exc:
+        except (RuntimeError, ValueError, OverflowError) as exc:
             print(f"solver failed at tau = {tau:g}: {exc}", file=sys.stderr)
             w, ratio = "", ""
             failed = True
@@ -135,6 +136,7 @@ def cmd_quotient(args):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
     p = argparse.ArgumentParser(
         prog="freeplate",

@@ -5,10 +5,11 @@ for integer dimension d >= 2 and integer order 0 <= l <= 8, together with
 derivatives through fourth order, the series coefficients d_k of the
 expansions of j_1'' and i_1'', and the first nontrivial zero of j_1'.
 
-The underlying kernels are implemented in this module (ascending series for
-moderate arguments, a normalized backward-recurrence scheme for large ones),
-so no external special-function library is involved and every digit is
-covered by the test oracles.
+At or below SMALL_Z the values and derivatives come from the ascending
+series, truncated by a geometric tail bound, which has no cancellation at
+small z. Above it the kernels J and I are scipy's jv and iv (the Amos
+routines, ACM TOMS 644, 1986, with their asymptotic expansions at large z),
+and exact order recurrences give the derivatives.
 """
 
 import math
@@ -16,13 +17,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
 SMALL_Z = 0.5          # power-series evaluation at or below this argument
-_SERIES_KERNEL_MAX = 6.0   # ascending-series J kernel up to here, backward
-                           # recurrence above
-_J_Z_MAX = 1.0e3       # supported argument range of the two kernels;
-_I_Z_MAX = 690.0       # the i_l series exceeds double range beyond this
+_J_Z_MAX = 1.0e15      # jv loses its digits beyond this argument
+_I_Z_MAX = 690.0       # i_l exceeds double range beyond this
 MAX_ORDER = 8
 MAX_DERIV = 4
 
@@ -74,109 +74,49 @@ def series_coeff_dk(k, d):
 
 def _series_eval(kind, l, d, deriv, z):
     """Term-differentiated ascending series for the deriv-th derivative of
-    j_l (alternating signs) or i_l (positive signs) at z >= 0.
+    j_l (alternating signs) or i_l (positive signs) at 0 <= z <= SMALL_Z.
 
     The series for j_l is sum_k (-1)^k z^(l+2k) / (2^(s+l+2k) k! G(s+l+k+1));
     differentiation multiplies term k by the falling factorial of l+2k. Terms
-    are built by ratio updates so nothing overflows for z within kernel range.
+    are built by ratio updates. The ratio q of term k+1 to term k, taken at
+    the largest z, falls with k, so the tail after a term is at most
+    |term| q / (1 - q); the sum stops once that is below 1e-17 of the total
+    at every point, which leaves the rounded total unchanged.
     """
     s = (d - 2) / 2.0
     sign = -1.0 if kind == "j" else 1.0
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         return np.empty(0)
-    k0 = max(0, -((l - deriv) // 2))     # smallest k with l + 2k >= deriv
-    m0 = l + 2 * k0
-    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k0 + 1) - math.lgamma(s + l + k0 + 1)
+    k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
+    m0 = l + 2 * k
+    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
     fall = 1.0
-    for q in range(deriv):
-        fall *= m0 - q
-    term = (sign**k0 * fall * math.exp(lognorm)) * np.power(z, m0 - deriv)
+    for i in range(deriv):
+        fall *= m0 - i
+    term = (sign**k * fall * math.exp(lognorm)) * np.power(z, m0 - deriv)
     total = term.copy()
     zz = z * z / 4.0
-    nterms = int(0.8 * float(np.max(z))) + 60
-    for k in range(k0, k0 + nterms):
+    zz_max = float(np.max(zz))
+    while True:
         m = l + 2 * k
-        ratio_num = 1.0
-        ratio_den = 1.0
-        if deriv:
-            ratio_num = (m + 2.0) * (m + 1.0)
-            ratio_den = (m + 2.0 - deriv) * (m + 1.0 - deriv)
-        term = term * (sign * zz) * (ratio_num / (ratio_den * (k + 1.0) * (s + l + k + 1.0)))
+        ratio = (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
+                                         * (k + 1.0) * (s + l + k + 1.0))
+        q = ratio * zz_max
+        if q < 1.0 and np.all(np.abs(term) * q <= 1e-17 * (1.0 - q) * np.abs(total)):
+            return total
+        term = term * (sign * zz) * ratio
         total += term
-    return total
-
-
-def _j_chain_backward(s, n_orders, z):
-    """Ultraspherical j_l(z) for l = 0..n_orders-1 at large arguments.
-
-    Backward (Miller) recurrence on the kernel orders nu = nu0 + j, seeded
-    far above the largest needed order, normalized with the identity
-    (z/2)^nu0 = sum_k w_k J_(nu0+2k)(z), w_0 = G(nu0+1),
-    w_k = (nu0+2k) G(nu0+k) / k!. Arguments are processed in octave buckets
-    so the start order stays proportionate to the bucket's arguments.
-    """
-    z = np.asarray(z, dtype=float)
-    s_int = int(math.floor(s + 1e-12))
-    nu0 = s - s_int                      # 0 for even d, 1/2 for odd d
-    out = np.empty((n_orders, z.size))
-    lo = _SERIES_KERNEL_MAX
-    remaining = np.ones(z.size, dtype=bool)
-    while remaining.any():
-        mask = remaining & (z <= 2.0 * lo)
-        lo *= 2.0
-        if not mask.any():
-            continue
-        remaining &= ~mask
-        zb = z[mask]
-        M = s_int + n_orders + int(np.max(zb)) + 50
-        fp = np.zeros(zb.size)           # f at order nu0 + (j+1)
-        fc = np.full(zb.size, 1e-155)    # f at order nu0 + j
-        vals = np.zeros((n_orders, zb.size))
-        norm = np.zeros(zb.size)
-        # w_k built by ratio updates, consumed from k = M//2 downward would
-        # reorder the recurrence; instead precompute w_k for k = 0..M//2
-        w = np.empty(M // 2 + 1)
-        w[0] = math.gamma(nu0 + 1.0)
-        if w.size > 1:
-            w[1] = (nu0 + 2.0) * math.gamma(nu0 + 1.0)
-            for k in range(1, w.size - 1):
-                w[k + 1] = w[k] * ((nu0 + 2 * k + 2) * (nu0 + k)) / ((nu0 + 2 * k) * (k + 1))
-        for j in range(M, -1, -1):
-            if j % 2 == 0:
-                norm += w[j // 2] * fc
-            if s_int <= j < s_int + n_orders:
-                vals[j - s_int] = fc
-            fp, fc = fc, (2.0 * (nu0 + j) / zb) * fc - fp
-            big = np.abs(fc) > 1e250
-            if big.any():
-                fc[big] *= 1e-250
-                fp[big] *= 1e-250
-                norm[big] *= 1e-250
-                vals[:, big] *= 1e-250
-        # j_l = z^(-s) J_(s+l) = z^(-s) (z/2)^nu0 vals / norm
-        scale = np.power(zb, -float(s_int)) * 2.0 ** (-nu0) / norm
-        out[:, mask] = vals * scale
-    return out
+        k += 1
 
 
 def _kernel_chain(kind, l, d, n_orders, z):
-    """Ultraspherical values of orders l..l+n_orders-1 at z > 0 (array)."""
+    """Ultraspherical values of orders l..l+n_orders-1 at z > SMALL_Z (array),
+    from scipy's Amos-based Bessel routines over the kernel orders s+l+m."""
     s = (d - 2) / 2.0
-    out = np.empty((n_orders, z.size))
-    if kind == "i":
-        for m in range(n_orders):
-            out[m] = _series_eval("i", l + m, d, 0, z)
-        return out
-    near = z <= _SERIES_KERNEL_MAX
-    if near.any():
-        zn = z[near]
-        for m in range(n_orders):
-            out[m, near] = _series_eval("j", l + m, d, 0, zn)
-    if (~near).any():
-        far = _j_chain_backward(s, l + n_orders, z[~near])
-        out[:, ~near] = far[l:l + n_orders]
-    return out
+    bessel = special.jv if kind == "j" else special.iv
+    orders = s + l + np.arange(n_orders, dtype=float)
+    return bessel(orders[:, None], z) * np.power(z, -s)
 
 
 def _deriv_table(kind, l, d, deriv, z):

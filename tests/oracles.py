@@ -16,31 +16,37 @@ from scipy.linalg import eigh
 mp.mp.dps = 40
 
 
-def mp_ultra(kind, l, d, z, deriv=0, terms=60):
+def mp_ultra(kind, l, d, z, deriv=0):
     """High-precision ultraspherical Bessel value by direct series.
 
     j_l(z) = sum_k (-1)^k z^(l+2k) / (2^(s+l+2k) k! Gamma(s+l+k+1)),
     s = (d-2)/2; i_l is the same series with all positive signs. The
-    deriv-th derivative is taken term by term. Returns a float.
+    deriv-th derivative is taken term by term. The sum runs past the largest
+    term (k > z) until a term falls below 10^-dps of the total, at a working
+    precision raised by z / ln(10) digits: the largest term is about e^z, so
+    that is what the alternating j series loses to cancellation. Returns a
+    float.
     """
     sign = -1 if kind == "j" else 1
-    s = mp.mpf(d - 2) / 2
-    z = mp.mpf(z)
-    total = mp.mpf(0)
-    for k in range(terms):
-        m = l + 2 * k
-        if m < deriv:
-            continue
-        coeff = mp.mpf(1) / (mp.power(2, s + m) * mp.factorial(k) * mp.gamma(s + l + k + 1))
-        fall = mp.mpf(1)
-        for q in range(deriv):
-            fall *= m - q
-        if z == 0:
-            if m == deriv:
-                total += sign**k * coeff * fall
-            continue
-        total += sign**k * coeff * fall * mp.power(z, m - deriv)
-    return float(total)
+    tol = mp.mpf(10) ** -mp.mp.dps
+    with mp.workdps(mp.mp.dps + int(float(z) / 2.3) + 10):
+        s = mp.mpf(d - 2) / 2
+        z = mp.mpf(z)
+        total = mp.mpf(0)
+        k = 0
+        while True:
+            m = l + 2 * k
+            if m >= deriv:
+                coeff = mp.mpf(1) / (mp.power(2, s + m) * mp.factorial(k)
+                                     * mp.gamma(s + l + k + 1))
+                fall = mp.mpf(1)
+                for q in range(deriv):
+                    fall *= m - q
+                term = sign**k * coeff * fall * mp.power(z, m - deriv)
+                total += term
+                if k > z and abs(term) <= tol * abs(total):
+                    return float(total)
+            k += 1
 
 
 def first_sign_change(f, lo, hi, n):

@@ -127,6 +127,23 @@ def test_sweep_records_solver_failures_as_empty_omega(capsys, monkeypatch):
     assert float(rows[1][2]) > 0.0
 
 
+def test_sweep_blanks_rows_that_overflow(capsys):
+    # tau = 1e7 puts b past the i_l kernel range; the row is blanked like any
+    # other solver failure and the rows below keep their tone
+    code, out, err = run(capsys, "sweep", "--dim", "2", "--tau-min", "1",
+                         "--tau-max", "1e7", "--tau-steps", "5", "--log")
+    assert code == 2
+    assert "solver failed at tau = 1e+07" in err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        tau = float(row[0])
+        if tau <= 2e5:
+            assert float(row[2]) < float(row[1]) < float(row[3])
+        else:
+            assert row[1] == "" and row[5] == ""
+
+
 def test_verify_reports_all_lemmas(capsys):
     code, out, err = run(capsys, "verify", "--dims", "2,3")
     assert code == 0 and err == ""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -123,8 +124,8 @@ def test_modified_function_positivity():
 
 
 def test_high_precision_agreement_across_paths():
-    # spot checks spanning series, ascending-kernel, and backward-recurrence
-    # regimes, every derivative order
+    # spot checks on both sides of SMALL_Z (series and scipy kernels), every
+    # derivative order
     for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
         for d in (2, 3, 5, 8):
             for l in (0, 1, 5):
@@ -164,6 +165,61 @@ def test_error_contracts():
     with pytest.raises(OverflowError):
         sf.ultra_i(1, 2, 700.0)
     with pytest.raises(OverflowError):
-        sf.ultra_j(1, 2, 2000.0)
+        sf.ultra_j(1, 2, 2.0e15)
+    # z = 2000 is an ordinary argument for j_l; compare relative to the
+    # envelope sqrt(J^2 + Y^2) (s = 0 in d = 2)
+    J, Y = mp.besselj(1, 2000), mp.bessely(1, 2000)
+    assert abs(sf.ultra_j(1, 2, 2000.0) - J) < 1e-14 * mp.sqrt(J**2 + Y**2)
     with pytest.raises(RuntimeError):
         sf.first_zero_j1prime(500)
+
+
+def _mp_ultra_fn(kind, l, d):
+    s = mp.mpf(d - 2) / 2
+    bessel = mp.besselj if kind == "j" else mp.besseli
+    return (lambda t: bessel(s + l, t) * t ** (-s)), s
+
+
+def test_kernels_match_mpmath_over_the_kernel_range():
+    # up to the advertised ends of the range; j is compared relative to its
+    # envelope sqrt(J^2 + Y^2) z^-s (it has zeros), i relative to itself
+    for kind, fn, zmax in (("j", sf.ultra_j, 1.0e3), ("i", sf.ultra_i, 690.0)):
+        zs = np.geomspace(1e-2, zmax, 12)
+        for d in (2, 3, 8, 30):
+            for l in (0, 1, 5, 8):
+                f, s = _mp_ultra_fn(kind, l, d)
+                got = np.array([fn(l, d, zs, deriv) for deriv in range(5)])
+                for k, z in enumerate(zs):
+                    zm = mp.mpf(float(z))
+                    refs = list(mp.diffs(f, zm, 4))
+                    if kind == "j":
+                        nu = s + l
+                        env = mp.sqrt(mp.besselj(nu, zm) ** 2 + mp.bessely(nu, zm) ** 2) \
+                            * zm ** (-s)
+                    for deriv, ref in enumerate(refs):
+                        scale = env if kind == "j" else abs(ref)
+                        err = float(abs(got[deriv, k] - ref) / scale)
+                        assert err < 1e-12, (kind, d, l, deriv, float(z), err)
+
+
+def test_series_tail_bound_matches_mpmath():
+    # the tail-bounded small-z series at both ends of its range
+    for kind in ("j", "i"):
+        for d in (2, 30):
+            for l in range(sf.MAX_ORDER + 1):
+                f, _ = _mp_ultra_fn(kind, l, d)
+                for z in (sf.SMALL_Z, 1e-6):
+                    refs = list(mp.diffs(f, mp.mpf(z), sf.MAX_DERIV))
+                    for deriv, ref in enumerate(refs):
+                        got = sf._series_eval(kind, l, d, deriv, np.array([z]))[0]
+                        err = float(abs(got - ref) / abs(ref))
+                        assert err < 1e-14, (kind, d, l, deriv, z, err)
+
+
+def test_series_oracle_holds_at_large_arguments():
+    # the oracle sums until its terms are negligible, at a working precision
+    # that absorbs the cancellation of the alternating j series
+    ref = mp.besseli(10, 648) * mp.mpf(648) ** -3
+    assert mp_ultra("i", 7, 8, 648.0) == pytest.approx(float(ref), rel=1e-14)
+    ref = mp.besselj(2.5, 900) * mp.mpf(900) ** -1.5
+    assert mp_ultra("j", 1, 5, 900.0) == pytest.approx(float(ref), rel=1e-12)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize.elementwise import find_root
 
-from .specfun import first_zero_j1prime, ultra_i, ultra_j
+from .specfun import _ultra_table, first_zero_j1prime, ultra_j
 
 RESIDUAL_TOL = 1e-9
 _WIDEN = 1e-6    # relative widening of the bracket from the linear bounds
@@ -75,8 +75,9 @@ def _secular_parts(a, tau, d):
     # so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2, three terms of V's own
     # order z^5: nothing cancels at small tension
     b = np.sqrt(a * a + tau)
-    j1, j2, j3 = (ultra_j(l, d, a) for l in (1, 2, 3))
-    i1, i2, i3 = (ultra_i(l, d, b) for l in (1, 2, 3))
+    J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
+    j1, j2, j3 = (J(l, 0) for l in (1, 2, 3))
+    i1, i2, i3 = (I(l, 0) for l in (1, 2, 3))
     gamma = -a * (a * j3 - 3.0 * j2) / (b * (b * i3 + 3.0 * i2))
     slope = j1 - a * j2 + gamma * (i1 + b * i2)
     return gamma, tau * slope - a**3 * j2 - gamma * b**3 * i2
@@ -112,13 +113,11 @@ def secular_V(a, tau, d, radius=1.0):
 def _residual_scales(d, R, a, b, gamma, tau):
     """Natural scales and residuals of the two boundary conditions, in
     the closed form of secular_V; a, b, gamma and tau may be arrays."""
-    t1 = a * a * ultra_j(1, d, a * R, deriv=2)
-    t2 = gamma * b * b * ultra_i(1, d, b * R, deriv=2)
+    J, I = _ultra_table("j", 1, d, a * R, 2), _ultra_table("i", 1, d, b * R, 2)
+    t1 = a * a * J(1, 2)
+    t2 = gamma * b * b * I(1, 2)
     m_res, m_scale = abs(t1 + t2), abs(t1) + abs(t2)
-    j1 = ultra_j(1, d, a * R)
-    i1 = ultra_i(1, d, b * R)
-    j1p = ultra_j(1, d, a * R, deriv=1)
-    i1p = ultra_i(1, d, b * R, deriv=1)
+    j1, i1, j1p, i1p = J(1, 0), I(1, 0), J(1, 1), I(1, 1)
     terms = [(tau + (d - 1) / R**2) * (a * j1p + gamma * b * i1p),
              -(d - 1) / R**3 * (j1 + gamma * i1),
              a**3 * j1p, -gamma * b**3 * i1p]

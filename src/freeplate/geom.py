@@ -568,9 +568,19 @@ _TO_SERIES = np.linalg.inv(legendre.legvander(_NODES, _GAUSS_NODES - 1))
 _TO_INTEGRAL = legendre.legint(_TO_SERIES, lbnd=-1.0)
 
 
+def _radial_tables(g, umax, panels=_PANELS):
+    """One _RadialTable per radial profile on [0, umax], from one call
+    g(u) at the Gauss-Legendre nodes of panels of width 1 / panels that
+    returns the profiles' values as a sequence."""
+    top = math.ceil(max(umax, 1.0) * panels)
+    u = (np.arange(top)[:, None] + 0.5 * (_NODES + 1.0)) / panels
+    return [_RadialTable(u, gu.reshape(u.shape), panels)
+            for gu in g(u.ravel())]
+
+
 class _RadialTable:
-    """A radial profile g(u) on [0, umax] from its values at the
-    Gauss-Legendre nodes of panels of width 1 / panels.
+    """A radial profile g(u) from its values gu at the panel nodes u of
+    _radial_tables.
 
     u = 1, where the trial profile's third derivative jumps, is a panel
     edge. Inside each panel g is the polynomial through the panel's
@@ -579,12 +589,9 @@ class _RadialTable:
     polynomials of degree 2 * _GAUSS_NODES - 1 (radial rule).
     """
 
-    def __init__(self, g, umax, panels=_PANELS):
-        self.panels = panels
-        self.top = math.ceil(max(umax, 1.0) * panels)
-        self.u = (np.arange(self.top)[:, None] + 0.5 * (_NODES + 1.0)) \
-            / panels
-        self.gu = g(self.u.ravel()).reshape(self.u.shape)
+    def __init__(self, u, gu, panels):
+        self.u, self.gu, self.panels = u, gu, panels
+        self.top = u.shape[0]
 
     def _series(self, R, coef):
         # panel index of each R and the panel's Legendre series there,
@@ -643,7 +650,7 @@ def integrate_radial(domain, f, quad, center=None):
     if quad.kind == "radial":
         dirs, W = _sphere_rule(domain.d, quad.cells)
         t, sign = domain.crossings(c, dirs)
-        G = _RadialTable(f, float(t.max())).G(domain.d)
+        G = _radial_tables(lambda u: [f(u)], float(t.max()))[0].G(domain.d)
         return tuple(float(x) for x in _estimate(W @ np.sum(sign * G(t),
                                                             axis=1)))
     vals, errs, _ = _integrate(domain, [f], quad, c)
@@ -683,8 +690,8 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
     warm = None
     if quad.kind == "radial":
         dirs, W = _sphere_rule(domain.d, quad.cells)
-        H = _RadialTable(lambda u: trial.rho(profile, u), umax,
-                         _panels(profile)).G(domain.d)
+        H = _radial_tables(lambda u: [trial.rho(profile, u)], umax,
+                           _panels(profile))[0].G(domain.d)
 
         def on(w):
             u, wu = dirs[w > 0.0], w[w > 0.0]
@@ -706,8 +713,8 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
         del chunks
         if pts.shape[0] == 0:
             raise ValueError("no quadrature nodes fall inside the domain")
-        ptable = _RadialTable(lambda u: trial.rho(profile, u) / u, umax,
-                              _panels(profile))
+        ptable = _radial_tables(lambda u: [trial.rho(profile, u) / u],
+                                umax, _panels(profile))[0]
 
         def field(v):
             dx = pts - v
@@ -786,25 +793,22 @@ def _num_den(domain, profile, s, quad, center):
     stream and the delta method keeps their covariance. Grid and mc
     evaluate the profile through the tables, radial through their G.
     """
-    def fN(u):
-        return trial.numerator_integrand(profile, u) / s**4
-
-    def fD(u):
-        return trial.rho(profile, u) ** 2
+    def integrands(u):
+        # one profile pass for the numerator's and the denominator's table
+        pc = trial._eval_pieces(profile, u)
+        return trial._numerator(profile.mode, pc) / s**4, pc["rho"] ** 2
 
     if quad.kind == "radial":
         d = domain.d
         dirs, W = _sphere_rule(d, quad.cells)
         t, sign = domain.crossings(center, dirs)
-        rows = []
-        for f in (fN, fD):
-            G = _RadialTable(f, float(t.max()) / s, _panels(profile)).G(d)
-            rows.append(W @ (s**d * np.sum(sign * G(t / s), axis=1)))
-        num, den = rows
+        num, den = (W @ (s**d * np.sum(sign * table.G(d)(t / s), axis=1))
+                    for table in _radial_tables(integrands, float(t.max()) / s,
+                                                _panels(profile)))
         (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
         return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
     umax = 1.5 * domain.diameter() / s + 1.0
-    tables = [_RadialTable(f, umax, _panels(profile)) for f in (fN, fD)]
+    tables = _radial_tables(integrands, umax, _panels(profile))
     (num, den), (en, ed), cov = _integrate(
         domain, [lambda r, t=t: t(r / s) for t in tables], quad, center)
     if cov is None:

@@ -110,26 +110,21 @@ def _series_eval(kind, l, d, deriv, z):
         k += 1
 
 
-def _kernel_chain(kind, l, d, n_orders, z):
-    """Ultraspherical values of orders l..l+n_orders-1 at z > SMALL_Z (array),
-    from scipy's Amos-based Bessel routines over the kernel orders s+l+m."""
-    s = (d - 2) / 2.0
-    bessel = special.jv if kind == "j" else special.iv
-    orders = s + l + np.arange(n_orders, dtype=float)
-    return bessel(orders[:, None], z) * np.power(z, -s)
+def _kernel_table(kind, l, d, deriv, z):
+    """T[k][m], the k-th derivative of the order-(l+m) function for
+    k + m <= deriv, at z > SMALL_Z (array).
 
-
-def _deriv_table(kind, l, d, deriv, z):
-    """deriv-th derivative of the order-l function at z > SMALL_Z.
-
-    Repeated exact application of w' = (m/z) w -/+ w_(m+1) expanded with the
-    Leibniz rule:
+    One call of scipy's jv or iv over the kernel orders s+l..s+l+deriv gives
+    the row T[0]; repeated exact application of w' = (m/z) w -/+ w_(m+1),
+    expanded with the Leibniz rule, gives the others:
         T[k+1][m] = (l+m) sum_i C(k,i) (-1)^i i! z^-(i+1) T[k-i][m]
                     + sign T[k][m+1].
     """
+    s = (d - 2) / 2.0
     sign = -1.0 if kind == "j" else 1.0
-    vals = _kernel_chain(kind, l, d, deriv + 1, z)
-    T = [[vals[m] for m in range(deriv + 1)]]
+    bessel = special.jv if kind == "j" else special.iv
+    orders = s + l + np.arange(deriv + 1, dtype=float)
+    T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
     inv = 1.0 / z
     for k in range(deriv):
         row = []
@@ -140,11 +135,20 @@ def _deriv_table(kind, l, d, deriv, z):
                     * T[k - i][m]
             row.append((l + m) * acc + sign * T[k][m + 1])
         T.append(row)
-    return T[deriv][0]
+    return T
 
 
-def _ultra(kind, l, d, z, deriv):
-    params = UltraBesselParams(l, d)     # validates l, d
+def _ultra_table(kind, l, d, z, deriv):
+    """Table of j (kind "j") or i of orders l.. at z, for derivatives up to
+    deriv.
+
+    Validates z once and makes one _kernel_table call for the points above
+    SMALL_Z. Returns entry(order, k), the k-th derivative of the function
+    of that order, for l <= order and (order - l) + k <= deriv: bit for bit
+    the value ultra_j/ultra_i give, with the points at or below SMALL_Z
+    summed by _series_eval for that entry alone. A scalar z gives floats.
+    """
+    UltraBesselParams(l, d)     # validates l, d
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
         raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
     arr = np.asarray(z, dtype=float)
@@ -157,13 +161,19 @@ def _ultra(kind, l, d, z, deriv):
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
     if np.any(arr > zmax):
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
-    out = np.empty(arr.shape)
     small = arr <= SMALL_Z
-    if small.any():
-        out[small] = _series_eval(kind, l, d, deriv, arr[small])
-    if (~small).any():
-        out[~small] = _deriv_table(kind, params.l, d, deriv, arr[~small])
-    return float(out[0]) if scalar else out
+    z_small = arr[small] if small.any() else None
+    T = None if small.all() else _kernel_table(kind, l, d, deriv, arr[~small])
+
+    def entry(order, k):
+        out = np.empty(arr.shape)
+        if z_small is not None:
+            out[small] = _series_eval(kind, order, d, k, z_small)
+        if T is not None:
+            out[~small] = T[k][order - l]
+        return float(out[0]) if scalar else out
+
+    return entry
 
 
 def ultra_j(l, d, z, deriv=0):
@@ -172,7 +182,7 @@ def ultra_j(l, d, z, deriv=0):
     Power series below SMALL_Z; kernel evaluation plus exact derivative
     recurrences above. Accepts scalar or array z.
     """
-    return _ultra("j", l, d, z, deriv)
+    return _ultra_table("j", l, d, z, deriv)(l, deriv)
 
 
 def ultra_i(l, d, z, deriv=0):
@@ -181,7 +191,7 @@ def ultra_i(l, d, z, deriv=0):
     Same scheme as ultra_j with the modified recurrence signs; i_l and all
     of its derivatives are positive for z > 0.
     """
-    return _ultra("i", l, d, z, deriv)
+    return _ultra_table("i", l, d, z, deriv)(l, deriv)
 
 
 @lru_cache(maxsize=None)

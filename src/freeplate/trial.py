@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .ball import BallMode
 from .report import VerificationReport
-from .specfun import ultra_i, ultra_j
+from .specfun import _ultra_table, ultra_i, ultra_j
 
 ENDPOINT_TOL = 1e-10
 _EQ_SLACK = 1e-12
@@ -115,17 +115,15 @@ def _eval_pieces(profile, r):
         t = r[mid]
         za = m.a * t
         zb = m.b * t
-        j1 = ultra_j(1, m.d, za)
-        i1 = ultra_i(1, m.d, zb)
+        J = _ultra_table("j", 1, m.d, za, 2)
+        I = _ultra_table("i", 1, m.d, zb, 2)
+        j1, i1 = J(1, 0), I(1, 0)
         out["rho"][mid] = j1 + m.gamma * i1
-        out["d1"][mid] = (m.a * ultra_j(1, m.d, za, deriv=1)
-                          + m.gamma * m.b * ultra_i(1, m.d, zb, deriv=1))
-        out["d2"][mid] = (m.a**2 * ultra_j(1, m.d, za, deriv=2)
-                          + m.gamma * m.b**2 * ultra_i(1, m.d, zb, deriv=2))
+        out["d1"][mid] = m.a * J(1, 1) + m.gamma * m.b * I(1, 1)
+        out["d2"][mid] = m.a**2 * J(1, 2) + m.gamma * m.b**2 * I(1, 2)
         # j_1 - z j_1' = z j_2 and i_1 - z i_1' = -z i_2 turn the defect
         # (rho - r rho')/r^2 into a cancellation-free combination
-        out["q"][mid] = (m.a**2 * ultra_j(2, m.d, za) / za
-                         - m.gamma * m.b**2 * ultra_i(2, m.d, zb) / zb)
+        out["q"][mid] = m.a**2 * J(2, 0) / za - m.gamma * m.b**2 * I(2, 0) / zb
         out["p"][mid] = m.a * j1 / za + m.gamma * m.b * i1 / zb
     if np.any(far):
         t = r[far]
@@ -226,31 +224,31 @@ def concavity_scan(profile, grid_size=4096):
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     m = profile.mode
-    checks = []
-
     rs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     neg = -rho(profile, rs, deriv=2)
     i = int(np.argmin(neg))
-    checks.append((float(neg[i]), (rs[i],)))
+    checks = [(float(neg[i]), (rs[i],))]
+    checks += _concavity_side_checks(profile, grid_size)
+    margin, point = min(checks, key=lambda c: c[0])
+    return VerificationReport.one_sided(
+        f"profile-concavity[d={m.d};tau={m.tau:g}]", margin, point,
+        f"{grid_size} interior pts; endpoints; 4th deriv on (0;1]", 0.0)
 
+
+def _concavity_side_checks(profile, grid_size):
+    # the endpoint and fourth-derivative sub-checks of concavity_scan
+    m = profile.mode
     # endpoints: rho''(0) = 0 by the odd series, rho''(1-) = 0 by the
     # construction of gamma; both as equalities at ENDPOINT_TOL
     end0 = abs(rho(profile, 0.0, deriv=2))
     end1 = abs(m.a**2 * ultra_j(1, m.d, m.a, deriv=2)
                + m.gamma * m.b**2 * ultra_i(1, m.d, m.b, deriv=2))
-    checks.append((ENDPOINT_TOL - end0, (0.0,)))
-    checks.append((ENDPOINT_TOL - end1, (1.0,)))
-
     rs4 = np.linspace(0.0, 1.0, grid_size + 1)[1:]
     r4 = (m.a**4 * ultra_j(1, m.d, m.a * rs4, deriv=4)
           + m.gamma * m.b**4 * ultra_i(1, m.d, m.b * rs4, deriv=4))
     i = int(np.argmin(r4))
-    checks.append((float(r4[i]), (rs4[i],)))
-
-    margin, point = min(checks, key=lambda c: c[0])
-    return VerificationReport.one_sided(
-        f"profile-concavity[d={m.d};tau={m.tau:g}]", margin, point,
-        f"{grid_size} interior pts; endpoints; 4th deriv on (0;1]", 0.0)
+    return [(ENDPOINT_TOL - end0, (0.0,)), (ENDPOINT_TOL - end1, (1.0,)),
+            (float(r4[i]), (rs4[i],))]
 
 
 def partial_monotonicity_scan(profile, inner_grid=None, outer_grid=None,
@@ -289,49 +287,63 @@ def partial_monotonicity_scan(profile, inner_grid=None, outer_grid=None,
         raise ValueError("inner grid must lie strictly inside (0, 1)")
     if outer.size == 0 or np.any(outer < 1) or np.any(outer > r_max):
         raise ValueError("outer grid must lie within [1, r_max]")
+    checks = _profile_checks(profile, inner, outer)
+    del checks["concave"]
+    margin, point = min(checks.values(), key=lambda c: c[0])
     m = profile.mode
-    ni = inner.size
-    # one evaluation on both grids and r = 1 serves every sub-check
-    pc = _eval_pieces(profile, np.concatenate([inner, outer, [1.0]]))
-    combined = np.concatenate([inner, outer])
-    checks = []
-
-    n = _numerator(m, pc)
-    n_in, n_out = n[:ni], n[ni:-1]
-    i, j = int(np.argmin(n_in)), int(np.argmax(n_out))
-    checks.append((float(n_in[i] - n_out[j]), (inner[i], outer[j])))
-
-    d2 = pc["d2"]
-    i = int(np.argmin(d2[:ni] ** 2))
-    checks.append((float(d2[i] ** 2), (inner[i],)))
-    d2_out_max = float(np.max(d2[ni:-1] ** 2))
-    checks.append((_EQ_SLACK - d2_out_max, (outer[0],)))
-
-    grad = m.tau * pc["d1"][:-1] ** 2
-    drops = grad[:-1] - grad[1:]
-    i = int(np.argmin(drops))
-    checks.append((float(drops[i]) + _EQ_SLACK * float(np.max(grad)),
-                   (combined[i],)))
-
-    h = 3.0 * pc["q"][:-1] ** 2 + m.tau * pc["p"][:-1] ** 2
-    drops = h[:-1] - h[1:]
-    i = int(np.argmin(drops))
-    checks.append((float(drops[i]), (combined[i],)))
-
-    den = pc["rho"][:-1] ** 2
-    rises = den[1:] - den[:-1]
-    i = int(np.argmin(rises))
-    checks.append((float(rises[i]), (combined[i],)))
-    checks.append((float(np.min(den[ni:]) - np.max(den[:ni])),
-                   (inner[-1], outer[0])))
-
-    quant = _h_quantity(m, pc)
-    quant = np.append(quant[:ni], quant[-1])
-    i = int(np.argmin(quant))
-    checks.append((float(quant[i]), (np.append(inner, 1.0)[i],)))
-
-    margin, point = min(checks, key=lambda c: c[0])
     return VerificationReport.one_sided(
         f"numerator-monotone[d={m.d};tau={m.tau:g}]", margin, point,
         f"inner {inner.size} pts in (0;1); outer {outer.size} pts up to "
         f"{r_max:g}", 0.0)
+
+
+def _profile_checks(profile, inner, outer):
+    """Named sub-checks, each (margin, point), from one evaluation of the
+    profile on the inner grid in (0, 1), the outer grid in [1, r_max] and
+    r = 1: "concave" (-rho'' inside, concavity_scan's interior check), then
+    those of partial_monotonicity_scan in its order, among them
+    "denominator-rise" (rho^2 increasing over both grids) and
+    "h-quantity" (h_decrease_quantity on the inner grid and r = 1)."""
+    m = profile.mode
+    ni = inner.size
+    pc = _eval_pieces(profile, np.concatenate([inner, outer, [1.0]]))
+    combined = np.concatenate([inner, outer])
+    checks = {}
+
+    d2 = pc["d2"]
+    i = int(np.argmin(-d2[:ni]))
+    checks["concave"] = (float(-d2[i]), (inner[i],))
+
+    n = _numerator(m, pc)
+    n_in, n_out = n[:ni], n[ni:-1]
+    i, j = int(np.argmin(n_in)), int(np.argmax(n_out))
+    checks["numerator-gap"] = (float(n_in[i] - n_out[j]), (inner[i], outer[j]))
+
+    i = int(np.argmin(d2[:ni] ** 2))
+    checks["curvature-inside"] = (float(d2[i] ** 2), (inner[i],))
+    d2_out_max = float(np.max(d2[ni:-1] ** 2))
+    checks["curvature-outside"] = (_EQ_SLACK - d2_out_max, (outer[0],))
+
+    grad = m.tau * pc["d1"][:-1] ** 2
+    drops = grad[:-1] - grad[1:]
+    i = int(np.argmin(drops))
+    checks["gradient-drop"] = (
+        float(drops[i]) + _EQ_SLACK * float(np.max(grad)), (combined[i],))
+
+    h = 3.0 * pc["q"][:-1] ** 2 + m.tau * pc["p"][:-1] ** 2
+    drops = h[:-1] - h[1:]
+    i = int(np.argmin(drops))
+    checks["h-drop"] = (float(drops[i]), (combined[i],))
+
+    den = pc["rho"][:-1] ** 2
+    rises = den[1:] - den[:-1]
+    i = int(np.argmin(rises))
+    checks["denominator-rise"] = (float(rises[i]), (combined[i],))
+    checks["denominator-gap"] = (float(np.min(den[ni:]) - np.max(den[:ni])),
+                                 (inner[-1], outer[0]))
+
+    quant = _h_quantity(m, pc)
+    quant = np.append(quant[:ni], quant[-1])
+    i = int(np.argmin(quant))
+    checks["h-quantity"] = (float(quant[i]), (np.append(inner, 1.0)[i],))
+    return checks

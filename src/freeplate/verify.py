@@ -13,7 +13,8 @@ from numpy.polynomial import polynomial as npoly
 from . import trial
 from .ball import fundamental_tones
 from .report import VerificationReport
-from .specfun import first_zero_j1prime, series_coeff_dk, ultra_i, ultra_j
+from .specfun import (_ultra_table, first_zero_j1prime, series_coeff_dk,
+                      ultra_i, ultra_j)
 
 P3_CRITICAL_REF = 79.0
 DEFAULT_GRID = 4096
@@ -212,24 +213,16 @@ def verify_bessel_signs(d):
     n = 10**4
     ainf = first_zero_j1prime(d)
     closed = np.linspace(0.0, ainf, n + 1)[1:]
-    open_right = np.linspace(0.0, ainf, n + 1)[1:-1]
+    J = _ultra_table("j", 1, d, closed, 4)
+    # (item, order, values); item 2 is open at the right end, where j_1'
+    # vanishes
+    items = [(1.0, l, J(l, 0)) for l in range(1, 6)]
+    items += [(2.0, 1, J(1, 1)[:-1]), (3.0, 2, J(2, 1)),
+              (4.0, 1, -J(1, 2)), (5.0, 1, J(1, 4))]
     checks = []
-    for l in range(1, 6):
-        vals = ultra_j(l, d, closed)
+    for item, l, vals in items:
         i = int(np.argmin(vals))
-        checks.append((float(vals[i]), (1.0, float(l), closed[i])))
-    vals = ultra_j(1, d, open_right, deriv=1)
-    i = int(np.argmin(vals))
-    checks.append((float(vals[i]), (2.0, 1.0, open_right[i])))
-    vals = ultra_j(2, d, closed, deriv=1)
-    i = int(np.argmin(vals))
-    checks.append((float(vals[i]), (3.0, 2.0, closed[i])))
-    vals = -ultra_j(1, d, closed, deriv=2)
-    i = int(np.argmin(vals))
-    checks.append((float(vals[i]), (4.0, 1.0, closed[i])))
-    vals = ultra_j(1, d, closed, deriv=4)
-    i = int(np.argmin(vals))
-    checks.append((float(vals[i]), (5.0, 1.0, closed[i])))
+        checks.append((float(vals[i]), (item, float(l), closed[i])))
     margin, point = min(checks, key=lambda c: c[0])
     return VerificationReport.one_sided(
         f"bessel-signs[d={d}]", margin, point,
@@ -249,16 +242,16 @@ def _small_tau_checks(tau_grid, d):
     checks = []
     for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
         a2, b2 = m.a**2, m.b**2
-        checks.append((m.gamma - gamma_star(m.a, d), (tau, m.a), "gamma"))
-        checks.append((b2 - (d + 2) * a2 / (d + 2 - a2), (tau, m.a), "b2-low"))
-        checks.append((d * a2 / (d - a2) - b2, (tau, m.a), "b2-high"))
+        checks.append((m.gamma - gamma_star(m.a, d), (tau, m.a)))
+        checks.append((b2 - (d + 2) * a2 / (d + 2 - a2), (tau, m.a)))
+        checks.append((d * a2 / (d - a2) - b2, (tau, m.a)))
     return checks
 
 
 def _large_tau_checks(tau_grid, d):
     checks = []
     for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
-        checks.append((tau - 3.0 * m.a**2 / (d + 2), (tau, m.a), "large-tau"))
+        checks.append((tau - 3.0 * m.a**2 / (d + 2), (tau, m.a)))
     return checks
 
 
@@ -270,37 +263,6 @@ def default_small_tau_grid(d, n=64):
 def default_large_tau_grid(d, n=64):
     edge = 9.0 / (d + 5)
     return np.logspace(math.log10(edge), 2.0, n + 1)[1:]
-
-
-def verify_gamma_chain(tau_grid=None, d=2):
-    """Check gamma >= gamma* for tau <= 9/(d+5), the complementary
-    inequality tau - 3a^2/(d+2) > 0 for tau > 9/(d+5), and the wavenumber
-    regime bounds, with every mode solved from scratch.
-
-    Parameters
-    ----------
-    tau_grid : array_like, optional
-        Small-tension sample, within (0, 9/(d+5)]; defaults to 64
-        log-spaced points over three decades up to the regime edge.
-    d : int
-        Dimension, >= 2.
-
-    Returns
-    -------
-    VerificationReport
-    """
-    edge = 9.0 / (d + 5)
-    if tau_grid is None:
-        tau_grid = default_small_tau_grid(d)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size == 0 or np.any(tau_grid <= 0) or np.any(tau_grid > edge):
-        raise ValueError("tau_grid must lie within (0, 9/(d+5)]")
-    checks = (_small_tau_checks(tau_grid, d)
-              + _large_tau_checks(default_large_tau_grid(d), d))
-    margin, point, _ = min(checks, key=lambda c: c[0])
-    return VerificationReport.one_sided(
-        f"gamma-chain[d={d}]", margin, point,
-        f"{tau_grid.size} small-tension pts; 64 large-tension pts", 0.0)
 
 
 def _reduce(lemma_id, entries, grid_spec):
@@ -335,33 +297,29 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
     if d >= 3:
         reports.append(verify_P_nonneg([d], grid_size))
 
-    small = _small_tau_checks(default_small_tau_grid(d), d)
     reports.append(_reduce(f"gamma-lower-bound[d={d}]",
-                           [(m, p) for m, p, _ in small],
+                           _small_tau_checks(default_small_tau_grid(d), d),
                            "64 log-spaced tension pts up to 9/(d+5)"))
-    large = _large_tau_checks(default_large_tau_grid(d), d)
     reports.append(_reduce(f"large-tension[d={d}]",
-                           [(m, p) for m, p, _ in large],
+                           _large_tau_checks(default_large_tau_grid(d), d),
                            "64 log-spaced tension pts above 9/(d+5)"))
 
+    # one profile pass per tension feeds the four profile rows; the
+    # concavity row adds its endpoint and fourth-derivative checks
     conc, mono, denom, hquant = [], [], [], []
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
-    combined = np.concatenate([inner, outer])
     for tau, mode in zip(trial_tau_grid,
                          fundamental_tones(trial_tau_grid, d)):
         prof = trial.TrialProfile(mode)
-        rep = trial.concavity_scan(prof, grid_size)
-        conc.append((rep.worst_margin, (tau,) + rep.worst_point))
-        rep = trial.partial_monotonicity_scan(prof, inner, outer)
-        mono.append((rep.worst_margin, (tau,) + rep.worst_point))
-        den = trial.rho(prof, combined) ** 2
-        rises = den[1:] - den[:-1]
-        i = int(np.argmin(rises))
-        denom.append((float(rises[i]), (tau, combined[i])))
-        quant = trial.h_decrease_quantity(prof, np.append(inner, 1.0))
-        i = int(np.argmin(quant))
-        hquant.append((float(quant[i]), (tau, np.append(inner, 1.0)[i])))
+        sub = trial._profile_checks(prof, inner, outer)
+        side = trial._concavity_side_checks(prof, grid_size)
+        for rows, checks in ((conc, [sub.pop("concave")] + side),
+                             (mono, sub.values()),
+                             (denom, [sub["denominator-rise"]]),
+                             (hquant, [sub["h-quantity"]])):
+            margin, point = min(checks, key=lambda c: c[0])
+            rows.append((margin, (tau,) + point))
     tau_spec = (f"{len(trial_tau_grid)} tension pts in "
                 f"[{trial_tau_grid[0]:g};{trial_tau_grid[-1]:g}]")
     reports.append(_reduce(f"profile-concavity[d={d}]", conc,

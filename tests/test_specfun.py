@@ -109,9 +109,43 @@ def test_series_and_kernel_agree_on_small_arguments():
         for l in (0, 1, 2):
             for deriv in (0, 1):
                 series = sf._series_eval("j", l, d, deriv, zs)
-                kernel = sf._deriv_table("j", l, d, deriv, zs)
+                kernel = sf._kernel_table("j", l, d, deriv, zs)[deriv][0]
                 rel = np.abs(series - kernel) / np.maximum(np.abs(series), 1e-300)
                 assert float(rel.max()) < 1e-12
+
+
+def test_table_entries_match_single_kernels_bit_for_bit():
+    # z from 0 across SMALL_Z, where the series hands over to the kernels
+    zs = np.concatenate([[0.0], np.geomspace(1e-3, sf.SMALL_Z, 6),
+                         sf.SMALL_Z + np.geomspace(1e-9, 20.0, 7)])
+    for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
+        for d in (2, 3, 8, 30):
+            for l in range(sf.MAX_ORDER + 1):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    table = sf._ultra_table(kind, l, d, zs, deriv)
+                    for order in range(l, min(l + deriv, sf.MAX_ORDER) + 1):
+                        for k in range(deriv - (order - l) + 1):
+                            np.testing.assert_array_equal(
+                                table(order, k), fn(order, d, zs, k))
+            for z in (0.3, 2.0):
+                table = sf._ultra_table(kind, 1, d, z, 4)
+                assert table(3, 2) == fn(3, d, z, 2)
+                assert isinstance(table(3, 2), float)
+
+
+def test_table_error_contracts():
+    for kind in ("j", "i"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sf._ultra_table(kind, 1, 2, np.array([0.3, bad]), 2)
+        with pytest.raises(ValueError):
+            sf._ultra_table(kind, 1, 2, 1.0, sf.MAX_DERIV + 1)
+        with pytest.raises(ValueError):
+            sf._ultra_table(kind, sf.MAX_ORDER + 1, 2, 1.0, 0)
+    with pytest.raises(OverflowError):
+        sf._ultra_table("i", 1, 2, np.array([1.0, 700.0]), 2)
+    with pytest.raises(OverflowError):
+        sf._ultra_table("j", 1, 2, np.array([1.0, 2.0e15]), 2)
 
 
 def test_modified_function_positivity():

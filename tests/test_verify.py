@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy import special
 
-from freeplate import verify
-from freeplate.ball import fundamental_tone
+from freeplate import specfun, trial, verify
+from freeplate.ball import fundamental_tone, fundamental_tones
 from freeplate.report import CSV_HEADER, VerificationReport, reports_to_csv
 from freeplate.specfun import first_zero_j1prime
 
@@ -174,15 +176,71 @@ def test_gamma_star_closed_form_in_2d():
             (12.0 - 7.0 * a * a) / (12.0 + 4.0 * a * a), rel=1e-14)
 
 
-def test_gamma_chain_reports():
+def test_gamma_rows_report():
+    # full_suite's two rows over the solved modes' coupling constants
     for d in (2, 3):
-        rep = verify.verify_gamma_chain(d=d)
-        assert rep.passed and rep.lemma_id == f"gamma-chain[d={d}]"
-        assert rep.worst_margin > 0.0
-    assert verify.verify_gamma_chain(tau_grid=[0.3, 0.9], d=2).passed
-    for bad in ([], [0.0, 0.5], [2.0]):
-        with pytest.raises(ValueError):
-            verify.verify_gamma_chain(tau_grid=bad, d=2)
+        rows = {r.lemma_id: r for r in verify.full_suite(
+            d, trial_tau_grid=[1.0], include_global=False, grid_size=1024)}
+        for lemma in (f"gamma-lower-bound[d={d}]", f"large-tension[d={d}]"):
+            rep = rows[lemma]
+            assert rep.passed and rep.lemma_id == lemma
+            assert rep.worst_margin > 0.0
+
+
+def test_profile_rows_match_the_public_scans():
+    # the rows full_suite takes from its one profile pass per tension equal
+    # the worst of the public functions' own evaluations
+    n = 1024
+    taus = np.logspace(-3.0, 2.0, 8)
+    inner = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    outer = np.linspace(1.0 + 1e-9, 10.0, n)
+    combined = np.concatenate([inner, outer])
+    closed = np.append(inner, 1.0)
+    for d in (2, 5):
+        rows = {r.lemma_id: r for r in verify.full_suite(
+            d, include_global=False, grid_size=n)}
+        entries = {"profile-concavity": [], "numerator-monotone": [],
+                   "denominator-increase": [], "h-decrease-condition": []}
+        for tau, mode in zip(taus, fundamental_tones(taus, d)):
+            prof = trial.TrialProfile(mode)
+            for name, rep in (
+                    ("profile-concavity", trial.concavity_scan(prof, n)),
+                    ("numerator-monotone",
+                     trial.partial_monotonicity_scan(prof, inner, outer))):
+                entries[name].append((rep.worst_margin,
+                                      (tau,) + rep.worst_point))
+            den = trial.rho(prof, combined) ** 2
+            rises = den[1:] - den[:-1]
+            i = int(np.argmin(rises))
+            entries["denominator-increase"].append((rises[i],
+                                                    (tau, combined[i])))
+            quant = trial.h_decrease_quantity(prof, closed)
+            i = int(np.argmin(quant))
+            entries["h-decrease-condition"].append((quant[i],
+                                                    (tau, closed[i])))
+        for name, found in entries.items():
+            margin, point = min(found, key=lambda c: c[0])
+            row = rows[f"{name}[d={d}]"]
+            assert row.worst_margin == margin, (d, name)
+            assert row.worst_point == tuple(float(c) for c in point), (d, name)
+
+
+def test_full_suite_kernel_work_is_bounded(monkeypatch):
+    # order rows times points over every jv/iv call of one full_suite(5);
+    # one kernel table per argument array and one profile pass per tension
+    # keep it far below the 1.21M of evaluating each entry on its own
+    work = []
+
+    def counted(fn):
+        def kernel(order, z):
+            work.append(np.broadcast(order, z).size)
+            return fn(order, z)
+        return kernel
+
+    monkeypatch.setattr(specfun, "special", SimpleNamespace(
+        jv=counted(special.jv), iv=counted(special.iv)))
+    assert all(r.passed for r in verify.full_suite(5))
+    assert 0 < sum(work) <= 450_000
 
 
 def test_full_suite_rows_and_determinism():

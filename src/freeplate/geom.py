@@ -18,9 +18,8 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.special import betainc, roots_gegenbauer
 
-from . import trial
+from . import trial, verify
 from .ball import fundamental_tone
-from .report import VerificationReport
 
 _SHAPES = ("ball", "ellipsoid", "box", "annulus", "two-balls", "implicit")
 _MC_CHUNK = 2**20
@@ -889,15 +888,11 @@ def monotone_domain_comparison(domain, profile, quad=None):
     num, den, en, ed, _ = _num_den(domain, profile, 1.0, quad, c)
     bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, 1.0,
                                    QuadratureSpec("radial"), np.zeros(d))
-    margin_num = (bn - num) + (en + ebn)
-    margin_den = (den - bd) + (ed + ebd)
-    margin = min(margin_num, margin_den)
-    tau = profile.mode.tau
-    return VerificationReport.one_sided(
-        f"domain-comparison[{domain.shape};d={d};tau={tau:g}]",
-        margin, (num, bn, den, bd),
-        f"{quad.kind} quadrature; margins padded by combined error bars",
-        0.0)
+    point = (num, bn, den, bd)
+    return verify._reduce(
+        f"domain-comparison[{domain.shape};d={d};tau={profile.mode.tau:g}]",
+        [((bn - num) + (en + ebn), point), ((den - bd) + (ed + ebd), point)],
+        f"{quad.kind} quadrature; margins padded by combined error bars")
 
 
 def parse_domain_config(text):

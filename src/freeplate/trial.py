@@ -2,9 +2,9 @@
 
 The profile rho equals the solved ball mode's radial part on [0, 1] and
 continues linearly beyond r = 1. This module evaluates rho, its
-derivatives, the quotient-numerator integrand N[rho], and runs the
-pointwise scans (concavity of rho, partial monotonicity of N) that the
-isoperimetric argument relies on.
+derivatives, the quotient-numerator integrand N[rho], and the pointwise
+sub-checks (concavity of rho, partial monotonicity of N) that the
+isoperimetric argument relies on; `verify` reduces them to lemma rows.
 """
 
 import math
@@ -15,7 +15,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .ball import BallMode
-from .report import VerificationReport
 from .specfun import _ultra_table, ultra_i, ultra_j
 
 ENDPOINT_TOL = 1e-10
@@ -202,41 +201,9 @@ def _h_quantity(m, pc):
     return 6.0 * pc["q"] + 3.0 * pc["d2"] + m.tau * pc["rho"]
 
 
-def concavity_scan(profile, grid_size=4096):
-    """Check rho'' < 0 strictly inside (0, 1) and 0 at the endpoints.
-
-    Also checks the mechanism behind it: the fourth derivative of the
-    radial part is positive on (0, 1], so rho'' is strictly convex and
-    can only vanish at the ends.
-
-    Parameters
-    ----------
-    profile : TrialProfile
-    grid_size : int, optional
-        Number of interior grid points, at least 1000.
-
-    Returns
-    -------
-    VerificationReport
-        One-sided report; worst_margin > 0 means every subcheck passed
-        with that much room.
-    """
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    m = profile.mode
-    rs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    neg = -rho(profile, rs, deriv=2)
-    i = int(np.argmin(neg))
-    checks = [(float(neg[i]), (rs[i],))]
-    checks += _concavity_side_checks(profile, grid_size)
-    margin, point = min(checks, key=lambda c: c[0])
-    return VerificationReport.one_sided(
-        f"profile-concavity[d={m.d};tau={m.tau:g}]", margin, point,
-        f"{grid_size} interior pts; endpoints; 4th deriv on (0;1]", 0.0)
-
-
 def _concavity_side_checks(profile, grid_size):
-    # the endpoint and fourth-derivative sub-checks of concavity_scan
+    # the concavity sub-checks beside rho'' < 0 inside: rho'' = 0 at both
+    # ends, and rho'''' > 0 on (0, 1], so rho'' can vanish only at the ends
     m = profile.mode
     # endpoints: rho''(0) = 0 by the odd series, rho''(1-) = 0 by the
     # construction of gamma; both as equalities at ENDPOINT_TOL
@@ -251,58 +218,12 @@ def _concavity_side_checks(profile, grid_size):
             (float(r4[i]), (rs4[i],))]
 
 
-def partial_monotonicity_scan(profile, inner_grid=None, outer_grid=None,
-                              r_max=10.0):
-    """Check that N[rho] inside the unit ball exceeds N[rho] outside.
-
-    Verifies min over the inner grid of N > max over the outer grid, and
-    the three ingredients separately: (rho'')^2 positive inside and zero
-    outside, tau (rho')^2 non-increasing, and h(r) = 3(rho - r rho')^2/r^4
-    + tau rho^2/r^2 decreasing. Also checks that rho^2 increases (the
-    denominator side) and that the h-decrease quantity is positive on
-    (0, 1].
-
-    Parameters
-    ----------
-    profile : TrialProfile
-    inner_grid, outer_grid : array_like, optional
-        Strictly inside (0, 1) and within [1, r_max]; defaults are 4096
-        points each, the outer grid starting just outside the ball.
-    r_max : float, optional
-        Outer reach of the scan, at least 3.
-
-    Returns
-    -------
-    VerificationReport
-    """
-    if r_max < 3.0:
-        raise ValueError("r_max must be at least 3")
-    if inner_grid is None:
-        inner_grid = np.linspace(0.0, 1.0, 4098)[1:-1]
-    if outer_grid is None:
-        outer_grid = np.linspace(1.0 + 1e-9, r_max, 4096)
-    inner = _validate_r(inner_grid)
-    outer = _validate_r(outer_grid)
-    if inner.size == 0 or np.any(inner <= 0) or np.any(inner >= 1):
-        raise ValueError("inner grid must lie strictly inside (0, 1)")
-    if outer.size == 0 or np.any(outer < 1) or np.any(outer > r_max):
-        raise ValueError("outer grid must lie within [1, r_max]")
-    checks = _profile_checks(profile, inner, outer)
-    del checks["concave"]
-    margin, point = min(checks.values(), key=lambda c: c[0])
-    m = profile.mode
-    return VerificationReport.one_sided(
-        f"numerator-monotone[d={m.d};tau={m.tau:g}]", margin, point,
-        f"inner {inner.size} pts in (0;1); outer {outer.size} pts up to "
-        f"{r_max:g}", 0.0)
-
-
 def _profile_checks(profile, inner, outer):
     """Named sub-checks, each (margin, point), from one evaluation of the
-    profile on the inner grid in (0, 1), the outer grid in [1, r_max] and
-    r = 1: "concave" (-rho'' inside, concavity_scan's interior check), then
-    those of partial_monotonicity_scan in its order, among them
-    "denominator-rise" (rho^2 increasing over both grids) and
+    profile on the inner grid in (0, 1), the outer grid in [1, inf) and
+    r = 1: "concave" (-rho'' inside), then those of the partial monotonicity
+    of N[rho] (N inside above N outside, and its three ingredients), among
+    them "denominator-rise" (rho^2 increasing over both grids) and
     "h-quantity" (h_decrease_quantity on the inner grid and r = 1)."""
     m = profile.mode
     ni = inner.size

@@ -6,6 +6,7 @@ case.
 """
 
 import math
+import numbers
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -19,6 +20,39 @@ from .specfun import (_ultra_table, first_zero_j1prime, series_coeff_dk,
 P3_CRITICAL_REF = 79.0
 DEFAULT_GRID = 4096
 _NOISE_FLOOR = 1e-12
+_TENSION_PTS = 64
+
+
+def _least(vals, *coords):
+    # the (margin, point) entry at the smallest value; each coordinate is a
+    # scalar or an array aligned with vals
+    i = int(np.argmin(vals))
+    return float(vals[i]), tuple(float(c if np.ndim(c) == 0 else c[i])
+                                 for c in coords)
+
+
+def _reduce(lemma_id, entries, grid, tolerance=0.0):
+    # entries: (margin, point) pairs; emit the worst as one report
+    margin, point = min(entries, key=lambda c: c[0])
+    return VerificationReport.one_sided(lemma_id, margin, point, grid,
+                                        tolerance)
+
+
+def _critical_points(c1, c2, c3):
+    # real roots of c1 + 2 c2 x + 3 c3 x^2, the derivative of a cubic
+    disc = (2 * c2) ** 2 - 12 * c3 * c1
+    if disc < 0:
+        return ()
+    root = math.sqrt(disc)
+    return tuple(sorted((float((-2 * c2 - root) / (6 * c3)),
+                         float((-2 * c2 + root) / (6 * c3)))))
+
+
+def _p_coeffs(d):
+    return (24 * d**4 + 60 * d**3 - 120 * d**2 - 432 * d,
+            -40 * d**3 - 119 * d**2 - 6 * d + 432,
+            43 * d**2 + 113 * d + 54,
+            -15 * d - 30)
 
 
 def poly_P(x, d):
@@ -32,24 +66,13 @@ def poly_P(x, d):
     Evaluated by Horner's rule in x; exact for integer arguments within
     double range.
     """
-    p0 = 24 * d**4 + 60 * d**3 - 120 * d**2 - 432 * d
-    p1 = -40 * d**3 - 119 * d**2 - 6 * d + 432
-    p2 = 43 * d**2 + 113 * d + 54
-    p3 = -15 * d - 30
+    p0, p1, p2, p3 = _p_coeffs(d)
     return p0 + x * (p1 + x * (p2 + x * p3))
 
 
 def poly_P_critical_points(d):
     """Real roots of dP/dx(x, d), by the quadratic formula."""
-    p1 = -40 * d**3 - 119 * d**2 - 6 * d + 432
-    p2 = 43 * d**2 + 113 * d + 54
-    p3 = -15 * d - 30
-    disc = (2 * p2) ** 2 - 12 * p3 * p1
-    if disc < 0:
-        return ()
-    root = math.sqrt(disc)
-    return tuple(sorted(((-2 * p2 - root) / (6 * p3),
-                         (-2 * p2 + root) / (6 * p3))))
+    return _critical_points(*_p_coeffs(d)[1:])
 
 
 def p_lower_bound(d):
@@ -77,7 +100,7 @@ def verify_P_nonneg(d_range=range(3, 31), grid_size=DEFAULT_GRID):
     d_list = [int(d) for d in d_range]
     if not d_list or min(d_list) < 3 or max(d_list) > 100:
         raise ValueError("d_range must be a nonempty subset of [3, 100]")
-    worst = (math.inf, (0.0, 0.0))
+    entries = []
     scale = 0.0
     for d in d_list:
         xmax = 3.0 * (d + 2) / (d + 5)
@@ -86,17 +109,13 @@ def verify_P_nonneg(d_range=range(3, 31), grid_size=DEFAULT_GRID):
                             if 0.0 <= c <= xmax])
         vals = poly_P(xs, float(d))
         scale = max(scale, float(np.max(np.abs(vals))))
-        i = int(np.argmin(vals))
-        if vals[i] < worst[0]:
-            worst = (float(vals[i]), (float(xs[i]), float(d)))
+        entries.append(_least(vals, xs, d))
     if len(d_list) == 1:
         lemma_id = f"P-nonneg[d={d_list[0]}]"
     else:
         lemma_id = f"P-nonneg[d={min(d_list)}..{max(d_list)}]"
-    return VerificationReport.one_sided(
-        lemma_id, worst[0], worst[1],
-        f"{grid_size + 1} pts on [0;3(d+2)/(d+5)] plus critical pts",
-        -1e-9 * (1.0 + scale))
+    return _reduce(lemma_id, entries, f"{grid_size + 1} pts on "
+                   "[0;3(d+2)/(d+5)] plus critical pts", -1e-9 * (1.0 + scale))
 
 
 def poly_Q(x):
@@ -125,13 +144,7 @@ def _q_over_x_coeffs():
 
 def poly_Q_critical_points():
     """Real roots of (Q(x)/x)', by the quadratic formula."""
-    c = _q_over_x_coeffs()
-    disc = (2.0 * c[2]) ** 2 - 12.0 * c[3] * c[1]
-    if disc < 0:
-        return ()
-    root = math.sqrt(disc)
-    return tuple(sorted((float((-2.0 * c[2] - root) / (6.0 * c[3])),
-                         float((-2.0 * c[2] + root) / (6.0 * c[3])))))
+    return _critical_points(*_q_over_x_coeffs()[1:])
 
 
 def spot_values():
@@ -166,11 +179,8 @@ def verify_Q_positive(grid_size=DEFAULT_GRID):
     xs = np.linspace(0.0, xmax, grid_size + 1)[1:]
     xs = np.append(xs, [c for c in poly_Q_critical_points()
                         if 0.0 < c <= xmax])
-    vals = poly_Q(xs) / xs
-    i = int(np.argmin(vals))
-    return VerificationReport.one_sided(
-        "Q-positive", float(vals[i]), (float(xs[i]),),
-        f"{grid_size} pts on (0;12/7] plus critical pts", 0.0)
+    return _reduce("Q-positive", [_least(poly_Q(xs) / xs, xs)],
+                   f"{grid_size} pts on (0;12/7] plus critical pts")
 
 
 def verify_ij_bounds(d, grid_size=DEFAULT_GRID):
@@ -186,22 +196,16 @@ def verify_ij_bounds(d, grid_size=DEFAULT_GRID):
         raise ValueError("d must be at least 2")
     d1 = series_coeff_dk(1, d)
     d2 = series_coeff_dk(2, d)
-    checks = []
     zj = np.linspace(0.0, math.sqrt(3.0 * (d + 2) / (d + 5)),
                      grid_size + 1)[1:]
     mj = (-d1 * zj + d2 * zj**3) - ultra_j(1, d, zj, deriv=2)
-    i = int(np.argmin(mj))
-    checks.append((float(mj[i]), (1.0, zj[i])))
     zi = np.linspace(0.0, math.sqrt(3.0), grid_size + 1)[1:]
     mi = (d1 * zi + 1.2 * d2 * zi**3) - ultra_i(1, d, zi, deriv=2)
-    i = int(np.argmin(mi))
-    checks.append((float(mi[i]), (2.0, zi[i])))
-    margin, point = min(checks, key=lambda c: c[0])
     scale = max(float(np.max(np.abs(mj))), float(np.max(np.abs(mi))))
-    return VerificationReport.one_sided(
-        f"ij-bounds[d={d}]", margin, point,
-        f"{grid_size} pts per bound; open at the z=0 equality",
-        -_NOISE_FLOOR * (1.0 + scale))
+    return _reduce(f"ij-bounds[d={d}]", [_least(mj, 1.0, zj),
+                                         _least(mi, 2.0, zi)],
+                   f"{grid_size} pts per bound; open at the z=0 equality",
+                   -_NOISE_FLOOR * (1.0 + scale))
 
 
 def verify_bessel_signs(d):
@@ -219,14 +223,9 @@ def verify_bessel_signs(d):
     items = [(1.0, l, J(l, 0)) for l in range(1, 6)]
     items += [(2.0, 1, J(1, 1)[:-1]), (3.0, 2, J(2, 1)),
               (4.0, 1, -J(1, 2)), (5.0, 1, J(1, 4))]
-    checks = []
-    for item, l, vals in items:
-        i = int(np.argmin(vals))
-        checks.append((float(vals[i]), (item, float(l), closed[i])))
-    margin, point = min(checks, key=lambda c: c[0])
-    return VerificationReport.one_sided(
-        f"bessel-signs[d={d}]", margin, point,
-        f"5 items; {n} pts on (0;ainf] (item 2 open right)", 0.0)
+    return _reduce(f"bessel-signs[d={d}]",
+                   [_least(vals, item, l, closed) for item, l, vals in items],
+                   f"5 items; {n} pts on (0;ainf] (item 2 open right)")
 
 
 def gamma_star(a, d):
@@ -255,21 +254,14 @@ def _large_tau_checks(tau_grid, d):
     return checks
 
 
-def default_small_tau_grid(d, n=64):
+def default_small_tau_grid(d):
     edge = 9.0 / (d + 5)
-    return np.logspace(math.log10(edge) - 3.0, math.log10(edge), n)
+    return np.logspace(math.log10(edge) - 3.0, math.log10(edge), _TENSION_PTS)
 
 
-def default_large_tau_grid(d, n=64):
+def default_large_tau_grid(d):
     edge = 9.0 / (d + 5)
-    return np.logspace(math.log10(edge), 2.0, n + 1)[1:]
-
-
-def _reduce(lemma_id, entries, grid_spec):
-    # entries: (margin, point) pairs; emit the worst as one report
-    margin, point = min(entries, key=lambda c: c[0])
-    return VerificationReport.one_sided(lemma_id, margin, point, grid_spec,
-                                        0.0)
+    return np.logspace(math.log10(edge), 2.0, _TENSION_PTS + 1)[1:]
 
 
 def full_suite(d, trial_tau_grid=None, include_global=True,
@@ -281,64 +273,67 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
     d : int
         Dimension, >= 2.
     trial_tau_grid : array_like, optional
-        Tension values for the profile scans; defaults to 8 log-spaced
-        points in [1e-3, 100].
+        Finite positive tensions for the profile rows; defaults to 8
+        log-spaced points in [1e-3, 100].
     include_global : bool, optional
         Also emit the dimension-independent rows (the polynomial lemmas
         over their full ranges and the scalar binomial estimate).
+    grid_size : int, optional
+        Points per grid, at least 1000.
 
     Returns
     -------
     list of VerificationReport
     """
-    if trial_tau_grid is None:
-        trial_tau_grid = np.logspace(-3.0, 2.0, 8)
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 1000:
+        raise ValueError("grid_size must be an integer of at least 1000")
+    taus = np.logspace(-3.0, 2.0, 8) if trial_tau_grid is None \
+        else np.asarray(trial_tau_grid, dtype=float)
+    if taus.ndim != 1 or taus.size == 0 \
+            or not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("trial_tau_grid must be nonempty, finite, positive")
     reports = [verify_bessel_signs(d), verify_ij_bounds(d, grid_size)]
     if d >= 3:
         reports.append(verify_P_nonneg([d], grid_size))
 
     reports.append(_reduce(f"gamma-lower-bound[d={d}]",
                            _small_tau_checks(default_small_tau_grid(d), d),
-                           "64 log-spaced tension pts up to 9/(d+5)"))
+                           f"{_TENSION_PTS} log-spaced tension pts up to "
+                           "9/(d+5)"))
     reports.append(_reduce(f"large-tension[d={d}]",
                            _large_tau_checks(default_large_tau_grid(d), d),
-                           "64 log-spaced tension pts above 9/(d+5)"))
+                           f"{_TENSION_PTS} log-spaced tension pts above "
+                           "9/(d+5)"))
 
     # one profile pass per tension feeds the four profile rows; the
     # concavity row adds its endpoint and fourth-derivative checks
-    conc, mono, denom, hquant = [], [], [], []
+    profile_rows = ([], [], [], [])
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
-    for tau, mode in zip(trial_tau_grid,
-                         fundamental_tones(trial_tau_grid, d)):
+    for tau, mode in zip(taus, fundamental_tones(taus, d)):
         prof = trial.TrialProfile(mode)
         sub = trial._profile_checks(prof, inner, outer)
-        side = trial._concavity_side_checks(prof, grid_size)
-        for rows, checks in ((conc, [sub.pop("concave")] + side),
-                             (mono, sub.values()),
-                             (denom, [sub["denominator-rise"]]),
-                             (hquant, [sub["h-quantity"]])):
+        groups = ([sub.pop("concave")]
+                  + trial._concavity_side_checks(prof, grid_size),
+                  sub.values(), [sub["denominator-rise"]],
+                  [sub["h-quantity"]])
+        for rows, checks in zip(profile_rows, groups):
             margin, point = min(checks, key=lambda c: c[0])
             rows.append((margin, (tau,) + point))
-    tau_spec = (f"{len(trial_tau_grid)} tension pts in "
-                f"[{trial_tau_grid[0]:g};{trial_tau_grid[-1]:g}]")
-    reports.append(_reduce(f"profile-concavity[d={d}]", conc,
-                           f"{tau_spec}; {grid_size} radial pts"))
-    reports.append(_reduce(f"numerator-monotone[d={d}]", mono,
-                           f"{tau_spec}; {grid_size} inner and outer pts"))
-    reports.append(_reduce(f"denominator-increase[d={d}]", denom,
-                           f"{tau_spec}; {2 * grid_size} radial pts"))
-    reports.append(_reduce(f"h-decrease-condition[d={d}]", hquant,
-                           f"{tau_spec}; {grid_size} pts on (0;1]"))
+    tau_spec = f"{taus.size} tension pts in [{taus[0]:g};{taus[-1]:g}]"
+    for lemma, rows, grid in zip(
+            ("profile-concavity", "numerator-monotone",
+             "denominator-increase", "h-decrease-condition"), profile_rows,
+            (f"{grid_size} radial pts", f"{grid_size} inner and outer pts",
+             f"{2 * grid_size} radial pts", f"{grid_size} pts on (0;1]")):
+        reports.append(_reduce(f"{lemma}[d={d}]", rows, f"{tau_spec}; {grid}"))
 
     if include_global:
         reports.append(verify_P_nonneg(range(3, 31), grid_size))
         reports.append(verify_Q_positive(grid_size))
-
         xs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-        vals = (1.0 - xs) ** 1.5 - (1.0 - 1.5 * xs)
-        i = int(np.argmin(vals))
-        reports.append(VerificationReport.one_sided(
-            "binomial-three-halves", float(vals[i]), (xs[i],),
-            f"{grid_size} pts on (0;1)", 0.0))
+        reports.append(_reduce(
+            "binomial-three-halves",
+            [_least((1.0 - xs) ** 1.5 - (1.0 - 1.5 * xs), xs)],
+            f"{grid_size} pts on (0;1)"))
     return reports

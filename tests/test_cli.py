@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +291,26 @@ def test_outputs_are_byte_identical_across_reruns(capsys, tmp_path):
         assert main(["sweep", "--dim", "3", "--tau-min", "0.5", "--tau-max",
                      "2", "--tau-steps", "4", "--out", str(out)]) == 0
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_verify_rows_match_the_pinned_fixture(tmp_path):
+    # ids, order, pass flags, grids and tolerances exactly; margins and
+    # points to a relative 1e-12
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--dims", "2,3,4,5,6,7,8,9,10",
+                 "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    pinned = (Path(__file__).parent / "data" / "verify_rows_d2_10.csv"
+              ).read_text(encoding="utf-8").splitlines()
+    assert len(rows) == len(pinned) == 84
+    assert rows[0] == pinned[0] == report.CSV_HEADER
+    for row, ref in zip(rows[1:], pinned[1:]):
+        got, want = row.split(","), ref.split(",")
+        exact = (0, 1, 4, 5)
+        assert [got[k] for k in exact] == [want[k] for k in exact]
+        nums = [float(c) for c in [got[2]] + got[3].split(";")]
+        ref_nums = [float(c) for c in [want[2]] + want[3].split(";")]
+        assert nums == pytest.approx(ref_nums, rel=1e-12, abs=0.0), got[0]
 
 
 def test_verify_lists_failing_lemmas(capsys, monkeypatch):

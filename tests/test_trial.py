@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freeplate import ball, trial
+from freeplate import ball, trial, verify
 from freeplate.specfun import ultra_i, ultra_j
 
 from oracles import fd_gradient, fd_hessian
@@ -134,15 +134,20 @@ def test_numerator_drops_across_boundary():
             > trial.numerator_integrand(prof, 1.5))
 
 
+def profile_row(lemma, d, tau):
+    rows = verify.full_suite(d, trial_tau_grid=[tau], include_global=False)
+    return next(r for r in rows if r.lemma_id == f"{lemma}[d={d}]")
+
+
 def test_concavity_scan_passes():
     for d, tau in ((2, 1.0), (5, 0.5)):
-        rep = trial.concavity_scan(profile(d, tau))
+        rep = profile_row("profile-concavity", d, tau)
         assert rep.passed and rep.worst_margin > 0
 
 
 def test_partial_monotonicity_scan_passes():
     for d, tau in ((2, 1.0), (3, 0.2), (6, 15.0)):
-        rep = trial.partial_monotonicity_scan(profile(d, tau))
+        rep = profile_row("numerator-monotone", d, tau)
         assert rep.passed and rep.worst_margin > 0
 
 
@@ -151,12 +156,6 @@ def test_h_decrease_quantity_positive():
         prof = profile(d, tau)
         rs = np.linspace(0.0, 1.0, 4097)[1:]
         assert np.all(trial.h_decrease_quantity(prof, rs) > 0)
-
-
-def test_scan_reports_deterministic():
-    a = trial.partial_monotonicity_scan(profile()).csv_line()
-    b = trial.partial_monotonicity_scan(profile()).csv_line()
-    assert a == b
 
 
 def test_vectorized_matches_scalar():
@@ -180,11 +179,3 @@ def test_validation_errors():
         trial.rho(prof, -0.1)
     with pytest.raises(ValueError):
         trial.rho(prof, 0.5, deriv=3)
-    with pytest.raises(ValueError):
-        trial.concavity_scan(prof, grid_size=100)
-    with pytest.raises(ValueError):
-        trial.partial_monotonicity_scan(prof, r_max=2.0)
-    with pytest.raises(ValueError):
-        trial.partial_monotonicity_scan(prof, inner_grid=np.array([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        trial.partial_monotonicity_scan(prof, outer_grid=np.array([0.5]))

@@ -189,7 +189,7 @@ def test_gamma_rows_report():
 
 def test_profile_rows_match_the_public_scans():
     # the rows full_suite takes from its one profile pass per tension equal
-    # the worst of the public functions' own evaluations
+    # the worst of the profile's own evaluations on each row's grid
     n = 1024
     taus = np.logspace(-3.0, 2.0, 8)
     inner = np.linspace(0.0, 1.0, n + 2)[1:-1]
@@ -203,12 +203,16 @@ def test_profile_rows_match_the_public_scans():
                    "denominator-increase": [], "h-decrease-condition": []}
         for tau, mode in zip(taus, fundamental_tones(taus, d)):
             prof = trial.TrialProfile(mode)
-            for name, rep in (
-                    ("profile-concavity", trial.concavity_scan(prof, n)),
-                    ("numerator-monotone",
-                     trial.partial_monotonicity_scan(prof, inner, outer))):
-                entries[name].append((rep.worst_margin,
-                                      (tau,) + rep.worst_point))
+            neg = -trial.rho(prof, inner, deriv=2)
+            i = int(np.argmin(neg))
+            checks = [(neg[i], (inner[i],))]
+            checks += trial._concavity_side_checks(prof, n)
+            sub = trial._profile_checks(prof, inner, outer)
+            del sub["concave"]
+            for name, found in (("profile-concavity", checks),
+                                ("numerator-monotone", sub.values())):
+                margin, point = min(found, key=lambda c: c[0])
+                entries[name].append((margin, (tau,) + point))
             den = trial.rho(prof, combined) ** 2
             rises = den[1:] - den[:-1]
             i = int(np.argmin(rises))
@@ -223,6 +227,17 @@ def test_profile_rows_match_the_public_scans():
             row = rows[f"{name}[d={d}]"]
             assert row.worst_margin == margin, (d, name)
             assert row.worst_point == tuple(float(c) for c in point), (d, name)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid_size": 1.5}, {"grid_size": 3}, {"grid_size": 999},
+    {"grid_size": "4096"}, {"trial_tau_grid": []},
+    {"trial_tau_grid": [1.0, 0.0]}, {"trial_tau_grid": [-1.0]},
+    {"trial_tau_grid": [math.nan]}, {"trial_tau_grid": [math.inf]},
+    {"trial_tau_grid": [[1.0]]}])
+def test_full_suite_rejects_bad_inputs(kwargs):
+    with pytest.raises(ValueError):
+        verify.full_suite(2, **kwargs)
 
 
 def test_full_suite_kernel_work_is_bounded(monkeypatch):

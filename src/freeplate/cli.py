@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ball, geom, trial, verify
+from . import ball, geom, verify
 from .report import format_float, reports_to_csv
 
 
@@ -93,17 +93,17 @@ def cmd_verify(args):
 
 
 def _quadrature_from(args, d):
-    # --samples sets the direction count (radial) or the cells per axis
-    # (grid), whether the rule is chosen or the dimension default, and the
-    # sample count for mc
-    kw = {"kind": args.quad or geom.default_quadrature(d).kind}
+    # --samples sets the direction count (radial), the cells per axis
+    # (grid) or the sample count (mc); a kind other than the dimension
+    # default's starts from its own defaults
+    quad = geom.default_quadrature(d)
+    if args.quad not in (None, quad.kind):
+        quad = geom.QuadratureSpec(args.quad)
     if args.samples is not None:
-        kw["samples"] = args.samples
-        if kw["kind"] != "mc":
-            kw["cells"] = args.samples
+        quad = replace(quad, cells=args.samples, samples=args.samples)
     if args.seed is not None:
-        kw["seed"] = args.seed
-    return replace(geom.default_quadrature(d), **kw)
+        quad = replace(quad, seed=args.seed)
+    return quad
 
 
 def cmd_quotient(args):
@@ -114,12 +114,8 @@ def cmd_quotient(args):
     dom = geom.normalize_volume(domain)
     quad = _quadrature_from(args, d)
     mode = ball.fundamental_tone(args.tau, d)
-    center = None
-    if args.tol is not None and dom.shape in ("two-balls", "implicit"):
-        center = geom.center_trial(dom, trial.TrialProfile(mode), quad,
-                                   tol=args.tol)
     # the normalized domain has s = 1, so this is quotient_bound's mode
-    Q, err = geom._quotient(dom, mode, quad, center)
+    Q, err = geom._quotient(dom, mode, quad, tol=args.tol)
     omega = mode.omega
     margin = omega - Q
     sigmas = margin / err if err > 0.0 else float("inf")
@@ -179,7 +175,8 @@ def build_parser():
                         "sample count (mc)")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--tol", type=float, default=None,
-                   help="centering tolerance override")
+                   help="centering tolerance override (two-balls and "
+                        "implicit shapes)")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_quotient)
     return p

@@ -21,7 +21,12 @@ from scipy.special import betainc, roots_gegenbauer
 from . import trial, verify
 from .ball import fundamental_tone
 
-_SHAPES = ("ball", "ellipsoid", "box", "annulus", "two-balls", "implicit")
+# the config keys each shape requires; the symmetric shapes are centered at
+# their offset by construction and alone take the optional center key
+_SHAPES = {"ball": ("radius",), "ellipsoid": ("semiaxes",), "box": ("sides",),
+           "annulus": ("inner", "outer"), "two-balls": ("radii", "centers"),
+           "implicit": ("expr", "bounds")}
+_SYMMETRIC = frozenset(("ball", "ellipsoid", "box", "annulus"))
 _MC_CHUNK = 2**20
 # implicit domains: each ray is sampled on contains every 1/_RAY_STEPS of
 # the bbox diagonal, so this is the thinnest feature the ray cast resolves
@@ -248,13 +253,17 @@ def _chord(p, u, radius):
 
 
 def _slab(p, u, half):
-    # segment {s >= 0 : |p + s u| <= half componentwise} per row u; a
-    # direction parallel to a face gives +-inf bounds, which fmin/fmax keep
+    # segment {s >= 0 : |p + s u| <= half componentwise} per row u; an axis
+    # with u = 0 bounds nothing while |p| <= half (also on the face, where
+    # the quotients are 0/0) and empties the segment otherwise
     with np.errstate(divide="ignore", invalid="ignore"):
         s1 = (-half - p) / u
         s2 = (half - p) / u
-    lo = np.maximum(np.max(np.fmin(s1, s2), axis=1), 0.0)
-    hi = np.maximum(np.min(np.fmax(s1, s2), axis=1), lo)
+    flat = u == 0.0
+    top = np.where(np.abs(p) <= half, np.inf, -np.inf)
+    lo = np.maximum(np.max(np.where(flat, -np.inf, np.fmin(s1, s2)), axis=1),
+                    0.0)
+    hi = np.maximum(np.min(np.where(flat, top, np.fmax(s1, s2)), axis=1), lo)
     return lo, hi
 
 
@@ -412,71 +421,47 @@ def normalize_volume(domain, target=None):
                    bbox=(_tup(s * lo), _tup(s * hi)))
 
 
-def _grid_points(domain, cells):
-    if cells**domain.d > 2**24:
-        raise ValueError("tensor grid too large; use mc quadrature")
-    lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
-    steps = (hi - lo) / cells
-    axes = [lo[k] + (np.arange(cells) + 0.5) * steps[k]
-            for k in range(domain.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = domain.contains(pts)
-    return pts[inside], float(np.prod(steps))
-
-
-def _nodes(domain, quad, coarse=False):
-    """The quadrature node set: (points inside the domain, weight) chunks.
-
-    grid: the midpoints of the bbox cells (quad.cells per axis, half as
-    many when coarse) that lie inside, in one chunk weighted by the cell
-    volume. mc: the uniform stream over the bbox seeded by quad.seed, in
-    _MC_CHUNK draws so memory stays bounded, each point weighted
-    |bbox| / quad.samples; the fixed chunking keeps the stream and the
-    reduction order independent of the caller.
-    """
-    if quad.kind == "grid":
-        yield _grid_points(domain, quad.cells // 2 if coarse else quad.cells)
-        return
-    lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
-    w = float(np.prod(hi - lo)) / int(quad.samples)
-    rng = np.random.default_rng(quad.seed)
-    left = int(quad.samples)
-    while left > 0:
-        n = min(left, _MC_CHUNK)
-        pts = rng.uniform(lo, hi, size=(n, domain.d))
-        pts = pts[domain.contains(pts)]
-        yield pts, w
-        left -= n
-
-
 def _integrate(domain, fs, quad, center):
     """Integrals of the radial functions fs(|x - center|) over the domain
-    from one pass over the node set.
+    from the grid or mc node set, whose only consumer this is.
 
-    Returns (values, error bars, covariance). grid: midpoint-rule values,
-    bars |full - half| from a second pass at half the cells per axis, and
-    no covariance. mc: the hit-or-miss means, their standard errors and
-    the covariance matrix of the values.
+    Returns (values, error bars, covariance). grid: the midpoint rule on
+    the bbox cells (quad.cells per axis), bars |full - half| from a pass
+    at half the cells per axis, no covariance. mc: hit-or-miss means over
+    the uniform stream on the bbox seeded by quad.seed, in _MC_CHUNK draws
+    (bounded memory; the fixed chunks fix the stream and the reduction
+    order), their standard errors and covariance matrix.
     """
     c = np.asarray(center, dtype=float)
-    mc = quad.kind == "mc"
+    lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
 
-    def sweep(coarse):
-        w, s, ss = 0.0, 0.0, 0.0
-        for pts, w in _nodes(domain, quad, coarse):
-            r = np.linalg.norm(pts - c, axis=1)
-            g = [f(r) for f in fs]
-            s = s + np.array([np.sum(gi) for gi in g])
-            if mc:
-                ss = ss + np.array([[gi @ gj for gj in g] for gi in g])
-        return w, s, ss
+    def values(pts):
+        pts = pts[domain.contains(pts)]
+        r = np.linalg.norm(pts - c, axis=1)
+        return [f(r) for f in fs]
 
-    w, s, ss = sweep(False)
-    if not mc:
-        w2, s2, _ = sweep(True)
-        return w * s, np.abs(w * s - w2 * s2), None
+    if quad.kind == "grid":
+        def midpoint(cells):
+            if cells**domain.d > 2**24:
+                raise ValueError("tensor grid too large; use mc quadrature")
+            steps = (hi - lo) / cells
+            axes = [lo[k] + (np.arange(cells) + 0.5) * steps[k]
+                    for k in range(domain.d)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            g = values(np.stack([m.ravel() for m in mesh], axis=1))
+            return float(np.prod(steps)) * np.array([np.sum(gi) for gi in g])
+
+        full = midpoint(quad.cells)
+        return full, np.abs(full - midpoint(quad.cells // 2)), None
     n = int(quad.samples)
+    w = float(np.prod(hi - lo)) / n
+    rng = np.random.default_rng(quad.seed)
+    s, ss = 0.0, 0.0
+    for done in range(0, n, _MC_CHUNK):
+        g = values(rng.uniform(lo, hi, size=(min(_MC_CHUNK, n - done),
+                                             domain.d)))
+        s = s + np.array([np.sum(gi) for gi in g])
+        ss = ss + np.array([[gi @ gj for gj in g] for gi in g])
     cov = w * w * (ss - np.outer(s, s) / n) * (n / (n - 1))
     return w * s, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
@@ -498,10 +483,14 @@ def _product_rule(d, n_az, n_polar):
     return dirs, w
 
 
-def _turn(d):
-    # a fixed rotation: each coordinate plane (k, k+1) turned by 1 radian
+def _turn(d, n):
+    # the turned rule's rotation. d = 2: half the azimuth step pi / (2n),
+    # as far from every node as a turn gets (1 radian falls within 0.05 of
+    # a step of the nodes at 2n = 2048, and repeats the rule's error).
+    # d > 2: each coordinate plane (k, k+1) turned by 1 radian.
     R = np.eye(d)
-    c, s = math.cos(1.0), math.sin(1.0)
+    a = math.pi / (2 * n) if d == 2 else 1.0
+    c, s = math.cos(a), math.sin(a)
     for k in range(d - 1):
         R[[k, k + 1]] = np.array([[c, -s], [s, c]]) @ R[[k, k + 1]]
     return R
@@ -516,12 +505,15 @@ def _sphere_rule(d, cells):
     rows of the returned weights: 0 the rule; 1 the rule with half the
     nodes in every angle (in the plane, every other direction); 2-5 the
     four interleaved rules on every fourth azimuth node; 6 the rule
-    turned by a fixed rotation. Each row is 0 on the directions it does
-    not use.
+    turned by the fixed rotation _turn. Each row is 0 on the directions
+    it does not use.
     """
     if d < 2:
         raise ValueError("radial quadrature needs d >= 2")
     n = 2 * max(1, round(0.5 * (cells / 2.0) ** (1.0 / (d - 1))))
+    if 2 * n ** (d - 1) > 2**20:  # the rule has 2^d or more directions
+        raise ValueError(f"radial rule in d = {d} needs {2 * n ** (d - 1)} "
+                         "directions (more than 2^20); use --quad mc")
     dirs, w = _product_rule(d, 2 * n, n)
     m = len(w)
     az = np.arange(m) % (2 * n) % 4
@@ -529,7 +521,7 @@ def _sphere_rule(d, cells):
     if d > 2:
         cdirs, cw = _product_rule(d, n, n // 2)
         blocks.append(cdirs)
-    blocks.append(dirs @ _turn(d).T)
+    blocks.append(dirs @ _turn(d, n).T)
     W = np.zeros((7, sum(len(b) for b in blocks)))
     W[0, :m] = w
     if d == 2:
@@ -552,7 +544,8 @@ def _estimate(rows):
     vanish where the error does not: the four quarter rules sample four
     azimuth offsets (for a single corner their spread exceeds six times
     the rule's error), and the turned rule, whose error is as large as
-    the rule's, samples new offsets in every angle.
+    the rule's, samples new offsets in every angle (in the plane, the
+    midpoints of the rule's azimuth steps).
     """
     I = rows[0]
     bar = abs(I - rows[1]) + np.max(np.abs(I - rows[2:6]), axis=0) / 4.0 \
@@ -660,13 +653,14 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
                  tol=None):
     """Translation v at which the centering field X(v) vanishes.
 
-    X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx.
-    radial: X(v) = int_{S^{d-1}} theta sum_j sign_j H(t_j) dtheta with
+    X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx
+    = int_{S^{d-1}} theta sum_j sign_j H(t_j) dtheta with
     H(R) = int_0^R rho(r) r^(d-1) dr over the crossings of the rays from
-    v (the rule itself, after a warm start on its quarter rule); grid and
-    mc: a sum over a fixed node set. The iteration targets the zero of
-    the discretized field. Damped fixed-point steps
-    v <- v + damping * X(v) / (rho'(0) |Omega|) run from the bbox center;
+    v: the one centering field. A radial quad gives the sphere rule, any
+    other kind the dimension default's (the grid and mc node sets carry
+    only the quotient's integrals). After a warm start on the quarter
+    rule, damped fixed-point steps v <- v + damping * X(v) / (rho'(0)
+    |Omega|) from the bbox center target the zero of the rule's field;
     on non-convergence a coordinate bisection sweep is tried before
     raising with the residual trace.
 
@@ -679,55 +673,36 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
         raise ValueError("damping must be in (0, 1]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if quad is None:
+    if tol is not None and not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if quad is None or quad.kind != "radial":
         quad = default_quadrature(domain.d)
     if tol is None:
         tol = 1e-6 * domain.volume * trial.rho(profile, domain.diameter())
-    slope0 = trial.rho(profile, 0.0, 1)
-    step_scale = slope0 * domain.volume
-    umax = 1.5 * domain.diameter() + 1.0
-    warm = None
-    if quad.kind == "radial":
-        dirs, W = _sphere_rule(domain.d, quad.cells)
-        H = _radial_tables(lambda u: [trial.rho(profile, u)], umax,
-                           _panels(profile))[0].G(domain.d)
+    step_scale = trial.rho(profile, 0.0, 1) * domain.volume
+    dirs, W = _sphere_rule(domain.d, quad.cells)
+    H = _radial_tables(lambda u: [trial.rho(profile, u)],
+                       1.5 * domain.diameter() + 1.0,
+                       _panels(profile))[0].G(domain.d)
 
-        def on(w):
-            u, wu = dirs[w > 0.0], w[w > 0.0]
-
-            def field(v):
-                t, sign = domain.crossings(v, u)
-                return (wu * np.sum(sign * H(t), axis=1)) @ u
-            return field
-
-        # the quarter rule's field, on a quarter of the rays, brings v
-        # close to the zero of the rule's field before the iteration on it
-        warm, field = on(W[2]), on(W[0])
-    else:
-        # the iteration revisits the nodes, so they are kept in memory, in
-        # one array and not also in chunks
-        chunks = list(_nodes(domain, quad))
-        wn = chunks[0][1]
-        pts = np.concatenate([p for p, _ in chunks], axis=0)
-        del chunks
-        if pts.shape[0] == 0:
-            raise ValueError("no quadrature nodes fall inside the domain")
-        ptable = _radial_tables(lambda u: [trial.rho(profile, u) / u],
-                                umax, _panels(profile))[0]
+    def on(w):
+        u, wu = dirs[w > 0.0], w[w > 0.0]
 
         def field(v):
-            dx = pts - v
-            r = np.linalg.norm(dx, axis=1)
-            return wn * np.sum(ptable(r)[:, None] * dx, axis=0)
+            t, sign = domain.crossings(v, u)
+            return (wu * np.sum(sign * H(t), axis=1)) @ u
+        return field
 
+    # the quarter rule's field, on a quarter of the rays, brings v close to
+    # the zero of the rule's field before the iteration on it
+    warm, field = on(W[2]), on(W[0])
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
     v = 0.5 * (lo + hi)
-    if warm is not None:
-        for _ in range(max_iter):
-            X = warm(v)
-            if np.linalg.norm(X) <= tol:
-                break
-            v = v + damping * X / step_scale
+    for _ in range(max_iter):
+        X = warm(v)
+        if np.linalg.norm(X) <= tol:
+            break
+        v = v + damping * X / step_scale
     trace = []
     for _ in range(max_iter):
         X = field(v)
@@ -739,24 +714,23 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
 
     # coordinate bisection fallback; the field component is decreasing
     # along its own axis for symmetric domains
+    def along(k, x):
+        w = v.copy()
+        w[k] = x
+        return field(w)[k]
+
     for k in range(domain.d):
         a, b = lo[k], hi[k]
-        va, vb = v.copy(), v.copy()
-        va[k], vb[k] = a, b
-        fa = field(va)[k]
-        fb = field(vb)[k]
-        if fa * fb > 0.0:
+        fa = along(k, a)
+        if fa * along(k, b) > 0.0:
             continue
         for _ in range(80):
-            vm = v.copy()
-            vm[k] = 0.5 * (a + b)
-            fm = field(vm)[k]
+            m = 0.5 * (a + b)
+            fm = along(k, m)
             if fa * fm <= 0.0:
-                b = vm[k]
-                fb = fm
+                b = m
             else:
-                a = vm[k]
-                fa = fm
+                a, fa = m, fm
         v[k] = 0.5 * (a + b)
     X = field(v)
     res = float(np.linalg.norm(X))
@@ -769,12 +743,11 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
         f"residual trace tail [{shown}]")
 
 
-def _trial_center(domain, profile, quad):
-    # the symmetric library shapes are centered at their offset by
-    # construction; everything else gets the fixed-point search
-    if domain.shape in ("ball", "ellipsoid", "box", "annulus"):
+def _trial_center(domain, profile, quad, tol=None):
+    # the symmetric shapes are centered at their offset by construction
+    if domain.shape in _SYMMETRIC:
         return np.asarray(domain.offset, dtype=float)
-    return center_trial(domain, profile, quad)
+    return center_trial(domain, profile, quad, tol=tol)
 
 
 def _panels(profile):
@@ -810,6 +783,8 @@ def _num_den(domain, profile, s, quad, center):
     tables = _radial_tables(integrands, umax, _panels(profile))
     (num, den), (en, ed), cov = _integrate(
         domain, [lambda r, t=t: t(r / s) for t in tables], quad, center)
+    if den == 0.0:
+        raise ValueError("no quadrature nodes fall inside the domain")
     if cov is None:
         rel = en / abs(num) + ed / abs(den)
     else:
@@ -855,15 +830,15 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
                      center)
 
 
-def _quotient(domain, mode, quad, center):
+def _quotient(domain, mode, quad, center=None, tol=None):
     # quotient_bound with the unit-ball mode already solved at the
-    # domain's tension tau s^2
+    # domain's tension tau s^2; tol overrides the centering tolerance
     d = domain.d
     if quad is None:
         quad = default_quadrature(d)
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
     prof = trial.TrialProfile(mode)
-    c = _trial_center(domain, prof, quad) if center is None \
+    c = _trial_center(domain, prof, quad, tol) if center is None \
         else np.asarray(center, dtype=float)
     num, den, _, _, rel = _num_den(domain, prof, s, quad, c)
     Q = num / den
@@ -916,16 +891,19 @@ def parse_domain_config(text):
         entries[key] = val
 
     def floats(key):
+        val = entries.pop(key)
         try:
-            return [float(t) for t in entries[key].split(",")]
+            return [float(t) for t in val.split(",")]
         except ValueError:
             raise ValueError(f"config: {key} must be comma-separated "
-                             f"numbers, got {entries[key]!r}") from None
+                             f"numbers, got {val!r}") from None
 
     for req in ("shape", "dim"):
         if req not in entries:
             raise ValueError(f"config: missing required key {req!r}")
     shape = entries.pop("shape")
+    if shape not in _SHAPES:
+        raise ValueError(f"config: unknown shape {shape!r}")
     try:
         d = int(entries.pop("dim"))
     except ValueError:
@@ -934,41 +912,28 @@ def parse_domain_config(text):
         raise ValueError("config: dim must be at least 2")
     center = None
     if "center" in entries:
-        if shape in ("two-balls", "implicit"):
+        if shape not in _SYMMETRIC:
             raise ValueError(f"config: shape {shape!r} does not take "
                              "center (positions come from its own keys)")
         center = floats("center")
-        entries.pop("center")
         if len(center) != d:
             raise ValueError("config: center must have dim entries")
-
-    def take(keys):
-        missing = [k for k in keys if k not in entries]
-        if missing:
-            raise ValueError(f"config: shape {shape!r} needs keys "
-                             f"{', '.join(missing)}")
+    missing = [k for k in _SHAPES[shape] if k not in entries]
+    if missing:
+        raise ValueError(f"config: shape {shape!r} needs keys "
+                         f"{', '.join(missing)}")
 
     if shape == "ball":
-        take(["radius"])
         dom = ball(d, floats("radius")[0], center)
-        entries.pop("radius")
     elif shape == "ellipsoid":
-        take(["semiaxes"])
         dom = ellipsoid(d, floats("semiaxes"), center)
-        entries.pop("semiaxes")
     elif shape == "box":
-        take(["sides"])
         dom = box(d, floats("sides"), center)
-        entries.pop("sides")
     elif shape == "annulus":
-        take(["inner", "outer"])
         dom = annulus(d, floats("inner")[0], floats("outer")[0], center)
-        entries.pop("inner")
-        entries.pop("outer")
     elif shape == "two-balls":
-        take(["radii", "centers"])
         radii = floats("radii")
-        groups = entries["centers"].split(";")
+        groups = entries.pop("centers").split(";")
         if len(radii) != 2 or len(groups) != 2:
             raise ValueError("config: two-balls needs radii=r1,r2 and "
                              "centers=c1;c2")
@@ -979,19 +944,10 @@ def parse_domain_config(text):
         if any(len(cc) != d for cc in centers):
             raise ValueError("config: each center must have dim entries")
         dom = two_balls(d, radii, centers)
-        entries.pop("radii")
-        entries.pop("centers")
-    elif shape == "implicit":
-        take(["expr", "bounds"])
-        kw = {}
-        if "volume" in entries:
-            kw["volume"] = floats("volume")[0]
-            entries.pop("volume")
-        dom = implicit_domain(d, entries["expr"], floats("bounds"), **kw)
-        entries.pop("expr")
-        entries.pop("bounds")
     else:
-        raise ValueError(f"config: unknown shape {shape!r}")
+        volume = floats("volume")[0] if "volume" in entries else None
+        dom = implicit_domain(d, entries.pop("expr"), floats("bounds"),
+                              volume)
     if entries:
         raise ValueError("config: unrecognized keys "
                          f"{', '.join(sorted(entries))}")

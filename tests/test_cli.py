@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,13 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(cfg),
                        "--tau", "1", "--quad", "radial")
     assert code == 0, err
+    # a grid whose cell midpoints all miss the domain
+    ring = tmp_path / "ring.cfg"
+    ring.write_text("shape=annulus\ndim=2\ninner=0.9\nouter=1\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "quotient", "--domain", str(ring),
+                       "--tau", "1", "--quad", "grid", "--samples", "2")
+    assert code == 2 and "no quadrature nodes" in err
 
 
 def test_samples_sets_the_default_rules_resolution(capsys, tmp_path):
@@ -234,6 +242,37 @@ def test_samples_sets_the_default_rules_resolution(capsys, tmp_path):
                        "--tau", "1")
     assert code == 0
     assert parse_kv(out)["error_bar"] != parse_kv(outs[0])["error_bar"]
+
+
+def test_quad_grid_without_samples_uses_the_grids_own_default(capsys,
+                                                              tmp_path):
+    cfg = tmp_path / "el.cfg"
+    cfg.write_text("shape=ellipsoid\ndim=2\nsemiaxes=2,0.5\n",
+                   encoding="utf-8")
+    outs = []
+    for extra in ([], ["--samples", "1024"]):
+        code, out, err = run(capsys, "quotient", "--domain", str(cfg),
+                             "--tau", "1", "--quad", "grid", *extra)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_tol_that_cannot_be_met_reports_the_residual_trace(capsys,
+                                                           tmp_path):
+    # the coordinate bisection casts rays from points on the bbox faces,
+    # some along a face; the run must end in the centering diagnostic
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("shape=implicit\ndim=2\n"
+                   "expr=(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))\n"
+                   "bounds=-1,1,-1,1\nvolume=3\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "quotient", "--domain", str(cfg),
+                           "--tau", "1", "--tol", "1e-300", "--samples",
+                           "256")
+    assert code == 2
+    assert "centering did not converge" in err and "residual trace" in err
 
 
 def test_quotient_on_overlapping_3d_two_balls(capsys, tmp_path):

@@ -149,6 +149,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec("simpson")
     with pytest.raises(ValueError):
         QuadratureSpec("grid", cells=1)
+    # the radial product rule has at least 2^d directions whatever cells
+    # asks for, and refuses more than 2^20 before building any array
+    with pytest.raises(ValueError, match="d = 30 needs 1073741824 "
+                                         "directions.*--quad mc"):
+        geom._sphere_rule(30, 8192)
 
 
 def test_integrate_radial_closed_forms():
@@ -223,6 +228,10 @@ def test_centering_argument_validation():
         geom.center_trial(dom, prof, damping=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         geom.center_trial(dom, prof, max_iter=0)
+    # a tolerance that can never be met is refused before any iteration
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            geom.center_trial(dom, prof, tol=tol)
     shifted = geom.ball(2, center=(0.3, 0.0))
     v = geom.center_trial(shifted, prof, QuadratureSpec("radial"))
     assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 1e-9
@@ -235,6 +244,31 @@ def test_centering_reports_nonconvergence():
     with pytest.raises(RuntimeError, match="did not converge"):
         geom.center_trial(dom, profile(), QuadratureSpec("grid", cells=128),
                           damping=1e-9, max_iter=1, tol=1e-300)
+
+
+def test_every_quadrature_kind_centers_at_the_same_point():
+    # the grid and mc node sets carry only the quotient's integrals; the
+    # center is the zero of the default radial rule's field for every kind
+    prof = profile()
+    doms = [geom.normalize_volume(geom.two_balls(
+                2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1)))),
+            geom.implicit_domain(
+                2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))",
+                (-1, 1, -1, 1), volume=3.0)]
+    for dom in doms:
+        v = geom._trial_center(dom, prof, geom.default_quadrature(2))
+        for quad in (QuadratureSpec("grid", cells=256),
+                     QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
+            assert np.array_equal(geom._trial_center(dom, prof, quad), v)
+
+
+def test_box_chord_along_a_face_from_a_point_on_it():
+    # along that face the slab quotients are 0/0; the face bounds nothing
+    t, sign = geom.box(2, (2, 1)).crossings((-1, 0), [[0, 1]])
+    assert np.array_equal(t, [[0.5, 0.0]]) and np.array_equal(sign, [[1, -1]])
+    # a ray parallel to the faces from beside the box misses it
+    t, _ = geom.box(2, (2, 1)).crossings((-2, 0), [[0, 1]])
+    assert np.array_equal(t, [[0.0, 0.0]])
 
 
 def test_quotient_equals_tone_on_the_unit_ball():

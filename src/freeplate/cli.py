@@ -175,8 +175,8 @@ def build_parser():
                         "sample count (mc)")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--tol", type=float, default=None,
-                   help="centering tolerance override (two-balls and "
-                        "implicit shapes)")
+                   help="centering tolerance of two-balls and implicit "
+                        "shapes; must be positive for every shape")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_quotient)
     return p

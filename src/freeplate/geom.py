@@ -36,6 +36,7 @@ _RAY_CHUNK = 2**18      # ray samples per contains call
 _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
 _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
 _PANELS = 64            # radial panels per unit of the table's variable
+_CENTER_CASTS = 64      # centering casts before giving up (Newton takes ~3)
 # the rules' sums carry rounding, so no error bar is smaller than this
 _ROUNDING = 64 * np.finfo(float).eps
 
@@ -649,8 +650,7 @@ def integrate_radial(domain, f, quad, center=None):
     return float(vals[0]), float(errs[0])
 
 
-def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
-                 tol=None):
+def center_trial(domain, profile, quad=None, tol=None):
     """Translation v at which the centering field X(v) vanishes.
 
     X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx
@@ -658,93 +658,73 @@ def center_trial(domain, profile, quad=None, damping=0.5, max_iter=200,
     H(R) = int_0^R rho(r) r^(d-1) dr over the crossings of the rays from
     v: the one centering field. A radial quad gives the sphere rule, any
     other kind the dimension default's (the grid and mc node sets carry
-    only the quotient's integrals). After a warm start on the quarter
-    rule, damped fixed-point steps v <- v + damping * X(v) / (rho'(0)
-    |Omega|) from the bbox center target the zero of the rule's field;
-    on non-convergence a coordinate bisection sweep is tried before
-    raising with the residual trace.
+    only the quotient's integrals).
+
+    X = -grad Phi for the convex Phi(v) = int P(|x - v|) dx, P' = rho, and
+    the cast that gives X gives its Jacobian too: dX/dv = -int_{S^{d-1}}
+    sum_j sign_j [A(t_j) theta theta^T + B(t_j) (I - theta theta^T)]
+    dtheta, A(R) = int_0^R rho' r^(d-1) dr, B(R) = int_0^R (rho/r)
+    r^(d-1) dr, negative definite as rho' > 0 and rho/r > 0. Newton steps
+    from the bbox center, clipped to the bbox, are halved until |X|
+    falls; raises with the residual trace when halving no longer moves v
+    (the rule's noise floor) or after _CENTER_CASTS casts.
 
     Returns
     -------
     numpy.ndarray
         The offset v with |X(v)| <= tol (default 1e-6 |Omega| rho(diam)).
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if quad is None or quad.kind != "radial":
         quad = default_quadrature(domain.d)
     if tol is None:
         tol = 1e-6 * domain.volume * trial.rho(profile, domain.diameter())
-    step_scale = trial.rho(profile, 0.0, 1) * domain.volume
-    dirs, W = _sphere_rule(domain.d, quad.cells)
-    H = _radial_tables(lambda u: [trial.rho(profile, u)],
-                       1.5 * domain.diameter() + 1.0,
-                       _panels(profile))[0].G(domain.d)
+    d = domain.d
+    dirs, W = _sphere_rule(d, quad.cells)
+    u, w = dirs[W[0] > 0.0], W[0][W[0] > 0.0]
 
-    def on(w):
-        u, wu = dirs[w > 0.0], w[w > 0.0]
+    def pieces(r):
+        pc = trial._eval_pieces(profile, r)
+        return pc["rho"], pc["d1"], pc["p"]
 
-        def field(v):
-            t, sign = domain.crossings(v, u)
-            return (wu * np.sum(sign * H(t), axis=1)) @ u
-        return field
-
-    # the quarter rule's field, on a quarter of the rays, brings v close to
-    # the zero of the rule's field before the iteration on it
-    warm, field = on(W[2]), on(W[0])
+    H, A, B = (table.G(d) for table in _radial_tables(
+        pieces, 1.5 * domain.diameter() + 1.0, _panels(profile)))
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
+
+    def cast(v):
+        # |X(v)| and the Newton step from v, clipped to the bbox
+        t, sign = domain.crossings(v, u)
+        h, a, b = (w * np.sum(sign * G(t), axis=1) for G in (H, A, B))
+        X = h @ u
+        M = (u.T * (a - b)) @ u + np.sum(b) * np.eye(d)     # -dX/dv
+        return (float(np.linalg.norm(X)),
+                np.clip(v + np.linalg.solve(M, X), lo, hi) - v)
+
     v = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        X = warm(v)
-        if np.linalg.norm(X) <= tol:
-            break
-        v = v + damping * X / step_scale
-    trace = []
-    for _ in range(max_iter):
-        X = field(v)
-        res = float(np.linalg.norm(X))
-        trace.append(res)
-        if res <= tol:
-            return v
-        v = v + damping * X / step_scale
-
-    # coordinate bisection fallback; the field component is decreasing
-    # along its own axis for symmetric domains
-    def along(k, x):
-        w = v.copy()
-        w[k] = x
-        return field(w)[k]
-
-    for k in range(domain.d):
-        a, b = lo[k], hi[k]
-        fa = along(k, a)
-        if fa * along(k, b) > 0.0:
-            continue
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = along(k, m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        v[k] = 0.5 * (a + b)
-    X = field(v)
-    res = float(np.linalg.norm(X))
-    trace.append(res)
-    if res <= tol:
-        return v
-    shown = ", ".join(f"{t:.3e}" for t in trace[-6:])
-    raise RuntimeError(
-        f"centering did not converge: |X| = {res:.3e} > tol = {tol:.3e}; "
-        f"residual trace tail [{shown}]")
+    res, step = cast(v)
+    trace = [res]
+    while res > tol:
+        nxt = v + step
+        if len(trace) == _CENTER_CASTS or np.array_equal(nxt, v):
+            shown = ", ".join(f"{t:.3e}" for t in trace[-6:])
+            raise RuntimeError(
+                f"centering did not converge: |X| = {res:.3e} > tol = "
+                f"{tol:.3e}; residual trace tail [{shown}]")
+        r, nxt_step = cast(nxt)
+        trace.append(r)
+        if r < res:
+            v, step, res = nxt, nxt_step, r
+        else:
+            step = 0.5 * step
+    return v
 
 
 def _trial_center(domain, profile, quad, tol=None):
-    # the symmetric shapes are centered at their offset by construction
+    # the symmetric shapes are centered at their offset by construction;
+    # a tolerance that no shape could meet is refused for every shape
+    if tol is not None and not tol > 0.0:
+        raise ValueError("tol must be positive")
     if domain.shape in _SYMMETRIC:
         return np.asarray(domain.offset, dtype=float)
     return center_trial(domain, profile, quad, tol=tol)

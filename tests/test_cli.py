@@ -215,6 +215,11 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(cfg),
                        "--tau", "1", "--dim", "3")
     assert code == 2 and "disagrees" in err
+    # the ellipse is centered at its offset, and its --tol still checked
+    for tol in ("0", "nan"):
+        code, _, err = run(capsys, "quotient", "--domain", str(cfg),
+                           "--tau", "1", "--tol", tol)
+        assert code == 2 and "tol must be positive" in err
     code, _, err = run(capsys, "quotient", "--domain", str(cfg),
                        "--tau", "1", "--quad", "radial")
     assert code == 0, err
@@ -260,8 +265,9 @@ def test_quad_grid_without_samples_uses_the_grids_own_default(capsys,
 
 def test_tol_that_cannot_be_met_reports_the_residual_trace(capsys,
                                                            tmp_path):
-    # the coordinate bisection casts rays from points on the bbox faces,
-    # some along a face; the run must end in the centering diagnostic
+    # Newton steps clipped to the bbox may cast rays from points on its
+    # faces, some along a face; the run must end in the centering
+    # diagnostic once halving no longer lowers the residual
     cfg = tmp_path / "l.cfg"
     cfg.write_text("shape=implicit\ndim=2\n"
                    "expr=(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))\n"
@@ -273,6 +279,24 @@ def test_tol_that_cannot_be_met_reports_the_residual_trace(capsys,
                            "256")
     assert code == 2
     assert "centering did not converge" in err and "residual trace" in err
+
+
+def test_thin_l_shape_centers_at_large_tension(capsys, tmp_path):
+    # arms 0.22 wide, and at tau = 1000 rho' falls twentyfold from r = 0
+    # to r = 1: the field's slope varies widely over the domain, and
+    # centering must still converge (the config carries no volume)
+    c = -0.7764699120554092
+    cfg = tmp_path / "thin-l.cfg"
+    cfg.write_text("shape=implicit\ndim=2\n"
+                   "expr=(abs(x) <= 1) & (abs(y) <= 1) & "
+                   f"~((x > {c!r}) & (y > {c!r}))\n"
+                   "bounds=-1,1,-1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "quotient", "--domain", str(cfg),
+                         "--tau", "1000")
+    assert code == 0, err
+    vals = parse_kv(out)
+    assert float(vals["Q"]) + 5 * float(vals["error_bar"]) \
+        < float(vals["omega"])
 
 
 def test_quotient_on_overlapping_3d_two_balls(capsys, tmp_path):

@@ -119,6 +119,37 @@ def test_radial_quotient_on_tangent_rays_and_corners(kind, p, tau):
     assert abs(q - qm) <= e + 4.0 * em
 
 
+@st.composite
+def centering_cases(draw):
+    # (domain, whether its symmetry axis is the x-axis)
+    if draw(st.booleans()):
+        return l_shape(draw(st.floats(-0.8, 0.8))), False
+    d = draw(st.sampled_from((2, 3)))
+    on_axis = draw(st.booleans())
+    keep = np.arange(d) == 0 if on_axis else np.ones(d, dtype=bool)
+    centers = [np.where(keep, draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                            max_size=d)), 0.0)
+               for _ in range(2)]
+    radii = draw(st.lists(st.floats(0.3, 1.0), min_size=2, max_size=2))
+    return geom.two_balls(d, radii, centers), on_axis
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=centering_cases(), log_tau=st.floats(-3.0, 3.0))
+def test_newton_centering_converges_and_keeps_the_symmetry(case, log_tau):
+    # the rule's directions share the domains' mirror symmetries and the
+    # iteration starts on the mirror, so the center stays on it: the
+    # diagonal y = x of the L-shape, the x-axis of two balls centered on it
+    dom, on_axis = case
+    dom = geom.normalize_volume(dom)
+    prof = trial.TrialProfile(ballmod.fundamental_tone(10.0**log_tau, dom.d))
+    v = geom.center_trial(dom, prof, QuadratureSpec("radial", cells=2048))
+    if dom.shape == "implicit":
+        assert abs(v[0] - v[1]) <= 1e-6 * dom.diameter()
+    elif on_axis:
+        assert np.all(np.abs(v[1:]) <= 1e-9)
+
+
 def test_implicit_volume_from_the_radial_rule():
     # the L-shape's volume is 4 - (1 - c)^2; its re-entrant corner and the
     # bbox edges are crossings the ray cast must find

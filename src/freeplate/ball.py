@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize.elementwise import find_root
+from numpy.polynomial import legendre
 
-from .specfun import _ultra_table, first_zero_j1prime, ultra_j
+from .specfun import (_ROOT_STATUS, _bracketed_root, _ultra_table,
+                      first_zero_j1prime)
 
 RESIDUAL_TOL = 1e-9
 _WIDEN = 1e-6    # relative widening of the bracket from the linear bounds
+_C_NODES = 80    # Gauss-Legendre nodes of the membrane_C integrals
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,10 @@ def fundamental_tones(taus, d, radius=1.0):
     The linear bounds tau mu < omega < tau (d+2) with omega = a^2 (a^2 +
     tau) bracket the unit-ball wavenumber in closed form. Widened by a
     relative _WIDEN and clipped below ainf, the brackets go to one
-    vectorized find_root (Chandrupatla) at a relative tolerance of 1e-13;
-    other radii follow from omega_R(tau) = R^-4 omega_1(tau R^2). The
-    first tension that fails raises a RuntimeError.
+    vectorized root find (specfun._bracketed_root, Chandrupatla's method)
+    at a relative tolerance of 1e-13; other radii follow from
+    omega_R(tau) = R^-4 omega_1(tau R^2). The first tension that fails
+    raises a RuntimeError with its bracket, V at both ends and the status.
     """
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
@@ -158,10 +160,10 @@ def fundamental_tones(taus, d, radius=1.0):
     lo, hi = np.sqrt(2.0 * w / (t + np.sqrt(t * t + 4.0 * w)))
     lo, hi = lo * (1.0 - _WIDEN), np.minimum(hi * (1.0 + _WIDEN),
                                              ainf * (1.0 - 1e-12))
-    res = find_root(lambda a, tt: _secular_vec(a, tt, d), (lo, hi),
-                    args=(t,), tolerances={"xatol": 0.0, "xrtol": 1e-13})
-    ok = res.status == 0
-    a = np.where(ok, res.x, lo)     # lo stands in where the solve failed
+    x, status, (xl, xr), (vl, vr) = _bracketed_root(
+        lambda a, tt: _secular_vec(a, tt, d), lo, hi, t)
+    ok = status == 0
+    a = np.where(ok, x, lo)     # lo stands in where the solve failed
     b = np.sqrt(a * a + t)
     gamma = _secular_parts(a, t, d)[0]
     m_res, m_scale, v_res, v_scale = _residual_scales(d, 1.0, a, b, gamma, t)
@@ -169,13 +171,12 @@ def fundamental_tones(taus, d, radius=1.0):
         | (v_res > RESIDUAL_TOL * v_scale)
     if bad.any():
         i = int(np.argmax(bad))
-        (xl, xr), (vl, vr) = res.bracket, res.f_bracket
         if not ok[i]:
             raise RuntimeError(
-                "no root of the secular function in the bracket from the "
+                "the secular root find failed in the bracket from the "
                 f"linear bounds: tau={taus[i]:g}, d={d}, radius={radius:g}, "
                 f"a*radius in [{xl[i]:.17g}, {xr[i]:.17g}], V={vl[i]:.6g} "
-                f"and V={vr[i]:.6g} there, find_root status {res.status[i]}")
+                f"and V={vr[i]:.6g} there, {_ROOT_STATUS[status[i]]}")
         raise RuntimeError(
             f"boundary residuals exceed tolerance at tau={taus[i]:g}: M "
             f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
@@ -199,21 +200,20 @@ def membrane_C(d):
 
     Reduces to 1D integrals with weight r^(d-1):
         numerator integrand  (rho'')^2 + 3(d-1) ((rho - r rho')/r^2)^2,
-        rho(r) = j_1(ainf r), (rho - r rho')/r^2 = ainf^2 j_2(ainf r)/(ainf r).
+        rho(r) = j_1(ainf r), (rho - r rho')/r^2 = ainf^2 j_2(ainf r)/(ainf r),
+    both by one _C_NODES-node Gauss-Legendre rule on [0, 1] (the interval's
+    Jacobian cancels in the ratio). The integrands are entire in r, so the
+    rule converges faster than any power of 1/n.
     """
     ainf = first_zero_j1prime(d)
-
-    def hess(r):
-        rpp = ainf**2 * ultra_j(1, d, ainf * r, deriv=2)
-        ratio = ainf**2 * ultra_j(2, d, ainf * r) / (ainf * r)
-        return (rpp**2 + 3 * (d - 1) * ratio**2) * r ** (d - 1)
-
-    def mass(r):
-        return ultra_j(1, d, ainf * r) ** 2 * r ** (d - 1)
-
-    num, num_err = quad(hess, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=200)
-    den, den_err = quad(mass, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return num / den
+    t, w = legendre.leggauss(_C_NODES)
+    r = 0.5 * (t + 1.0)
+    z = ainf * r
+    J = _ultra_table("j", 1, d, z, 2)
+    w = w * r ** (d - 1)
+    hess = (ainf**2 * J(1, 2)) ** 2 \
+        + 3 * (d - 1) * (ainf**2 * J(2, 0) / z) ** 2
+    return float(w @ hess) / float(w @ J(1, 0) ** 2)
 
 
 def tone_bounds(tau, d):

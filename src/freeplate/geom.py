@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import betainc, roots_gegenbauer
+from scipy.special import betainc
 
 from . import trial, verify
 from .ball import fundamental_tone
@@ -467,6 +467,39 @@ def _integrate(domain, fs, quad, center):
     return w * s, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
 
 
+@lru_cache(maxsize=None)
+def _gauss_gegenbauer(n, alpha):
+    # n-node Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
+    # (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues
+    # of the Jacobi matrix of the orthonormal recurrence
+    # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1), polished by one Newton step on
+    # p_n; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(t)^2.
+    # Cached: the rule is a constant table, and the recurrence is a Python
+    # loop of n steps
+    k = np.arange(1, n)
+    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    c = np.concatenate([[0.0], b, [1.0]])     # b_0 = 0; p_n left unscaled
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(alpha + 0.5)
+                                        - math.lgamma(alpha + 1.0))
+
+    def recur(t):
+        # p_n, p_n' and sum_(k<n) p_k^2 at t
+        p0, p = np.zeros_like(t), np.full_like(t, mu0**-0.5)
+        dp0, dp, ss = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        for j in range(n):
+            ss += p * p
+            p0, p, dp0, dp = p, (t * p - c[j] * p0) / c[j + 1], \
+                dp, (p + t * dp - c[j] * dp0) / c[j + 1]
+        return p, dp, ss
+
+    t = np.linalg.eigvalsh(np.diag(b, -1))
+    p, dp, _ = recur(t)
+    t = t - p / dp
+    t = 0.5 * (t - t[::-1])
+    w = 1.0 / recur(t)[2]
+    return t, 0.5 * (w + w[::-1])
+
+
 def _product_rule(d, n_az, n_polar):
     # S^1: n_az trapezoid nodes; S^(k+1) from S^k: x_0 = cos(psi), the
     # rest sin(psi) times a point of S^k, dsigma = sin^k(psi) dpsi dsigma_k,
@@ -475,7 +508,7 @@ def _product_rule(d, n_az, n_polar):
     dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     w = np.full(n_az, 2.0 * math.pi / n_az)
     for k in range(1, d - 1):
-        t, wt = roots_gegenbauer(n_polar, 0.5 * k)
+        t, wt = _gauss_gegenbauer(n_polar, 0.5 * k)
         st = np.sqrt(1.0 - t * t)
         dirs = np.concatenate(
             [np.repeat(t, len(w))[:, None],

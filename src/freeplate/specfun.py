@@ -3,7 +3,8 @@
 j_l(z) = z^(-s) J_(s+l)(z) and i_l(z) = z^(-s) I_(s+l)(z) with s = (d-2)/2,
 for integer dimension d >= 2 and integer order 0 <= l <= 8, together with
 derivatives through fourth order, the series coefficients d_k of the
-expansions of j_1'' and i_1'', and the first nontrivial zero of j_1'.
+expansions of j_1'' and i_1'', the first nontrivial zero of j_1', and the
+bracketed root finder that both it and the ball's tone solve use.
 
 At or below SMALL_Z the values and derivatives come from the ascending
 series, truncated by a geometric tail bound, which has no cancellation at
@@ -18,13 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 SMALL_Z = 0.5          # power-series evaluation at or below this argument
 _J_Z_MAX = 1.0e15      # jv loses its digits beyond this argument
 _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
 MAX_ORDER = 8
 MAX_DERIV = 4
+_ROOT_XRTOL = 1e-13    # relative bracket width at which a root is accepted
+_ROOT_MAX_ITER = 2046  # bisections that span the normal doubles
+_ROOT_STATUS = ("converged", "no sign change", "iteration budget")
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ def _series_eval(kind, l, d, deriv, z):
     differentiation multiplies term k by the falling factorial of l+2k. Terms
     are built by ratio updates. The ratio q of term k+1 to term k, taken at
     the largest z, falls with k, so the tail after a term is at most
-    |term| q / (1 - q); the sum stops once that is below 1e-17 of the total
+    |term| q / (1 - q). The term count is fixed before the sum, from these
+    ratios at the largest z, so that the tail is below 1e-17 of the total
     at every point, which leaves the rounded total unchanged.
     """
     s = (d - 2) / 2.0
@@ -90,24 +94,38 @@ def _series_eval(kind, l, d, deriv, z):
         return np.empty(0)
     k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
     m0 = l + 2 * k
+    zz = z * z / 4.0
+    zz_max = float(np.max(zz))
+
+    def ratio(j):
+        m = l + 2 * j
+        return (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
+                                        * (j + 1.0) * (s + l + j + 1.0))
+
+    # |total| >= |term_k0| (1 - q_k0) for the alternating j series, whose
+    # terms fall from the first on, and >= |term_k0| for i; |term_n| is at
+    # most |term_k0| times the product of the q before n at every point
+    floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
+    if floor <= 0.0:
+        raise ValueError("series used beyond its range of convergence")
+    ratios, lead = [], 1.0
+    while True:
+        r = ratio(k + len(ratios))
+        q = r * zz_max
+        if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
+            break
+        ratios.append(r)
+        lead *= q
     lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
     fall = 1.0
     for i in range(deriv):
         fall *= m0 - i
     term = (sign**k * fall * math.exp(lognorm)) * np.power(z, m0 - deriv)
     total = term.copy()
-    zz = z * z / 4.0
-    zz_max = float(np.max(zz))
-    while True:
-        m = l + 2 * k
-        ratio = (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
-                                         * (k + 1.0) * (s + l + k + 1.0))
-        q = ratio * zz_max
-        if q < 1.0 and np.all(np.abs(term) * q <= 1e-17 * (1.0 - q) * np.abs(total)):
-            return total
-        term = term * (sign * zz) * ratio
+    for r in ratios:
+        term = term * (sign * zz) * r
         total += term
-        k += 1
+    return total
 
 
 def _kernel_table(kind, l, d, deriv, z):
@@ -194,12 +212,81 @@ def ultra_i(l, d, z, deriv=0):
     return _ultra_table("i", l, d, z, deriv)(l, deriv)
 
 
+def _bracketed_root(f, lo, hi, *args):
+    """Roots of the elementwise function f(x, *args) in the brackets
+    [lo, hi], each with a sign change of f, by Chandrupatla's method
+    (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation where the
+    last three points allow it, bisection otherwise.
+
+    Each element stops once its bracket is narrower than _ROOT_XRTOL times
+    its end with the smaller |f|, or once f there is 0 or subnormal; only
+    the elements still running are evaluated. The arrays args run with x.
+    Returns x (nan where no sign change), the status as an index into
+    _ROOT_STATUS, and the final bracket and f at its ends, each ordered
+    left to right.
+    """
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    args = [np.broadcast_to(arg, x1.shape) for arg in args]
+    f1, f2 = f(x1, *args), f(x2, *args)
+    x3, f3 = x2, f2     # the previous point; set by every step
+    size = x1.size
+    act = np.arange(size)
+    x, status = np.full(size, np.nan), np.zeros(size, dtype=int)
+    ends = np.empty((4, size))
+    t = 0.5
+    for it in range(_ROOT_MAX_ITER + 1):
+        if it:
+            xn = x1 + t * (x2 - x1)
+            fn = f(xn, *args)
+            same = np.sign(fn) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = xn, fn
+        small = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(small, x1, x2), np.where(small, f1, f2)
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * _ROOT_XRTOL
+        zero = np.abs(fmin) <= np.finfo(float).tiny
+        conv = zero | (dx < tol)
+        bad = ~zero & ~(np.sign(f1) * np.sign(f2) < 0)
+        stop = conv | bad | (it == _ROOT_MAX_ITER)
+        if stop.any():
+            i = act[stop]
+            x[i] = np.where(bad, np.nan, xmin)[stop]
+            status[i] = np.select([bad, conv], [1, 0], 2)[stop]
+            ends[:, i] = x1[stop], x2[stop], f1[stop], f2[stop]
+            go = ~stop
+            act, args = act[go], [arg[go] for arg in args]
+            x1, x2, x3, f1, f2, f3, dx, tol = (
+                v[go] for v in (x1, x2, x3, f1, f2, f3, dx, tol))
+        if not act.size:
+            break
+        if not it:
+            continue
+        # Chandrupatla's test: the inverse quadratic through the last three
+        # points is monotone on the bracket; otherwise bisect
+        xi = (x1 - x2) / (x3 - x2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * tol / dx
+        t = np.clip(t, tl, 1.0 - tl)
+    xl, xr, fl, fr = ends
+    left = xl < xr
+    return (x, status, (np.where(left, xl, xr), np.where(left, xr, xl)),
+            (np.where(left, fl, fr), np.where(left, fr, fl)))
+
+
 @lru_cache(maxsize=None)
 def first_zero_j1prime(d):
     """First z > 0 with j_1'(z) = 0, to relative tolerance 1e-12.
 
-    Bracketed by a fixed-step scan of (0, 20] with step 0.05, then refined;
-    raises if the scan window contains no sign change.
+    Bracketed by a fixed-step scan of (0, 20] with step 0.05, then refined
+    by _bracketed_root; raises if the scan window contains no sign change
+    or the refinement fails.
     """
     zs = np.arange(0.05, 20.0 + 1e-9, 0.05)
     vals = ultra_j(1, d, zs, deriv=1)
@@ -209,6 +296,9 @@ def first_zero_j1prime(d):
         raise RuntimeError(
             f"no sign change of j_1' in the scan window (0, 20], step 0.05, d={d}")
     i = flips[0]
-    root = brentq(lambda t: ultra_j(1, d, t, deriv=1), zs[i], zs[i + 1],
-                  xtol=1e-15, rtol=1e-13)
-    return float(root)
+    root, status, _, _ = _bracketed_root(lambda t: ultra_j(1, d, t, deriv=1),
+                                         zs[i:i + 1], zs[i + 1:i + 2])
+    if status[0]:
+        raise RuntimeError(f"j_1' zero in [{zs[i]:.2f}, {zs[i + 1]:.2f}] not "
+                           f"refined, d={d}: {_ROOT_STATUS[status[0]]}")
+    return float(root[0])

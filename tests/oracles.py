@@ -291,6 +291,65 @@ def _mp_ainf(d):
     return mp.findroot(j1p, (z, z + mp.mpf("0.5")), solver="anderson")
 
 
+def mp_membrane_C(d, dps=30):
+    """C(B) = int |D^2 v|^2 / int v^2 for the membrane mode v = j_1(ainf r)
+    Y_1 of the unit ball, by mpmath's tanh-sinh quadrature of the radial
+    integrals with weight r^(d-1): numerator (rho'')^2 + 3(d-1)((rho - r
+    rho')/r^2)^2, rho = j_1(ainf r), with j_1' = j_1/z - j_2 and j_1'' from
+    the radial equation j_1'' = -(d-1) j_1'/z - (1 - (d-1)/z^2) j_1.
+    Returns a float.
+    """
+    with mp.workdps(dps):
+        s = mp.mpf(d - 2) / 2
+        ainf = _mp_ainf(d)
+
+        def parts(r):
+            z = ainf * r
+            j1, j2 = (mp.besselj(s + l, z) * z ** (-s) for l in (1, 2))
+            j1p = j1 / z - j2
+            j1pp = -(d - 1) * j1p / z - (1 - (d - 1) / z**2) * j1
+            rho_pp = ainf**2 * j1pp
+            ratio = (j1 - z * j1p) / r**2
+            return (rho_pp**2 + 3 * (d - 1) * ratio**2) * r ** (d - 1), \
+                j1**2 * r ** (d - 1)
+
+        num = mp.quad(lambda r: parts(r)[0], [0, 1])
+        den = mp.quad(lambda r: parts(r)[1], [0, 1])
+        return float(num / den)
+
+
+def mp_gauss_gegenbauer(n, alpha, guess, dps=30):
+    """Nodes and weights of the n-node Gauss rule for the weight
+    (1 - t^2)^(alpha - 1/2) on [-1, 1]: the zeros of C_n^alpha from the
+    classical recurrence (k+1) C_(k+1) = 2(k+alpha) t C_k - (k+2alpha-1)
+    C_(k-1), refined from the float guesses by Newton steps in mpmath, and
+    the closed-form weights
+        pi 2^(2-2 alpha) Gamma(n+2 alpha) / (n! Gamma(alpha)^2
+        (1 - t^2) C_n^alpha'(t)^2),  C_n^alpha' = 2 alpha C_(n-1)^(alpha+1)
+    (for n = 1 the weight is the total mass of the weight function).
+    Returns two float arrays.
+    """
+    def gegenbauer(m, a, x):
+        c0, c = mp.mpf(0), mp.mpf(1)
+        for k in range(m):
+            c0, c = c, (2 * (k + a) * x * c - (k + 2 * a - 1) * c0) / (k + 1)
+        return c
+
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        scale = mp.pi * 2 ** (2 - 2 * a) * mp.gamma(n + 2 * a) \
+            / (mp.factorial(n) * mp.gamma(a) ** 2)
+        t, w = [], []
+        for x in guess:
+            x = mp.mpf(float(x))
+            for _ in range(4):
+                x -= gegenbauer(n, a, x) / (2 * a * gegenbauer(n - 1, a + 1, x))
+            t.append(x)
+            w.append(scale / ((1 - x * x)
+                              * (2 * a * gegenbauer(n - 1, a + 1, x)) ** 2))
+        return np.array([float(x) for x in t]), np.array([float(x) for x in w])
+
+
 def mp_tone(tau, d, dps=60):
     """Fundamental tone omega = a^2 (a^2 + tau) of the unit ball, in mpmath.
 

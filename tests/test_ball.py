@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from freeplate import ball
+from freeplate import ball, specfun
 from freeplate.specfun import first_zero_j1prime, ultra_i, ultra_j
 
-from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_tone,
-                     mp_ultra, rayleigh_ritz_tone, uniform_ball_samples)
+from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_membrane_C,
+                     mp_tone, mp_ultra, rayleigh_ritz_tone,
+                     uniform_ball_samples)
 
 
 def secular_term_scale(a, tau, d, radius):
@@ -143,6 +144,35 @@ def test_membrane_constant_against_monte_carlo():
     assert mc_ratio == pytest.approx(ball.membrane_C(d), rel=1e-3)
 
 
+def test_membrane_constant_against_mpmath_quadrature():
+    for d in (2, 3, 5, 10):
+        assert ball.membrane_C(d) == pytest.approx(mp_membrane_C(d), rel=1e-12)
+
+
+def test_root_finder_matches_scipy_find_root(monkeypatch):
+    # the in-repo Chandrupatla port against scipy's, on the tone solve's own
+    # brackets and secular function, d x tension from 1e-14 to 4e5
+    from scipy.optimize.elementwise import find_root
+    seen = []
+    real = ball._bracketed_root
+
+    def spy(f, lo, hi, *args):
+        out = real(f, lo, hi, *args)
+        seen.append((f, lo, hi, args, out[:2]))
+        return out
+
+    monkeypatch.setattr(ball, "_bracketed_root", spy)
+    taus = np.geomspace(1e-14, 4e5, 60)
+    for d in (2, 3, 5, 10, 30):
+        ball.fundamental_tones(taus, d)
+    assert len(seen) == 5
+    for f, lo, hi, args, (x, status) in seen:
+        ref = find_root(f, (lo, hi), args=args,
+                        tolerances={"xatol": 0.0, "xrtol": 1e-13})
+        assert np.all(status == 0) and np.all(ref.status == 0)
+        np.testing.assert_allclose(x, ref.x, rtol=1e-15, atol=0.0)
+
+
 def test_infinite_tension_ratio():
     mu2 = first_zero_j1prime(2) ** 2
     C2 = ball.membrane_C(2)
@@ -242,8 +272,16 @@ def test_solver_failure_carries_its_trace(monkeypatch):
         ball.fundamental_tone(0.5, 3)
     msg = str(info.value)
     for part in ("tau=0.5", "d=3", "a*radius in [", "V=1 and V=1",
-                 "status -1"):
+                 "no sign change"):
         assert part in msg
+
+
+def test_solver_budget_failure_carries_its_trace(monkeypatch):
+    first_zero_j1prime(3)       # cached before the budget shrinks
+    monkeypatch.setattr(specfun, "_ROOT_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="iteration budget") as info:
+        ball.fundamental_tone(0.5, 3)
+    assert "tau=0.5" in str(info.value) and "a*radius in [" in str(info.value)
 
 
 def test_overflow_propagates_from_the_batch():

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freeplate
 from freeplate import ball, report
 from freeplate.cli import main
 from freeplate.specfun import first_zero_j1prime
@@ -395,3 +399,26 @@ def test_verify_lists_failing_lemmas(capsys, monkeypatch):
     assert "failing lemmas: planted-failure[d=2]" in err
     assert any(line.startswith("planted-failure[d=2],false")
                for line in out.splitlines())
+
+
+def test_cli_loads_no_optimize_integrate_or_linalg(tmp_path):
+    # the tone path runs on numpy and scipy.special alone. A fresh process
+    # runs a tone and a 3-d ellipsoid quotient, so a lazy import inside a
+    # call (roots_gegenbauer's of scipy.linalg, say) shows up too
+    cfg = tmp_path / "el.cfg"
+    cfg.write_text("shape=ellipsoid\ndim=3\nsemiaxes=1.2,1,0.8\n",
+                   encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from freeplate.cli import main\n"
+        "assert main(['tone', '--dim', '3', '--tau', '1']) == 0\n"
+        f"assert main(['quotient', '--domain', {str(cfg)!r}, '--tau', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.optimize', 'scipy.integrate', 'scipy.linalg'))))\n")
+    src = str(Path(freeplate.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -8,6 +8,8 @@ from freeplate import ball as ballmod
 from freeplate import geom, trial
 from freeplate.geom import QuadratureSpec
 
+from oracles import mp_gauss_gegenbauer
+
 
 def profile(d=2, tau=1.0):
     return trial.TrialProfile(ballmod.fundamental_tone(tau, d))
@@ -154,6 +156,33 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError, match="d = 30 needs 1073741824 "
                                          "directions.*--quad mc"):
         geom._sphere_rule(30, 8192)
+
+
+def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
+    # every (n, alpha) that the default radial rule builds at d = 3..6.
+    # Nodes against scipy's roots_gegenbauer; weights against 30-digit
+    # mpmath, and against scipy only as far as scipy's own weights go
+    # (4e-12 relative at n = 64 against the same mpmath reference)
+    from scipy.special import roots_gegenbauer
+    built = set()
+    real = geom._gauss_gegenbauer
+
+    def spy(n, alpha):
+        built.add((n, alpha))
+        return real(n, alpha)
+
+    monkeypatch.setattr(geom, "_gauss_gegenbauer", spy)
+    for d in range(3, 7):
+        geom._sphere_rule(d, geom.default_quadrature(d).cells)
+    assert (64, 0.5) in built and (3, 2.0) in built
+    for n, alpha in sorted(built):
+        t, w = real(n, alpha)
+        t_sp, w_sp = roots_gegenbauer(n, alpha)
+        t_mp, w_mp = mp_gauss_gegenbauer(n, alpha, t)
+        np.testing.assert_allclose(t, t_sp, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(t, t_mp, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, w_mp, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(w, w_sp, rtol=1e-11, atol=0.0)
 
 
 def test_integrate_radial_closed_forms():

@@ -6,7 +6,7 @@ import pytest
 
 from freeplate import specfun as sf
 
-from oracles import mp_ultra
+from oracles import _mp_ainf, mp_ultra
 
 
 def test_zero_argument_second_derivatives_vanish():
@@ -257,3 +257,39 @@ def test_series_oracle_holds_at_large_arguments():
     assert mp_ultra("i", 7, 8, 648.0) == pytest.approx(float(ref), rel=1e-14)
     ref = mp.besselj(2.5, 900) * mp.mpf(900) ** -1.5
     assert mp_ultra("j", 1, 5, 900.0) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_first_zero_j1prime_against_mpmath():
+    for d in range(2, 31):
+        ref = _mp_ainf(d)
+        assert abs(sf.first_zero_j1prime(d) - ref) <= 1e-13 * ref, d
+
+
+def test_bracketed_root_statuses_and_brackets():
+    # a cubic with its root at c, a bracket without a sign change, and two
+    # whose end is the root; only running elements are evaluated, each
+    # with its own c
+    calls = []
+
+    def f(x, c):
+        calls.append(x.size)
+        return (x - c) ** 3 + (x - c)
+
+    lo, hi = np.array([0.0, 2.0, 0.0, 1.0]), np.array([3.0, 3.0, 1.0, 5.0])
+    c = np.array([1.7, 1.0, 1.0, 1.0])
+    x, status, (xl, xr), (fl, fr) = sf._bracketed_root(f, lo, hi, c)
+    names = [sf._ROOT_STATUS[k] for k in status]
+    assert names == ["converged", "no sign change", "converged", "converged"]
+    assert x[0] == pytest.approx(1.7, rel=1e-13) and np.isnan(x[1])
+    assert x[2] == x[3] == 1.0
+    assert np.all(xl <= xr) and (xl[1], xr[1]) == (2.0, 3.0)
+    assert np.all(fl[[0, 2, 3]] <= 0) and np.all(fr[[0, 2, 3]] >= 0)
+    assert calls[:2] == [4, 4] and all(n == 1 for n in calls[2:])
+
+
+def test_bracketed_root_reports_the_iteration_budget(monkeypatch):
+    monkeypatch.setattr(sf, "_ROOT_MAX_ITER", 2)
+    x, status, (xl, xr), _ = sf._bracketed_root(
+        lambda x: np.tanh(x - 0.3), np.array([-1.0]), np.array([4.0]))
+    assert sf._ROOT_STATUS[status[0]] == "iteration budget"
+    assert xl[0] < 0.3 < xr[0] and xl[0] <= x[0] <= xr[0]

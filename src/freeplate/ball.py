@@ -55,31 +55,46 @@ class BallMode:
             raise ValueError("a radius must lie in (0, first zero of j_1')")
 
 
+def _unit_tension(tau, radius):
+    # validate tau (one or an array) and radius; tau R^2 on the unit ball
+    if not np.all(np.isfinite(tau) & (tau > 0)):
+        raise ValueError("tau must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be positive")
+    with np.errstate(over="ignore", under="ignore"):
+        t = tau * np.float64(radius) ** 2
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError(f"tau R^2 is no positive finite double at radius={radius:g}")
+    return t
+
+
 def _unit_args(a, tau, d, radius):
     # validate (a, tau) and map them to the unit ball: (a R, tau R^2)
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    t = _unit_tension(tau, radius)
     z = np.asarray(a, dtype=float) * radius
     ainf = first_zero_j1prime(d)
     if np.any(z <= 0) or np.any(z >= ainf):
         raise ValueError(f"wavenumber a must lie in (0, {ainf / radius:.6g})")
-    return z, tau * radius**2
+    return z, t
+
+
+def _coupling(a, b, j2, j3, i2, i3):
+    # gamma on the unit ball from j_2, j_3 at a and i_2, i_3 at b: R''(1) = 0
+    # with the order recurrences j_1'' = j_3 - 3 j_2/z, i_1'' = i_3 + 3 i_2/z
+    return -a * (a * j3 - 3.0 * j2) / (b * (b * i3 + 3.0 * i2))
 
 
 def _secular_parts(a, tau, d):
     # gamma and V on the unit ball from j_1..j_3 at a and i_1..i_3 at b.
-    # The order recurrences give j_1'' = j_3 - 3 j_2/z, i_1'' = i_3 + 3 i_2/z
-    # and z j_1' - j_1 = -z j_2, z i_1' - i_1 = z i_2; with R''(1) = 0 the
-    # radial equations turn (d-1)(R'(1) - R(1)) into gamma b^2 i_1 - a^2 j_1,
-    # so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2, three terms of V's own
-    # order z^5: nothing cancels at small tension
+    # The order recurrences give z j_1' - j_1 = -z j_2, z i_1' - i_1 = z i_2;
+    # with R''(1) = 0 the radial equations turn (d-1)(R'(1) - R(1)) into
+    # gamma b^2 i_1 - a^2 j_1, so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2,
+    # three terms of V's own order z^5: nothing cancels at small tension
     b = np.sqrt(a * a + tau)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     j1, j2, j3 = (J(l, 0) for l in (1, 2, 3))
     i1, i2, i3 = (I(l, 0) for l in (1, 2, 3))
-    gamma = -a * (a * j3 - 3.0 * j2) / (b * (b * i3 + 3.0 * i2))
+    gamma = _coupling(a, b, j2, j3, i2, i3)
     slope = j1 - a * j2 + gamma * (i1 + b * i2)
     return gamma, tau * slope - a**3 * j2 - gamma * b**3 * i2
 
@@ -111,10 +126,12 @@ def secular_V(a, tau, d, radius=1.0):
     return float(_secular_vec(*_unit_args(a, tau, d, radius), d)) / radius**3
 
 
-def _residual_scales(d, R, a, b, gamma, tau):
+def _residual_scales(d, R, a, b, gamma, tau, tables=None):
     """Natural scales and residuals of the two boundary conditions, in
-    the closed form of secular_V; a, b, gamma and tau may be arrays."""
-    J, I = _ultra_table("j", 1, d, a * R, 2), _ultra_table("i", 1, d, b * R, 2)
+    the closed form of secular_V; a, b, gamma and tau may be arrays, and
+    tables the _ultra_table pair at aR and bR where it is built already."""
+    J, I = tables or (_ultra_table("j", 1, d, a * R, 2),
+                      _ultra_table("i", 1, d, b * R, 2))
     t1 = a * a * J(1, 2)
     t2 = gamma * b * b * I(1, 2)
     m_res, m_scale = abs(t1 + t2), abs(t1) + abs(t2)
@@ -138,22 +155,20 @@ def fundamental_tones(taus, d, radius=1.0):
     """Solve for the fundamental mode of the ball at every tension of taus
     at once, as a list of BallMode.
 
-    The linear bounds tau mu < omega < tau (d+2) with omega = a^2 (a^2 +
-    tau) bracket the unit-ball wavenumber in closed form. Widened by a
-    relative _WIDEN and clipped below ainf, the brackets go to one
-    vectorized root find (specfun._bracketed_root, Chandrupatla's method)
-    at a relative tolerance of 1e-13; other radii follow from
-    omega_R(tau) = R^-4 omega_1(tau R^2). The first tension that fails
-    raises a RuntimeError with its bracket, V at both ends and the status.
+    The solve runs on the unit ball at tau R^2 (a positive finite double,
+    or ValueError); omega_R(tau) = R^-4 omega_1(tau R^2). The linear bounds
+    tau mu < omega < tau (d+2), omega = a^2 (a^2 + tau), bracket the
+    wavenumber in closed form; widened by a relative _WIDEN and clipped
+    below ainf, they go to one vectorized root find (Chandrupatla's, in
+    specfun._bracketed_root) at a relative tolerance of 1e-13. gamma comes
+    from the tables of the residual check at the roots. The first tension
+    that fails raises a RuntimeError with its bracket, V at both ends and
+    the status.
     """
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
     taus = np.asarray(taus, dtype=float).ravel()
-    if not np.all(np.isfinite(taus) & (taus > 0)):
-        raise ValueError("tau must be positive")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive")
-    t = taus * radius**2
+    t = _unit_tension(taus, radius)
     ainf = first_zero_j1prime(d)
     # a^2 (a^2 + t) = w at the two bounds w, solved free of cancellation
     w = np.outer([ainf**2, d + 2], t)
@@ -165,8 +180,9 @@ def fundamental_tones(taus, d, radius=1.0):
     ok = status == 0
     a = np.where(ok, x, lo)     # lo stands in where the solve failed
     b = np.sqrt(a * a + t)
-    gamma = _secular_parts(a, t, d)[0]
-    m_res, m_scale, v_res, v_scale = _residual_scales(d, 1.0, a, b, gamma, t)
+    J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
+    gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
+    m_res, m_scale, v_res, v_scale = _residual_scales(d, 1.0, a, b, gamma, t, (J, I))
     bad = ~ok | (m_res > RESIDUAL_TOL * m_scale) \
         | (v_res > RESIDUAL_TOL * v_scale)
     if bad.any():

@@ -16,6 +16,7 @@ and exact order recurrences give the derivatives.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 from scipy import special
@@ -46,33 +47,18 @@ class UltraBesselParams:
         object.__setattr__(self, "s", (self.d - 2) / 2.0)
 
 
-@dataclass(frozen=True)
-class SeriesCoeff:
-    """Coefficient d_k = (2k+1) / ((k-1)! Gamma(k+1+d/2)) 2^(1-2k-d/2)."""
-
-    k: int
-    d: int
-    value: float = field(init=False)
-
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError("index k must be an integer >= 1")
-        if not (isinstance(self.d, int) and self.d >= 2):
-            raise ValueError("dimension d must be an integer >= 2")
-        k, d = self.k, self.d
-        if k + 1 + d / 2 < 170:
-            value = (2 * k + 1) / (math.factorial(k - 1) * math.gamma(k + 1 + d / 2)) \
-                * 2.0 ** (1 - 2 * k - d / 2)
-        else:
-            value = (2 * k + 1) * math.exp(
-                -math.lgamma(k) - math.lgamma(k + 1 + d / 2)
-                + (1 - 2 * k - d / 2) * math.log(2.0))
-        object.__setattr__(self, "value", value)
-
-
 def series_coeff_dk(k, d):
-    """Series coefficient d_k, positive for every k >= 1, d >= 2."""
-    return SeriesCoeff(k, d).value
+    """Coefficient d_k = (2k+1) / ((k-1)! Gamma(k+1+d/2)) 2^(1-2k-d/2),
+    positive for every k >= 1, d >= 2."""
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError("index k must be an integer >= 1")
+    if not (isinstance(d, int) and d >= 2):
+        raise ValueError("dimension d must be an integer >= 2")
+    if k + 1 + d / 2 < 170:
+        return (2 * k + 1) / (math.factorial(k - 1) * math.gamma(k + 1 + d / 2)) \
+            * 2.0 ** (1 - 2 * k - d / 2)
+    return (2 * k + 1) * math.exp(-math.lgamma(k) - math.lgamma(k + 1 + d / 2)
+                                  + (1 - 2 * k - d / 2) * math.log(2.0))
 
 
 def _series_eval(kind, l, d, deriv, z):
@@ -86,55 +72,62 @@ def _series_eval(kind, l, d, deriv, z):
     |term| q / (1 - q). The term count is fixed before the sum, from these
     ratios at the largest z, so that the tail is below 1e-17 of the total
     at every point, which leaves the rounded total unchanged.
+
+    l is one order, or a range of orders summed in one pass, a row each
+    bit for bit its own sum: each keeps its term count and power of z.
     """
     s = (d - 2) / 2.0
     sign = -1.0 if kind == "j" else 1.0
     z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        return np.empty(0)
-    k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
-    m0 = l + 2 * k
     zz = z * z / 4.0
-    zz_max = float(np.max(zz))
+    zz_max = float(np.max(zz, initial=0.0))
+    one = isinstance(l, int)
 
     def ratio(j):
         m = l + 2 * j
         return (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
                                         * (j + 1.0) * (s + l + j + 1.0))
 
-    # |total| >= |term_k0| (1 - q_k0) for the alternating j series, whose
-    # terms fall from the first on, and >= |term_k0| for i; |term_n| is at
-    # most |term_k0| times the product of the q before n at every point
-    floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
-    if floor <= 0.0:
-        raise ValueError("series used beyond its range of convergence")
-    ratios, lead = [], 1.0
-    while True:
-        r = ratio(k + len(ratios))
-        q = r * zz_max
-        if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
-            break
-        ratios.append(r)
-        lead *= q
-    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
-    fall = 1.0
-    for i in range(deriv):
-        fall *= m0 - i
-    term = (sign**k * fall * math.exp(lognorm)) * np.power(z, m0 - deriv)
+    terms, ratios = [], []
+    for l in [l] if one else l:
+        k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
+        m0 = l + 2 * k
+        # |total| >= |term_k| (1 - q_k) for the alternating j series, whose
+        # terms fall from the first on, and >= |term_k| for i; |term_n| is
+        # at most |term_k| times the product of the q before n at every point
+        floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
+        if floor <= 0.0:
+            raise ValueError("series used beyond its range of convergence")
+        rs, lead = [], 1.0
+        while True:
+            r = ratio(k + len(rs))
+            q = r * zz_max
+            if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
+                break
+            rs.append(r)
+            lead *= q
+        ratios.append(rs)
+        lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
+        fall = math.prod(range(m0 - deriv + 1, m0 + 1))
+        terms.append(sign**k * fall * math.exp(lognorm) * np.power(z, m0 - deriv))
+    term = np.array(terms)
     total = term.copy()
-    for r in ratios:
+    # shorter sums pad with -0.0 ratios, whose +-0 terms leave every sum
+    # as it was, a -0.0 one included
+    steps = list(zip_longest(*ratios, fillvalue=-0.0))
+    for r in np.reshape(steps, (-1, len(terms), 1)):
         term = term * (sign * zz) * r
         total += term
-    return total
+    return total[0] if one else total
 
 
 def _kernel_table(kind, l, d, deriv, z):
-    """T[k][m], the k-th derivative of the order-(l+m) function for
-    k + m <= deriv, at z > SMALL_Z (array).
+    """row(k), the list T[k][m] of the k-th derivatives of the orders l+m,
+    m <= deriv - k, at z > SMALL_Z (array).
 
     One call of scipy's jv or iv over the kernel orders s+l..s+l+deriv gives
-    the row T[0]; repeated exact application of w' = (m/z) w -/+ w_(m+1),
-    expanded with the Leibniz rule, gives the others:
+    the row T[0]; the others, built on first request, follow by repeated
+    exact application of w' = (m/z) w -/+ w_(m+1), with the Leibniz rule:
         T[k+1][m] = (l+m) sum_i C(k,i) (-1)^i i! z^-(i+1) T[k-i][m]
                     + sign T[k][m+1].
     """
@@ -144,27 +137,29 @@ def _kernel_table(kind, l, d, deriv, z):
     orders = s + l + np.arange(deriv + 1, dtype=float)
     T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
     inv = 1.0 / z
-    for k in range(deriv):
-        row = []
-        for m in range(deriv - k):
-            acc = np.zeros_like(z)
-            for i in range(k + 1):
-                acc += (math.comb(k, i) * (-1.0) ** i * math.factorial(i)) * inv ** (i + 1) \
-                    * T[k - i][m]
-            row.append((l + m) * acc + sign * T[k][m + 1])
-        T.append(row)
-    return T
+
+    def row(k):
+        for n in range(len(T) - 1, k):     # T[n + 1] from T[0..n]
+            c = [math.comb(n, i) * (-1.0) ** i * math.factorial(i)
+                 for i in range(n + 1)]
+            T.append([(l + m) * sum(c[i] * inv ** (i + 1) * T[n - i][m]
+                                    for i in range(n + 1))
+                      + sign * T[n][m + 1] for m in range(deriv - n)])
+        return T[k]
+
+    return row
 
 
 def _ultra_table(kind, l, d, z, deriv):
     """Table of j (kind "j") or i of orders l.. at z, for derivatives up to
-    deriv.
+    deriv; deriv also sets the span of orders, (order - l) + k <= deriv,
+    so a table of l = 1 and deriv = 2 serves j_3 as well.
 
-    Validates z once and makes one _kernel_table call for the points above
-    SMALL_Z. Returns entry(order, k), the k-th derivative of the function
-    of that order, for l <= order and (order - l) + k <= deriv: bit for bit
-    the value ultra_j/ultra_i give, with the points at or below SMALL_Z
-    summed by _series_eval for that entry alone. A scalar z gives floats.
+    Validates z once, by its min and max. Returns entry(order, k), the k-th
+    derivative of that order, bit for bit the value ultra_j/ultra_i give.
+    The first entry of each k builds its row: of the one _kernel_table
+    above SMALL_Z, and of one _series_eval pass over the orders
+    l..l+deriv-k at or below it. A scalar z gives floats.
     """
     UltraBesselParams(l, d)     # validates l, d
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
@@ -172,23 +167,29 @@ def _ultra_table(kind, l, d, z, deriv):
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
+    # nan propagates through min and max; an empty z passes as all-small
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ValueError("z must be nonnegative")
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
-    if np.any(arr > zmax):
+    if hi > zmax:
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
     small = arr <= SMALL_Z
-    z_small = arr[small] if small.any() else None
-    T = None if small.all() else _kernel_table(kind, l, d, deriv, arr[~small])
+    z_small = arr[small] if lo <= SMALL_Z else None
+    T = None if hi <= SMALL_Z else _kernel_table(kind, l, d, deriv, arr[~small])
+    series = {}
 
     def entry(order, k):
         out = np.empty(arr.shape)
         if z_small is not None:
-            out[small] = _series_eval(kind, order, d, k, z_small)
+            if k not in series:
+                series[k] = _series_eval(
+                    kind, range(l, l + deriv - k + 1), d, k, z_small)
+            out[small] = series[k][order - l]
         if T is not None:
-            out[~small] = T[k][order - l]
+            out[~small] = T(k)[order - l]
         return float(out[0]) if scalar else out
 
     return entry
@@ -218,18 +219,20 @@ def _bracketed_root(f, lo, hi, *args):
     (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation where the
     last three points allow it, bisection otherwise.
 
-    Each element stops once its bracket is narrower than _ROOT_XRTOL times
-    its end with the smaller |f|, or once f there is 0 or subnormal; only
-    the elements still running are evaluated. The arrays args run with x.
+    One call of f on lo and hi joined starts every bracket. Each element
+    stops once its bracket is narrower than _ROOT_XRTOL times its end with
+    the smaller |f|, or once f there is 0 or subnormal; each later call
+    evaluates only the elements still running. The arrays args run with x.
     Returns x (nan where no sign change), the status as an index into
     _ROOT_STATUS, and the final bracket and f at its ends, each ordered
     left to right.
     """
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    args = [np.broadcast_to(arg, x1.shape) for arg in args]
-    f1, f2 = f(x1, *args), f(x2, *args)
-    x3, f3 = x2, f2     # the previous point; set by every step
     size = x1.size
+    args = [np.broadcast_to(arg, x1.shape) for arg in args]
+    both = f(np.concatenate([x1, x2]), *(np.concatenate([arg, arg]) for arg in args))
+    f1, f2 = both[:size], both[size:]
+    x3, f3 = x2, f2     # the previous point; set by every step
     act = np.arange(size)
     x, status = np.full(size, np.nan), np.zeros(size, dtype=int)
     ends = np.empty((4, size))

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from freeplate import ball, specfun
 from freeplate.specfun import first_zero_j1prime, ultra_i, ultra_j
@@ -282,6 +284,37 @@ def test_solver_budget_failure_carries_its_trace(monkeypatch):
     with pytest.raises(RuntimeError, match="iteration budget") as info:
         ball.fundamental_tone(0.5, 3)
     assert "tau=0.5" in str(info.value) and "a*radius in [" in str(info.value)
+
+
+def test_tone_solve_call_budget(monkeypatch):
+    # secular evaluations and jv/iv calls of one solve, with its gamma and
+    # residual check, on both sides of SMALL_Z: both bracket ends share the
+    # first evaluation, and gamma comes from the residual check's tables,
+    # so a solve above SMALL_Z makes one jv and one iv call more than it
+    # makes secular evaluations, and a solve at or below SMALL_Z makes none
+    counts = dict.fromkeys(("secular", "jv", "iv"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(ball, "_secular_parts",
+                        counted("secular", ball._secular_parts))
+    monkeypatch.setattr(specfun, "special", SimpleNamespace(
+        jv=counted("jv", special.jv), iv=counted("iv", special.iv)))
+    # (d, tau): a and b at or below SMALL_Z (the first two), a just above
+    # it, then far above
+    budget = {(2, 1e-6): (5, 0), (3, 1e-2): (6, 0), (3, 2e-2): (6, 7),
+              (5, 1.0): (6, 7), (30, 1e5): (5, 6)}
+    for (d, tau), (secular, kernel) in budget.items():
+        first_zero_j1prime(d)           # cached outside the count
+        counts.update(dict.fromkeys(counts, 0))
+        mode = ball.fundamental_tone(tau, d)
+        assert (max(mode.a, mode.b) <= specfun.SMALL_Z) == (kernel == 0)
+        assert (counts["secular"], counts["jv"], counts["iv"]) == (
+            secular, kernel, kernel), (d, tau)
 
 
 def test_overflow_propagates_from_the_batch():

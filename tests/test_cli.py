@@ -76,6 +76,37 @@ def test_tone_solves_tiny_radius_and_tiny_tension(capsys):
         assert float(vals["omega"]) * R**4 == pytest.approx(ref, rel=1e-7)
 
 
+def test_tone_rejects_a_tension_scale_beyond_double_range(capsys):
+    # tau R^2 overflows at radius 1e200 and underflows at 1e-200: a
+    # diagnostic that names it, with no traceback and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in ("1e200", "1e-200"):
+            code, out, err = run(capsys, "tone", "--dim", "2", "--tau", "1",
+                                 "--radius", radius)
+            assert code == 2 and out == ""
+            assert err.startswith("error: tau R^2 is no positive finite double")
+    for radius in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="tau R"):
+            ball.fundamental_tones([1.0, 2.0], 3, radius)
+        with pytest.raises(ValueError, match="tau R"):
+            ball.gamma_of(0.5 / radius, 1.0, 3, radius)
+
+
+def test_tone_outputs_match_the_pinned_records(tmp_path):
+    # every record of d in {2, 3, 5, 10, 30} x tau R^2 in {1e-8, 1e-3, 1,
+    # 1e2, 1e5} x R in {1e-2, 1, 1e2}, byte for byte; the file holds each
+    # argv after "$ " and then the output of tone for it
+    text = (Path(__file__).parent / "data" / "tone_outputs.txt"
+            ).read_text(encoding="utf-8")
+    records = [r.split("\n", 1) for r in text.split("$ ")[1:]]
+    assert len(records) == 75
+    out = tmp_path / "tone.txt"
+    for argv, pinned in records:
+        assert main(argv.split() + ["--out", str(out)]) == 0, argv
+        assert out.read_text(encoding="utf-8") == pinned, argv
+
+
 def test_sweep_rows_satisfy_the_bound_sandwich(capsys):
     code, out, _ = run(capsys, "sweep", "--dim", "2", "--tau-min", "0.01",
                        "--tau-max", "100", "--tau-steps", "9", "--log")

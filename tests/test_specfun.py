@@ -109,7 +109,7 @@ def test_series_and_kernel_agree_on_small_arguments():
         for l in (0, 1, 2):
             for deriv in (0, 1):
                 series = sf._series_eval("j", l, d, deriv, zs)
-                kernel = sf._kernel_table("j", l, d, deriv, zs)[deriv][0]
+                kernel = sf._kernel_table("j", l, d, deriv, zs)(deriv)[0]
                 rel = np.abs(series - kernel) / np.maximum(np.abs(series), 1e-300)
                 assert float(rel.max()) < 1e-12
 
@@ -133,6 +133,71 @@ def test_table_entries_match_single_kernels_bit_for_bit():
                 assert isinstance(table(3, 2), float)
 
 
+def test_multi_order_series_rows_match_single_orders_bit_for_bit():
+    # one pass over the orders l..l+deriv pads the shorter sums with zero
+    # ratios; every row must still be that order's own sum, sign of zero
+    # included
+    straddle = np.concatenate([[0.0], np.geomspace(1e-3, sf.SMALL_Z, 6),
+                               sf.SMALL_Z + np.geomspace(1e-9, 20.0, 7)])
+    small = straddle[straddle <= sf.SMALL_Z]
+    for kind in ("j", "i"):
+        for d in (2, 3, 8, 30):
+            for l in range(sf.MAX_ORDER + 1):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    # [0, 6e-9]: at 0 the sum of an order without terms
+                    # past its first stays -0.0 beside longer sums
+                    for zs in (small, np.array([0.3]), np.array([1e-7]),
+                               np.array([0.0, 6e-9])):
+                        rows = sf._series_eval(kind, range(l, l + deriv + 1),
+                                               d, deriv, zs)
+                        assert rows.shape == (deriv + 1, zs.size)
+                        for m, row in enumerate(rows):
+                            ref = sf._series_eval(kind, l + m, d, deriv, zs)
+                            assert row.tobytes() == ref.tobytes()
+    assert sf._series_eval("j", 1, 2, 0, np.empty(0)).shape == (0,)
+
+
+def _all_rows_kernel_table(kind, l, d, deriv, z):
+    # every row of the derivative recurrence at once, as a reference for the
+    # rows that _kernel_table builds on request
+    s = (d - 2) / 2.0
+    sign = -1.0 if kind == "j" else 1.0
+    bessel = sf.special.jv if kind == "j" else sf.special.iv
+    orders = s + l + np.arange(deriv + 1, dtype=float)
+    T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
+    inv = 1.0 / z
+    for k in range(deriv):
+        row = []
+        for m in range(deriv - k):
+            acc = np.zeros_like(z)
+            for i in range(k + 1):
+                acc += (math.comb(k, i) * (-1.0) ** i * math.factorial(i)) \
+                    * inv ** (i + 1) * T[k - i][m]
+            row.append((l + m) * acc + sign * T[k][m + 1])
+        T.append(row)
+    return T
+
+
+def test_kernel_rows_built_on_request_match_the_all_rows_table():
+    zs = sf.SMALL_Z + np.geomspace(1e-9, 20.0, 9)
+    for kind in ("j", "i"):
+        for d in (2, 3, 8, 30):
+            for l in range(sf.MAX_ORDER + 1):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    ref = _all_rows_kernel_table(kind, l, d, deriv, zs)
+                    # rows asked for from the top down and from the bottom up
+                    down = sf._kernel_table(kind, l, d, deriv, zs)
+                    up = sf._kernel_table(kind, l, d, deriv, zs)
+                    got_down = [down(k) for k in reversed(range(deriv + 1))]
+                    got_up = [up(k) for k in range(deriv + 1)]
+                    for k in range(deriv + 1):
+                        assert len(got_up[k]) == len(ref[k]) == deriv - k + 1
+                        for m in range(deriv - k + 1):
+                            want = ref[k][m].tobytes()
+                            assert got_up[k][m].tobytes() == want
+                            assert got_down[deriv - k][m].tobytes() == want
+
+
 def test_table_error_contracts():
     for kind in ("j", "i"):
         for bad in (-1.0, float("nan"), float("inf")):
@@ -146,6 +211,12 @@ def test_table_error_contracts():
         sf._ultra_table("i", 1, 2, np.array([1.0, 700.0]), 2)
     with pytest.raises(OverflowError):
         sf._ultra_table("j", 1, 2, np.array([1.0, 2.0e15]), 2)
+    # not finite before negative before beyond range, whatever the order
+    with pytest.raises(ValueError, match="finite"):
+        sf._ultra_table("i", 1, 2, np.array([-1.0, 700.0, np.nan]), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sf._ultra_table("i", 1, 2, np.array([700.0, -1.0]), 2)
+    assert sf._ultra_table("j", 1, 2, np.empty(0), 2)(2, 1).shape == (0,)
 
 
 def test_modified_function_positivity():
@@ -284,7 +355,7 @@ def test_bracketed_root_statuses_and_brackets():
     assert x[2] == x[3] == 1.0
     assert np.all(xl <= xr) and (xl[1], xr[1]) == (2.0, 3.0)
     assert np.all(fl[[0, 2, 3]] <= 0) and np.all(fr[[0, 2, 3]] >= 0)
-    assert calls[:2] == [4, 4] and all(n == 1 for n in calls[2:])
+    assert calls[0] == 8 and all(n == 1 for n in calls[1:])
 
 
 def test_bracketed_root_reports_the_iteration_budget(monkeypatch):

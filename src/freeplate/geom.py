@@ -28,11 +28,14 @@ _SHAPES = {"ball": ("radius",), "ellipsoid": ("semiaxes",), "box": ("sides",),
            "implicit": ("expr", "bounds")}
 _SYMMETRIC = frozenset(("ball", "ellipsoid", "box", "annulus"))
 _MC_CHUNK = 2**20
-# implicit domains: each ray is sampled on contains every 1/_RAY_STEPS of
-# the bbox diagonal, so this is the thinnest feature the ray cast resolves
-# (as the cell is for the grid); sign changes are then bisected
+# implicit domains: each ray is sampled on contains at steps of at most
+# 1/_RAY_STEPS of the bbox diagonal, so this is the thinnest feature the
+# ray cast resolves (as the cell is for the grid); changes are bisected
 _RAY_STEPS = 256
-_RAY_CHUNK = 2**18      # ray samples per contains call
+# ray samples per contains call: at 2**15 (256 KiB an array of doubles) a
+# chunk's coordinates and the expression's temporaries stay within a core's
+# 2 MiB L2 cache; at 2**18 they spill it and the cast runs slower
+_RAY_CHUNK = 2**15
 _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
 _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
 _PANELS = 64            # radial panels per unit of the table's variable
@@ -160,12 +163,16 @@ class Domain:
     def _ray_cast(self, o, u):
         # sample each ray inside the bbox at steps of at most
         # diameter / _RAY_STEPS, then bisect every change of membership;
-        # beyond the bbox counts as outside
+        # beyond the bbox counts as outside. No span inside the bbox is
+        # longer than the farthest corner's distance or the diameter, and
+        # the step count follows that bound, not the rays of this call, so
+        # a ray's crossings depend on the origin and its direction alone
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
         t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
         m, span = u.shape[0], t_out - t_in
-        steps = max(1, math.ceil(float(np.max(span)) * _RAY_STEPS
-                                 / self.diameter()))
+        diam = self.diameter()
+        far = float(np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o))))
+        steps = max(1, math.ceil(min(far, diam) * _RAY_STEPS / diam))
         frac = np.arange(steps + 1) / steps
         inside = np.zeros((m, steps + 3), dtype=bool)
         rows = max(1, _RAY_CHUNK // (steps + 1))
@@ -186,11 +193,11 @@ class Domain:
         tc = t_in[r] + span[r] * frac[np.clip(c, 0, steps)]
         mid = (c > 0) & (c <= steps)
         rm, a_in = r[mid], inside[r[mid], c[mid]]
-        bm = tc[mid]
+        bm, um = tc[mid], u[rm]
         am = t_in[rm] + span[rm] * frac[c[mid] - 1]
         for _ in range(_BISECTIONS):
             h = 0.5 * (am + bm)
-            same = self.contains(o + h[:, None] * u[rm]) == a_in
+            same = self.contains(o + h[:, None] * um) == a_in
             am, bm = np.where(same, h, am), np.where(same, bm, h)
         tc[mid] = 0.5 * (am + bm)
         slot = np.arange(r.size) - np.searchsorted(r, r)
@@ -422,9 +429,10 @@ def normalize_volume(domain, target=None):
                    bbox=(_tup(s * lo), _tup(s * hi)))
 
 
-def _integrate(domain, fs, quad, center):
-    """Integrals of the radial functions fs(|x - center|) over the domain
-    from the grid or mc node set, whose only consumer this is.
+def _integrate(domain, f, quad, center):
+    """Integrals of the radial functions whose values f(|x - center|)
+    returns as a sequence, over the domain from the grid or mc node set,
+    whose only consumer this is.
 
     Returns (values, error bars, covariance). grid: the midpoint rule on
     the bbox cells (quad.cells per axis), bars |full - half| from a pass
@@ -438,8 +446,7 @@ def _integrate(domain, fs, quad, center):
 
     def values(pts):
         pts = pts[domain.contains(pts)]
-        r = np.linalg.norm(pts - c, axis=1)
-        return [f(r) for f in fs]
+        return f(np.linalg.norm(pts - c, axis=1))
 
     if quad.kind == "grid":
         def midpoint(cells):
@@ -594,58 +601,62 @@ _TO_SERIES = np.linalg.inv(legendre.legvander(_NODES, _GAUSS_NODES - 1))
 _TO_INTEGRAL = legendre.legint(_TO_SERIES, lbnd=-1.0)
 
 
-def _radial_tables(g, umax, panels=_PANELS):
-    """One _RadialTable per radial profile on [0, umax], from one call
+def _radial_table(g, umax, panels):
+    """The _RadialTable of the radial profiles on [0, umax], from one call
     g(u) at the Gauss-Legendre nodes of panels of width 1 / panels that
     returns the profiles' values as a sequence."""
     top = math.ceil(max(umax, 1.0) * panels)
     u = (np.arange(top)[:, None] + 0.5 * (_NODES + 1.0)) / panels
-    return [_RadialTable(u, gu.reshape(u.shape), panels)
-            for gu in g(u.ravel())]
+    return _RadialTable(u, [gu.reshape(u.shape) for gu in g(u.ravel())],
+                        panels)
 
 
 class _RadialTable:
-    """A radial profile g(u) from its values gu at the panel nodes u of
-    _radial_tables.
+    """Radial profiles g_i(u) from their values gus[i] at the panel nodes u
+    of _radial_table.
 
     u = 1, where the trial profile's third derivative jumps, is a panel
-    edge. Inside each panel g is the polynomial through the panel's
-    values: calling the table evaluates it (grid and mc nodes), and G(d)
-    gives R -> int_0^R g(u) u^(d-1) du, each panel's integral exact for
-    polynomials of degree 2 * _GAUSS_NODES - 1 (radial rule).
+    edge. Inside each panel g_i is the polynomial through the panel's
+    values: calling the table evaluates every g_i (grid and mc nodes), and
+    G(d) gives R -> [int_0^R g_i(u) u^(d-1) du], each panel's integral
+    exact for polynomials of degree 2 * _GAUSS_NODES - 1 (radial rule).
+    Both take the panel index and the Legendre basis at R once for all
+    profiles.
     """
 
-    def __init__(self, u, gu, panels):
-        self.u, self.gu, self.panels = u, gu, panels
+    def __init__(self, u, gus, panels):
+        self.u, self.gus, self.panels = u, gus, panels
         self.top = u.shape[0]
 
-    def _series(self, R, coef):
-        # panel index of each R and the panel's Legendre series there,
-        # summed by the three-term recurrence
+    def _series(self, R, coefs):
+        # panel index of each R and the Legendre series of every coef (all
+        # of one degree) there: one three-term recurrence, each series
+        # summed term by term
         R = np.asarray(R, dtype=float)
         if R.size and R.max() > self.top / self.panels:
             raise ValueError("radius beyond the radial table")
         j = np.minimum((R * self.panels).astype(int), self.top - 1)
         x = 2.0 * (R * self.panels - j) - 1.0
         p0, p1 = np.ones_like(x), x
-        out = coef[j, 0] + coef[j, 1] * x
-        for k in range(1, coef.shape[1] - 1):
+        outs = [coef[j, 0] + coef[j, 1] * x for coef in coefs]
+        for k in range(1, coefs[0].shape[1] - 1):
             p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            out += coef[j, k + 1] * p1
-        return j, out
+            for out, coef in zip(outs, coefs):
+                out += coef[j, k + 1] * p1
+        return j, outs
 
     def __call__(self, u):
-        return self._series(u, self.gu @ _TO_SERIES.T)[1]
+        return self._series(u, [gu @ _TO_SERIES.T for gu in self.gus])[1]
 
     def G(self, d):
-        y = self.gu * self.u ** (d - 1)
-        cum = np.concatenate([[0.0], np.cumsum(y @ _NODE_WEIGHTS)])
-        cum *= 0.5 / self.panels
-        coef = (0.5 / self.panels) * (y @ _TO_INTEGRAL.T)
+        ys = [gu * self.u ** (d - 1) for gu in self.gus]
+        cums = [np.concatenate([[0.0], np.cumsum(y @ _NODE_WEIGHTS)])
+                * (0.5 / self.panels) for y in ys]
+        coefs = [(0.5 / self.panels) * (y @ _TO_INTEGRAL.T) for y in ys]
 
         def G(R):
-            j, part = self._series(R, coef)
-            return cum[j] + part
+            j, parts = self._series(R, coefs)
+            return [cum[j] + part for cum, part in zip(cums, parts)]
 
         return G
 
@@ -674,16 +685,33 @@ def integrate_radial(domain, f, quad, center=None):
     c = np.asarray(domain.offset) if center is None \
         else np.asarray(center, dtype=float)
     if quad.kind == "radial":
-        dirs, W = _sphere_rule(domain.d, quad.cells)
-        t, sign = domain.crossings(c, dirs)
-        G = _radial_tables(lambda u: [f(u)], float(t.max()))[0].G(domain.d)
-        return tuple(float(x) for x in _estimate(W @ np.sum(sign * G(t),
-                                                            axis=1)))
-    vals, errs, _ = _integrate(domain, [f], quad, c)
+        rows = _radial_sums(domain, lambda u: [f(u)], _PANELS, 1.0, quad, c)
+        return tuple(float(x) for x in _estimate(rows[0]))
+    vals, errs, _ = _integrate(domain, lambda r: [f(r)], quad, c)
     return float(vals[0]), float(errs[0])
 
 
-def center_trial(domain, profile, quad=None, tol=None):
+def _radial_sums(domain, g, panels, s, quad, center, main=None):
+    """W @ (s^d sum_j sign_j G_i(t_j / s)) over the rays of quad's sphere
+    rule from center for each profile g_i that g returns: the rule's rows
+    of the radial reduction of int_Omega g_i(|x - center| / s) dx. Given
+    main, the crossings of the main rows (W[0] > 0, which come first),
+    only the companion rows are cast; casts are row-separable, so the sums
+    are the same."""
+    d = domain.d
+    dirs, W = _sphere_rule(d, quad.cells)
+    first = W[0] > 0.0
+    if main is None:
+        main = domain.crossings(center, dirs[first])
+    casts = (main, domain.crossings(center, dirs[~first]))
+    G = _radial_table(g, max(float(t.max()) for t, _ in casts) / s,
+                      panels).G(d)
+    sums = [[np.sum(sign * Gt, axis=1) for Gt in G(t / s)]
+            for t, sign in casts]
+    return [W @ (s**d * np.concatenate(rows)) for rows in zip(*sums)]
+
+
+def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
     """Translation v at which the centering field X(v) vanishes.
 
     X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx
@@ -700,7 +728,9 @@ def center_trial(domain, profile, quad=None, tol=None):
     r^(d-1) dr, negative definite as rho' > 0 and rho/r > 0. Newton steps
     from the bbox center, clipped to the bbox, are halved until |X|
     falls; raises with the residual trace when halving no longer moves v
-    (the rule's noise floor) or after _CENTER_CASTS casts.
+    (the rule's noise floor) or after _CENTER_CASTS casts. The last cast
+    is always at the returned v; a list passed as _main receives its
+    crossings (t, sign) for the quotient's rule to reuse.
 
     Returns
     -------
@@ -721,21 +751,22 @@ def center_trial(domain, profile, quad=None, tol=None):
         pc = trial._eval_pieces(profile, r)
         return pc["rho"], pc["d1"], pc["p"]
 
-    H, A, B = (table.G(d) for table in _radial_tables(
-        pieces, 1.5 * domain.diameter() + 1.0, _panels(profile)))
+    G = _radial_table(pieces, 1.5 * domain.diameter() + 1.0,
+                      _panels(profile)).G(d)
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
 
     def cast(v):
-        # |X(v)| and the Newton step from v, clipped to the bbox
-        t, sign = domain.crossings(v, u)
-        h, a, b = (w * np.sum(sign * G(t), axis=1) for G in (H, A, B))
+        # |X(v)|, the Newton step from v, clipped to the bbox, and the
+        # crossings; H, A and B share one Legendre basis at them
+        t, sign = hit = domain.crossings(v, u)
+        h, a, b = (w * np.sum(sign * Gt, axis=1) for Gt in G(t))
         X = h @ u
         M = (u.T * (a - b)) @ u + np.sum(b) * np.eye(d)     # -dX/dv
         return (float(np.linalg.norm(X)),
-                np.clip(v + np.linalg.solve(M, X), lo, hi) - v)
+                np.clip(v + np.linalg.solve(M, X), lo, hi) - v, hit)
 
     v = 0.5 * (lo + hi)
-    res, step = cast(v)
+    res, step, hit = cast(v)
     trace = [res]
     while res > tol:
         nxt = v + step
@@ -744,23 +775,29 @@ def center_trial(domain, profile, quad=None, tol=None):
             raise RuntimeError(
                 f"centering did not converge: |X| = {res:.3e} > tol = "
                 f"{tol:.3e}; residual trace tail [{shown}]")
-        r, nxt_step = cast(nxt)
+        r, nxt_step, nxt_hit = cast(nxt)
         trace.append(r)
         if r < res:
-            v, step, res = nxt, nxt_step, r
+            v, step, res, hit = nxt, nxt_step, r, nxt_hit
         else:
             step = 0.5 * step
+    if _main is not None:
+        _main.append(hit)
     return v
 
 
 def _trial_center(domain, profile, quad, tol=None):
-    # the symmetric shapes are centered at their offset by construction;
-    # a tolerance that no shape could meet is refused for every shape
+    # the trial center and the crossings of the centering's rule from it
+    # (its main rows), or None where no cast was made: the symmetric shapes
+    # are centered at their offset by construction. A tolerance that no
+    # shape could meet is refused for every shape
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if domain.shape in _SYMMETRIC:
-        return np.asarray(domain.offset, dtype=float)
-    return center_trial(domain, profile, quad, tol=tol)
+        return np.asarray(domain.offset, dtype=float), None
+    main = []
+    v = center_trial(domain, profile, quad, tol=tol, _main=main)
+    return v, main[0]
 
 
 def _panels(profile):
@@ -768,7 +805,7 @@ def _panels(profile):
     return _PANELS + math.ceil(2.0 * profile.mode.b)
 
 
-def _num_den(domain, profile, s, quad, center):
+def _num_den(domain, profile, s, quad, center, main=None):
     """Quotient numerator and denominator for the profile dilated by s.
 
     Returns (num, den, num error, den error, relative error of num/den).
@@ -776,7 +813,9 @@ def _num_den(domain, profile, s, quad, center):
     ratio's from the companions' ratios; grid: the ratio's relative bar
     is the sum of the relative bars; mc: both integrands share one sample
     stream and the delta method keeps their covariance. Grid and mc
-    evaluate the profile through the tables, radial through their G.
+    evaluate the profile through the table, radial through its G. main:
+    the radial rule's main-row crossings from center, when the centering
+    cast them with this rule (see _radial_sums).
     """
     def integrands(u):
         # one profile pass for the numerator's and the denominator's table
@@ -784,18 +823,14 @@ def _num_den(domain, profile, s, quad, center):
         return trial._numerator(profile.mode, pc) / s**4, pc["rho"] ** 2
 
     if quad.kind == "radial":
-        d = domain.d
-        dirs, W = _sphere_rule(d, quad.cells)
-        t, sign = domain.crossings(center, dirs)
-        num, den = (W @ (s**d * np.sum(sign * table.G(d)(t / s), axis=1))
-                    for table in _radial_tables(integrands, float(t.max()) / s,
-                                                _panels(profile)))
+        num, den = _radial_sums(domain, integrands, _panels(profile), s, quad,
+                                center, main)
         (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
         return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
     umax = 1.5 * domain.diameter() / s + 1.0
-    tables = _radial_tables(integrands, umax, _panels(profile))
+    table = _radial_table(integrands, umax, _panels(profile))
     (num, den), (en, ed), cov = _integrate(
-        domain, [lambda r, t=t: t(r / s) for t in tables], quad, center)
+        domain, lambda r: table(r / s), quad, center)
     if den == 0.0:
         raise ValueError("no quadrature nodes fall inside the domain")
     if cov is None:
@@ -851,9 +886,9 @@ def _quotient(domain, mode, quad, center=None, tol=None):
         quad = default_quadrature(d)
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
     prof = trial.TrialProfile(mode)
-    c = _trial_center(domain, prof, quad, tol) if center is None \
-        else np.asarray(center, dtype=float)
-    num, den, _, _, rel = _num_den(domain, prof, s, quad, c)
+    c, main = _trial_center(domain, prof, quad, tol) if center is None \
+        else (np.asarray(center, dtype=float), None)
+    num, den, _, _, rel = _num_den(domain, prof, s, quad, c, main)
     Q = num / den
     return Q, abs(Q) * rel
 
@@ -872,8 +907,8 @@ def monotone_domain_comparison(domain, profile, quad=None):
         raise ValueError("domain must be normalized to unit-ball volume")
     if quad is None:
         quad = default_quadrature(d)
-    c = _trial_center(domain, profile, quad)
-    num, den, en, ed, _ = _num_den(domain, profile, 1.0, quad, c)
+    c, main = _trial_center(domain, profile, quad)
+    num, den, en, ed, _ = _num_den(domain, profile, 1.0, quad, c, main)
     bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, 1.0,
                                    QuadratureSpec("radial"), np.zeros(d))
     point = (num, bn, den, bd)

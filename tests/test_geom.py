@@ -281,10 +281,10 @@ def test_every_quadrature_kind_centers_at_the_same_point():
                 2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))",
                 (-1, 1, -1, 1), volume=3.0)]
     for dom in doms:
-        v = geom._trial_center(dom, prof, geom.default_quadrature(2))
+        v = geom._trial_center(dom, prof, geom.default_quadrature(2))[0]
         for quad in (QuadratureSpec("grid", cells=256),
                      QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
-            assert np.array_equal(geom._trial_center(dom, prof, quad), v)
+            assert np.array_equal(geom._trial_center(dom, prof, quad)[0], v)
 
 
 def test_box_chord_along_a_face_from_a_point_on_it():
@@ -294,6 +294,155 @@ def test_box_chord_along_a_face_from_a_point_on_it():
     # a ray parallel to the faces from beside the box misses it
     t, _ = geom.box(2, (2, 1)).crossings((-2, 0), [[0, 1]])
     assert np.array_equal(t, [[0.0, 0.0]])
+
+
+def l_shape(c=0.05):
+    # the benchmark's implicit L-shape, normalized to unit-ball volume
+    return geom.normalize_volume(geom.implicit_domain(
+        2, f"(abs(x) <= 1) & (abs(y) <= 1) & ~((x > {c!r}) & (y > {c!r}))",
+        (-1, 1, -1, 1), volume=4.0 - (1.0 - c) ** 2))
+
+
+def test_ray_cast_is_row_separable():
+    # a ray's crossings depend on the origin and its direction alone, not
+    # on the other rays of the call: the subset of nearly horizontal rays
+    # has a shorter longest span than the whole rule
+    def trimmed(t, sign):
+        k = int(np.max(np.sum(sign != 0.0, axis=1)))
+        assert not np.any(sign[:, k:]) and not np.any(t[:, k:])
+        return t[:, :k].tobytes(), sign[:, :k].tobytes()
+
+    doms = [l_shape(), geom.implicit_domain(
+        2, "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)", (-1, 1, -1, 1),
+        volume=0.75 * math.pi)]
+    dirs, _ = geom._sphere_rule(2, 512)
+    S = np.abs(dirs[:, 1]) < 0.1
+    for dom in doms:
+        lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
+        for o in (np.array([0.1, -0.2]), np.array([2.5, 0.4])):
+            t_in, t_out = geom._slab(o - 0.5 * (lo + hi), dirs,
+                                     0.5 * (hi - lo))
+            span = t_out - t_in
+            assert np.max(span[S]) < 0.95 * np.max(span)
+            t, sign = dom.crossings(o, dirs)
+            assert np.any(sign[S])
+            assert trimmed(*dom.crossings(o, dirs[S])) == \
+                trimmed(t[S], sign[S])
+
+
+def two_balls_2d():
+    return geom.normalize_volume(geom.two_balls(
+        2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1))))
+
+
+def two_balls_3d():
+    return geom.normalize_volume(geom.two_balls(
+        3, (1.0, 0.8), ((-0.3, 0.0, 0.0), (0.4, 0.1, 0.0))))
+
+
+def test_quotient_reusing_the_centering_cast_changes_nothing():
+    # the quotient casts only the companion rows and takes the main rows
+    # from the centering's last cast; a fresh cast from the same center
+    # gives the same bits
+    for dom in (l_shape(), two_balls_2d(), two_balls_3d()):
+        quad = geom.default_quadrature(dom.d)
+        mode = ballmod.fundamental_tone(1.7, dom.d, 1.0)
+        v = geom.center_trial(dom, trial.TrialProfile(mode), quad)
+        got = geom._quotient(dom, mode, quad)
+        fresh = geom._quotient(dom, mode, quad, center=v)
+        assert np.array(got).tobytes() == np.array(fresh).tobytes()
+
+
+def test_domain_comparison_reports_are_unchanged():
+    # (worst margin, worst point) of each report as float.hex, recorded
+    # before the quotient reused the centering's cast
+    pinned = {
+        "l": ("0x1.f4bfbb1f07d61p-6",
+              ("0x1.0448142bd4b7cp+2", "0x1.063cae4a655e1p+2",
+               "0x1.43ee0c7f3c2a0p+0", "0x1.095a9c1bf6f1ep+0")),
+        "tb2": ("0x1.6ec54cb7c8d94p-5",
+                ("0x1.035f9e2e6fab7p+2", "0x1.063cae4a655e1p+2",
+                 "0x1.6142775f5fde0p+0", "0x1.095a9c1bf6f1ep+0")),
+        "tb3": ("0x1.9c414a0b545e5p-9",
+                ("0x1.65c092f085270p+1", "0x1.66245af798efep+1",
+                 "0x1.2d65be86b2609p-1", "0x1.20f794cc3d3e8p-1")),
+    }
+    for name, dom in (("l", l_shape()), ("tb2", two_balls_2d()),
+                      ("tb3", two_balls_3d())):
+        rep = geom.monotone_domain_comparison(dom, profile(dom.d))
+        assert rep.passed
+        assert (rep.worst_margin.hex(),
+                tuple(x.hex() for x in rep.worst_point)) == pinned[name]
+
+
+def test_centered_quotient_casts_each_ray_once(monkeypatch):
+    # every Newton cast casts the rule's main rows; the quotient adds only
+    # the companion rows (the parent of this budget cast all rows again)
+    dom = l_shape()
+    calls = []
+    crossings = geom.Domain.crossings
+
+    def counting(self, origin, dirs):
+        calls.append(len(dirs))
+        return crossings(self, origin, dirs)
+
+    monkeypatch.setattr(geom.Domain, "crossings", counting)
+    geom._quotient(dom, ballmod.fundamental_tone(1.0, 2, 1.0), None)
+    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    main = int(np.sum(W[0] > 0.0))
+    assert calls == [main] * 3 + [len(dirs) - main]
+    assert sum(calls) == 32768
+
+
+def test_radial_table_shares_one_basis_bit_for_bit():
+    # one panel index and Legendre basis serve every profile of a table,
+    # and each profile's series is summed as a one-profile table sums it
+    # (reference: the one-profile recurrence, written out here)
+    def reference(u, gu, panels, coef_of, R):
+        top = u.shape[0]
+        coef, cum = coef_of(gu)
+        j = np.minimum((R * panels).astype(int), top - 1)
+        x = 2.0 * (R * panels - j) - 1.0
+        p0, p1 = np.ones_like(x), x
+        out = coef[j, 0] + coef[j, 1] * x
+        for k in range(1, coef.shape[1] - 1):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            out += coef[j, k + 1] * p1
+        return out if cum is None else cum[j] + out
+
+    prof = profile(tau=2.0)
+
+    def pieces(r):
+        pc = trial._eval_pieces(prof, r)
+        return pc["rho"], pc["d1"], pc["p"]
+
+    table = geom._radial_table(pieces, 2.3, geom._panels(prof))
+    n, d = table.panels, 3
+    end = table.top / n
+    rng = np.random.default_rng(11)
+    R = np.concatenate([[0.0, 1.0, 1.0 - 1e-16, end, end - 0.5 / n],
+                        rng.uniform(0.0, end, 3000),
+                        rng.uniform(end - 1.0 / n, end, 200)])
+
+    def integral(gu):
+        y = gu * table.u ** (d - 1)
+        cum = np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
+        cum *= 0.5 / n
+        return (0.5 / n) * (y @ geom._TO_INTEGRAL.T), cum
+
+    shared_G, shared_g = table.G(d)(R), table(R)
+    assert len(shared_G) == len(shared_g) == 3
+    for i, gu in enumerate(table.gus):
+        own = geom._RadialTable(table.u, [gu], n)
+        ref = reference(table.u, gu, n, integral, R)
+        assert shared_G[i].tobytes() == own.G(d)(R)[0].tobytes() \
+            == ref.tobytes()
+        ref = reference(table.u, gu, n,
+                        lambda g: (g @ geom._TO_SERIES.T, None), R)
+        assert shared_g[i].tobytes() == own(R)[0].tobytes() == ref.tobytes()
+    for f in (table.G(d), table):
+        with pytest.raises(ValueError, match="radius beyond the radial"):
+            f(np.array([0.5, end * (1.0 + 1e-12)]))
 
 
 def test_quotient_equals_tone_on_the_unit_ball():

@@ -37,7 +37,17 @@ _RAY_STEPS = 256
 # 2 MiB L2 cache; at 2**18 they spill it and the cast runs slower
 _RAY_CHUNK = 2**15
 _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
+# a ray's end samples lie on bbox faces, which a domain touching its bbox
+# shares: there rounding alone would decide membership, and with it whether
+# a chord shorter than a step that ends on the face is found (mirrored rays
+# then disagree). They are taken this fraction of the span inside instead
+_RAY_EDGE = 2.0**-30
 _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
+# radii per gather of the radial series: a chunk's gathered coefficients
+# are tables x terms arrays of this length (1 MiB at the centering's three
+# 11-term tables), where one gather over a whole cast would hold that many
+# copies of its radii and raise the peak memory
+_SERIES_CHUNK = 2**12
 _PANELS = 64            # radial panels per unit of the table's variable
 _CENTER_CASTS = 64      # centering casts before giving up (Newton takes ~3)
 # the rules' sums carry rounding, so no error bar is smaller than this
@@ -97,8 +107,15 @@ class Domain:
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.d:
             raise ValueError("points must have d columns")
-        y = (pts - np.asarray(self.offset)) / self.scale
         p = self.params
+        if self.shape == "implicit":
+            # column by column: each coordinate the expression reads is one
+            # contiguous array, whatever the layout of points
+            mask = _eval_implicit(p["expr"], [
+                (pts[:, k] - self.offset[k]) / self.scale
+                for k in range(self.d)])
+            return bool(mask[0]) if single else mask
+        y = (pts - np.asarray(self.offset)) / self.scale
         if self.shape == "ball":
             mask = np.einsum("ij,ij->i", y, y) <= p["radius"] ** 2
         elif self.shape == "ellipsoid":
@@ -110,14 +127,12 @@ class Domain:
         elif self.shape == "annulus":
             r2 = np.einsum("ij,ij->i", y, y)
             mask = (p["inner"] ** 2 <= r2) & (r2 <= p["outer"] ** 2)
-        elif self.shape == "two-balls":
+        else:
             (c1, c2), (r1, r2) = p["centers"], p["radii"]
             d1 = y - np.asarray(c1)
             d2 = y - np.asarray(c2)
             mask = ((np.einsum("ij,ij->i", d1, d1) <= r1**2)
                     | (np.einsum("ij,ij->i", d2, d2) <= r2**2))
-        else:
-            mask = _eval_implicit(p["expr"], y)
         return bool(mask[0]) if single else mask
 
     def crossings(self, origin, dirs):
@@ -174,26 +189,29 @@ class Domain:
         far = float(np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o))))
         steps = max(1, math.ceil(min(far, diam) * _RAY_STEPS / diam))
         frac = np.arange(steps + 1) / steps
+        at = frac.copy()
+        at[0], at[-1] = _RAY_EDGE, 1.0 - _RAY_EDGE
         inside = np.zeros((m, steps + 3), dtype=bool)
         rows = max(1, _RAY_CHUNK // (steps + 1))
         for i in range(0, m, rows):
-            ts = t_in[i:i + rows, None] + span[i:i + rows, None] * frac
-            # one column per coordinate keeps the implicit expression's
-            # coordinate arrays contiguous
-            pts = np.empty((ts.size, self.d), order="F")
+            ts = t_in[i:i + rows, None] + span[i:i + rows, None] * at
+            # one block per coordinate: the transposed view hands contains
+            # (n, d) points whose columns are contiguous
+            pts = np.empty((self.d,) + ts.shape)
             for k in range(self.d):
-                pts[:, k] = (o[k] + ts * u[i:i + rows, k, None]).ravel()
-            inside[i:i + rows, 1:-1] = \
-                self.contains(pts).reshape(-1, steps + 1)
+                np.multiply(ts, u[i:i + rows, k, None], out=pts[k])
+                pts[k] += o[k]
+            inside[i:i + rows, 1:-1] = self.contains(
+                pts.reshape(self.d, -1).T).reshape(-1, steps + 1)
         inside[span <= 0.0] = False
         change = inside[:, 1:] != inside[:, :-1]
-        r, c = np.nonzero(change)
+        r, c = divmod(np.flatnonzero(change), steps + 2)
         sign = np.where(inside[r, c + 1], -1.0, 1.0)
         # a change at either sentinel is the bbox boundary itself
         tc = t_in[r] + span[r] * frac[np.clip(c, 0, steps)]
         mid = (c > 0) & (c <= steps)
         rm, a_in = r[mid], inside[r[mid], c[mid]]
-        bm, um = tc[mid], u[rm]
+        bm, um = tc[mid], np.asfortranarray(u[rm])
         am = t_in[rm] + span[rm] * frac[c[mid] - 1]
         for _ in range(_BISECTIONS):
             h = 0.5 * (am + bm)
@@ -222,8 +240,9 @@ def _compiled(expr):
     return compile(expr, "<domain-config>", "eval")
 
 
-def _eval_implicit(expr, y):
-    ns = {name: y[:, k] for k, name in enumerate(_names(y.shape[1]))}
+def _eval_implicit(expr, cols):
+    # cols: the d coordinate arrays of the points, one per name of _names
+    ns = dict(zip(_names(len(cols)), cols))
     ns.update(abs=np.abs, sqrt=np.sqrt, exp=np.exp, minimum=np.minimum,
               maximum=np.maximum, hypot=np.hypot, pi=np.pi, cos=np.cos,
               sin=np.sin)
@@ -232,7 +251,7 @@ def _eval_implicit(expr, y):
     except Exception as exc:
         raise ValueError(f"implicit expr failed: {exc}") from None
     mask = np.asarray(out)
-    if mask.shape != (y.shape[0],) or mask.dtype != bool:
+    if mask.shape != cols[0].shape or mask.dtype != bool:
         raise ValueError("implicit expr must produce a boolean mask")
     return mask
 
@@ -365,7 +384,7 @@ def implicit_domain(d, expr, bounds, volume=None):
     dom = Domain(d, "implicit", {"expr": expr}, _tup(np.zeros(d)), 1.0,
                  1.0, 0.0, (_tup(b[0::2]), _tup(b[1::2])))
     # evaluate once up front so a bad expression fails here, not mid-quadrature
-    _eval_implicit(expr, 0.5 * (b[0::2] + b[1::2])[None, :])
+    _eval_implicit(expr, list(0.5 * (b[0::2] + b[1::2])[:, None]))
     if volume is not None:
         if volume <= 0.0:
             raise ValueError("volume must be positive")
@@ -629,34 +648,56 @@ class _RadialTable:
         self.top = u.shape[0]
 
     def _series(self, R, coefs):
-        # panel index of each R and the Legendre series of every coef (all
-        # of one degree) there: one three-term recurrence, each series
-        # summed term by term
+        # panel index of each R and the Legendre series of every table
+        # there; coefs is (tables, terms, panels). Per chunk of R one
+        # gather takes every table's terms at the chunk's panels and one
+        # three-term recurrence serves all tables, each series summed term
+        # by term
         R = np.asarray(R, dtype=float)
         if R.size and R.max() > self.top / self.panels:
             raise ValueError("radius beyond the radial table")
-        j = np.minimum((R * self.panels).astype(int), self.top - 1)
-        x = 2.0 * (R * self.panels - j) - 1.0
-        p0, p1 = np.ones_like(x), x
-        outs = [coef[j, 0] + coef[j, 1] * x for coef in coefs]
-        for k in range(1, coefs[0].shape[1] - 1):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            for out, coef in zip(outs, coefs):
-                out += coef[j, k + 1] * p1
-        return j, outs
+        flat = R.ravel()
+        j = np.minimum((flat * self.panels).astype(int), self.top - 1)
+        outs = np.empty((len(coefs),) + R.shape)
+        rows = outs.reshape(len(coefs), flat.size)
+        for i in range(0, flat.size, _SERIES_CHUNK):
+            ji = j[i:i + _SERIES_CHUNK]
+            x = 2.0 * (flat[i:i + _SERIES_CHUNK] * self.panels - ji) - 1.0
+            c = coefs.take(ji, axis=2)
+            out = rows[:, i:i + _SERIES_CHUNK]
+            np.add(c[:, 0], c[:, 1] * x, out=out)
+            p0, p1 = np.ones_like(x), x
+            for k in range(1, coefs.shape[1] - 1):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                out += c[:, k + 1] * p1
+        return j.reshape(R.shape), list(outs)
 
     def __call__(self, u):
-        return self._series(u, [gu @ _TO_SERIES.T for gu in self.gus])[1]
+        return self._series(u, np.stack([(gu @ _TO_SERIES.T).T
+                                         for gu in self.gus]))[1]
 
     def G(self, d):
         ys = [gu * self.u ** (d - 1) for gu in self.gus]
         cums = [np.concatenate([[0.0], np.cumsum(y @ _NODE_WEIGHTS)])
                 * (0.5 / self.panels) for y in ys]
-        coefs = [(0.5 / self.panels) * (y @ _TO_INTEGRAL.T) for y in ys]
+        coefs = np.stack([((0.5 / self.panels) * (y @ _TO_INTEGRAL.T)).T
+                          for y in ys])
 
         def G(R):
-            j, parts = self._series(R, coefs)
-            return [cum[j] + part for cum, part in zip(cums, parts)]
+            # every segment that starts at the origin has a crossing at
+            # t = 0, often half of a cast's: the series runs once at 0,
+            # where it is a rounding error rather than exactly 0, and that
+            # value fills every zero radius
+            R = np.asarray(R, dtype=float)
+            nz = R != 0.0
+            j, parts = self._series(np.concatenate([[0.0], R[nz]]), coefs)
+            outs = []
+            for cum, part in zip(cums, parts):
+                part += cum[j]
+                out = np.full(R.shape, part[0])
+                out[nz] = part[1:]
+                outs.append(out)
+            return outs
 
         return G
 

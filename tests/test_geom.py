@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +332,70 @@ def test_ray_cast_is_row_separable():
                 trimmed(t[S], sign[S])
 
 
+def test_implicit_contains_reads_every_layout_alike():
+    # membership is computed column by column, so C-ordered, F-ordered and
+    # strided points give one mask, the expression's own on (x - offset) /
+    # scale, and a single (d,) point gives a bool
+    dom = l_shape()
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1.5, 1.5, size=(3001, 2))
+    y = (pts - np.asarray(dom.offset)) / dom.scale
+    x0, y0 = y[:, 0], y[:, 1]
+    want = (abs(x0) <= 1) & (abs(y0) <= 1) & ~((x0 > 0.05) & (y0 > 0.05))
+    wide = np.zeros((2 * len(pts), 5))
+    wide[::2, 1:4:2] = pts
+    for form in (pts, np.asfortranarray(pts), wide[::2, 1:4:2],
+                 np.ascontiguousarray(pts.T).T):
+        got = dom.contains(form)
+        assert got.dtype == bool and np.array_equal(got, want)
+    for i in range(5):
+        one = dom.contains(pts[i])
+        assert isinstance(one, bool) and one == want[i]
+    with pytest.raises(ValueError, match="points must have d columns"):
+        dom.contains(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="implicit expr failed"):
+        geom.implicit_domain(2, "(x < 1) & (q < 1)", (-1, 1, -1, 1))
+
+
+def test_implicit_crossings_are_pinned():
+    # sha256 of the crossings' float.hex (t, then sign) of the L-shape and
+    # an annulus from one origin inside the bbox and one outside, recorded
+    # before the cast built its samples one coordinate block at a time;
+    # ("l", 0) re-recorded when the end samples moved inside the bbox: 10
+    # of its 1024 rays now exit exactly at the face, one ulp further out
+    pinned = {
+        ("l", 0): "0be8f00f6e3895b8a4b3aa6ddc24611b"
+                  "a9d88287d9f081dc1819bddbdd29d913",
+        ("l", 1): "51278a95f74ac5a6f76331267e1b98cc"
+                  "5bbc478559cf7097f4110cd57332286f",
+        ("annulus", 0): "dc35da6371ea63f06080467b91a100df"
+                        "b0a59f9523a86840511bb9baadce9034",
+        ("annulus", 1): "f7c03ebf4c6b73fdeb43b0667988dd96"
+                        "80ca8714e98fc9dbc2eb32032298eee5",
+    }
+    doms = {"l": l_shape(), "annulus": geom.implicit_domain(
+        2, "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)", (-1, 1, -1, 1),
+        volume=0.75 * math.pi)}
+    dirs, _ = geom._sphere_rule(2, 512)
+    for (name, k), digest in pinned.items():
+        t, sign = doms[name].crossings(((0.1, -0.2), (2.5, 0.4))[k], dirs)
+        text = " ".join(float(v).hex() for v in np.concatenate(
+            [t.ravel(), sign.ravel()]))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_centering_stays_on_the_mirror_of_a_thin_l_shape():
+    # the arms' ends lie on bbox faces: with the end samples on the faces,
+    # rounding found a chord at an arm's tip on one ray and missed it on
+    # the mirrored one, so the first case's center left the diagonal by
+    # 6e-6 and the second's centering did not converge
+    for c, tau in ((-0.76171875, 0.01), (-0.65625, 1.0)):
+        dom = l_shape(c)
+        prof = trial.TrialProfile(ballmod.fundamental_tone(tau, 2))
+        v = geom.center_trial(dom, prof, QuadratureSpec("radial", cells=2048))
+        assert abs(v[0] - v[1]) <= 1e-12 * dom.diameter()
+
+
 def two_balls_2d():
     return geom.normalize_volume(geom.two_balls(
         2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1))))
@@ -394,55 +460,111 @@ def test_centered_quotient_casts_each_ray_once(monkeypatch):
     assert sum(calls) == 32768
 
 
-def test_radial_table_shares_one_basis_bit_for_bit():
-    # one panel index and Legendre basis serve every profile of a table,
-    # and each profile's series is summed as a one-profile table sums it
-    # (reference: the one-profile recurrence, written out here)
-    def reference(u, gu, panels, coef_of, R):
-        top = u.shape[0]
-        coef, cum = coef_of(gu)
-        j = np.minimum((R * panels).astype(int), top - 1)
-        x = 2.0 * (R * panels - j) - 1.0
-        p0, p1 = np.ones_like(x), x
-        out = coef[j, 0] + coef[j, 1] * x
-        for k in range(1, coef.shape[1] - 1):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            out += coef[j, k + 1] * p1
-        return out if cum is None else cum[j] + out
-
-    prof = profile(tau=2.0)
-
+def profile_pieces(prof):
+    # the centering's three tables: rho, rho' and rho / r
     def pieces(r):
         pc = trial._eval_pieces(prof, r)
         return pc["rho"], pc["d1"], pc["p"]
 
-    table = geom._radial_table(pieces, 2.3, geom._panels(prof))
-    n, d = table.panels, 3
-    end = table.top / n
-    rng = np.random.default_rng(11)
-    R = np.concatenate([[0.0, 1.0, 1.0 - 1e-16, end, end - 0.5 / n],
-                        rng.uniform(0.0, end, 3000),
-                        rng.uniform(end - 1.0 / n, end, 200)])
+    return pieces
 
-    def integral(gu):
+
+def series_reference(table, gu, R, d=None):
+    # one profile's series on the table's panels, by the three-term
+    # recurrence written out: the profile itself for d None, else
+    # G(R) = int_0^R g(u) u^(d-1) du (panel sums plus the last panel's part)
+    n = table.panels
+    if d is None:
+        coef, cum = gu @ geom._TO_SERIES.T, None
+    else:
         y = gu * table.u ** (d - 1)
         cum = np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
         cum *= 0.5 / n
-        return (0.5 / n) * (y @ geom._TO_INTEGRAL.T), cum
+        coef = (0.5 / n) * (y @ geom._TO_INTEGRAL.T)
+    j = np.minimum((R * n).astype(int), table.top - 1)
+    x = 2.0 * (R * n - j) - 1.0
+    p0, p1 = np.ones_like(x), x
+    out = coef[j, 0] + coef[j, 1] * x
+    for k in range(1, coef.shape[1] - 1):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        out += coef[j, k + 1] * p1
+    return out if cum is None else cum[j] + out
 
-    shared_G, shared_g = table.G(d)(R), table(R)
-    assert len(shared_G) == len(shared_g) == 3
-    for i, gu in enumerate(table.gus):
-        own = geom._RadialTable(table.u, [gu], n)
-        ref = reference(table.u, gu, n, integral, R)
-        assert shared_G[i].tobytes() == own.G(d)(R)[0].tobytes() \
-            == ref.tobytes()
-        ref = reference(table.u, gu, n,
-                        lambda g: (g @ geom._TO_SERIES.T, None), R)
-        assert shared_g[i].tobytes() == own(R)[0].tobytes() == ref.tobytes()
-    for f in (table.G(d), table):
-        with pytest.raises(ValueError, match="radius beyond the radial"):
-            f(np.array([0.5, end * (1.0 + 1e-12)]))
+
+def test_radial_table_shares_one_basis_bit_for_bit():
+    # one panel index and Legendre basis serve every profile of a table,
+    # and each profile's series is summed as a one-profile table and the
+    # written-out recurrence sum it. Neither the chunks of _SERIES_CHUNK
+    # radii nor G's one evaluation at R = 0 (a rounding error, not exactly
+    # 0) for every zero radius moves a bit: at the panel edge u = 1, in the
+    # last panel and at its end, on -0.0, for 1-d and (m, k) radii, and at
+    # sizes below, at and above a chunk
+    prof = profile(tau=2.0)
+    table = geom._radial_table(profile_pieces(prof), 2.3, geom._panels(prof))
+    n, d = table.panels, 3
+    end = table.top / n
+    rng = np.random.default_rng(11)
+    inputs = [np.concatenate([[0.0, 1.0, 1.0 - 1e-16, end, end - 0.5 / n],
+                              rng.uniform(0.0, end, 3000),
+                              rng.uniform(end - 1.0 / n, end, 200)])]
+    edges = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+             end - 1.0 / n, end - 0.5 / n, end]
+    chunk = geom._SERIES_CHUNK
+    for size in (chunk - 4, chunk, chunk + 4, 3 * chunk + 8):
+        R = rng.uniform(0.0, end, size)
+        R[rng.random(size) < 0.5] = 0.0
+        R[rng.random(size) < 0.1] = -0.0
+        R[:len(edges)] = edges
+        inputs += [R, R.reshape(-1, 4)]
+    G = table.G(d)
+    own = [geom._RadialTable(table.u, [gu], n) for gu in table.gus]
+    own_G = [t.G(d) for t in own]
+    for R in inputs:
+        shared_G, shared_g = G(R), table(R)
+        assert len(shared_G) == len(shared_g) == 3
+        for i, gu in enumerate(table.gus):
+            for got, alone, ref in (
+                    (shared_G[i], own_G[i](R)[0],
+                     series_reference(table, gu, R, d)),
+                    (shared_g[i], own[i](R)[0],
+                     series_reference(table, gu, R))):
+                assert got.shape == R.shape
+                assert got.tobytes() == alone.tobytes() == ref.tobytes()
+    for f in (G, table):
+        assert [a.shape for a in f(np.empty((0, 4)))] == [(0, 4)] * 3
+        for bad in ([0.5, end * (1.0 + 1e-12)],
+                    [[0.0, 0.5], [end * (1.0 + 1e-12), 0.0]]):
+            with pytest.raises(ValueError, match="radius beyond the radial"):
+                f(np.array(bad))
+
+
+def test_radial_series_peak_memory_on_a_centering_cast():
+    # one G call over a centering cast of two balls (8192 rays, 6
+    # crossings each, the centering's 3 tables) peaks below the 3.4 MiB
+    # the per-table gathers took: the series gathers every table's terms a
+    # chunk at a time, where one gather over the whole cast would hold 33
+    # copies of its radii
+    dom = two_balls_2d()
+    prof = profile(tau=1.7)
+    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
+    t, _ = dom.crossings(0.5 * (lo + hi), dirs[W[0] > 0.0])
+    assert t.shape == (8192, 6)
+    G = geom._radial_table(profile_pieces(prof), 1.5 * dom.diameter() + 1.0,
+                           geom._panels(prof)).G(2)
+    G(t)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        G(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3.4 * 2**20
 
 
 def test_quotient_equals_tone_on_the_unit_ball():

@@ -145,9 +145,23 @@ def _residual_scales(d, R, a, b, gamma, tau, tables=None):
 
 def boundary_residuals(mode):
     """Relative residuals of the moment and shear boundary conditions,
-    each scaled by the sum of magnitudes of its terms."""
-    m_res, m_scale, v_res, v_scale = _residual_scales(
-        mode.d, mode.radius, mode.a, mode.b, mode.gamma, mode.tau)
+    each scaled by the sum of magnitudes of its terms.
+
+    Where a power of the radius or a term at the physical scale leaves
+    double range, they are taken on the unit ball (aR, bR, tau R^2),
+    which the scaling law makes equal."""
+    d, R = mode.d, mode.radius
+    try:
+        m_res, m_scale, v_res, v_scale = _residual_scales(
+            d, R, mode.a, mode.b, mode.gamma, mode.tau)
+        physical = (np.all(np.isfinite((m_res, m_scale, v_res, v_scale)))
+                    and min(m_scale, v_scale) >= np.finfo(float).tiny)
+    except (OverflowError, ZeroDivisionError):
+        physical = False
+    if not physical:
+        m_res, m_scale, v_res, v_scale = _residual_scales(
+            d, 1.0, mode.a * R, mode.b * R, mode.gamma,
+            _unit_tension(mode.tau, R))
     return m_res / m_scale, v_res / v_scale
 
 

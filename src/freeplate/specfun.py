@@ -61,6 +61,32 @@ def series_coeff_dk(k, d):
                                   + (1 - 2 * k - d / 2) * math.log(2.0))
 
 
+@lru_cache(maxsize=None)
+def _series_plan(kind, l, d, deriv):
+    # what _series_eval's sum for one order keeps from call to call: the
+    # coefficient and power of z of its first term, and ratio(n), the ratio
+    # of its term n+1 to term n without the factor (z^2/4), computed once
+    # and only as far as the calls so far have needed
+    s = (d - 2) / 2.0
+    sign = -1.0 if kind == "j" else 1.0
+    k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
+    m0 = l + 2 * k
+    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
+    fall = math.prod(range(m0 - deriv + 1, m0 + 1))
+    ratios = []
+
+    def ratio(n):
+        while len(ratios) <= n:
+            j = k + len(ratios)
+            m = l + 2 * j
+            ratios.append((m + 2.0) * (m + 1.0)
+                          / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
+                             * (j + 1.0) * (s + l + j + 1.0)))
+        return ratios[n]
+
+    return sign**k * fall * math.exp(lognorm), m0 - deriv, ratio, ratios
+
+
 def _series_eval(kind, l, d, deriv, z):
     """Term-differentiated ascending series for the deriv-th derivative of
     j_l (alternating signs) or i_l (positive signs) at 0 <= z <= SMALL_Z.
@@ -76,47 +102,38 @@ def _series_eval(kind, l, d, deriv, z):
     l is one order, or a range of orders summed in one pass, a row each
     bit for bit its own sum: each keeps its term count and power of z.
     """
-    s = (d - 2) / 2.0
     sign = -1.0 if kind == "j" else 1.0
     z = np.asarray(z, dtype=float)
     zz = z * z / 4.0
     zz_max = float(np.max(zz, initial=0.0))
     one = isinstance(l, int)
 
-    def ratio(j):
-        m = l + 2 * j
-        return (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
-                                        * (j + 1.0) * (s + l + j + 1.0))
-
     terms, ratios = [], []
     for l in [l] if one else l:
-        k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
-        m0 = l + 2 * k
-        # |total| >= |term_k| (1 - q_k) for the alternating j series, whose
-        # terms fall from the first on, and >= |term_k| for i; |term_n| is
-        # at most |term_k| times the product of the q before n at every point
-        floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
+        coef, power, ratio, cached = _series_plan(kind, l, d, deriv)
+        # |total| >= |term_0| (1 - q_0) for the alternating j series, whose
+        # terms fall from the first on, and >= |term_0| for i; |term_n| is
+        # at most |term_0| times the product of the q before n at every point
+        floor = 1.0 - ratio(0) * zz_max if kind == "j" else 1.0
         if floor <= 0.0:
             raise ValueError("series used beyond its range of convergence")
-        rs, lead = [], 1.0
+        n, lead = 0, 1.0
         while True:
-            r = ratio(k + len(rs))
-            q = r * zz_max
+            q = ratio(n) * zz_max
             if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
                 break
-            rs.append(r)
+            n += 1
             lead *= q
-        ratios.append(rs)
-        lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
-        fall = math.prod(range(m0 - deriv + 1, m0 + 1))
-        terms.append(sign**k * fall * math.exp(lognorm) * np.power(z, m0 - deriv))
+        ratios.append(cached[:n])
+        terms.append(coef * np.power(z, power))
     term = np.array(terms)
     total = term.copy()
+    step = sign * zz
     # shorter sums pad with -0.0 ratios, whose +-0 terms leave every sum
     # as it was, a -0.0 one included
     steps = list(zip_longest(*ratios, fillvalue=-0.0))
     for r in np.reshape(steps, (-1, len(terms), 1)):
-        term = term * (sign * zz) * r
+        term = term * step * r
         total += term
     return total[0] if one else total
 
@@ -137,12 +154,14 @@ def _kernel_table(kind, l, d, deriv, z):
     orders = s + l + np.arange(deriv + 1, dtype=float)
     T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
     inv = 1.0 / z
+    pows = []       # pows[i] = inv ** (i + 1), made once, for the rows asked
 
     def row(k):
         for n in range(len(T) - 1, k):     # T[n + 1] from T[0..n]
+            pows.extend(inv ** (i + 1) for i in range(len(pows), n + 1))
             c = [math.comb(n, i) * (-1.0) ** i * math.factorial(i)
                  for i in range(n + 1)]
-            T.append([(l + m) * sum(c[i] * inv ** (i + 1) * T[n - i][m]
+            T.append([(l + m) * sum(c[i] * pows[i] * T[n - i][m]
                                     for i in range(n + 1))
                       + sign * T[n][m + 1] for m in range(deriv - n)])
         return T[k]
@@ -159,7 +178,8 @@ def _ultra_table(kind, l, d, z, deriv):
     derivative of that order, bit for bit the value ultra_j/ultra_i give.
     The first entry of each k builds its row: of the one _kernel_table
     above SMALL_Z, and of one _series_eval pass over the orders
-    l..l+deriv-k at or below it. A scalar z gives floats.
+    l..l+deriv-k at or below it. A scalar z gives floats, an array z a
+    new array per entry, which the caller may write into.
     """
     UltraBesselParams(l, d)     # validates l, d
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
@@ -176,21 +196,31 @@ def _ultra_table(kind, l, d, z, deriv):
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
     if hi > zmax:
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
-    small = arr <= SMALL_Z
-    z_small = arr[small] if lo <= SMALL_Z else None
-    T = None if hi <= SMALL_Z else _kernel_table(kind, l, d, deriv, arr[~small])
+    # the points at or below SMALL_Z and those above it; a scatter mask
+    # only where z has points on both sides
+    small = None
+    if hi <= SMALL_Z:
+        z_small, z_big = arr, None
+    elif lo > SMALL_Z:
+        z_small, z_big = None, arr
+    else:
+        small = arr <= SMALL_Z
+        big = ~small
+        z_small, z_big = arr[small], arr[big]
+    T = None if z_big is None else _kernel_table(kind, l, d, deriv, z_big)
     series = {}
 
     def entry(order, k):
+        if z_small is not None and k not in series:
+            series[k] = _series_eval(
+                kind, range(l, l + deriv - k + 1), d, k, z_small)
+        if small is None:
+            row = (T(k) if z_small is None else series[k])[order - l]
+            return float(row[0]) if scalar else row.copy()
         out = np.empty(arr.shape)
-        if z_small is not None:
-            if k not in series:
-                series[k] = _series_eval(
-                    kind, range(l, l + deriv - k + 1), d, k, z_small)
-            out[small] = series[k][order - l]
-        if T is not None:
-            out[~small] = T(k)[order - l]
-        return float(out[0]) if scalar else out
+        out[small] = series[k][order - l]
+        out[big] = T(k)[order - l]
+        return out
 
     return entry
 

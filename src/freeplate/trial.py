@@ -15,10 +15,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .ball import BallMode
-from .specfun import _ultra_table, ultra_i, ultra_j
+from .specfun import _ultra_table
 
 ENDPOINT_TOL = 1e-10
 _EQ_SLACK = 1e-12
+# the names of _profile_checks' sub-checks of the concavity row
+_CONCAVITY = ("concave", "flat-at-0", "flat-at-1", "fourth-positive")
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,25 @@ def _series_coeffs(profile):
         "d1": (1.0 + 2.0 * k) * A,             # rho' = P(r^2; .)
         "d2": (2.0 * k * (1.0 + 2.0 * k) * A)[1:],   # rho'' = r * P(r^2; .)
         "q": (-2.0 * k * A)[1:],               # (rho - r rho')/r^2 = r * P(r^2; .)
+        # rho'''' = r * P(r^2; .)
+        "d4": ((1.0 + 2.0 * k) * 2.0 * k * (2.0 * k - 1.0) * (2.0 * k - 2.0)
+               * A)[2:],
     }
 
 
 @lru_cache(maxsize=32)
 def _edge_values(profile):
-    # value and slope of the mode at r = 1; the linear extension is
-    # rho(r) = c0 + slope * r with c0 = rho(1) - rho'(1)
+    # rho(1), rho'(1), rho''(1-) and rho''''(1-) of the mode, from one table
+    # pair at (a, b); the linear extension is rho(r) = c0 + slope * r with
+    # c0 = rho(1) - rho'(1)
     m = profile.mode
-    r1 = ultra_j(1, m.d, m.a) + m.gamma * ultra_i(1, m.d, m.b)
-    rp1 = (m.a * ultra_j(1, m.d, m.a, deriv=1)
-           + m.gamma * m.b * ultra_i(1, m.d, m.b, deriv=1))
-    return r1, rp1
+    J = _ultra_table("j", 1, m.d, m.a, 4)
+    I = _ultra_table("i", 1, m.d, m.b, 4)
+    r1 = J(1, 0) + m.gamma * I(1, 0)
+    rp1 = m.a * J(1, 1) + m.gamma * m.b * I(1, 1)
+    r2 = m.a**2 * J(1, 2) + m.gamma * m.b**2 * I(1, 2)
+    r4 = m.a**4 * J(1, 4) + m.gamma * m.b**4 * I(1, 4)
+    return r1, rp1, r2, r4
 
 
 def _validate_r(r):
@@ -88,14 +97,16 @@ def _validate_r(r):
     return arr
 
 
-def _eval_pieces(profile, r):
+def _eval_pieces(profile, r, deriv=2):
     # returns rho, rho', rho'', q = (rho - r rho')/r^2, p = rho/r, all
-    # finite at r = 0 through the series branch (q -> 0, p -> rho'(0))
+    # finite at r = 0 through the series branch (q -> 0, p -> rho'(0));
+    # deriv=4 adds rho'''' as "d4", from the same tables
     m = profile.mode
     thr = profile.small_r_threshold
-    r1, rp1 = _edge_values(profile)
+    r1, rp1 = _edge_values(profile)[:2]
     c0 = r1 - rp1
-    out = {name: np.empty_like(r) for name in ("rho", "d1", "d2", "q", "p")}
+    names = ("rho", "d1", "d2", "q", "p") + (("d4",) if deriv == 4 else ())
+    out = {name: np.empty_like(r) for name in names}
 
     tiny = r < thr
     mid = (~tiny) & (r < 1.0)
@@ -110,12 +121,14 @@ def _eval_pieces(profile, r):
         out["d2"][tiny] = t * npoly.polyval(t2, cs["d2"])
         out["q"][tiny] = t * npoly.polyval(t2, cs["q"])
         out["p"][tiny] = npoly.polyval(t2, cs["rho"])
+        if deriv == 4:
+            out["d4"][tiny] = t * npoly.polyval(t2, cs["d4"])
     if np.any(mid):
         t = r[mid]
         za = m.a * t
         zb = m.b * t
-        J = _ultra_table("j", 1, m.d, za, 2)
-        I = _ultra_table("i", 1, m.d, zb, 2)
+        J = _ultra_table("j", 1, m.d, za, deriv)
+        I = _ultra_table("i", 1, m.d, zb, deriv)
         j1, i1 = J(1, 0), I(1, 0)
         out["rho"][mid] = j1 + m.gamma * i1
         out["d1"][mid] = m.a * J(1, 1) + m.gamma * m.b * I(1, 1)
@@ -124,6 +137,8 @@ def _eval_pieces(profile, r):
         # (rho - r rho')/r^2 into a cancellation-free combination
         out["q"][mid] = m.a**2 * J(2, 0) / za - m.gamma * m.b**2 * I(2, 0) / zb
         out["p"][mid] = m.a * j1 / za + m.gamma * m.b * i1 / zb
+        if deriv == 4:
+            out["d4"][mid] = m.a**4 * J(1, 4) + m.gamma * m.b**4 * I(1, 4)
     if np.any(far):
         t = r[far]
         out["rho"][far] = c0 + rp1 * t
@@ -131,6 +146,8 @@ def _eval_pieces(profile, r):
         out["d2"][far] = 0.0
         out["q"][far] = c0 / (t * t)
         out["p"][far] = c0 / t + rp1
+        if deriv == 4:
+            out["d4"][far] = 0.0
     return out
 
 
@@ -201,39 +218,36 @@ def _h_quantity(m, pc):
     return 6.0 * pc["q"] + 3.0 * pc["d2"] + m.tau * pc["rho"]
 
 
-def _concavity_side_checks(profile, grid_size):
-    # the concavity sub-checks beside rho'' < 0 inside: rho'' = 0 at both
-    # ends, and rho'''' > 0 on (0, 1], so rho'' can vanish only at the ends
-    m = profile.mode
-    # endpoints: rho''(0) = 0 by the odd series, rho''(1-) = 0 by the
-    # construction of gamma; both as equalities at ENDPOINT_TOL
-    end0 = abs(rho(profile, 0.0, deriv=2))
-    end1 = abs(m.a**2 * ultra_j(1, m.d, m.a, deriv=2)
-               + m.gamma * m.b**2 * ultra_i(1, m.d, m.b, deriv=2))
-    rs4 = np.linspace(0.0, 1.0, grid_size + 1)[1:]
-    r4 = (m.a**4 * ultra_j(1, m.d, m.a * rs4, deriv=4)
-          + m.gamma * m.b**4 * ultra_i(1, m.d, m.b * rs4, deriv=4))
-    i = int(np.argmin(r4))
-    return [(ENDPOINT_TOL - end0, (0.0,)), (ENDPOINT_TOL - end1, (1.0,)),
-            (float(r4[i]), (rs4[i],))]
-
-
 def _profile_checks(profile, inner, outer):
     """Named sub-checks, each (margin, point), from one evaluation of the
-    profile on the inner grid in (0, 1), the outer grid in [1, inf) and
-    r = 1: "concave" (-rho'' inside), then those of the partial monotonicity
-    of N[rho] (N inside above N outside, and its three ingredients), among
-    them "denominator-rise" (rho^2 increasing over both grids) and
-    "h-quantity" (h_decrease_quantity on the inner grid and r = 1)."""
+    profile, rho'''' included, on the inner grid in (0, 1), the outer grid
+    in [1, inf) and r = 1. First the four of concavity, named in
+    _CONCAVITY: -rho'' inside; rho'' = 0 at both ends, as equalities at
+    ENDPOINT_TOL; and rho'''' > 0 on the inner grid and r = 1, so that
+    rho'' can vanish only at the ends. Then those of the partial
+    monotonicity of N[rho] (N inside above N outside, and its three
+    ingredients), among them "denominator-rise" (rho^2 increasing over both
+    grids) and "h-quantity" (h_decrease_quantity on the inner grid and
+    r = 1)."""
     m = profile.mode
     ni = inner.size
-    pc = _eval_pieces(profile, np.concatenate([inner, outer, [1.0]]))
+    pc = _eval_pieces(profile, np.concatenate([inner, outer, [1.0]]), deriv=4)
     combined = np.concatenate([inner, outer])
+    closed = np.append(inner, 1.0)
     checks = {}
 
     d2 = pc["d2"]
     i = int(np.argmin(-d2[:ni]))
     checks["concave"] = (float(-d2[i]), (inner[i],))
+    # rho''(0) = 0 by the odd series, rho''(1-) = 0 by the construction of
+    # gamma
+    _, _, d2_end, d4_end = _edge_values(profile)
+    checks["flat-at-0"] = (ENDPOINT_TOL - abs(rho(profile, 0.0, deriv=2)),
+                           (0.0,))
+    checks["flat-at-1"] = (ENDPOINT_TOL - abs(d2_end), (1.0,))
+    d4 = np.append(pc["d4"][:ni], d4_end)
+    i = int(np.argmin(d4))
+    checks["fourth-positive"] = (float(d4[i]), (closed[i],))
 
     n = _numerator(m, pc)
     n_in, n_out = n[:ni], n[ni:-1]
@@ -266,5 +280,5 @@ def _profile_checks(profile, inner, outer):
     quant = _h_quantity(m, pc)
     quant = np.append(quant[:ni], quant[-1])
     i = int(np.argmin(quant))
-    checks["h-quantity"] = (float(quant[i]), (np.append(inner, 1.0)[i],))
+    checks["h-quantity"] = (float(quant[i]), (closed[i],))
     return checks

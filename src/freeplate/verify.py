@@ -305,16 +305,15 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
                            f"{_TENSION_PTS} log-spaced tension pts above "
                            "9/(d+5)"))
 
-    # one profile pass per tension feeds the four profile rows; the
-    # concavity row adds its endpoint and fourth-derivative checks
+    # one profile pass per tension, rho'''' included, feeds the four
+    # profile rows
     profile_rows = ([], [], [], [])
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
     for tau, mode in zip(taus, fundamental_tones(taus, d)):
         prof = trial.TrialProfile(mode)
         sub = trial._profile_checks(prof, inner, outer)
-        groups = ([sub.pop("concave")]
-                  + trial._concavity_side_checks(prof, grid_size),
+        groups = ([sub.pop(name) for name in trial._CONCAVITY],
                   sub.values(), [sub["denominator-rise"]],
                   [sub["h-quantity"]])
         for rows, checks in zip(profile_rows, groups):

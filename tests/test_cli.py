@@ -93,6 +93,24 @@ def test_tone_rejects_a_tension_scale_beyond_double_range(capsys):
             ball.gamma_of(0.5 / radius, 1.0, 3, radius)
 
 
+def test_tone_residuals_at_extreme_radii(capsys):
+    # tensions the solve accepts, where a power of R or a term of the
+    # residuals at the physical scale leaves double range: the residuals
+    # come from the unit ball, finite and within tolerance, with no
+    # traceback and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau, radius in (("1", "1e-150"), ("1", "1e-105"),
+                            ("1e-210", "1e105")):
+            code, out, err = run(capsys, "tone", "--dim", "2", "--tau", tau,
+                                 "--radius", radius)
+            assert code == 0, err
+            vals = parse_kv(out)
+            for key in ("moment_residual", "shear_residual"):
+                res = float(vals[key])
+                assert math.isfinite(res) and res <= ball.RESIDUAL_TOL, key
+
+
 def test_tone_outputs_match_the_pinned_records(tmp_path):
     # every record of d in {2, 3, 5, 10, 30} x tau R^2 in {1e-8, 1e-3, 1,
     # 1e2, 1e5} x R in {1e-2, 1, 1e2}, byte for byte; the file holds each

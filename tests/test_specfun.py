@@ -157,6 +157,114 @@ def test_multi_order_series_rows_match_single_orders_bit_for_bit():
     assert sf._series_eval("j", 1, 2, 0, np.empty(0)).shape == (0,)
 
 
+def _written_out_series(kind, l, d, deriv, z):
+    # _series_eval for one order with every factor made afresh in the call:
+    # the reference for the plans that it caches
+    s = (d - 2) / 2.0
+    sign = -1.0 if kind == "j" else 1.0
+    zz = z * z / 4.0
+    zz_max = float(np.max(zz, initial=0.0))
+    k = max(0, -((l - deriv) // 2))
+    m0 = l + 2 * k
+
+    def ratio(j):
+        m = l + 2 * j
+        return (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
+                                        * (j + 1.0) * (s + l + j + 1.0))
+
+    floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
+    rs, lead = [], 1.0
+    while True:
+        r = ratio(k + len(rs))
+        q = r * zz_max
+        if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
+            break
+        rs.append(r)
+        lead *= q
+    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) \
+        - math.lgamma(s + l + k + 1)
+    fall = math.prod(range(m0 - deriv + 1, m0 + 1))
+    term = sign**k * fall * math.exp(lognorm) * np.power(z, m0 - deriv)
+    total = term.copy()
+    for r in rs:
+        term = term * (sign * zz) * r
+        total += term
+    return total
+
+
+def test_series_from_warm_plans_match_cold_calls_and_the_written_out_series():
+    # a plan's ratios, extended by an earlier call at a larger z, must give
+    # the sum that a cold call and the written-out series give, as bytes
+    warmers = (np.array([sf.SMALL_Z]), np.array([0.0, 1e-4]))
+    for kind in ("j", "i"):
+        for d in (2, 3, 30):
+            for l in range(sf.MAX_ORDER + 1):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    for zs in (np.array([0.0, 1e-7, 0.3]), np.array([0.49]),
+                               np.array([1e-3, 0.2])):
+                        ref = _written_out_series(kind, l, d, deriv, zs)
+                        sf._series_plan.cache_clear()
+                        cold = sf._series_eval(kind, l, d, deriv, zs)
+                        for warm in warmers:
+                            sf._series_eval(kind, l, d, deriv, warm)
+                        warm = sf._series_eval(kind, l, d, deriv, zs)
+                        rows = sf._series_eval(
+                            kind, range(l, l + deriv + 1), d, deriv, zs)
+                        assert cold.tobytes() == ref.tobytes()
+                        assert warm.tobytes() == ref.tobytes()
+                        assert rows[0].tobytes() == ref.tobytes()
+
+
+def test_table_entries_match_the_mixed_path_bit_for_bit():
+    # z all at or below SMALL_Z, all above it, on both sides, a scalar and
+    # an empty array: each entry equals, as bytes with -0.0 kept, the
+    # written-out series or kernel row, or their scatter where z is mixed;
+    # at [0, 6e-9] the sums of j_1'' and others stay at their first term,
+    # -0.0 at z = 0
+    negative_zeros = 0
+    for kind in ("j", "i"):
+        for d in (2, 3, 30):
+            for l in (0, 1, sf.MAX_ORDER):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    for zs in (np.array([0.0, 1e-7, 0.3, sf.SMALL_Z]),
+                               np.array([0.0, 6e-9]),
+                               sf.SMALL_Z + np.array([1e-9, 1.0, 20.0]),
+                               np.array([2.0, 0.0, 0.3, 20.0, sf.SMALL_Z]),
+                               np.array([2.0, 0.0, 6e-9]), np.empty(0)):
+                        table = sf._ultra_table(kind, l, d, zs, deriv)
+                        lo = zs <= sf.SMALL_Z
+                        kernel = sf._kernel_table(kind, l, d, deriv, zs[~lo])
+                        for order in range(l, l + deriv + 1):
+                            for k in range(deriv - (order - l) + 1):
+                                want = np.empty(zs.shape)
+                                want[lo] = _written_out_series(
+                                    kind, order, d, k, zs[lo])
+                                want[~lo] = kernel(k)[order - l]
+                                got = table(order, k)
+                                assert got.tobytes() == want.tobytes()
+                                negative_zeros += int(np.sum(
+                                    (got == 0.0) & np.signbit(got)))
+                    for z in (0.0, 0.3, 2.0):
+                        want = sf._ultra_table(kind, l, d, np.array([z]), deriv)
+                        table = sf._ultra_table(kind, l, d, z, deriv)
+                        got = table(l, deriv)
+                        assert isinstance(got, float)
+                        assert np.float64(got).tobytes() == \
+                            want(l, deriv).tobytes()
+    assert negative_zeros > 0
+
+
+def test_table_entries_are_the_callers_own():
+    for zs in (np.array([0.0, 0.3]), np.array([1.0, 2.0]),
+               np.array([0.3, 2.0])):
+        for kind in ("j", "i"):
+            table = sf._ultra_table(kind, 1, 3, zs, 4)
+            first = table(1, 2)
+            kept = first.copy()
+            first[:] = np.nan
+            assert table(1, 2).tobytes() == kept.tobytes()
+
+
 def _all_rows_kernel_table(kind, l, d, deriv, z):
     # every row of the derivative recurrence at once, as a reference for the
     # rows that _kernel_table builds on request

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy import special
 
-from freeplate import specfun, trial, verify
+from freeplate import geom, specfun, trial, verify
 from freeplate.ball import fundamental_tone, fundamental_tones
 from freeplate.report import CSV_HEADER, VerificationReport, reports_to_csv
 from freeplate.specfun import first_zero_j1prime
@@ -206,11 +207,23 @@ def test_profile_rows_match_the_public_scans():
             neg = -trial.rho(prof, inner, deriv=2)
             i = int(np.argmin(neg))
             checks = [(neg[i], (inner[i],))]
-            checks += trial._concavity_side_checks(prof, n)
+            # rho'' = 0 at both ends, and rho'''' > 0 on the inner grid and
+            # r = 1, from the public kernels
+            a, b, g = mode.a, mode.b, mode.gamma
+            end1 = (a**2 * specfun.ultra_j(1, d, a, deriv=2)
+                    + g * b**2 * specfun.ultra_i(1, d, b, deriv=2))
+            checks += [(trial.ENDPOINT_TOL
+                        - abs(trial.rho(prof, 0.0, deriv=2)), (0.0,)),
+                       (trial.ENDPOINT_TOL - abs(end1), (1.0,))]
+            fourth = (a**4 * specfun.ultra_j(1, d, a * closed, deriv=4)
+                      + g * b**4 * specfun.ultra_i(1, d, b * closed, deriv=4))
+            i = int(np.argmin(fourth))
+            checks.append((fourth[i], (closed[i],)))
             sub = trial._profile_checks(prof, inner, outer)
-            del sub["concave"]
+            monotone = [c for name, c in sub.items()
+                        if name not in trial._CONCAVITY]
             for name, found in (("profile-concavity", checks),
-                                ("numerator-monotone", sub.values())):
+                                ("numerator-monotone", monotone)):
                 margin, point = min(found, key=lambda c: c[0])
                 entries[name].append((margin, (tau,) + point))
             den = trial.rho(prof, combined) ** 2
@@ -240,10 +253,8 @@ def test_full_suite_rejects_bad_inputs(kwargs):
         verify.full_suite(2, **kwargs)
 
 
-def test_full_suite_kernel_work_is_bounded(monkeypatch):
-    # order rows times points over every jv/iv call of one full_suite(5);
-    # one kernel table per argument array and one profile pass per tension
-    # keep it far below the 1.21M of evaluating each entry on its own
+def _count_kernel_work(monkeypatch):
+    # the list that collects order rows times points of every jv/iv call
     work = []
 
     def counted(fn):
@@ -254,8 +265,100 @@ def test_full_suite_kernel_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(specfun, "special", SimpleNamespace(
         jv=counted(special.jv), iv=counted(special.iv)))
+    return work
+
+
+def test_full_suite_kernel_work_is_bounded(monkeypatch):
+    # order rows times points over every jv/iv call of one full_suite(5);
+    # one kernel table per argument array and one profile pass per tension
+    # keep it far below the 1.21M of evaluating each entry on its own
+    work = _count_kernel_work(monkeypatch)
     assert all(r.passed for r in verify.full_suite(5))
     assert 0 < sum(work) <= 450_000
+
+
+def test_profile_pass_kernel_budget(monkeypatch):
+    # jv/iv elements (order rows times points) of full_suite without the
+    # global rows, from a cold edge-value cache: the one profile pass per
+    # tension gives rho'''' too, and the edge values come from one table
+    # pair. A quotient whose profile's edge values are cached makes as
+    # many as before rho'''' joined the profile pass, so geom's tables
+    # build no fourth derivatives
+    suite_budget = {2: 203_292, 5: 221_554, 10: 235_928}
+    c = 0.05
+    shapes = {"ellipse": geom.ellipsoid(2, (2.0, 1.0)),
+              "l-shape": geom.implicit_domain(
+                  2, f"(abs(x) <= 1) & (abs(y) <= 1) & ~((x > {c!r}) & "
+                  f"(y > {c!r}))", (-1, 1, -1, 1), volume=4.0 - (1.0 - c) ** 2)}
+    quotient_budget = {"ellipse": 2616, "l-shape": 5232}
+    for d in suite_budget:
+        first_zero_j1prime(d)           # cached outside the count
+    mode = fundamental_tone(1.0, 2)
+    work = _count_kernel_work(monkeypatch)
+    for d, elements in suite_budget.items():
+        trial._edge_values.cache_clear()
+        work.clear()
+        verify.full_suite(d, include_global=False)
+        assert sum(work) == elements, d
+    for name, elements in quotient_budget.items():
+        dom = geom.normalize_volume(shapes[name])
+        trial._edge_values(trial.TrialProfile(mode))
+        work.clear()
+        geom._quotient(dom, mode, None)
+        assert sum(work) == elements, name
+
+
+# sha256 of reports_to_csv(full_suite(d, include_global=False)) for the
+# dimensions past the verify fixture's 2..10, recorded before rho''''
+# joined the profile pass
+_SUITE_SHA256 = {
+    11: "f97daaf52e0fd2d670374869544b3dc9"
+        "948cd3118880fba4bab7a8a4ae669b9a",
+    12: "4b408afee3af09ddb7ada4d7aeffb04b"
+        "3aa9c883baaaf0ea909a7a75b660fe77",
+    13: "ccdb8b46b04e1485b88c776ae4d9d335"
+        "f3beb03c5f666f4f65864235350dd07b",
+    14: "21aa838f85e52f947a1c74f205f7ef38"
+        "f808b44ddcd58b82912e6e8090ad308f",
+    15: "4f4a018ff96b0a8c30cf16525b3f68a3"
+        "21d1c2f340b206fa48f79e7c07dd7468",
+    16: "f3c8eae5ad703d384ccf21d0f25bb2a0"
+        "2a904b8769537ed12a25002f887881d9",
+    17: "9eb2658c4cb58dd816dddc7f01c8985d"
+        "c99023ec355e836238fae33506d9db6e",
+    18: "74642215a40e8070cfa05c20a81deaef"
+        "bc9871de8f30b6c848779727f9459c6c",
+    19: "70390f5f1a096ffc75f98934d76bea3c"
+        "c863dc2b3cf57e3a310d0dc38b6fb71d",
+    20: "766e06d23c16b59a19074d6db2245b92"
+        "c292c17f84703c7cd68ec9b108613a85",
+    21: "11b0e5961bc3b7dd72d989489df83e8e"
+        "76bbb67dd8f4691757743cf46157acd0",
+    22: "4bc91084aeab40aab9d0b60a6dcad317"
+        "45d453a249754cbf7b8e4071ede784a6",
+    23: "f6f2e7ad3d96fcdd29aeacbc21cb74c6"
+        "23bf1ac972718a588c37665f6b3c3653",
+    24: "5557299f3e3c1718d8797ed1491f8292"
+        "46cc3deac4724a4df93aa19a44004511",
+    25: "f9b362a62adb16a096e032ebc35158ee"
+        "7b8959cd2c413cf429253e32ba81d8e3",
+    26: "3de3de4de6a6c51733140bfbc49da010"
+        "8b8d2b0e78f912363b16c4ffc49e260b",
+    27: "6a639dc09fcf9f1a3b34ef52f079fa14"
+        "2db63f1f30cd1a2464ee4a457b30f74d",
+    28: "61b16c2f330e04f6f91abf2229d1132c"
+        "7d88b401aee68a80fa66717cb0cbbb22",
+    29: "33c7d39496a6f01a5a2e841b200ccf8a"
+        "df6a9c4d098ca3a888d59791eac8395c",
+    30: "9dc20b861ca31b8863db7c69da80dba7"
+        "e1887c8b2c7e41dc1928637e10b68122",
+}
+
+
+def test_suite_rows_past_the_fixture_are_pinned():
+    for d, digest in _SUITE_SHA256.items():
+        text = reports_to_csv(verify.full_suite(d, include_global=False))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, d
 
 
 def test_full_suite_rows_and_determinism():

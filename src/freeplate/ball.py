@@ -43,6 +43,10 @@ class BallMode:
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 2):
             raise ValueError("dimension d must be an integer >= 2")
+        if not np.all(np.isfinite((self.tau, self.radius, self.a, self.b,
+                                   self.gamma, self.omega))):
+            raise ValueError("tau, radius, a, b, gamma and omega must be "
+                             "finite doubles")
         if not (self.tau > 0 and self.radius > 0):
             raise ValueError("tau and radius must be positive")
         if abs(self.b**2 - self.a**2 - self.tau) > 1e-9 * self.b**2:
@@ -170,11 +174,13 @@ def fundamental_tones(taus, d, radius=1.0):
     at once, as a list of BallMode.
 
     The solve runs on the unit ball at tau R^2 (a positive finite double,
-    or ValueError); omega_R(tau) = R^-4 omega_1(tau R^2). The linear bounds
+    or ValueError); omega_R(tau) = R^-4 omega_1(tau R^2), and a/R, b/R and
+    omega_R must be finite doubles (or ValueError). The linear bounds
     tau mu < omega < tau (d+2), omega = a^2 (a^2 + tau), bracket the
     wavenumber in closed form; widened by a relative _WIDEN and clipped
     below ainf, they go to one vectorized root find (Chandrupatla's, in
-    specfun._bracketed_root) at a relative tolerance of 1e-13. gamma comes
+    specfun._bracketed_root) at a relative tolerance of 1e-13, and the
+    secant through each final bracket gives a. gamma comes
     from the tables of the residual check at the roots. The first tension
     that fails raises a RuntimeError with its bracket, V at both ends and
     the status.
@@ -192,7 +198,12 @@ def fundamental_tones(taus, d, radius=1.0):
     x, status, (xl, xr), (vl, vr) = _bracketed_root(
         lambda a, tt: _secular_vec(a, tt, d), lo, hi, t)
     ok = status == 0
-    a = np.where(ok, x, lo)     # lo stands in where the solve failed
+    # a from the secant through the final bracket, 1e-13 wide, unless V
+    # underflows at an end (tau R^2 = 1e-300, say); lo where the solve failed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sec = xl - vl * (xr - xl) / (vr - vl)
+    zero = np.minimum(abs(vl), abs(vr)) <= np.finfo(float).tiny
+    a = np.where(ok, np.where(zero, x, sec), lo)
     b = np.sqrt(a * a + t)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
@@ -211,11 +222,13 @@ def fundamental_tones(taus, d, radius=1.0):
             f"boundary residuals exceed tolerance at tau={taus[i]:g}: M "
             f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
             f"{v_scale[i]:.3g}")
-    ar = a / radius
-    br = np.sqrt(ar * ar + taus)
+    with np.errstate(over="ignore"):    # BallMode rejects what overflows
+        ar = a / radius
+        br = np.sqrt(ar * ar + taus)
+        omega = ar * ar * br * br
     return [BallMode(d, float(tau), float(radius), float(x), float(y),
-                     float(g), float(x * x * y * y))
-            for tau, x, y, g in zip(taus, ar, br, gamma)]
+                     float(g), float(w))
+            for tau, x, y, g, w in zip(taus, ar, br, gamma, omega)]
 
 
 def fundamental_tone(tau, d, radius=1.0):

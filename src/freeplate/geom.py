@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import betainc
 
 from . import trial, verify
 from .ball import fundamental_tone
@@ -335,11 +334,16 @@ def annulus(d, inner, outer, center=None):
 
 def _ball_below(d, r, x):
     # volume of the d-ball of radius r on the side {y_1 <= x} of a plane,
-    # |x| <= r, from the regularized incomplete beta form of the cap
+    # |x| <= r: |B| r^d (1 + K_d(beta) / K_d(pi/2)) / 2, sin(beta) = x/r,
+    # with K_n(beta) = int_0^beta cos^n = (cos^(n-1) sin + (n-1) K_(n-2)) / n
+    # by the reduction formula, whose terms share a sign
     t = x / r
-    cap = 0.5 * unit_ball_volume(d) * r**d * betainc(
-        0.5 * (d + 1), 0.5, (1.0 - t) * (1.0 + t))
-    return unit_ball_volume(d) * r**d - cap if t >= 0.0 else cap
+    c = math.sqrt((1.0 - t) * (1.0 + t))
+    k, w = (math.asin(t), 0.5 * math.pi) if d % 2 == 0 else (t, 1.0)
+    for n in range(2 + d % 2, d + 1, 2):
+        k = (c ** (n - 1) * t + (n - 1) * k) / n
+        w = (n - 1) * w / n
+    return 0.5 * unit_ball_volume(d) * r**d * (1.0 + k / w)
 
 
 def two_balls(d, radii, centers):

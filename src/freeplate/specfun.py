@@ -6,26 +6,31 @@ derivatives through fourth order, the series coefficients d_k of the
 expansions of j_1'' and i_1'', the first nontrivial zero of j_1', and the
 bracketed root finder that both it and the ball's tone solve use.
 
-At or below SMALL_Z the values and derivatives come from the ascending
-series, truncated by a geometric tail bound, which has no cancellation at
-small z. Above it the kernels J and I are scipy's jv and iv (the Amos
-routines, ACM TOMS 644, 1986, with their asymptotic expansions at large z),
-and exact order recurrences give the derivatives.
+Every value comes from one backward (Miller) recurrence over the scaled
+functions h_nu(z) = z^-nu C_nu(z), C = J or I, which are finite at z = 0:
+
+    h_(nu-1) = 2 nu h_nu -+ z^2 h_(nu+1)      (- for J, + for I),
+
+normalized at integer orders (even d) by J_0 + 2 sum J_2k = 1 or
+e^z = I_0 + 2 sum I_k, and at half-integer orders (odd d) by the closed
+forms at nu = -1/2 and 1/2 (Gautschi, SIAM Review 9, 1967; Olver & Sookne,
+Math. Comp. 26, 1972). Then j_l = z^l h_(s+l) and h_nu' = -+ z h_(nu+1), so
+every derivative is a sum of nonnegative powers of z times h's, each term
+positive for i. There is no series branch and no power of 1/z.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
 
 import numpy as np
-from scipy import special
 
-SMALL_Z = 0.5          # power-series evaluation at or below this argument
-_J_Z_MAX = 1.0e15      # jv loses its digits beyond this argument
+_J_Z_MAX = 1.0e4       # the sweep for j_l runs over O(z) orders
 _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
 MAX_ORDER = 8
 MAX_DERIV = 4
+_RESCALE = 32          # orders between rescalings of the sweep
+_PER_POINT = 16        # z of at most this many points sweeps point by point
 _ROOT_XRTOL = 1e-13    # relative bracket width at which a root is accepted
 _ROOT_MAX_ITER = 2046  # bisections that span the normal doubles
 _ROOT_STATUS = ("converged", "no sign change", "iteration budget")
@@ -61,112 +66,102 @@ def series_coeff_dk(k, d):
                                   + (1 - 2 * k - d / 2) * math.log(2.0))
 
 
+# what the sweep's one body calls on a float and on an array of points;
+# the closed forms come from numpy in both, so that their bits agree
+_MATH = (math.frexp, math.ldexp, max, math.sqrt, int, int,
+         lambda f, z: float(f(z)))
+_NUMPY = (np.frexp, np.ldexp, np.maximum, np.sqrt, lambda a: a.astype(int),
+          lambda a: int(a.max()), lambda f, z: f(z))
+
+
+def _sweep(kind, d, lo, hi, z, lib):
+    """h at the kernel orders s+lo..s+hi by one backward sweep, from one
+    body on a float z (lib _MATH) or on an array of points (lib _NUMPY).
+
+    Index n stands for the order nu = n + (d % 2)/2. With t = 4^m > z (1
+    below z = 1) and u = z/t, both exact, the sweep carries w_n = t^nu h_nu,
+        w_n = (2 nu_(n+1) / t) w_(n+1) -+ u^2 w_(n+2),
+    which neither divides by z nor overflows. Each point starts at an index
+    set by its own z, with w = 1 there and 0 above, so its bits do not
+    depend on the other points. Every _RESCALE orders w sheds its binary
+    exponent, exactly. At integer orders the normalizing sum runs along by
+    Horner in u (u^2 for j); at half-integer orders the last pair is fitted
+    by least squares to (w_(-1/2), u w_(1/2)) = sqrt(2 / (pi t)) (cos z,
+    sin z), (cosh z, sinh z) for i, so that a zero of either does no harm.
+    """
+    frexp, ldexp, maximum, sqrt, as_int, top_of, closed = lib
+    half = d % 2
+    n_lo, n_hi = (d - 2) // 2 + lo, (d - 2) // 2 + hi
+    m = maximum(0, (frexp(z)[1] + 1) // 2)
+    step = ldexp(1.0, -2 * m)
+    u = z * step
+    # past the largest order any table reads, by a margin for Miller's
+    # method and, for j, the O(z) orders before J_n falls off
+    start = as_int((d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5 + (
+        8.0 * sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
+    top = top_of(start)
+    every, even = kind == "i" and not half, kind == "j" and not half
+    uu = u * u
+    su2 = -uu if kind == "j" else uu
+    st2 = step + step
+    cs = (2.0 * top + 2.0 + half) * step       # 2 nu_(n+1) / t
+    w = w1 = S = 0.0 * u
+    E = 0
+    kept = []
+    for n in range(top, -half - 1, -1):
+        w, w1 = cs * w + su2 * w1 + (start == n), w
+        cs = cs - st2
+        if every:
+            S = u * S + w
+        elif even and not n & 1:
+            S = uu * S + w
+        if not n % _RESCALE:
+            e = frexp(maximum(abs(w), abs(w1)))[1]
+            w, w1, S, E = ldexp(w, -e), ldexp(w1, -e), ldexp(S, -e), E + e
+        if n_lo <= n <= n_hi:
+            kept.append((n, w, E))
+    if half:
+        c, sn = ((closed(np.cos, z), closed(np.sin, z)) if kind == "j"
+                 else (closed(np.cosh, z), closed(np.sinh, z)))
+        a, b = w, u * w1
+        f = math.sqrt(2.0 / math.pi) * (a * c + b * sn) / (a * a + b * b)
+    else:
+        # the sums weigh every order once, the identities order 0 once and
+        # the others twice
+        f = (closed(np.exp, z) if kind == "i" else 1.0) / (S + S - w)
+    # h_nu = t^-nu w_nu, and t^-1/2 more from the closed forms' factor
+    return [ldexp(wn, En - E - 2 * m * (n + half)) * f
+            for n, wn, En in reversed(kept)]
+
+
 @lru_cache(maxsize=None)
-def _series_plan(kind, l, d, deriv):
-    # what _series_eval's sum for one order keeps from call to call: the
-    # coefficient and power of z of its first term, and ratio(n), the ratio
-    # of its term n+1 to term n without the factor (z^2/4), computed once
-    # and only as far as the calls so far have needed
-    s = (d - 2) / 2.0
-    sign = -1.0 if kind == "j" else 1.0
-    k = max(0, -((l - deriv) // 2))      # smallest k with l + 2k >= deriv
-    m0 = l + 2 * k
-    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(s + l + k + 1)
-    fall = math.prod(range(m0 - deriv + 1, m0 + 1))
-    ratios = []
-
-    def ratio(n):
-        while len(ratios) <= n:
-            j = k + len(ratios)
-            m = l + 2 * j
-            ratios.append((m + 2.0) * (m + 1.0)
-                          / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
-                             * (j + 1.0) * (s + l + j + 1.0)))
-        return ratios[n]
-
-    return sign**k * fall * math.exp(lognorm), m0 - deriv, ratio, ratios
+def _deriv_terms(kind, order, k):
+    # the k-th derivative of z^order h_(s+order) as terms (c, p, m) of
+    # c z^p h_(s+order+m); (z^p h_nu)' = p z^(p-1) h_nu -+ z^(p+1) h_(nu+1)
+    sign = -1 if kind == "j" else 1
+    c = [1]
+    for kk in range(k):
+        c = [(order - kk + 2 * m) * a + sign * b
+             for m, (a, b) in enumerate(zip(c + [0], [0] + c))]
+    return tuple((float(cm), order - k + 2 * m, m)
+                 for m, cm in enumerate(c) if cm)
 
 
-def _series_eval(kind, l, d, deriv, z):
-    """Term-differentiated ascending series for the deriv-th derivative of
-    j_l (alternating signs) or i_l (positive signs) at 0 <= z <= SMALL_Z.
-
-    The series for j_l is sum_k (-1)^k z^(l+2k) / (2^(s+l+2k) k! G(s+l+k+1));
-    differentiation multiplies term k by the falling factorial of l+2k. Terms
-    are built by ratio updates. The ratio q of term k+1 to term k, taken at
-    the largest z, falls with k, so the tail after a term is at most
-    |term| q / (1 - q). The term count is fixed before the sum, from these
-    ratios at the largest z, so that the tail is below 1e-17 of the total
-    at every point, which leaves the rounded total unchanged.
-
-    l is one order, or a range of orders summed in one pass, a row each
-    bit for bit its own sum: each keeps its term count and power of z.
-    """
-    sign = -1.0 if kind == "j" else 1.0
-    z = np.asarray(z, dtype=float)
-    zz = z * z / 4.0
-    zz_max = float(np.max(zz, initial=0.0))
-    one = isinstance(l, int)
-
-    terms, ratios = [], []
-    for l in [l] if one else l:
-        coef, power, ratio, cached = _series_plan(kind, l, d, deriv)
-        # |total| >= |term_0| (1 - q_0) for the alternating j series, whose
-        # terms fall from the first on, and >= |term_0| for i; |term_n| is
-        # at most |term_0| times the product of the q before n at every point
-        floor = 1.0 - ratio(0) * zz_max if kind == "j" else 1.0
-        if floor <= 0.0:
-            raise ValueError("series used beyond its range of convergence")
-        n, lead = 0, 1.0
-        while True:
-            q = ratio(n) * zz_max
-            if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
-                break
-            n += 1
-            lead *= q
-        ratios.append(cached[:n])
-        terms.append(coef * np.power(z, power))
-    term = np.array(terms)
-    total = term.copy()
-    step = sign * zz
-    # shorter sums pad with -0.0 ratios, whose +-0 terms leave every sum
-    # as it was, a -0.0 one included
-    steps = list(zip_longest(*ratios, fillvalue=-0.0))
-    for r in np.reshape(steps, (-1, len(terms), 1)):
-        term = term * step * r
-        total += term
-    return total[0] if one else total
+def _combine(terms, pw, h, i):
+    # one table entry from the powers pw of z and the h's from h[i] on
+    total = None
+    for c, p, m in terms:
+        term = c * pw[p] * h[i + m]
+        total = term if total is None else total + term
+    return total
 
 
-def _kernel_table(kind, l, d, deriv, z):
-    """row(k), the list T[k][m] of the k-th derivatives of the orders l+m,
-    m <= deriv - k, at z > SMALL_Z (array).
-
-    One call of scipy's jv or iv over the kernel orders s+l..s+l+deriv gives
-    the row T[0]; the others, built on first request, follow by repeated
-    exact application of w' = (m/z) w -/+ w_(m+1), with the Leibniz rule:
-        T[k+1][m] = (l+m) sum_i C(k,i) (-1)^i i! z^-(i+1) T[k-i][m]
-                    + sign T[k][m+1].
-    """
-    s = (d - 2) / 2.0
-    sign = -1.0 if kind == "j" else 1.0
-    bessel = special.jv if kind == "j" else special.iv
-    orders = s + l + np.arange(deriv + 1, dtype=float)
-    T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
-    inv = 1.0 / z
-    pows = []       # pows[i] = inv ** (i + 1), made once, for the rows asked
-
-    def row(k):
-        for n in range(len(T) - 1, k):     # T[n + 1] from T[0..n]
-            pows.extend(inv ** (i + 1) for i in range(len(pows), n + 1))
-            c = [math.comb(n, i) * (-1.0) ** i * math.factorial(i)
-                 for i in range(n + 1)]
-            T.append([(l + m) * sum(c[i] * pows[i] * T[n - i][m]
-                                    for i in range(n + 1))
-                      + sign * T[n][m + 1] for m in range(deriv - n)])
-        return T[k]
-
-    return row
+def _powers(z, p):
+    # 1, z, .., z^p by repeated products, the same on a float or an array
+    pw = [1.0]
+    for _ in range(p):
+        pw.append(pw[-1] * z)
+    return pw
 
 
 def _ultra_table(kind, l, d, z, deriv):
@@ -174,21 +169,20 @@ def _ultra_table(kind, l, d, z, deriv):
     deriv; deriv also sets the span of orders, (order - l) + k <= deriv,
     so a table of l = 1 and deriv = 2 serves j_3 as well.
 
-    Validates z once, by its min and max. Returns entry(order, k), the k-th
+    Validates z once, by its min and max, and runs one _sweep for h at the
+    orders s+l..s+l+deriv: over the array at more than _PER_POINT points,
+    point by point on floats otherwise. Returns entry(order, k), the k-th
     derivative of that order, bit for bit the value ultra_j/ultra_i give.
-    The first entry of each k builds its row: of the one _kernel_table
-    above SMALL_Z, and of one _series_eval pass over the orders
-    l..l+deriv-k at or below it. A scalar z gives floats, an array z a
-    new array per entry, which the caller may write into.
+    A scalar z gives floats, an array z a new array per entry, which the
+    caller may write into.
     """
     UltraBesselParams(l, d)     # validates l, d
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
         raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    # nan propagates through min and max; an empty z passes as all-small
-    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    shape, flat = arr.shape, arr.ravel()
+    # nan propagates through min and max
+    lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
     if lo < 0:
@@ -196,31 +190,18 @@ def _ultra_table(kind, l, d, z, deriv):
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
     if hi > zmax:
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
-    # the points at or below SMALL_Z and those above it; a scatter mask
-    # only where z has points on both sides
-    small = None
-    if hi <= SMALL_Z:
-        z_small, z_big = arr, None
-    elif lo > SMALL_Z:
-        z_small, z_big = None, arr
-    else:
-        small = arr <= SMALL_Z
-        big = ~small
-        z_small, z_big = arr[small], arr[big]
-    T = None if z_big is None else _kernel_table(kind, l, d, deriv, z_big)
-    series = {}
+    if flat.size > _PER_POINT:
+        h = _sweep(kind, d, l, l + deriv, flat, _NUMPY)
+        pw = _powers(flat, l + deriv)
+        return lambda order, k: _combine(
+            _deriv_terms(kind, order, k), pw, h, order - l).reshape(shape)
+    points = [(_powers(zi, l + deriv), _sweep(kind, d, l, l + deriv, zi,
+                                              _MATH)) for zi in flat.tolist()]
 
     def entry(order, k):
-        if z_small is not None and k not in series:
-            series[k] = _series_eval(
-                kind, range(l, l + deriv - k + 1), d, k, z_small)
-        if small is None:
-            row = (T(k) if z_small is None else series[k])[order - l]
-            return float(row[0]) if scalar else row.copy()
-        out = np.empty(arr.shape)
-        out[small] = series[k][order - l]
-        out[big] = T(k)[order - l]
-        return out
+        terms = _deriv_terms(kind, order, k)
+        vals = [_combine(terms, pw, h, order - l) for pw, h in points]
+        return np.array(vals).reshape(shape) if shape else vals[0]
 
     return entry
 
@@ -228,8 +209,7 @@ def _ultra_table(kind, l, d, z, deriv):
 def ultra_j(l, d, z, deriv=0):
     """deriv-th derivative of j_l(z) in dimension d, for z >= 0.
 
-    Power series below SMALL_Z; kernel evaluation plus exact derivative
-    recurrences above. Accepts scalar or array z.
+    Accepts scalar or array z, up to _J_Z_MAX.
     """
     return _ultra_table("j", l, d, z, deriv)(l, deriv)
 
@@ -237,8 +217,8 @@ def ultra_j(l, d, z, deriv=0):
 def ultra_i(l, d, z, deriv=0):
     """deriv-th derivative of i_l(z) in dimension d, for z >= 0.
 
-    Same scheme as ultra_j with the modified recurrence signs; i_l and all
-    of its derivatives are positive for z > 0.
+    Same sweep as ultra_j with the modified recurrence signs; i_l and all
+    of its derivatives are positive for z > 0. z up to _I_Z_MAX.
     """
     return _ultra_table("i", l, d, z, deriv)(l, deriv)
 

@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import special
 
 from freeplate import ball, specfun
 from freeplate.specfun import first_zero_j1prime, ultra_i, ultra_j
@@ -287,34 +285,37 @@ def test_solver_budget_failure_carries_its_trace(monkeypatch):
 
 
 def test_tone_solve_call_budget(monkeypatch):
-    # secular evaluations and jv/iv calls of one solve, with its gamma and
-    # residual check, on both sides of SMALL_Z: both bracket ends share the
-    # first evaluation, and gamma comes from the residual check's tables,
-    # so a solve above SMALL_Z makes one jv and one iv call more than it
-    # makes secular evaluations, and a solve at or below SMALL_Z makes none
-    counts = dict.fromkeys(("secular", "jv", "iv"), 0)
+    # secular evaluations and kernel tables of one solve, with its gamma and
+    # residual check: both bracket ends share the first evaluation, and
+    # gamma comes from the residual check's tables, so a solve builds one
+    # J and one I table per secular evaluation and one pair more, each to
+    # the second derivative (orders 1..3); they hold the two bracket ends,
+    # then one point each
+    counts = dict.fromkeys(("secular", "j", "i", "work"), 0)
+    parts, table = ball._secular_parts, ball._ultra_table
 
-    def counted(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+    def counted_parts(*args):
+        counts["secular"] += 1
+        return parts(*args)
 
-    monkeypatch.setattr(ball, "_secular_parts",
-                        counted("secular", ball._secular_parts))
-    monkeypatch.setattr(specfun, "special", SimpleNamespace(
-        jv=counted("jv", special.jv), iv=counted("iv", special.iv)))
-    # (d, tau): a and b at or below SMALL_Z (the first two), a just above
-    # it, then far above
-    budget = {(2, 1e-6): (5, 0), (3, 1e-2): (6, 0), (3, 2e-2): (6, 7),
-              (5, 1.0): (6, 7), (30, 1e5): (5, 6)}
-    for (d, tau), (secular, kernel) in budget.items():
+    def counted_table(kind, l, d, z, deriv):
+        counts[kind] += 1
+        counts["work"] += np.size(z) * (deriv + 1)
+        return table(kind, l, d, z, deriv)
+
+    monkeypatch.setattr(ball, "_secular_parts", counted_parts)
+    monkeypatch.setattr(ball, "_ultra_table", counted_table)
+    # (d, tau): a and b below 1/2 (the first two), then a past 1/2 and far
+    # past it
+    budget = {(2, 1e-6): 5, (3, 1e-2): 5, (3, 2e-2): 6, (5, 1.0): 6,
+              (30, 1e5): 5}
+    for (d, tau), secular in budget.items():
         first_zero_j1prime(d)           # cached outside the count
         counts.update(dict.fromkeys(counts, 0))
-        mode = ball.fundamental_tone(tau, d)
-        assert (max(mode.a, mode.b) <= specfun.SMALL_Z) == (kernel == 0)
-        assert (counts["secular"], counts["jv"], counts["iv"]) == (
-            secular, kernel, kernel), (d, tau)
+        ball.fundamental_tone(tau, d)
+        assert (counts["secular"], counts["j"], counts["i"]) == (
+            secular, secular + 1, secular + 1), (d, tau)
+        assert counts["work"] == 2 * 3 * (secular + 2), (d, tau)
 
 
 def test_overflow_propagates_from_the_batch():

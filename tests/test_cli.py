@@ -111,6 +111,18 @@ def test_tone_residuals_at_extreme_radii(capsys):
                 assert math.isfinite(res) and res <= ball.RESIDUAL_TOL, key
 
 
+def test_tone_rejects_omega_beyond_double_range(capsys):
+    # tau R^2 = 1 solves, but omega_R = R^-4 omega_1 leaves double range at
+    # R = 1e-78: a clean error, exit 2, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "tone", "--dim", "2", "--tau", "1e156",
+                             "--radius", "1e-78")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "finite doubles" in err
+    assert "Warning" not in err
+
+
 def test_tone_outputs_match_the_pinned_records(tmp_path):
     # every record of d in {2, 3, 5, 10, 30} x tau R^2 in {1e-8, 1e-3, 1,
     # 1e2, 1e5} x R in {1e-2, 1, 1e2}, byte for byte; the file holds each
@@ -451,19 +463,24 @@ def test_verify_lists_failing_lemmas(capsys, monkeypatch):
 
 
 def test_cli_loads_no_optimize_integrate_or_linalg(tmp_path):
-    # the tone path runs on numpy and scipy.special alone. A fresh process
-    # runs a tone and a 3-d ellipsoid quotient, so a lazy import inside a
-    # call (roots_gegenbauer's of scipy.linalg, say) shows up too
-    cfg = tmp_path / "el.cfg"
-    cfg.write_text("shape=ellipsoid\ndim=3\nsemiaxes=1.2,1,0.8\n",
-                   encoding="utf-8")
+    # the program runs on numpy alone. A fresh process runs a tone, a 3-d
+    # ellipsoid quotient and a 2-d overlapping two-balls quotient (its
+    # volume from the cap integral), so a lazy import inside a call shows
+    # up too: no scipy module, and no numpy.f2py
+    cfgs = {"el.cfg": "shape=ellipsoid\ndim=3\nsemiaxes=1.2,1,0.8\n",
+            "tb.cfg": "shape=two-balls\ndim=2\nradii=1,0.6\n"
+                      "centers=0,0;1.2,0\n"}
+    for name, text in cfgs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     code = (
         "import sys\n"
         "from freeplate.cli import main\n"
         "assert main(['tone', '--dim', '3', '--tau', '1']) == 0\n"
-        f"assert main(['quotient', '--domain', {str(cfg)!r}, '--tau', '1']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('scipy.optimize', 'scipy.integrate', 'scipy.linalg'))))\n")
+        + "".join(f"assert main(['quotient', '--domain', "
+                  f"{str(tmp_path / name)!r}, '--tau', '1']) == 0\n"
+                  for name in cfgs)
+        + "print(sorted(m for m in sys.modules if m == 'scipy' or\n"
+        "    m.startswith(('scipy.', 'numpy.f2py'))))\n")
     src = str(Path(freeplate.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

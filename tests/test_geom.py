@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -60,6 +61,41 @@ def test_two_balls_overlap_volume_matches_lens_formula():
         tb = geom.two_balls(3, (r1, r2), ((0.0, 0.0, 0.0), (c, 0.0, 0.0)))
         assert tb.volume == pytest.approx(union, rel=1e-14)
         assert tb.volume_error == 0.0
+
+
+def _mp_two_balls_volume(d, r1, r2, c):
+    # the union of two overlapping d-balls, each cut by the radical plane:
+    # the part of a ball of radius r on its own side of a plane at signed
+    # distance x from its center is |B| r^d (1 + sgn(x) (1 - I)) / 2, with
+    # I = I(1 - x^2/r^2) the regularized incomplete beta function of
+    # ((d+1)/2, 1/2), the cap beyond the plane
+    r1, r2, c = mp.mpf(r1), mp.mpf(r2), mp.mpf(c)
+    a, half = mp.mpf(d + 1) / 2, mp.mpf(1) / 2
+
+    def side(r, x):
+        part = 1 - mp.betainc(a, half, 0, 1 - (x / r) ** 2, regularized=True)
+        return mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2 + 1) * r**d \
+            * (1 + mp.sign(x) * part) / 2
+
+    x1 = (c**2 + r1**2 - r2**2) / (2 * c)
+    return side(r1, x1) + side(r2, c - x1)
+
+
+def test_two_balls_volume_matches_mpmath():
+    # d = 2..10 against 30-digit mpmath: equal balls, a small ball mostly
+    # inside a large one (its radical plane past its center), and balls
+    # that barely overlap
+    cases = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.2), (1.0, 0.5, 0.6),
+             (0.3, 1.2, 1.45), (1.0, 1.0, 1.999), (1.0, 0.2, 0.81),
+             (0.7, 1.3, 0.65))
+    with mp.workdps(30):
+        for d in range(2, 11):
+            for r1, r2, c in cases:
+                far = np.zeros(d)
+                far[0] = c
+                got = geom.two_balls(d, (r1, r2), (np.zeros(d), far)).volume
+                ref = _mp_two_balls_volume(d, r1, r2, c)
+                assert abs(got - ref) <= 1e-14 * ref, (d, r1, r2, c)
 
 
 def test_contains_matches_analytic_predicates():
@@ -421,17 +457,17 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
 
 def test_domain_comparison_reports_are_unchanged():
     # (worst margin, worst point) of each report as float.hex, recorded
-    # before the quotient reused the centering's cast
+    # with the kernels' backward recurrence and the tone's final secant
     pinned = {
-        "l": ("0x1.f4bfbb1f07d61p-6",
-              ("0x1.0448142bd4b7cp+2", "0x1.063cae4a655e1p+2",
-               "0x1.43ee0c7f3c2a0p+0", "0x1.095a9c1bf6f1ep+0")),
-        "tb2": ("0x1.6ec54cb7c8d94p-5",
-                ("0x1.035f9e2e6fab7p+2", "0x1.063cae4a655e1p+2",
-                 "0x1.6142775f5fde0p+0", "0x1.095a9c1bf6f1ep+0")),
-        "tb3": ("0x1.9c414a0b545e5p-9",
-                ("0x1.65c092f085270p+1", "0x1.66245af798efep+1",
-                 "0x1.2d65be86b2609p-1", "0x1.20f794cc3d3e8p-1")),
+        "l": ("0x1.f4bfbb1f07fa1p-6",
+              ("0x1.0448142bd4b7ap+2", "0x1.063cae4a655e1p+2",
+               "0x1.43ee0c7f3c29ep+0", "0x1.095a9c1bf6f1ep+0")),
+        "tb2": ("0x1.6ec54cb7c8e94p-5",
+                ("0x1.035f9e2e6fab5p+2", "0x1.063cae4a655e1p+2",
+                 "0x1.6142775f5fddcp+0", "0x1.095a9c1bf6f1ep+0")),
+        "tb3": ("0x1.9c414a0b588e5p-9",
+                ("0x1.65c092f085180p+1", "0x1.66245af798e12p+1",
+                 "0x1.2d65be86b253ep-1", "0x1.20f794cc3d332p-1")),
     }
     for name, dom in (("l", l_shape()), ("tb2", two_balls_2d()),
                       ("tb3", two_balls_3d())):

@@ -104,21 +104,26 @@ def test_recurrence_residuals_random_sampling():
 
 
 def test_series_and_kernel_agree_on_small_arguments():
-    zs = np.linspace(1e-4, 0.5, 200)
-    for d in (2, 3, 5, 9):
-        for l in (0, 1, 2):
-            for deriv in (0, 1):
-                series = sf._series_eval("j", l, d, deriv, zs)
-                kernel = sf._kernel_table("j", l, d, deriv, zs)(deriv)[0]
-                rel = np.abs(series - kernel) / np.maximum(np.abs(series), 1e-300)
-                assert float(rel.max()) < 1e-12
+    # the sweep against the oracle's ascending series, where that series
+    # converges fastest
+    for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
+        for d in (2, 3, 5, 9):
+            for l in (0, 1, 2):
+                for deriv in (0, 1):
+                    for z in (1e-4, 0.1, 0.3, 0.5):
+                        ref = mp_ultra(kind, l, d, z, deriv)
+                        assert fn(l, d, z, deriv) == pytest.approx(ref, rel=1e-13)
 
 
 def test_table_entries_match_single_kernels_bit_for_bit():
-    # z from 0 across SMALL_Z, where the series hands over to the kernels
-    zs = np.concatenate([[0.0], np.geomspace(1e-3, sf.SMALL_Z, 6),
-                         sf.SMALL_Z + np.geomspace(1e-9, 20.0, 7)])
-    for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
+    # z from 0 across 1/2 and 1, where the sweep's scale t changes, swept
+    # point by point (14 points) and over the array (19 points)
+    small = np.concatenate([[0.0], np.geomspace(1e-3, 0.5, 6),
+                            0.5 + np.geomspace(1e-9, 20.0, 7)])
+    for zs, kind, fn in ((zs, kind, fn) for zs in (
+            small, np.concatenate([small, np.linspace(0.7, 20.0, 5)]))
+            for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i))):
+        assert (zs.size > sf._PER_POINT) == (zs.size == 19)
         for d in (2, 3, 8, 30):
             for l in range(sf.MAX_ORDER + 1):
                 for deriv in range(sf.MAX_DERIV + 1):
@@ -133,130 +138,35 @@ def test_table_entries_match_single_kernels_bit_for_bit():
                 assert isinstance(table(3, 2), float)
 
 
-def test_multi_order_series_rows_match_single_orders_bit_for_bit():
-    # one pass over the orders l..l+deriv pads the shorter sums with zero
-    # ratios; every row must still be that order's own sum, sign of zero
-    # included
-    straddle = np.concatenate([[0.0], np.geomspace(1e-3, sf.SMALL_Z, 6),
-                               sf.SMALL_Z + np.geomspace(1e-9, 20.0, 7)])
-    small = straddle[straddle <= sf.SMALL_Z]
-    for kind in ("j", "i"):
-        for d in (2, 3, 8, 30):
-            for l in range(sf.MAX_ORDER + 1):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    # [0, 6e-9]: at 0 the sum of an order without terms
-                    # past its first stays -0.0 beside longer sums
-                    for zs in (small, np.array([0.3]), np.array([1e-7]),
-                               np.array([0.0, 6e-9])):
-                        rows = sf._series_eval(kind, range(l, l + deriv + 1),
-                                               d, deriv, zs)
-                        assert rows.shape == (deriv + 1, zs.size)
-                        for m, row in enumerate(rows):
-                            ref = sf._series_eval(kind, l + m, d, deriv, zs)
-                            assert row.tobytes() == ref.tobytes()
-    assert sf._series_eval("j", 1, 2, 0, np.empty(0)).shape == (0,)
-
-
-def _written_out_series(kind, l, d, deriv, z):
-    # _series_eval for one order with every factor made afresh in the call:
-    # the reference for the plans that it caches
-    s = (d - 2) / 2.0
-    sign = -1.0 if kind == "j" else 1.0
-    zz = z * z / 4.0
-    zz_max = float(np.max(zz, initial=0.0))
-    k = max(0, -((l - deriv) // 2))
-    m0 = l + 2 * k
-
-    def ratio(j):
-        m = l + 2 * j
-        return (m + 2.0) * (m + 1.0) / ((m + 2.0 - deriv) * (m + 1.0 - deriv)
-                                        * (j + 1.0) * (s + l + j + 1.0))
-
-    floor = 1.0 - ratio(k) * zz_max if kind == "j" else 1.0
-    rs, lead = [], 1.0
-    while True:
-        r = ratio(k + len(rs))
-        q = r * zz_max
-        if q < 1.0 and lead * q <= 1e-17 * (1.0 - q) * floor:
-            break
-        rs.append(r)
-        lead *= q
-    lognorm = -(s + m0) * math.log(2.0) - math.lgamma(k + 1) \
-        - math.lgamma(s + l + k + 1)
-    fall = math.prod(range(m0 - deriv + 1, m0 + 1))
-    term = sign**k * fall * math.exp(lognorm) * np.power(z, m0 - deriv)
-    total = term.copy()
-    for r in rs:
-        term = term * (sign * zz) * r
-        total += term
-    return total
-
-
-def test_series_from_warm_plans_match_cold_calls_and_the_written_out_series():
-    # a plan's ratios, extended by an earlier call at a larger z, must give
-    # the sum that a cold call and the written-out series give, as bytes
-    warmers = (np.array([sf.SMALL_Z]), np.array([0.0, 1e-4]))
-    for kind in ("j", "i"):
+def test_table_entries_match_across_batch_sizes_bit_for_bit():
+    # a point's bits depend on its z alone: alone, in the point-by-point
+    # sweep of a small array and in the array sweep of a large one, every
+    # entry is the same bytes, -0.0 included; z at 0, at the powers of 4
+    # where the sweep's scale changes, and at the ends of the range
+    pts = np.array([0.0, 1e-300, 6e-9, 0.3, 0.5, 1.0, 4.0, 4.0000000000000009,
+                    16.0, 20.0, 64.0, 300.0, 689.9])
+    big = np.resize(pts, 3 * sf._PER_POINT + 5)
+    for kind, top in (("j", sf._J_Z_MAX), ("i", 689.9)):
+        zs = np.append(pts[pts <= top], top)
         for d in (2, 3, 30):
-            for l in range(sf.MAX_ORDER + 1):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    for zs in (np.array([0.0, 1e-7, 0.3]), np.array([0.49]),
-                               np.array([1e-3, 0.2])):
-                        ref = _written_out_series(kind, l, d, deriv, zs)
-                        sf._series_plan.cache_clear()
-                        cold = sf._series_eval(kind, l, d, deriv, zs)
-                        for warm in warmers:
-                            sf._series_eval(kind, l, d, deriv, warm)
-                        warm = sf._series_eval(kind, l, d, deriv, zs)
-                        rows = sf._series_eval(
-                            kind, range(l, l + deriv + 1), d, deriv, zs)
-                        assert cold.tobytes() == ref.tobytes()
-                        assert warm.tobytes() == ref.tobytes()
-                        assert rows[0].tobytes() == ref.tobytes()
-
-
-def test_table_entries_match_the_mixed_path_bit_for_bit():
-    # z all at or below SMALL_Z, all above it, on both sides, a scalar and
-    # an empty array: each entry equals, as bytes with -0.0 kept, the
-    # written-out series or kernel row, or their scatter where z is mixed;
-    # at [0, 6e-9] the sums of j_1'' and others stay at their first term,
-    # -0.0 at z = 0
-    negative_zeros = 0
-    for kind in ("j", "i"):
-        for d in (2, 3, 30):
-            for l in (0, 1, sf.MAX_ORDER):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    for zs in (np.array([0.0, 1e-7, 0.3, sf.SMALL_Z]),
-                               np.array([0.0, 6e-9]),
-                               sf.SMALL_Z + np.array([1e-9, 1.0, 20.0]),
-                               np.array([2.0, 0.0, 0.3, 20.0, sf.SMALL_Z]),
-                               np.array([2.0, 0.0, 6e-9]), np.empty(0)):
-                        table = sf._ultra_table(kind, l, d, zs, deriv)
-                        lo = zs <= sf.SMALL_Z
-                        kernel = sf._kernel_table(kind, l, d, deriv, zs[~lo])
-                        for order in range(l, l + deriv + 1):
-                            for k in range(deriv - (order - l) + 1):
-                                want = np.empty(zs.shape)
-                                want[lo] = _written_out_series(
-                                    kind, order, d, k, zs[lo])
-                                want[~lo] = kernel(k)[order - l]
-                                got = table(order, k)
-                                assert got.tobytes() == want.tobytes()
-                                negative_zeros += int(np.sum(
-                                    (got == 0.0) & np.signbit(got)))
-                    for z in (0.0, 0.3, 2.0):
-                        want = sf._ultra_table(kind, l, d, np.array([z]), deriv)
-                        table = sf._ultra_table(kind, l, d, z, deriv)
-                        got = table(l, deriv)
-                        assert isinstance(got, float)
-                        assert np.float64(got).tobytes() == \
-                            want(l, deriv).tobytes()
-    assert negative_zeros > 0
+            for l, deriv in ((0, 4), (1, 2), (sf.MAX_ORDER, 4)):
+                keys = [(l + m, k) for m in range(deriv + 1)
+                        for k in range(deriv - m + 1)]
+                wide = sf._ultra_table(kind, l, d, np.resize(zs, big.size), deriv)
+                few = sf._ultra_table(kind, l, d, zs[:sf._PER_POINT], deriv)
+                for key in keys:
+                    got = wide(*key)
+                    for i, z in enumerate(zs):
+                        alone = sf._ultra_table(kind, l, d, float(z), deriv)(*key)
+                        assert isinstance(alone, float)
+                        assert np.float64(alone).tobytes() == got[i].tobytes()
+                        if i < sf._PER_POINT:
+                            assert few(*key)[i].tobytes() == got[i].tobytes()
 
 
 def test_table_entries_are_the_callers_own():
     for zs in (np.array([0.0, 0.3]), np.array([1.0, 2.0]),
-               np.array([0.3, 2.0])):
+               np.linspace(0.0, 3.0, 2 * sf._PER_POINT)):
         for kind in ("j", "i"):
             table = sf._ultra_table(kind, 1, 3, zs, 4)
             first = table(1, 2)
@@ -265,45 +175,23 @@ def test_table_entries_are_the_callers_own():
             assert table(1, 2).tobytes() == kept.tobytes()
 
 
-def _all_rows_kernel_table(kind, l, d, deriv, z):
-    # every row of the derivative recurrence at once, as a reference for the
-    # rows that _kernel_table builds on request
-    s = (d - 2) / 2.0
-    sign = -1.0 if kind == "j" else 1.0
-    bessel = sf.special.jv if kind == "j" else sf.special.iv
-    orders = s + l + np.arange(deriv + 1, dtype=float)
-    T = [list(bessel(orders[:, None], z) * np.power(z, -s))]
-    inv = 1.0 / z
-    for k in range(deriv):
-        row = []
-        for m in range(deriv - k):
-            acc = np.zeros_like(z)
-            for i in range(k + 1):
-                acc += (math.comb(k, i) * (-1.0) ** i * math.factorial(i)) \
-                    * inv ** (i + 1) * T[k - i][m]
-            row.append((l + m) * acc + sign * T[k][m + 1])
-        T.append(row)
-    return T
-
-
 def test_kernel_rows_built_on_request_match_the_all_rows_table():
-    zs = sf.SMALL_Z + np.geomspace(1e-9, 20.0, 9)
-    for kind in ("j", "i"):
-        for d in (2, 3, 8, 30):
-            for l in range(sf.MAX_ORDER + 1):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    ref = _all_rows_kernel_table(kind, l, d, deriv, zs)
-                    # rows asked for from the top down and from the bottom up
-                    down = sf._kernel_table(kind, l, d, deriv, zs)
-                    up = sf._kernel_table(kind, l, d, deriv, zs)
-                    got_down = [down(k) for k in reversed(range(deriv + 1))]
-                    got_up = [up(k) for k in range(deriv + 1)]
-                    for k in range(deriv + 1):
-                        assert len(got_up[k]) == len(ref[k]) == deriv - k + 1
-                        for m in range(deriv - k + 1):
-                            want = ref[k][m].tobytes()
-                            assert got_up[k][m].tobytes() == want
-                            assert got_down[deriv - k][m].tobytes() == want
+    # a table's entries do not depend on which it served before: read top
+    # down, and twice, each is the entry of a table read bottom up, as
+    # bytes, over both batchings
+    for zs in (0.5 + np.geomspace(1e-9, 20.0, 9), np.linspace(0.0, 20.0, 33)):
+        for kind in ("j", "i"):
+            for d in (2, 3, 8, 30):
+                for l in range(sf.MAX_ORDER + 1):
+                    for deriv in range(sf.MAX_DERIV + 1):
+                        keys = [(l + m, k) for m in range(deriv + 1)
+                                for k in range(deriv - m + 1)]
+                        up = sf._ultra_table(kind, l, d, zs, deriv)
+                        ref = {key: up(*key).tobytes() for key in keys}
+                        down = sf._ultra_table(kind, l, d, zs, deriv)
+                        for key in reversed(keys):
+                            assert down(*key).tobytes() == ref[key]
+                            assert down(*key).tobytes() == ref[key]
 
 
 def test_table_error_contracts():
@@ -319,6 +207,8 @@ def test_table_error_contracts():
         sf._ultra_table("i", 1, 2, np.array([1.0, 700.0]), 2)
     with pytest.raises(OverflowError):
         sf._ultra_table("j", 1, 2, np.array([1.0, 2.0e15]), 2)
+    with pytest.raises(OverflowError):
+        sf._ultra_table("j", 1, 2, np.array([1.0, 2.0 * sf._J_Z_MAX]), 2)
     # not finite before negative before beyond range, whatever the order
     with pytest.raises(ValueError, match="finite"):
         sf._ultra_table("i", 1, 2, np.array([-1.0, 700.0, np.nan]), 2)
@@ -337,8 +227,8 @@ def test_modified_function_positivity():
 
 
 def test_high_precision_agreement_across_paths():
-    # spot checks on both sides of SMALL_Z (series and scipy kernels), every
-    # derivative order
+    # spot checks on both sides of z = 1/2, where the kernels used to switch
+    # from a series to scipy's, every derivative order
     for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
         for d in (2, 3, 5, 8):
             for l in (0, 1, 5):
@@ -415,18 +305,33 @@ def test_kernels_match_mpmath_over_the_kernel_range():
                         assert err < 1e-12, (kind, d, l, deriv, float(z), err)
 
 
-def test_series_tail_bound_matches_mpmath():
-    # the tail-bounded small-z series at both ends of its range
-    for kind in ("j", "i"):
-        for d in (2, 30):
-            for l in range(sf.MAX_ORDER + 1):
-                f, _ = _mp_ultra_fn(kind, l, d)
-                for z in (sf.SMALL_Z, 1e-6):
-                    refs = list(mp.diffs(f, mp.mpf(z), sf.MAX_DERIV))
-                    for deriv, ref in enumerate(refs):
-                        got = sf._series_eval(kind, l, d, deriv, np.array([z]))[0]
-                        err = float(abs(got - ref) / abs(ref))
-                        assert err < 1e-14, (kind, d, l, deriv, z, err)
+def test_kernels_match_mpmath_where_the_old_paths_met():
+    # against 50-digit mpmath on z in (0.5, 5], where a recurrence in powers
+    # of 1/z used to lose digits, to 1e-13, and at 1e-6 and 0.5, where a
+    # series used to serve, to 1e-14: i relative to itself, j relative to
+    # itself up to 0.5 (no zeros there) and to its envelope
+    # sqrt(J^2 + Y^2) z^-s above
+    zs = [1e-6, 0.5, 0.501, 0.55, 0.75, 1.0, 1.58, 2.2, 3.1, 4.05, 5.0]
+    with mp.workdps(50):
+        for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
+            for d in (2, 3, 17, 30):
+                for l in range(sf.MAX_ORDER + 1):
+                    f, s = _mp_ultra_fn(kind, l, d)
+                    got = np.array([fn(l, d, np.array(zs), k)
+                                    for k in range(sf.MAX_DERIV + 1)])
+                    for n, z in enumerate(zs):
+                        zm = mp.mpf(z)
+                        refs = list(mp.diffs(f, zm, sf.MAX_DERIV))
+                        env = None
+                        if kind == "j" and z > 0.5:
+                            nu = s + l
+                            env = mp.sqrt(mp.besselj(nu, zm) ** 2
+                                          + mp.bessely(nu, zm) ** 2) * zm ** (-s)
+                        for k, ref in enumerate(refs):
+                            scale = abs(ref) if env is None else env
+                            err = float(abs(got[k, n] - ref) / scale)
+                            bound = 1e-14 if z <= 0.5 else 1e-13
+                            assert err < bound, (kind, d, l, k, z, err)
 
 
 def test_series_oracle_holds_at_large_arguments():

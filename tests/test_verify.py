@@ -1,11 +1,9 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from scipy import special
 
 from freeplate import geom, specfun, trial, verify
 from freeplate.ball import fundamental_tone, fundamental_tones
@@ -254,43 +252,41 @@ def test_full_suite_rejects_bad_inputs(kwargs):
 
 
 def _count_kernel_work(monkeypatch):
-    # the list that collects order rows times points of every jv/iv call
+    # the list that collects (points times kernel orders, deriv) of every
+    # sweep: one per table over an array, one per point of a small one
     work = []
+    sweep = specfun._sweep
 
-    def counted(fn):
-        def kernel(order, z):
-            work.append(np.broadcast(order, z).size)
-            return fn(order, z)
-        return kernel
+    def counted(kind, d, lo, hi, z, lib):
+        work.append((np.size(z) * (hi - lo + 1), hi - lo))
+        return sweep(kind, d, lo, hi, z, lib)
 
-    monkeypatch.setattr(specfun, "special", SimpleNamespace(
-        jv=counted(special.jv), iv=counted(special.iv)))
+    monkeypatch.setattr(specfun, "_sweep", counted)
     return work
 
 
 def test_full_suite_kernel_work_is_bounded(monkeypatch):
-    # order rows times points over every jv/iv call of one full_suite(5);
+    # points times kernel orders over every sweep of one full_suite(5);
     # one kernel table per argument array and one profile pass per tension
     # keep it far below the 1.21M of evaluating each entry on its own
     work = _count_kernel_work(monkeypatch)
     assert all(r.passed for r in verify.full_suite(5))
-    assert 0 < sum(work) <= 450_000
+    assert 0 < sum(w for w, _ in work) <= 450_000
 
 
 def test_profile_pass_kernel_budget(monkeypatch):
-    # jv/iv elements (order rows times points) of full_suite without the
-    # global rows, from a cold edge-value cache: the one profile pass per
-    # tension gives rho'''' too, and the edge values come from one table
-    # pair. A quotient whose profile's edge values are cached makes as
-    # many as before rho'''' joined the profile pass, so geom's tables
-    # build no fourth derivatives
-    suite_budget = {2: 203_292, 5: 221_554, 10: 235_928}
+    # points times kernel orders of full_suite without the global rows,
+    # from a cold edge-value cache: the one profile pass per tension gives
+    # rho'''' too, and the edge values come from one table pair. A quotient
+    # whose profile's edge values are cached builds its tables to the
+    # second derivative only, so geom's tables build no fourth derivatives
+    suite_budget = {2: 408_640, 5: 408_382, 10: 408_256}
     c = 0.05
     shapes = {"ellipse": geom.ellipsoid(2, (2.0, 1.0)),
               "l-shape": geom.implicit_domain(
                   2, f"(abs(x) <= 1) & (abs(y) <= 1) & ~((x > {c!r}) & "
                   f"(y > {c!r}))", (-1, 1, -1, 1), volume=4.0 - (1.0 - c) ** 2)}
-    quotient_budget = {"ellipse": 2616, "l-shape": 5232}
+    quotient_budget = {"ellipse": 4068, "l-shape": 8136}
     for d in suite_budget:
         first_zero_j1prime(d)           # cached outside the count
     mode = fundamental_tone(1.0, 2)
@@ -299,59 +295,60 @@ def test_profile_pass_kernel_budget(monkeypatch):
         trial._edge_values.cache_clear()
         work.clear()
         verify.full_suite(d, include_global=False)
-        assert sum(work) == elements, d
+        assert sum(w for w, _ in work) == elements, d
     for name, elements in quotient_budget.items():
         dom = geom.normalize_volume(shapes[name])
         trial._edge_values(trial.TrialProfile(mode))
         work.clear()
         geom._quotient(dom, mode, None)
-        assert sum(work) == elements, name
+        assert sum(w for w, _ in work) == elements, name
+        assert max(deriv for _, deriv in work) == 2, name
 
 
 # sha256 of reports_to_csv(full_suite(d, include_global=False)) for the
-# dimensions past the verify fixture's 2..10, recorded before rho''''
-# joined the profile pass
+# dimensions past the verify fixture's 2..10, recorded with the kernels'
+# backward recurrence and the tone's final secant
 _SUITE_SHA256 = {
-    11: "f97daaf52e0fd2d670374869544b3dc9"
-        "948cd3118880fba4bab7a8a4ae669b9a",
-    12: "4b408afee3af09ddb7ada4d7aeffb04b"
-        "3aa9c883baaaf0ea909a7a75b660fe77",
-    13: "ccdb8b46b04e1485b88c776ae4d9d335"
-        "f3beb03c5f666f4f65864235350dd07b",
-    14: "21aa838f85e52f947a1c74f205f7ef38"
-        "f808b44ddcd58b82912e6e8090ad308f",
-    15: "4f4a018ff96b0a8c30cf16525b3f68a3"
-        "21d1c2f340b206fa48f79e7c07dd7468",
-    16: "f3c8eae5ad703d384ccf21d0f25bb2a0"
-        "2a904b8769537ed12a25002f887881d9",
-    17: "9eb2658c4cb58dd816dddc7f01c8985d"
-        "c99023ec355e836238fae33506d9db6e",
-    18: "74642215a40e8070cfa05c20a81deaef"
-        "bc9871de8f30b6c848779727f9459c6c",
-    19: "70390f5f1a096ffc75f98934d76bea3c"
-        "c863dc2b3cf57e3a310d0dc38b6fb71d",
-    20: "766e06d23c16b59a19074d6db2245b92"
-        "c292c17f84703c7cd68ec9b108613a85",
-    21: "11b0e5961bc3b7dd72d989489df83e8e"
-        "76bbb67dd8f4691757743cf46157acd0",
-    22: "4bc91084aeab40aab9d0b60a6dcad317"
-        "45d453a249754cbf7b8e4071ede784a6",
-    23: "f6f2e7ad3d96fcdd29aeacbc21cb74c6"
-        "23bf1ac972718a588c37665f6b3c3653",
-    24: "5557299f3e3c1718d8797ed1491f8292"
-        "46cc3deac4724a4df93aa19a44004511",
-    25: "f9b362a62adb16a096e032ebc35158ee"
-        "7b8959cd2c413cf429253e32ba81d8e3",
-    26: "3de3de4de6a6c51733140bfbc49da010"
-        "8b8d2b0e78f912363b16c4ffc49e260b",
-    27: "6a639dc09fcf9f1a3b34ef52f079fa14"
-        "2db63f1f30cd1a2464ee4a457b30f74d",
-    28: "61b16c2f330e04f6f91abf2229d1132c"
-        "7d88b401aee68a80fa66717cb0cbbb22",
-    29: "33c7d39496a6f01a5a2e841b200ccf8a"
-        "df6a9c4d098ca3a888d59791eac8395c",
-    30: "9dc20b861ca31b8863db7c69da80dba7"
-        "e1887c8b2c7e41dc1928637e10b68122",
+    11: "14a8a2b7d501aafb42ce823aad6a54fe"
+        "e41a789a1d718abffa99cd7700db085d",
+    12: "6e6272d5a2b44cfef359fef1db2adb66"
+        "3fa1ad5b631ce843579dd8f73761e169",
+    13: "772ddc8e539f0f4c07d1ee59bbe6239b"
+        "16053df1aba4eddf9ee9566deda9b7f8",
+    14: "8a94fd483c9918689a614715cad18979"
+        "0e6b3cf646dd6c872da02312e1b9a7c6",
+    15: "b52a254a72fefab3b335177e38782e29"
+        "a94000950c6a298e3d7d364526d72229",
+    16: "850b52e9f77af8e6a1411ece881d82a6"
+        "6eedb7ab1e4aeaa454e6676d4854fd22",
+    17: "5e0e6c25cf2d846aad18df7e4dad27bd"
+        "44615a8493ee18b279af38820bb60635",
+    18: "b04fe737f5b82f936a346e6e9e138668"
+        "eb7ad27ae3c54d01c367f8f604972182",
+    19: "be09af1c3d137c20a895bed3635252b2"
+        "b204c44173e9ea459acab5d507a31129",
+    20: "d9a6e2615ff88e742a7631eb452d8f5a"
+        "9cc0d93d43a37163d1e40326c22404a6",
+    21: "03f811dbb5a9e11e89b404ac1bdccaf7"
+        "015bd61aed0a85c36336239b564204cd",
+    22: "80ca9399c96b0e4b3646f11bb6ee6e6b"
+        "6c1346ee89e57c144a359fb98278b6f5",
+    23: "d2b51378b5c44db6745d9d4ed33da530"
+        "bc816830630cf1480879a2c45c2416fa",
+    24: "8c73f2c316d451a88f30ffaade048b8b"
+        "3be60146a3fdd2c7776f8598e5f770f2",
+    25: "1a600fff39780e9cdeaac0518373e1bd"
+        "411d7bc2fef7d12e21310ae55ec52b66",
+    26: "ee99878ad741ecd484ccce7cbb299827"
+        "def112901495f5f3a4d2dc36f56aea40",
+    27: "946f21affc7da7b3d41a1a8b0c894f34"
+        "2785c65cc0af996469ddba32e59efd4e",
+    28: "1b004d727b194742a3af84f2048484fb"
+        "dff537ec926be1284a8b5e706ebd0f0f",
+    29: "004e23b85756f2d2a5cf755c823a6f16"
+        "17ea8c92dbf7d796397bdfad38cd9f05",
+    30: "2272d9b1c346a87e049cd15fbf834e36"
+        "c896ba19404a7ad68dea679ec4ce1f73",
 }
 
 

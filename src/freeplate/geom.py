@@ -31,9 +31,10 @@ _MC_CHUNK = 2**20
 # 1/_RAY_STEPS of the bbox diagonal, so this is the thinnest feature the
 # ray cast resolves (as the cell is for the grid); changes are bisected
 _RAY_STEPS = 256
-# ray samples per contains call: at 2**15 (256 KiB an array of doubles) a
-# chunk's coordinates and the expression's temporaries stay within a core's
-# 2 MiB L2 cache; at 2**18 they spill it and the cast runs slower
+# ray samples per expression call (a block of steps of every ray, or of
+# rays past _RAY_CHUNK of them): at 2**15 (256 KiB an array of doubles) a
+# block's coordinates and the expression's temporaries stay within a
+# core's 2 MiB L2 cache; at 2**18 they spill it and the cast runs slower
 _RAY_CHUNK = 2**15
 _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
 # a ray's end samples lie on bbox faces, which a domain touching its bbox
@@ -141,9 +142,12 @@ class Domain:
         t >= 0. Returns (t, sign), two (len(dirs), k) arrays such that for
         any F with F(0) = 0 the integral of F'(t) over the part of ray i
         inside the domain is sum_j sign[i, j] F(t[i, j]). sign is +1 where
-        a segment ends and -1 where it starts (inclusion-exclusion for
-        unions and holes), 0 on padding. The origin need not be inside
-        and the domain need not be star-shaped.
+        a segment ends and -1 where it starts. The annulus subtracts its
+        hole's chord (its -1 at the hole's far end); two balls give the
+        union of their chords as at most two ordered, disjoint segments,
+        (0, 0) where there are fewer; an implicit cast gives each ray's
+        crossings in t order, sign 0 on padding. The origin need not be
+        inside and the domain need not be star-shaped.
         """
         o = np.asarray(origin, dtype=float)
         u = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -165,11 +169,9 @@ class Domain:
                     (_chord(y0, u, p["inner"]), -1.0)]
         else:
             (c1, c2), (r1, r2) = p["centers"], p["radii"]
-            a1, b1 = _chord(y0 - np.asarray(c1), u, r1)
-            a2, b2 = _chord(y0 - np.asarray(c2), u, r2)
-            a12 = np.maximum(a1, a2)
-            both = (a12, np.maximum(a12, np.minimum(b1, b2)))
-            segs = [((a1, b1), 1.0), ((a2, b2), 1.0), (both, -1.0)]
+            segs = [(seg, 1.0) for seg in _union(
+                _chord(y0 - np.asarray(c1), u, r1),
+                _chord(y0 - np.asarray(c2), u, r2))]
         t = np.stack([x for (a, b), _ in segs for x in (b, a)], axis=1)
         sign = np.array([x for _, w in segs for x in (w, -w)])
         return t * self.scale, np.broadcast_to(sign, t.shape)
@@ -180,41 +182,54 @@ class Domain:
         # beyond the bbox counts as outside. No span inside the bbox is
         # longer than the farthest corner's distance or the diameter, and
         # the step count follows that bound, not the rays of this call, so
-        # a ray's crossings depend on the origin and its direction alone
+        # a ray's crossings depend on the origin and its direction alone.
+        # Samples are taken in the base frame, where the expression reads
+        # them, step-major: row j + 1 of inside is sample j of every ray,
+        # A + at[j] B, so that each numpy loop runs along the rays. The
+        # bisection keeps contains' arithmetic, (o + t u - offset) / scale
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
         t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
         m, span = u.shape[0], t_out - t_in
         diam = self.diameter()
         far = float(np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o))))
         steps = max(1, math.ceil(min(far, diam) * _RAY_STEPS / diam))
+        expr, d, scale = self.params["expr"], self.d, self.scale
+        off = np.asarray(self.offset)
         frac = np.arange(steps + 1) / steps
         at = frac.copy()
         at[0], at[-1] = _RAY_EDGE, 1.0 - _RAY_EDGE
-        inside = np.zeros((m, steps + 3), dtype=bool)
-        rows = max(1, _RAY_CHUNK // (steps + 1))
-        for i in range(0, m, rows):
-            ts = t_in[i:i + rows, None] + span[i:i + rows, None] * at
-            # one block per coordinate: the transposed view hands contains
-            # (n, d) points whose columns are contiguous
-            pts = np.empty((self.d,) + ts.shape)
-            for k in range(self.d):
-                np.multiply(ts, u[i:i + rows, k, None], out=pts[k])
-                pts[k] += o[k]
-            inside[i:i + rows, 1:-1] = self.contains(
-                pts.reshape(self.d, -1).T).reshape(-1, steps + 1)
-        inside[span <= 0.0] = False
-        change = inside[:, 1:] != inside[:, :-1]
-        r, c = divmod(np.flatnonzero(change), steps + 2)
-        sign = np.where(inside[r, c + 1], -1.0, 1.0)
+        A = ((o - off) / scale)[:, None] + u.T * (t_in / scale)
+        B = u.T * (span / scale)
+        inside = np.zeros((steps + 3, m), dtype=bool)
+        width = max(1, min(m, _RAY_CHUNK))
+        rows = _RAY_CHUNK // width
+        buf = np.empty((d, rows * width))
+        for j in range(0, steps + 1, rows):
+            a = at[j:j + rows]
+            for i in range(0, m, width):
+                cols = list(buf[:, :a.size * min(width, m - i)])
+                for k, col in enumerate(cols):
+                    blk = col.reshape(a.size, -1)
+                    np.multiply.outer(a, B[k, i:i + width], out=blk)
+                    blk += A[k, i:i + width]
+                inside[j + 1:j + 1 + a.size, i:i + width] = \
+                    _eval_implicit(expr, cols).reshape(a.size, -1)
+        inside[:, span <= 0.0] = False
+        # the changes ray by ray, each ray's in step order
+        c, r = divmod(np.flatnonzero(inside[1:] != inside[:-1]), m)
+        order = np.argsort(r, kind="stable")
+        r, c = r[order], c[order]
+        sign = np.where(inside[c + 1, r], -1.0, 1.0)
         # a change at either sentinel is the bbox boundary itself
         tc = t_in[r] + span[r] * frac[np.clip(c, 0, steps)]
         mid = (c > 0) & (c <= steps)
-        rm, a_in = r[mid], inside[r[mid], c[mid]]
-        bm, um = tc[mid], np.asfortranarray(u[rm])
+        rm, a_in = r[mid], inside[c[mid], r[mid]]
+        bm, um = tc[mid], np.ascontiguousarray(u[rm].T)
         am = t_in[rm] + span[rm] * frac[c[mid] - 1]
         for _ in range(_BISECTIONS):
             h = 0.5 * (am + bm)
-            same = self.contains(o + h[:, None] * um) == a_in
+            same = _eval_implicit(expr, [(o[k] + h * um[k] - off[k]) / scale
+                                         for k in range(d)]) == a_in
             am, bm = np.where(same, h, am), np.where(same, bm, h)
         tc[mid] = 0.5 * (am + bm)
         slot = np.arange(r.size) - np.searchsorted(r, r)
@@ -278,18 +293,35 @@ def _chord(p, u, radius):
     return np.where(hit, lo, 0.0), np.where(hit, hi, 0.0)
 
 
+def _union(s1, s2):
+    # the union of two segments per row as two ordered, disjoint ones: the
+    # second is (0, 0) where the union is one segment, both are where it
+    # is empty. An empty segment (a = b) is held at infinity, out of play
+    (a1, b1), (a2, b2) = ([np.where(b > a, x, np.inf) for x in (a, b)]
+                          for a, b in (s1, s2))
+    first = a1 <= a2
+    ap, bp = np.where(first, a1, a2), np.where(first, b1, b2)
+    aq, bq = np.where(first, a2, a1), np.where(first, b2, b1)
+    joined = aq <= bp
+    segs = ((ap, np.where(joined, np.maximum(bp, bq), bp)),
+            (np.where(joined, np.inf, aq), np.where(joined, np.inf, bq)))
+    return [tuple(np.where(x == np.inf, 0.0, x) for x in seg) for seg in segs]
+
+
 def _slab(p, u, half):
     # segment {s >= 0 : |p + s u| <= half componentwise} per row u; an axis
     # with u = 0 bounds nothing while |p| <= half (also on the face, where
-    # the quotients are 0/0) and empties the segment otherwise
+    # the quotients are 0/0) and empties the segment otherwise. Axis-major:
+    # the reductions over the d axes then run along the rays
+    u = np.ascontiguousarray(u.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = (-half - p) / u
-        s2 = (half - p) / u
+        s1 = (-half - p)[:, None] / u
+        s2 = (half - p)[:, None] / u
     flat = u == 0.0
-    top = np.where(np.abs(p) <= half, np.inf, -np.inf)
-    lo = np.maximum(np.max(np.where(flat, -np.inf, np.fmin(s1, s2)), axis=1),
+    top = np.where(np.abs(p) <= half, np.inf, -np.inf)[:, None]
+    lo = np.maximum(np.max(np.where(flat, -np.inf, np.fmin(s1, s2)), axis=0),
                     0.0)
-    hi = np.maximum(np.min(np.where(flat, top, np.fmax(s1, s2)), axis=1), lo)
+    hi = np.maximum(np.min(np.where(flat, top, np.fmax(s1, s2)), axis=0), lo)
     return lo, hi
 
 
@@ -770,7 +802,10 @@ def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
     the cast that gives X gives its Jacobian too: dX/dv = -int_{S^{d-1}}
     sum_j sign_j [A(t_j) theta theta^T + B(t_j) (I - theta theta^T)]
     dtheta, A(R) = int_0^R rho' r^(d-1) dr, B(R) = int_0^R (rho/r)
-    r^(d-1) dr, negative definite as rho' > 0 and rho/r > 0. Newton steps
+    r^(d-1) dr, negative definite as rho' > 0 and rho/r > 0. That holds
+    for the exact integral; the rule's sum over directions can break it
+    (on some disjoint 3-d two-balls the rule's dX/dv has a positive
+    direction, and centering there does not converge). Newton steps
     from the bbox center, clipped to the bbox, are halved until |X|
     falls; raises with the residual trace when halving no longer moves v
     (the rule's noise floor) or after _CENTER_CASTS casts. The last cast

@@ -393,6 +393,217 @@ def test_implicit_contains_reads_every_layout_alike():
         geom.implicit_domain(2, "(x < 1) & (q < 1)", (-1, 1, -1, 1))
 
 
+def l_shape_3d():
+    # a cube less one corner octant, normalized to unit-ball volume
+    return geom.normalize_volume(geom.implicit_domain(
+        3, "(abs(x) <= 1) & (abs(y) <= 1) & (abs(z) <= 1)"
+           " & ~((x > 0.1) & (y > 0.1) & (z > 0.1))",
+        (-1, 1, -1, 1, -1, 1), volume=8.0 - 0.9**3))
+
+
+def test_implicit_cast_is_the_same_alone_in_the_main_rows_and_past_a_chunk():
+    # the cast samples step-major blocks of at most _RAY_CHUNK points and
+    # chunks the rays above _RAY_CHUNK of them: a ray's crossings are the
+    # same bits cast alone, within the rule's main rows and within a cast
+    # of more than _RAY_CHUNK rays (where its copies sit at other indices)
+    def rows(t, sign):
+        k = np.sum(sign != 0.0, axis=1)
+        assert not np.any(t[np.arange(t.shape[1]) >= k[:, None]])
+        return [(t[i, :k[i]].tobytes(), sign[i, :k[i]].tobytes())
+                for i in range(len(t))]
+
+    for dom, o in ((l_shape(), (-0.1, -0.1)), (l_shape(), (2.5, 0.4)),
+                   (l_shape_3d(), (-0.1, 0.2, -0.3))):
+        dirs, W = geom._sphere_rule(dom.d, 8192)
+        u = dirs[W[0] > 0.0]
+        big = np.concatenate([u[::-1], u, u, u, u[::2]])
+        assert len(big) > geom._RAY_CHUNK >= len(u)
+        main = rows(*dom.crossings(o, u))
+        assert any(tb for tb, _ in main)
+        wide = rows(*dom.crossings(o, big))
+        m = len(u)
+        assert wide[m:2 * m] == main and wide[:m] == main[::-1]
+        assert wide[4 * m:] == main[::2]
+        for i in range(0, m, 331):
+            assert rows(*dom.crossings(o, u[i:i + 1])) == [main[i]]
+
+
+def _closed_form_crossings(lib, o, dirs):
+    # the library shape's crossings per ray as ((t, sign), ...) in t
+    # order, a segment that starts at the origin with its t = 0, empty
+    # chords left out
+    t, _ = lib.crossings(o, dirs)
+    out = []
+    for row in t:
+        if lib.shape == "annulus":
+            bo, ao, bi, ai = row
+            segs = [(ao, bo)] if bi <= ai else [(ao, ai), (bi, bo)]
+        else:
+            segs = [(row[1], row[0])]
+        out.append([x for a, b in segs if b > a
+                    for x in ((a, -1.0), (b, 1.0))])
+    return out
+
+
+def test_implicit_twins_match_the_closed_forms():
+    # implicit twins of the library ellipse, annulus and 3-d ellipsoid,
+    # normalized alike, cross every ray of the main rows as often as the
+    # closed forms and within 1e-13 diameters of them. The end samples sit
+    # _RAY_EDGE of the span inside the bbox, so an exit that close to a
+    # face the shape touches is reported on the face; the ellipse's second
+    # origin has such rays
+    cases = [
+        (geom.ellipsoid(2, (2.0, 1.0)), "x*x/4 + y*y <= 1", (-2, 2, -1, 1),
+         [(0.3, -0.2), (-1.5, 0.5), (2.5, 1.5)]),
+        (geom.annulus(2, 0.5, 1.0), "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)",
+         (-1, 1, -1, 1), [(0.1, -0.2), (0.0, 0.7), (2.5, 0.4)]),
+        (geom.ellipsoid(3, (1.5, 1.0, 0.7)), "x*x/2.25 + y*y + z*z/0.49 <= 1",
+         (-1.5, 1.5, -1, 1, -0.7, 0.7),
+         [(0.2, -0.1, 0.3), (-1.4, 0.0, 0.0), (0.0, 0.0, 1.5)]),
+    ]
+    on_face = 0
+    for lib, expr, bounds, origins in cases:
+        d = lib.d
+        twin = geom.normalize_volume(geom.implicit_domain(d, expr, bounds,
+                                                          volume=lib.volume))
+        lib = geom.normalize_volume(lib)
+        assert twin.scale == lib.scale and twin.bbox == lib.bbox
+        dirs, W = geom._sphere_rule(d, geom.default_quadrature(d).cells)
+        u = dirs[W[0] > 0.0]
+        lo, hi = np.asarray(lib.bbox[0]), np.asarray(lib.bbox[1])
+        diam = lib.diameter()
+        for o in origins:
+            o = lib.scale * np.asarray(o)
+            want = _closed_form_crossings(lib, o, u)
+            t, sign = twin.crossings(o, u)
+            t_in, t_out = geom._slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
+            for i, row in enumerate(want):
+                got = [(t[i, j], sign[i, j]) for j in range(t.shape[1])
+                       if sign[i, j] != 0.0]
+                assert [g[1] for g in got] == [w[1] for w in row]
+                for (tg, _), (tw, _) in zip(got, row):
+                    if abs(tg - tw) > 1e-13 * diam:
+                        assert min(abs(tg - t_in[i]),
+                                   abs(tg - t_out[i])) <= 1e-13 * diam
+                        assert abs(tg - tw) <= geom._RAY_EDGE * diam
+                        on_face += 1
+    assert on_face > 0
+
+
+def test_implicit_cast_evaluates_each_sample_once(monkeypatch):
+    # one 8192-ray L-shape cast evaluates the expression once per sampling
+    # block of at most _RAY_CHUNK points, m (steps + 1) points in all, and
+    # once per bisection round, always on 1-d contiguous coordinates (a
+    # call per ray would make thousands of calls); past _RAY_CHUNK rays
+    # the blocks still hold at most _RAY_CHUNK points
+    dom = l_shape()
+    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    u, o = dirs[W[0] > 0.0], np.array([-0.1, -0.1])
+    lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
+    far = np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o)))
+    steps = math.ceil(min(far, dom.diameter()) * geom._RAY_STEPS
+                      / dom.diameter())
+    evaluate, rounds, sizes = geom._eval_implicit, geom._BISECTIONS, []
+
+    def counting(expr, cols):
+        assert all(c.ndim == 1 and c.flags.c_contiguous for c in cols)
+        sizes.append(cols[0].size)
+        return evaluate(expr, cols)
+
+    monkeypatch.setattr(geom, "_eval_implicit", counting)
+    for rays in (u, np.concatenate([u] * 5)):
+        sizes.clear()
+        t, sign = dom.crossings(o, rays)
+        m = len(rays)
+        samples, bisections = sizes[:-rounds], sizes[-rounds:]
+        width = min(m, geom._RAY_CHUNK)
+        assert sum(samples) == m * (steps + 1)
+        assert max(samples) <= geom._RAY_CHUNK
+        assert len(samples) == math.ceil(m / width) * math.ceil(
+            (steps + 1) / (geom._RAY_CHUNK // width))
+        assert len(set(bisections)) == 1
+        assert 0 < bisections[0] <= np.count_nonzero(t)
+    assert m > geom._RAY_CHUNK >= len(u)
+
+
+def _two_ball_pairs(rng, d):
+    # (radii, centers, kind) of disjoint, overlapping and nested pairs
+    for kind in ("disjoint", "overlapping", "nested") * 3:
+        r1, r2 = rng.uniform(0.3, 1.0, 2)
+        lo, hi = {"disjoint": (r1 + r2, r1 + r2 + 1.0),
+                  "overlapping": (abs(r1 - r2), r1 + r2),
+                  "nested": (0.0, abs(r1 - r2))}[kind]
+        e = rng.normal(size=d)
+        c1 = rng.uniform(-1.0, 1.0, d)
+        yield (r1, r2), (c1, c1 + rng.uniform(lo, hi) * e / np.linalg.norm(e)
+                         ), kind
+
+
+def _tangent_rays(rng, o, c, r):
+    # two directions from o that touch the ball (c, r), o outside it
+    e = c - o
+    dist = np.linalg.norm(e)
+    e /= dist
+    w = rng.normal(size=len(o))
+    w -= (w @ e) * e
+    w /= np.linalg.norm(w)
+    a = math.asin(r / dist)
+    return [math.cos(a) * e + s * math.sin(a) * w for s in (1.0, -1.0)]
+
+
+def test_two_balls_crossings_are_disjoint_segments():
+    # the union of the two chords comes as two ordered, disjoint segments
+    # (b1, a1, b2, a2) with sign +1 at an end and -1 at a start, (0, 0)
+    # padding; for any F with F(0) = 0 their signed sum equals the
+    # inclusion-exclusion of the two chords and their overlap. Random
+    # disjoint, overlapping and nested pairs, origins in neither ball, one
+    # or both, random rays, rays through the centers and tangent rays
+    rng = np.random.default_rng(17)
+    fs = (lambda t: t, lambda t: t**3 / 3.0, lambda t: 1.0 - np.cos(3.0 * t))
+    seen = set()
+    for d in (2, 3):
+        for radii, centers, kind in _two_ball_pairs(rng, d):
+            dom = geom.two_balls(d, radii, centers)
+            lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
+            origins = [*centers, 0.5 * (centers[0] + centers[1])]
+            origins += list(rng.uniform(lo - 0.5, hi + 0.5, size=(8, d)))
+            for o in origins:
+                inside = [np.linalg.norm(o - c) <= r
+                          for c, r in zip(centers, radii)]
+                seen.add((d, kind, sum(inside)))
+                u = rng.normal(size=(256, d))
+                rays = list(u / np.linalg.norm(u, axis=1)[:, None])
+                for c, r, ins in zip(centers, radii, inside):
+                    if np.linalg.norm(c - o) > 0.0:
+                        rays.append((c - o) / np.linalg.norm(c - o))
+                    if not ins:
+                        rays += _tangent_rays(rng, o, c, r)
+                u = np.array(rays)
+                t, sign = dom.crossings(o, u)
+                assert t.shape == (len(u), 4)
+                assert np.array_equal(sign, np.broadcast_to([1.0, -1.0, 1.0,
+                                                             -1.0], t.shape))
+                b1, a1, b2, a2 = t.T
+                one, two = b1 > a1, b2 > a2
+                assert np.all(t >= 0.0)
+                assert np.all(t[~one, :2] == 0.0)
+                assert np.all(t[~two, 2:] == 0.0)
+                assert np.all(one[two]) and np.all(b1[two] < a2[two])
+                (p1, q1), (p2, q2) = (geom._chord(o - c, u, r)
+                                      for c, r in zip(centers, radii))
+                p12 = np.maximum(p1, p2)
+                q12 = np.maximum(p12, np.minimum(q1, q2))
+                for F in fs:
+                    terms = [F(q1), -F(p1), F(q2), -F(p2), -F(q12), F(p12)]
+                    got = np.sum(sign * F(t), axis=1)
+                    assert np.all(np.abs(got - sum(terms))
+                                  <= 1e-14 * sum(map(np.abs, terms)))
+    for d in (2, 3):
+        assert {(d, "disjoint", k) for k in (0, 1)} <= seen
+        assert {(d, kind, k) for kind in ("overlapping", "nested")
+                for k in (0, 1, 2)} <= seen
+
+
 def test_implicit_crossings_are_pinned():
     # sha256 of the crossings' float.hex (t, then sign) of the L-shape and
     # an annulus from one origin inside the bbox and one outside, recorded
@@ -575,7 +786,7 @@ def test_radial_table_shares_one_basis_bit_for_bit():
 
 
 def test_radial_series_peak_memory_on_a_centering_cast():
-    # one G call over a centering cast of two balls (8192 rays, 6
+    # one G call over a centering cast of two balls (8192 rays, 4
     # crossings each, the centering's 3 tables) peaks below the 3.4 MiB
     # the per-table gathers took: the series gathers every table's terms a
     # chunk at a time, where one gather over the whole cast would hold 33
@@ -585,7 +796,7 @@ def test_radial_series_peak_memory_on_a_centering_cast():
     dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
     lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
     t, _ = dom.crossings(0.5 * (lo + hi), dirs[W[0] > 0.0])
-    assert t.shape == (8192, 6)
+    assert t.shape == (8192, 4)
     G = geom._radial_table(profile_pieces(prof), 1.5 * dom.diameter() + 1.0,
                            geom._panels(prof)).G(2)
     G(t)

@@ -135,16 +135,20 @@ def _sweep(kind, d, lo, hi, z, lib):
 
 
 @lru_cache(maxsize=None)
-def _deriv_terms(kind, order, k):
-    # the k-th derivative of z^order h_(s+order) as terms (c, p, m) of
-    # c z^p h_(s+order+m); (z^p h_nu)' = p z^(p-1) h_nu -+ z^(p+1) h_(nu+1)
+def _deriv_terms(kind, order, k, over=0):
+    # the k-th derivative of z^order h_(s+order), over z^over, as terms
+    # (c, p, m) of c z^p h_(s+order+m); (z^p h_nu)' = p z^(p-1) h_nu -+
+    # z^(p+1) h_(nu+1). A p < 0 would index the powers from their end
     sign = -1 if kind == "j" else 1
     c = [1]
     for kk in range(k):
         c = [(order - kk + 2 * m) * a + sign * b
              for m, (a, b) in enumerate(zip(c + [0], [0] + c))]
-    return tuple((float(cm), order - k + 2 * m, m)
-                 for m, cm in enumerate(c) if cm)
+    terms = tuple((float(cm), order - k + 2 * m - over, m)
+                  for m, cm in enumerate(c) if cm)
+    if terms[0][1] < 0:
+        raise ValueError(f"entry ({order}, {k}) has a term below z^{over}")
+    return terms
 
 
 def _combine(terms, pw, h, i):
@@ -171,8 +175,10 @@ def _ultra_table(kind, l, d, z, deriv):
 
     Validates z once, by its min and max, and runs one _sweep for h at the
     orders s+l..s+l+deriv: over the array at more than _PER_POINT points,
-    point by point on floats otherwise. Returns entry(order, k), the k-th
-    derivative of that order, bit for bit the value ultra_j/ultra_i give.
+    point by point on floats otherwise. Returns entry(order, k, over=0),
+    the k-th derivative of that order over z^over, exact and finite at
+    z = 0 as it lowers each term's power of z (ValueError where one would
+    fall below z^0); at over=0 bit for bit the value ultra_j/ultra_i give.
     A scalar z gives floats, an array z a new array per entry, which the
     caller may write into.
     """
@@ -193,13 +199,13 @@ def _ultra_table(kind, l, d, z, deriv):
     if flat.size > _PER_POINT:
         h = _sweep(kind, d, l, l + deriv, flat, _NUMPY)
         pw = _powers(flat, l + deriv)
-        return lambda order, k: _combine(
-            _deriv_terms(kind, order, k), pw, h, order - l).reshape(shape)
+        return lambda order, k, over=0: _combine(
+            _deriv_terms(kind, order, k, over), pw, h, order - l).reshape(shape)
     points = [(_powers(zi, l + deriv), _sweep(kind, d, l, l + deriv, zi,
                                               _MATH)) for zi in flat.tolist()]
 
-    def entry(order, k):
-        terms = _deriv_terms(kind, order, k)
+    def entry(order, k, over=0):
+        terms = _deriv_terms(kind, order, k, over)
         vals = [_combine(terms, pw, h, order - l) for pw, h in points]
         return np.array(vals).reshape(shape) if shape else vals[0]
 

@@ -16,7 +16,7 @@ from scipy.linalg import eigh
 mp.mp.dps = 40
 
 
-def mp_ultra(kind, l, d, z, deriv=0):
+def mp_ultra(kind, l, d, z, deriv=0, as_mpf=False):
     """High-precision ultraspherical Bessel value by direct series.
 
     j_l(z) = sum_k (-1)^k z^(l+2k) / (2^(s+l+2k) k! Gamma(s+l+k+1)),
@@ -25,7 +25,7 @@ def mp_ultra(kind, l, d, z, deriv=0):
     term (k > z) until a term falls below 10^-dps of the total, at a working
     precision raised by z / ln(10) digits: the largest term is about e^z, so
     that is what the alternating j series loses to cancellation. Returns a
-    float.
+    float, or with as_mpf the sum itself, to combine in mpmath.
     """
     sign = -1 if kind == "j" else 1
     tol = mp.mpf(10) ** -mp.mp.dps
@@ -45,7 +45,7 @@ def mp_ultra(kind, l, d, z, deriv=0):
                 term = sign**k * coeff * fall * mp.power(z, m - deriv)
                 total += term
                 if k > z and abs(term) <= tol * abs(total):
-                    return float(total)
+                    return total if as_mpf else float(total)
             k += 1
 
 

@@ -142,7 +142,8 @@ def test_table_entries_match_across_batch_sizes_bit_for_bit():
     # a point's bits depend on its z alone: alone, in the point-by-point
     # sweep of a small array and in the array sweep of a large one, every
     # entry is the same bytes, -0.0 included; z at 0, at the powers of 4
-    # where the sweep's scale changes, and at the ends of the range
+    # where the sweep's scale changes, and at the ends of the range; the
+    # entries over z (over=1) as well
     pts = np.array([0.0, 1e-300, 6e-9, 0.3, 0.5, 1.0, 4.0, 4.0000000000000009,
                     16.0, 20.0, 64.0, 300.0, 689.9])
     big = np.resize(pts, 3 * sf._PER_POINT + 5)
@@ -152,6 +153,7 @@ def test_table_entries_match_across_batch_sizes_bit_for_bit():
             for l, deriv in ((0, 4), (1, 2), (sf.MAX_ORDER, 4)):
                 keys = [(l + m, k) for m in range(deriv + 1)
                         for k in range(deriv - m + 1)]
+                keys += [(l + m, 0, 1) for m in range(deriv + 1) if l + m]
                 wide = sf._ultra_table(kind, l, d, np.resize(zs, big.size), deriv)
                 few = sf._ultra_table(kind, l, d, zs[:sf._PER_POINT], deriv)
                 for key in keys:
@@ -203,6 +205,12 @@ def test_table_error_contracts():
             sf._ultra_table(kind, 1, 2, 1.0, sf.MAX_DERIV + 1)
         with pytest.raises(ValueError):
             sf._ultra_table(kind, sf.MAX_ORDER + 1, 2, 1.0, 0)
+        # over z^over only where every term keeps a nonnegative power
+        for zs in (0.5, np.linspace(0.0, 1.0, 2 * sf._PER_POINT)):
+            table = sf._ultra_table(kind, 1, 2, zs, 2)
+            for order, k, over in ((1, 1, 1), (1, 0, 2), (2, 0, 3)):
+                with pytest.raises(ValueError):
+                    table(order, k, over)
     with pytest.raises(OverflowError):
         sf._ultra_table("i", 1, 2, np.array([1.0, 700.0]), 2)
     with pytest.raises(OverflowError):

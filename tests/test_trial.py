@@ -1,10 +1,13 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from freeplate import ball, trial, verify
 from freeplate.specfun import ultra_i, ultra_j
 
-from oracles import fd_gradient, fd_hessian
+from oracles import fd_gradient, fd_hessian, mp_ultra
 
 
 def profile(d=2, tau=1.0):
@@ -25,19 +28,39 @@ def test_smooth_join_at_unit_radius():
     assert trial.rho(prof, 1.0, deriv=2) == 0.0
 
 
-def test_series_branch_matches_direct_evaluation():
-    for d, tau in ((2, 1.0), (3, 0.25), (6, 40.0)):
-        prof = profile(d, tau)
-        m = prof.mode
-        r = prof.small_r_threshold * 0.999
-        direct = ultra_j(1, d, m.a * r) + m.gamma * ultra_i(1, d, m.b * r)
-        assert trial.rho(prof, r) == pytest.approx(direct, rel=1e-12)
-        direct1 = (m.a * ultra_j(1, d, m.a * r, deriv=1)
-                   + m.gamma * m.b * ultra_i(1, d, m.b * r, deriv=1))
-        assert trial.rho(prof, r, deriv=1) == pytest.approx(direct1, rel=1e-12)
-        direct2 = (m.a**2 * ultra_j(1, d, m.a * r, deriv=2)
-                   + m.gamma * m.b**2 * ultra_i(1, d, m.b * r, deriv=2))
-        assert trial.rho(prof, r, deriv=2) == pytest.approx(direct2, rel=1e-9)
+def test_pieces_match_mpmath_from_r_zero():
+    # the six pieces of _eval_pieces against 50-digit sums of the series,
+    # across the old series branch's threshold 1e-3; rho'' and q cancel
+    # between the j and the i term, so they are formed in mpmath, q as
+    # (rho - r rho')/r^2 at the digits its own cancellation takes
+    radii = (0.0, 1e-200, 1e-5, 1 / 4097, 9.99e-4, 1.001e-3, 0.5)
+    tols = {"rho": 2e-15, "d1": 2e-15, "p": 2e-15, "d4": 2e-15,
+            "d2": 5e-13, "q": 5e-13}
+    for d in (2, 3, 11, 30):
+        for tau in (1e-3, 1.0, 100.0):
+            prof = profile(d, tau)
+            m = prof.mode
+            pc = trial._eval_pieces(prof, np.array(radii), deriv=4)
+            for name in ("rho", "d2", "q", "d4"):
+                assert pc[name][0] == 0.0, (d, tau, name)
+            assert pc["p"][0] == pc["d1"][0], (d, tau)
+            for i, r in enumerate(radii):
+                with mp.workdps(50 + (2 * round(-math.log10(r)) if r else 0)):
+                    a, b, g, t = (mp.mpf(x) for x in (m.a, m.b, m.gamma, r))
+
+                    def part(k):
+                        return (a**k * mp_ultra("j", 1, d, a * t, k, True)
+                                + g * b**k * mp_ultra("i", 1, d, b * t, k, True))
+
+                    ref = {"rho": part(0), "d1": part(1), "d2": part(2),
+                           "d4": part(4)}
+                    if r:
+                        ref["q"] = (ref["rho"] - t * ref["d1"]) / t**2
+                        ref["p"] = ref["rho"] / t
+                    for name, val in ref.items():
+                        if val:
+                            err = abs((mp.mpf(pc[name][i]) - val) / val)
+                            assert err <= tols[name], (d, tau, r, name, err)
 
 
 def test_linear_extension_values():
@@ -173,9 +196,12 @@ def test_validation_errors():
     prof = profile()
     with pytest.raises(ValueError):
         trial.TrialProfile(ball.fundamental_tone(1.0, 2, radius=2.0))
-    with pytest.raises(ValueError):
-        trial.TrialProfile(prof.mode, small_r_threshold=0.5)
-    with pytest.raises(ValueError):
-        trial.rho(prof, -0.1)
+    for fn in (trial.rho, trial.numerator_integrand,
+               trial.h_decrease_quantity):
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                fn(prof, bad)
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                fn(prof, np.array([0.5, bad, 2.0]))
     with pytest.raises(ValueError):
         trial.rho(prof, 0.5, deriv=3)

@@ -277,16 +277,17 @@ def test_full_suite_kernel_work_is_bounded(monkeypatch):
 def test_profile_pass_kernel_budget(monkeypatch):
     # points times kernel orders of full_suite without the global rows,
     # from a cold edge-value cache: the one profile pass per tension gives
-    # rho'''' too, and the edge values come from one table pair. A quotient
-    # whose profile's edge values are cached builds its tables to the
-    # second derivative only, so geom's tables build no fourth derivatives
-    suite_budget = {2: 408_640, 5: 408_382, 10: 408_256}
+    # rho'''' too, at r = 0 and the radii below 1e-3 as well, and the edge
+    # values come from one table pair. A quotient whose profile's edge
+    # values are cached builds its tables to the second derivative only, so
+    # geom's tables build no fourth derivatives
+    suite_budget = {2: 409_040, 5: 408_782, 10: 408_656}
     c = 0.05
     shapes = {"ellipse": geom.ellipsoid(2, (2.0, 1.0)),
               "l-shape": geom.implicit_domain(
                   2, f"(abs(x) <= 1) & (abs(y) <= 1) & ~((x > {c!r}) & "
                   f"(y > {c!r}))", (-1, 1, -1, 1), volume=4.0 - (1.0 - c) ** 2)}
-    quotient_budget = {"ellipse": 4068, "l-shape": 8136}
+    quotient_budget = {"ellipse": 4080, "l-shape": 8160}
     for d in suite_budget:
         first_zero_j1prime(d)           # cached outside the count
     mode = fundamental_tone(1.0, 2)
@@ -307,48 +308,49 @@ def test_profile_pass_kernel_budget(monkeypatch):
 
 # sha256 of reports_to_csv(full_suite(d, include_global=False)) for the
 # dimensions past the verify fixture's 2..10, recorded with the kernels'
-# backward recurrence and the tone's final secant
+# backward recurrence, the tone's final secant and the trial profile's one
+# Bessel path from r = 0
 _SUITE_SHA256 = {
-    11: "14a8a2b7d501aafb42ce823aad6a54fe"
-        "e41a789a1d718abffa99cd7700db085d",
-    12: "6e6272d5a2b44cfef359fef1db2adb66"
-        "3fa1ad5b631ce843579dd8f73761e169",
-    13: "772ddc8e539f0f4c07d1ee59bbe6239b"
-        "16053df1aba4eddf9ee9566deda9b7f8",
-    14: "8a94fd483c9918689a614715cad18979"
-        "0e6b3cf646dd6c872da02312e1b9a7c6",
-    15: "b52a254a72fefab3b335177e38782e29"
-        "a94000950c6a298e3d7d364526d72229",
-    16: "850b52e9f77af8e6a1411ece881d82a6"
-        "6eedb7ab1e4aeaa454e6676d4854fd22",
-    17: "5e0e6c25cf2d846aad18df7e4dad27bd"
-        "44615a8493ee18b279af38820bb60635",
-    18: "b04fe737f5b82f936a346e6e9e138668"
-        "eb7ad27ae3c54d01c367f8f604972182",
-    19: "be09af1c3d137c20a895bed3635252b2"
-        "b204c44173e9ea459acab5d507a31129",
-    20: "d9a6e2615ff88e742a7631eb452d8f5a"
-        "9cc0d93d43a37163d1e40326c22404a6",
-    21: "03f811dbb5a9e11e89b404ac1bdccaf7"
-        "015bd61aed0a85c36336239b564204cd",
-    22: "80ca9399c96b0e4b3646f11bb6ee6e6b"
-        "6c1346ee89e57c144a359fb98278b6f5",
-    23: "d2b51378b5c44db6745d9d4ed33da530"
-        "bc816830630cf1480879a2c45c2416fa",
-    24: "8c73f2c316d451a88f30ffaade048b8b"
-        "3be60146a3fdd2c7776f8598e5f770f2",
-    25: "1a600fff39780e9cdeaac0518373e1bd"
-        "411d7bc2fef7d12e21310ae55ec52b66",
-    26: "ee99878ad741ecd484ccce7cbb299827"
-        "def112901495f5f3a4d2dc36f56aea40",
-    27: "946f21affc7da7b3d41a1a8b0c894f34"
-        "2785c65cc0af996469ddba32e59efd4e",
-    28: "1b004d727b194742a3af84f2048484fb"
-        "dff537ec926be1284a8b5e706ebd0f0f",
-    29: "004e23b85756f2d2a5cf755c823a6f16"
-        "17ea8c92dbf7d796397bdfad38cd9f05",
-    30: "2272d9b1c346a87e049cd15fbf834e36"
-        "c896ba19404a7ad68dea679ec4ce1f73",
+    11: "20e3e4baddae3971aa8a12660f081919"
+        "14f08bf59c4bea812477d22b27e71da6",
+    12: "3206ab7f8e99d523e4aa9219a0337e13"
+        "1d17d11f3316e2990a56cec9fa93b3f2",
+    13: "83062da4614aefcb07af6fc3c4dc98b1"
+        "a2e945d511c5887bc36c75c15a0ff1e0",
+    14: "e1469a561d670bae556ef48d7a8a902f"
+        "7b2379f15e6da9a6f1100110156bc2a6",
+    15: "bb959a8927cf2870b6d88e6d7de8aa4b"
+        "dde4051a18940947c73e912997c09946",
+    16: "f28a5acce5a99b427c826cf46fc7196f"
+        "d6dbe728ab58ce058e6248f8705df7c3",
+    17: "d5c29fbe3ffebd52d90cae044782593c"
+        "3deccf133eda3d9412277881e94548af",
+    18: "149e4a96ab590434cf4a61646bd3d2b8"
+        "054565d5e4a0e04e9a6a4adba976df80",
+    19: "9c4e7831f80604a3b616716229c730cb"
+        "e77caeb558bb8ed11f6243955833904d",
+    20: "2204adc1b78b38f9d88353503ebc5bab"
+        "d100caf44571fbc5bbe505c59952a5c1",
+    21: "f926de3f5ddf4cffd345fe7c66d35d07"
+        "d5d2323b3b5d013a09afff48e97ce290",
+    22: "99db5a62e3fdd692a39feca6bfdbfcf5"
+        "2051389a22a065d50bd3949c09d5d68a",
+    23: "8edfdcea366a924aaa00c1d0b65639e5"
+        "aef57482c8c25ed31bde6222c5ea7234",
+    24: "3b4f02bf26b13b9b88d64ee120805b70"
+        "ca02f6b8ab9a51f58a8c580d50bb57cd",
+    25: "c46aad39fbc7a50f51165216fe5f6f2c"
+        "a3d5956ab49caa89ad854c578b27373e",
+    26: "b16e82825e1960880e588a2707ba5c45"
+        "34fe5a4394b1b0aeaca30daf90c2be1e",
+    27: "7b6fac1d56971d5f001d4221b118d04b"
+        "511f393e46834883a8ab0583a42c8566",
+    28: "71472e68b34f6d75b3034cbd803d4c81"
+        "4982d5a26734c4a2accdb1daeb4716b9",
+    29: "206fdccc05fc9e4c69e88b36b1e2bcbd"
+        "2982ac4c6609c69b9cf98eeec9048b9b",
+    30: "620c5e9334e6ca128d35d06f99e50a45"
+        "f9cbcc0713daae2d0d5fdd0b012698bf",
 }
 
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre
 
-from .specfun import (_ROOT_STATUS, _bracketed_root, _ultra_table,
-                      first_zero_j1prime)
+from .specfun import (_ROOT_STATUS, _bracketed_root, _gauss_gegenbauer,
+                      _ultra_table, first_zero_j1prime)
 
 RESIDUAL_TOL = 1e-9
 _WIDEN = 1e-6    # relative widening of the bracket from the linear bounds
@@ -245,11 +244,12 @@ def membrane_C(d):
         numerator integrand  (rho'')^2 + 3(d-1) ((rho - r rho')/r^2)^2,
         rho(r) = j_1(ainf r), (rho - r rho')/r^2 = ainf^2 j_2(ainf r)/(ainf r),
     both by one _C_NODES-node Gauss-Legendre rule on [0, 1] (the interval's
-    Jacobian cancels in the ratio). The integrands are entire in r, so the
-    rule converges faster than any power of 1/n.
+    Jacobian cancels in the ratio), specfun's Golub-Welsch rule at weight
+    1. The integrands are entire in r, so the rule converges faster than
+    any power of 1/n.
     """
     ainf = first_zero_j1prime(d)
-    t, w = legendre.leggauss(_C_NODES)
+    t, w = _gauss_gegenbauer(_C_NODES, 0.5)
     r = 0.5 * (t + 1.0)
     z = ainf * r
     J = _ultra_table("j", 1, d, z, 2)

@@ -19,6 +19,7 @@ from numpy.polynomial import legendre
 
 from . import trial, verify
 from .ball import fundamental_tone
+from .specfun import _gauss_gegenbauer
 
 # the config keys each shape requires; the symmetric shapes are centered at
 # their offset by construction and alone take the optional center key
@@ -527,39 +528,6 @@ def _integrate(domain, f, quad, center):
         ss = ss + np.array([[gi @ gj for gj in g] for gi in g])
     cov = w * w * (ss - np.outer(s, s) / n) * (n / (n - 1))
     return w * s, np.sqrt(np.maximum(np.diag(cov), 0.0)), cov
-
-
-@lru_cache(maxsize=None)
-def _gauss_gegenbauer(n, alpha):
-    # n-node Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
-    # (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues
-    # of the Jacobi matrix of the orthonormal recurrence
-    # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1), polished by one Newton step on
-    # p_n; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(t)^2.
-    # Cached: the rule is a constant table, and the recurrence is a Python
-    # loop of n steps
-    k = np.arange(1, n)
-    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
-    c = np.concatenate([[0.0], b, [1.0]])     # b_0 = 0; p_n left unscaled
-    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(alpha + 0.5)
-                                        - math.lgamma(alpha + 1.0))
-
-    def recur(t):
-        # p_n, p_n' and sum_(k<n) p_k^2 at t
-        p0, p = np.zeros_like(t), np.full_like(t, mu0**-0.5)
-        dp0, dp, ss = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-        for j in range(n):
-            ss += p * p
-            p0, p, dp0, dp = p, (t * p - c[j] * p0) / c[j + 1], \
-                dp, (p + t * dp - c[j] * dp0) / c[j + 1]
-        return p, dp, ss
-
-    t = np.linalg.eigvalsh(np.diag(b, -1))
-    p, dp, _ = recur(t)
-    t = t - p / dp
-    t = 0.5 * (t - t[::-1])
-    w = 1.0 / recur(t)[2]
-    return t, 0.5 * (w + w[::-1])
 
 
 def _product_rule(d, n_az, n_polar):

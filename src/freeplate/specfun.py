@@ -3,8 +3,9 @@
 j_l(z) = z^(-s) J_(s+l)(z) and i_l(z) = z^(-s) I_(s+l)(z) with s = (d-2)/2,
 for integer dimension d >= 2 and integer order 0 <= l <= 8, together with
 derivatives through fourth order, the series coefficients d_k of the
-expansions of j_1'' and i_1'', the first nontrivial zero of j_1', and the
-bracketed root finder that both it and the ball's tone solve use.
+expansions of j_1'' and i_1'', the first nontrivial zero of j_1', the
+bracketed root finder that both it and the ball's tone solve use, and the
+Gauss-Gegenbauer rule of membrane_C and of geom's polar angles.
 
 Every value comes from one backward (Miller) recurrence over the scaled
 functions h_nu(z) = z^-nu C_nu(z), C = J or I, which are finite at z = 0:
@@ -20,7 +21,6 @@ positive for i. There is no series branch and no power of 1/z.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,22 +34,6 @@ _PER_POINT = 16        # z of at most this many points sweeps point by point
 _ROOT_XRTOL = 1e-13    # relative bracket width at which a root is accepted
 _ROOT_MAX_ITER = 2046  # bisections that span the normal doubles
 _ROOT_STATUS = ("converged", "no sign change", "iteration budget")
-
-
-@dataclass(frozen=True)
-class UltraBesselParams:
-    """Order/dimension pair with the derived kernel order shift s = (d-2)/2."""
-
-    l: int
-    d: int
-    s: float = field(init=False)
-
-    def __post_init__(self):
-        if not (isinstance(self.l, int) and 0 <= self.l <= MAX_ORDER):
-            raise ValueError(f"order l must be an integer in [0, {MAX_ORDER}]")
-        if not (isinstance(self.d, int) and self.d >= 2):
-            raise ValueError("dimension d must be an integer >= 2")
-        object.__setattr__(self, "s", (self.d - 2) / 2.0)
 
 
 def series_coeff_dk(k, d):
@@ -182,7 +166,10 @@ def _ultra_table(kind, l, d, z, deriv):
     A scalar z gives floats, an array z a new array per entry, which the
     caller may write into.
     """
-    UltraBesselParams(l, d)     # validates l, d
+    if not (isinstance(l, int) and 0 <= l <= MAX_ORDER):
+        raise ValueError(f"order l must be an integer in [0, {MAX_ORDER}]")
+    if not (isinstance(d, int) and d >= 2):
+        raise ValueError("dimension d must be an integer >= 2")
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
         raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
     arr = np.asarray(z, dtype=float)
@@ -321,3 +308,36 @@ def first_zero_j1prime(d):
         raise RuntimeError(f"j_1' zero in [{zs[i]:.2f}, {zs[i + 1]:.2f}] not "
                            f"refined, d={d}: {_ROOT_STATUS[status[0]]}")
     return float(root[0])
+
+
+@lru_cache(maxsize=None)
+def _gauss_gegenbauer(n, alpha):
+    # n-node Gauss rule for the weight (1 - t^2)^(alpha - 1/2) on [-1, 1]
+    # (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues
+    # of the Jacobi matrix of the orthonormal recurrence
+    # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1), polished by one Newton step on
+    # p_n; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(t)^2.
+    # Cached: the rule is a constant table, and the recurrence is a Python
+    # loop of n steps
+    k = np.arange(1, n)
+    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    c = np.concatenate([[0.0], b, [1.0]])     # b_0 = 0; p_n left unscaled
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(alpha + 0.5)
+                                        - math.lgamma(alpha + 1.0))
+
+    def recur(t):
+        # p_n, p_n' and sum_(k<n) p_k^2 at t
+        p0, p = np.zeros_like(t), np.full_like(t, mu0**-0.5)
+        dp0, dp, ss = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        for j in range(n):
+            ss += p * p
+            p0, p, dp0, dp = p, (t * p - c[j] * p0) / c[j + 1], \
+                dp, (p + t * dp - c[j] * dp0) / c[j + 1]
+        return p, dp, ss
+
+    t = np.linalg.eigvalsh(np.diag(b, -1))
+    p, dp, _ = recur(t)
+    t = t - p / dp
+    t = 0.5 * (t - t[::-1])
+    w = 1.0 / recur(t)[2]
+    return t, 0.5 * (w + w[::-1])

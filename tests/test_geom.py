@@ -200,7 +200,9 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
     # every (n, alpha) that the default radial rule builds at d = 3..6.
     # Nodes against scipy's roots_gegenbauer; weights against 30-digit
     # mpmath, and against scipy only as far as scipy's own weights go
-    # (4e-12 relative at n = 64 against the same mpmath reference)
+    # (4e-12 relative at n = 64 against the same mpmath reference). Then
+    # the (80, 1/2) rule of ball.membrane_C: nodes against numpy's
+    # Gauss-Legendre rule, weights against mpmath
     from scipy.special import roots_gegenbauer
     built = set()
     real = geom._gauss_gegenbauer
@@ -221,6 +223,12 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
         np.testing.assert_allclose(t, t_mp, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(w, w_mp, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(w, w_sp, rtol=1e-11, atol=0.0)
+    assert ballmod._C_NODES == 80
+    t, w = real(80, 0.5)
+    t_lg, _ = np.polynomial.legendre.leggauss(80)
+    np.testing.assert_allclose(t, t_lg, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, mp_gauss_gegenbauer(80, 0.5, t)[1],
+                               rtol=1e-13, atol=0.0)
 
 
 def test_integrate_radial_closed_forms():

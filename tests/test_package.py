@@ -1,0 +1,71 @@
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import freeplate
+
+EXPORTS = {"ball": ("BallMode", "fundamental_tone"),
+           "geom": ("Domain", "QuadratureSpec", "load_domain",
+                    "quotient_bound"),
+           "report": ("VerificationReport",),
+           "trial": ("TrialProfile",),
+           "verify": ("full_suite", "spot_values")}
+SUBMODULES = ("ball", "specfun", "geom", "trial", "verify", "report")
+
+
+def run_fresh(code):
+    # code in a fresh interpreter that imports freeplate from this checkout;
+    # its last stdout line
+    src = str(Path(freeplate.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_package_exports_resolve_to_their_modules():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(freeplate.__all__) == sorted(names)
+    for module, group in EXPORTS.items():
+        for name in group:
+            assert getattr(freeplate, name) is getattr(
+                import_module(f"freeplate.{module}"), name)
+    star = {}
+    exec("from freeplate import *", star)
+    assert set(star) - {"__builtins__"} == set(freeplate.__all__)
+    assert set(names) | set(SUBMODULES) <= set(dir(freeplate))
+    with pytest.raises(AttributeError, match="'freeplate'.*no_such_name"):
+        freeplate.no_such_name
+    assert freeplate.__version__ == "0.1.0"
+    # a bare import resolves every submodule name on use
+    out = run_fresh("import freeplate\n"
+                    f"print([getattr(freeplate, m).__name__ for m in "
+                    f"{SUBMODULES!r}])\n")
+    assert out[-1] == repr([f"freeplate.{m}" for m in SUBMODULES])
+
+
+def test_tone_path_loads_no_geom_verify_or_polynomial():
+    # a tone solve and the membrane constant need ball and specfun alone;
+    # the CLI imports every subcommand's module up front
+    heavy = ("freeplate.geom", "freeplate.verify", "freeplate.trial",
+             "freeplate.report", "freeplate.cli")
+    out = run_fresh(
+        "import sys\n"
+        "import freeplate\n"
+        "freeplate.fundamental_tone(1.0, 3)\n"
+        "from freeplate import ball\n"
+        "ball.membrane_C(3)\n"
+        "ball.tone_bounds(1.0, 3)\n"
+        "def loaded():\n"
+        f"    return sorted(m for m in sys.modules if m in {heavy!r} or\n"
+        "        m == 'numpy.polynomial' or m.startswith('numpy.polynomial.'))\n"
+        "print(loaded())\n"
+        "from freeplate.cli import main\n"
+        f"print([m for m in {heavy!r} if m not in sys.modules])\n")
+    assert out[-2:] == ["[]", "[]"]

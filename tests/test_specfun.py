@@ -255,13 +255,16 @@ def test_vectorized_matches_scalar():
         np.testing.assert_array_equal(vec, scal)
 
 
-def test_params_type_invariant():
-    p = sf.UltraBesselParams(2, 5)
-    assert p.s == (5 - 2) / 2
-    with pytest.raises(ValueError):
-        sf.UltraBesselParams(-1, 5)
-    with pytest.raises(ValueError):
-        sf.UltraBesselParams(1, 1)
+def test_order_and_dimension_validation():
+    # l must be an int in [0, MAX_ORDER] and d an int >= 2; 1.0 == 1 is no
+    # integer order
+    for fn in (sf.ultra_j, sf.ultra_i):
+        with pytest.raises(ValueError, match="order l must be an integer"):
+            fn(-1, 5, 1.0)
+        with pytest.raises(ValueError, match="dimension d must be"):
+            fn(1, 1, 1.0)
+        with pytest.raises(ValueError, match="order l must be an integer"):
+            fn(1.0, 5, 1.0)
 
 
 def test_error_contracts():

@@ -124,23 +124,29 @@ def secular_V(a, tau, d, radius=1.0):
         (tau + (d-1)/R^2) R'(R) - ((d-1)/R^3) R(R)
         + a^3 j_1'(aR) - gamma b^3 i_1'(bR),
     evaluated in the cancellation-free form of _secular_parts through
-    V_R(a, tau) = R^-3 V_1(aR, tau R^2).
+    V_R(a, tau) = R^-3 V_1(aR, tau R^2). Raises ValueError where V_R
+    overflows; where it underflows, the underflowed value is returned.
     """
-    return float(_secular_vec(*_unit_args(a, tau, d, radius), d)) / radius**3
+    v = _secular_vec(*_unit_args(a, tau, d, radius), d)
+    with np.errstate(all="ignore"):
+        v = v / np.float64(radius) ** 3
+    if not np.isfinite(v):
+        raise ValueError(f"V_R is no finite double at radius={radius:g}")
+    return float(v)
 
 
-def _residual_scales(d, R, a, b, gamma, tau, tables=None):
-    """Natural scales and residuals of the two boundary conditions, in
-    the closed form of secular_V; a, b, gamma and tau may be arrays, and
-    tables the _ultra_table pair at aR and bR where it is built already."""
-    J, I = tables or (_ultra_table("j", 1, d, a * R, 2),
-                      _ultra_table("i", 1, d, b * R, 2))
+def _residual_scales(d, a, b, gamma, tau, tables=None):
+    """Natural scales and residuals of the two boundary conditions on the
+    unit ball, in the closed form of secular_V; a, b, gamma and tau may be
+    arrays, and tables the _ultra_table pair at a and b if built already."""
+    J, I = tables or (_ultra_table("j", 1, d, a, 2),
+                      _ultra_table("i", 1, d, b, 2))
     t1 = a * a * J(1, 2)
     t2 = gamma * b * b * I(1, 2)
     m_res, m_scale = abs(t1 + t2), abs(t1) + abs(t2)
     j1, i1, j1p, i1p = J(1, 0), I(1, 0), J(1, 1), I(1, 1)
-    terms = [(tau + (d - 1) / R**2) * (a * j1p + gamma * b * i1p),
-             -(d - 1) / R**3 * (j1 + gamma * i1),
+    terms = [(tau + (d - 1)) * (a * j1p + gamma * b * i1p),
+             -(d - 1) * (j1 + gamma * i1),
              a**3 * j1p, -gamma * b**3 * i1p]
     v_res, v_scale = abs(sum(terms)), sum(abs(t) for t in terms)
     return m_res, m_scale, v_res, v_scale
@@ -148,23 +154,11 @@ def _residual_scales(d, R, a, b, gamma, tau, tables=None):
 
 def boundary_residuals(mode):
     """Relative residuals of the moment and shear boundary conditions,
-    each scaled by the sum of magnitudes of its terms.
-
-    Where a power of the radius or a term at the physical scale leaves
-    double range, they are taken on the unit ball (aR, bR, tau R^2),
-    which the scaling law makes equal."""
-    d, R = mode.d, mode.radius
-    try:
-        m_res, m_scale, v_res, v_scale = _residual_scales(
-            d, R, mode.a, mode.b, mode.gamma, mode.tau)
-        physical = (np.all(np.isfinite((m_res, m_scale, v_res, v_scale)))
-                    and min(m_scale, v_scale) >= np.finfo(float).tiny)
-    except (OverflowError, ZeroDivisionError):
-        physical = False
-    if not physical:
-        m_res, m_scale, v_res, v_scale = _residual_scales(
-            d, 1.0, mode.a * R, mode.b * R, mode.gamma,
-            _unit_tension(mode.tau, R))
+    each scaled by the sum of magnitudes of its terms, taken on the unit
+    ball (aR, bR, tau R^2), which the scaling law makes equal."""
+    R = mode.radius
+    m_res, m_scale, v_res, v_scale = _residual_scales(
+        mode.d, mode.a * R, mode.b * R, mode.gamma, _unit_tension(mode.tau, R))
     return m_res / m_scale, v_res / v_scale
 
 
@@ -206,7 +200,7 @@ def fundamental_tones(taus, d, radius=1.0):
     b = np.sqrt(a * a + t)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
-    m_res, m_scale, v_res, v_scale = _residual_scales(d, 1.0, a, b, gamma, t, (J, I))
+    m_res, m_scale, v_res, v_scale = _residual_scales(d, a, b, gamma, t, (J, I))
     bad = ~ok | (m_res > RESIDUAL_TOL * m_scale) \
         | (v_res > RESIDUAL_TOL * v_scale)
     if bad.any():

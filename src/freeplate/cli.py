@@ -45,6 +45,8 @@ def cmd_tone(args):
 def cmd_sweep(args):
     if args.tau_steps < 2:
         raise ValueError("sweep needs at least 2 steps")
+    if not np.isfinite((args.tau_min, args.tau_max)).all():
+        raise ValueError("tau-min and tau-max must be finite")
     if args.tau_min <= 0.0:
         raise ValueError("tau must be positive")
     if args.tau_max <= args.tau_min:
@@ -114,7 +116,7 @@ def cmd_quotient(args):
     dom = geom.normalize_volume(domain)
     quad = _quadrature_from(args, d)
     mode = ball.fundamental_tone(args.tau, d)
-    # the normalized domain has s = 1, so this is quotient_bound's mode
+    # quotient_bound's own path past its normalization, at s = 1
     Q, err = geom._quotient(dom, mode, quad, tol=args.tol)
     omega = mode.omega
     margin = omega - Q

@@ -98,8 +98,10 @@ class Domain:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.d < 1 or self.scale <= 0.0 or self.volume <= 0.0:
-            raise ValueError("domain requires d >= 1, scale > 0, volume > 0")
+        if self.d < 1 or not (0.0 < self.scale < math.inf
+                              and 0.0 < self.volume < math.inf):
+            raise ValueError("domain requires d >= 1 and a finite scale "
+                             "> 0 and volume > 0")
 
     def contains(self, points):
         """Vectorized membership: points (n, d) or (d,) -> bool mask."""
@@ -273,8 +275,8 @@ def _eval_implicit(expr, cols):
 
 def _center_arg(d, center):
     c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    if c.shape != (d,):
-        raise ValueError("center must have length d")
+    if c.shape != (d,) or not np.isfinite(c).all():
+        raise ValueError("center must be d finite numbers")
     return c
 
 
@@ -383,8 +385,9 @@ def two_balls(d, radii, centers):
     r1, r2 = float(radii[0]), float(radii[1])
     c1 = np.asarray(centers[0], dtype=float)
     c2 = np.asarray(centers[1], dtype=float)
-    if r1 <= 0.0 or r2 <= 0.0 or c1.shape != (d,) or c2.shape != (d,):
-        raise ValueError("two balls need positive radii and d-vectors")
+    if r1 <= 0.0 or r2 <= 0.0 or c1.shape != (d,) or c2.shape != (d,) \
+            or not np.isfinite(np.concatenate([c1, c2])).all():
+        raise ValueError("two balls need positive radii and finite d-vectors")
     lo = _tup(np.minimum(c1 - r1, c2 - r2))
     hi = _tup(np.maximum(c1 + r1, c2 + r2))
     params = {"radii": (r1, r2), "centers": (_tup(c1), _tup(c2))}
@@ -412,8 +415,9 @@ def implicit_domain(d, expr, bounds, volume=None):
     if "__" in expr:
         raise ValueError("implicit expr must not contain '__'")
     b = np.asarray(bounds, dtype=float)
-    if b.shape != (2 * d,) or np.any(b[1::2] <= b[0::2]):
-        raise ValueError("bounds must be d ordered (lo, hi) pairs")
+    if b.shape != (2 * d,) or np.any(b[1::2] <= b[0::2]) \
+            or not np.isfinite(b).all():
+        raise ValueError("bounds must be d finite ordered (lo, hi) pairs")
     try:
         compile(expr, "<domain-config>", "eval")
     except SyntaxError as exc:
@@ -462,17 +466,14 @@ def default_quadrature(d):
     return QuadratureSpec("radial", cells=8192)
 
 
-def normalize_volume(domain, target=None):
+def normalize_volume(domain):
     """Dilate the domain so its volume matches the unit ball's.
 
     The applied factor accumulates in the scale field. Raises when the
     stored volume estimate is too noisy to fix the scale (relative error
     at least 1e-4).
     """
-    if target is None:
-        target = unit_ball_volume(domain.d)
-    if target <= 0.0:
-        raise ValueError("target volume must be positive")
+    target = unit_ball_volume(domain.d)
     if domain.volume_error > 0.0 and \
             domain.volume_error / domain.volume >= 1e-4:
         raise ValueError("domain volume estimate too noisy to normalize")
@@ -730,16 +731,16 @@ def integrate_radial(domain, f, quad, center=None):
     c = np.asarray(domain.offset) if center is None \
         else np.asarray(center, dtype=float)
     if quad.kind == "radial":
-        rows = _radial_sums(domain, lambda u: [f(u)], _PANELS, 1.0, quad, c)
+        rows = _radial_sums(domain, lambda u: [f(u)], _PANELS, quad, c)
         return tuple(float(x) for x in _estimate(rows[0]))
     vals, errs, _ = _integrate(domain, lambda r: [f(r)], quad, c)
     return float(vals[0]), float(errs[0])
 
 
-def _radial_sums(domain, g, panels, s, quad, center, main=None):
-    """W @ (s^d sum_j sign_j G_i(t_j / s)) over the rays of quad's sphere
-    rule from center for each profile g_i that g returns: the rule's rows
-    of the radial reduction of int_Omega g_i(|x - center| / s) dx. Given
+def _radial_sums(domain, g, panels, quad, center, main=None):
+    """W @ (sum_j sign_j G_i(t_j)) over the rays of quad's sphere rule
+    from center for each profile g_i that g returns: the rule's rows of
+    the radial reduction of int_Omega g_i(|x - center|) dx. Given
     main, the crossings of the main rows (W[0] > 0, which come first),
     only the companion rows are cast; casts are row-separable, so the sums
     are the same."""
@@ -749,11 +750,9 @@ def _radial_sums(domain, g, panels, s, quad, center, main=None):
     if main is None:
         main = domain.crossings(center, dirs[first])
     casts = (main, domain.crossings(center, dirs[~first]))
-    G = _radial_table(g, max(float(t.max()) for t, _ in casts) / s,
-                      panels).G(d)
-    sums = [[np.sum(sign * Gt, axis=1) for Gt in G(t / s)]
-            for t, sign in casts]
-    return [W @ (s**d * np.concatenate(rows)) for rows in zip(*sums)]
+    G = _radial_table(g, max(float(t.max()) for t, _ in casts), panels).G(d)
+    sums = [[np.sum(sign * Gt, axis=1) for Gt in G(t)] for t, sign in casts]
+    return [W @ np.concatenate(rows) for rows in zip(*sums)]
 
 
 def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
@@ -853,8 +852,9 @@ def _panels(profile):
     return _PANELS + math.ceil(2.0 * profile.mode.b)
 
 
-def _num_den(domain, profile, s, quad, center, main=None):
-    """Quotient numerator and denominator for the profile dilated by s.
+def _num_den(domain, profile, quad, center, main=None):
+    """Quotient numerator and denominator of the profile on the domain,
+    which the caller has normalized to unit-ball volume.
 
     Returns (num, den, num error, den error, relative error of num/den).
     radial: every bar is the companion rules' estimate (_estimate), the
@@ -868,17 +868,16 @@ def _num_den(domain, profile, s, quad, center, main=None):
     def integrands(u):
         # one profile pass for the numerator's and the denominator's table
         pc = trial._eval_pieces(profile, u)
-        return trial._numerator(profile.mode, pc) / s**4, pc["rho"] ** 2
+        return trial._numerator(profile.mode, pc), pc["rho"] ** 2
 
     if quad.kind == "radial":
-        num, den = _radial_sums(domain, integrands, _panels(profile), s, quad,
+        num, den = _radial_sums(domain, integrands, _panels(profile), quad,
                                 center, main)
         (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
         return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
-    umax = 1.5 * domain.diameter() / s + 1.0
-    table = _radial_table(integrands, umax, _panels(profile))
-    (num, den), (en, ed), cov = _integrate(
-        domain, lambda r: table(r / s), quad, center)
+    table = _radial_table(integrands, 1.5 * domain.diameter() + 1.0,
+                          _panels(profile))
+    (num, den), (en, ed), cov = _integrate(domain, table, quad, center)
     if den == 0.0:
         raise ValueError("no quadrature nodes fall inside the domain")
     if cov is None:
@@ -893,10 +892,10 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     """Upper bound for the fundamental tone from the trial quotient.
 
     The trial profile is built for the ball of the same volume: with
-    s = (|Omega| / |B_1|)^(1/d) the mode is solved at tension tau s^2 on
-    the unit ball and evaluated at r/s, so a volume-normalized domain uses
-    the unit-ball profile directly and dilated domains inherit the scaling
-    law s^-4 Q.
+    s = (|Omega| / |B_1|)^(1/d) the quotient is taken on Omega / s
+    (normalize_volume, which raises where the volume estimate is too
+    noisy; an explicit center maps to center / s) with the unit-ball mode
+    at tension tau s^2, and scaled back by the law Q = s^-4 Q(Omega / s).
 
     Parameters
     ----------
@@ -922,21 +921,22 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
-    return _quotient(domain, fundamental_tone(tau * s * s, d, 1.0), quad,
-                     center)
+    if center is not None:
+        center = np.asarray(center, dtype=float) / s
+    Q, err = _quotient(normalize_volume(domain),
+                       fundamental_tone(tau * s * s, d, 1.0), quad, center)
+    return Q / s**4, err / s**4
 
 
 def _quotient(domain, mode, quad, center=None, tol=None):
-    # quotient_bound with the unit-ball mode already solved at the
-    # domain's tension tau s^2; tol overrides the centering tolerance
-    d = domain.d
+    # quotient_bound on a volume-normalized domain with its unit-ball mode
+    # solved already; tol overrides the centering tolerance
     if quad is None:
-        quad = default_quadrature(d)
-    s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
+        quad = default_quadrature(domain.d)
     prof = trial.TrialProfile(mode)
     c, main = _trial_center(domain, prof, quad, tol) if center is None \
-        else (np.asarray(center, dtype=float), None)
-    num, den, _, _, rel = _num_den(domain, prof, s, quad, c, main)
+        else (center, None)
+    num, den, _, _, rel = _num_den(domain, prof, quad, c, main)
     Q = num / den
     return Q, abs(Q) * rel
 
@@ -956,9 +956,9 @@ def monotone_domain_comparison(domain, profile, quad=None):
     if quad is None:
         quad = default_quadrature(d)
     c, main = _trial_center(domain, profile, quad)
-    num, den, en, ed, _ = _num_den(domain, profile, 1.0, quad, c, main)
-    bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, 1.0,
-                                   QuadratureSpec("radial"), np.zeros(d))
+    num, den, en, ed, _ = _num_den(domain, profile, quad, c, main)
+    bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, QuadratureSpec("radial"),
+                                   np.zeros(d))
     point = (num, bn, den, bd)
     return verify._reduce(
         f"domain-comparison[{domain.shape};d={d};tau={profile.mode.tau:g}]",
@@ -986,13 +986,16 @@ def parse_domain_config(text):
             raise ValueError(f"config line {ln}: duplicate key {key!r}")
         entries[key] = val
 
-    def floats(key):
-        val = entries.pop(key)
+    def floats(key, val=None):
+        val = entries.pop(key) if val is None else val
         try:
-            return [float(t) for t in val.split(",")]
+            out = [float(t) for t in val.split(",")]
         except ValueError:
             raise ValueError(f"config: {key} must be comma-separated "
                              f"numbers, got {val!r}") from None
+        if not all(map(math.isfinite, out)):
+            raise ValueError(f"config: {key} must be finite numbers")
+        return out
 
     for req in ("shape", "dim"):
         if req not in entries:
@@ -1033,10 +1036,7 @@ def parse_domain_config(text):
         if len(radii) != 2 or len(groups) != 2:
             raise ValueError("config: two-balls needs radii=r1,r2 and "
                              "centers=c1;c2")
-        try:
-            centers = [[float(t) for t in g.split(",")] for g in groups]
-        except ValueError:
-            raise ValueError("config: centers must be numeric") from None
+        centers = [floats("centers", g) for g in groups]
         if any(len(cc) != d for cc in centers):
             raise ValueError("config: each center must have dim entries")
         dom = two_balls(d, radii, centers)

@@ -219,7 +219,8 @@ def test_mode_invariant_matrix():
             assert m.gamma > 0
             assert 0 < m.a * m.radius < ainf
             m_res, m_scale, v_res, v_scale = ball._residual_scales(
-                m.d, m.radius, m.a, m.b, m.gamma, m.tau)
+                m.d, m.a * m.radius, m.b * m.radius, m.gamma,
+                m.tau * m.radius**2)
             assert m_res <= 1e-9 * m_scale
             assert v_res <= 1e-9 * v_scale
 

@@ -94,10 +94,9 @@ def test_tone_rejects_a_tension_scale_beyond_double_range(capsys):
 
 
 def test_tone_residuals_at_extreme_radii(capsys):
-    # tensions the solve accepts, where a power of R or a term of the
-    # residuals at the physical scale leaves double range: the residuals
-    # come from the unit ball, finite and within tolerance, with no
-    # traceback and no numpy warning
+    # tensions the solve accepts, where a power of R leaves double range:
+    # the residuals, taken on the unit ball, are finite and within
+    # tolerance, with no traceback and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tau, radius in (("1", "1e-150"), ("1", "1e-105"),
@@ -109,6 +108,24 @@ def test_tone_residuals_at_extreme_radii(capsys):
             for key in ("moment_residual", "shear_residual"):
                 res = float(vals[key])
                 assert math.isfinite(res) and res <= ball.RESIDUAL_TOL, key
+
+
+def test_secular_v_at_extreme_radii():
+    # a R = 0.5 and tau R^2 = 1 at every radius: V_R = R^-3 V_1, which
+    # overflows at R = 1e-150 (ValueError, as omega does) and underflows
+    # at R = 1e105 (the underflowed value), with no numpy warning; at a
+    # power of two, the exact R^-3 V_1
+    v1 = ball.secular_V(0.5, 1.0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="V_R is no finite double"):
+            ball.secular_V(0.5e150, 1e300, 2, 1e-150)
+        v = ball.secular_V(0.5e-105, 1e-210, 2, 1e105)
+    assert math.isfinite(v) and abs(v) < np.finfo(float).tiny
+    R = 2.0**-300
+    assert ball.secular_V(0.5 / R, 1.0 / R**2, 2, R) == v1 / R**3
+    assert ball.gamma_of(0.5e-105, 1e-210, 2, 1e105) == pytest.approx(
+        ball.gamma_of(0.5, 1.0, 2), rel=1e-14)
 
 
 def test_tone_rejects_omega_beyond_double_range(capsys):
@@ -160,6 +177,18 @@ def test_sweep_rows_satisfy_the_bound_sandwich(capsys):
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] > mu
     assert ratios[-1] - mu < 0.1
+
+
+def test_sweep_rejects_non_finite_tensions(capsys):
+    # a diagnostic and exit 2 before any row, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in (("1", "inf"), ("nan", "2"), ("-inf", "1")):
+            code, out, err = run(capsys, "sweep", "--dim", "2",
+                                 f"--tau-min={lo}", f"--tau-max={hi}",
+                                 "--tau-steps", "3")
+            assert code == 2 and out == ""
+            assert err == "error: tau-min and tau-max must be finite\n"
 
 
 def test_sweep_validation(capsys):
@@ -295,6 +324,30 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(ring),
                        "--tau", "1", "--quad", "grid", "--samples", "2")
     assert code == 2 and "no quadrature nodes" in err
+
+
+@pytest.mark.parametrize("key, lines", [
+    ("radius", "shape=ball\nradius=nan"),
+    ("center", "shape=box\nsides=1,1\ncenter=nan,0"),
+    ("bounds", "shape=implicit\nexpr=x*x + y*y <= 1\nbounds=-1,1,-1,nan"),
+    ("semiaxes", "shape=ellipsoid\nsemiaxes=inf,1"),
+    ("outer", "shape=annulus\ninner=0.5\nouter=inf"),
+    ("radii", "shape=two-balls\nradii=1,nan\ncenters=0,0;3,0"),
+    ("centers", "shape=two-balls\nradii=1,1\ncenters=0,-inf;3,0"),
+    ("volume", "shape=implicit\nexpr=x*x + y*y <= 1\nbounds=-1,1,-1,1\n"
+               "volume=nan")])
+def test_quotient_rejects_non_finite_config_numbers(capsys, tmp_path, key,
+                                                    lines):
+    # a diagnostic that names the key, before any quadrature: exit 2 and
+    # no numpy warning
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"dim=2\n{lines}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "quotient", "--domain", str(cfg),
+                             "--tau", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: config: {key} must be finite numbers\n"
 
 
 def test_samples_sets_the_default_rules_resolution(capsys, tmp_path):

@@ -164,6 +164,27 @@ def test_implicit_domain_basics():
         geom.implicit_domain(2, "__import__('os')", (-1, 1, -1, 1))
 
 
+def test_domains_need_finite_numbers():
+    # the shape constructors check positivity, which NaN passes; the
+    # Domain itself refuses a non-finite scale or volume
+    for make in (lambda: geom.ball(2, float("nan")),
+                 lambda: geom.ellipsoid(2, (math.inf, 1.0)),
+                 lambda: geom.annulus(2, 0.5, math.inf),
+                 lambda: replace(geom.ball(2), scale=math.inf),
+                 lambda: replace(geom.ball(2), volume=math.inf)):
+        with pytest.raises(ValueError, match="finite scale > 0 and volume"):
+            make()
+    # positions: centers, the two balls' centers and implicit bounds
+    for make in (lambda: geom.ball(2, 1.0, center=(math.nan, 0.0)),
+                 lambda: geom.box(2, (1.0, 1.0), center=(0.0, math.inf)),
+                 lambda: geom.two_balls(2, (1.0, 1.0),
+                                        ((0.0, 0.0), (math.nan, 3.0))),
+                 lambda: geom.implicit_domain(2, "x * x + y * y <= 1",
+                                              (-1, 1, -1, math.inf), 3.0)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 def test_normalize_volume_examples():
     half = geom.normalize_volume(geom.ball(2, 2.0))
     assert half.scale == pytest.approx(0.5, rel=1e-15)
@@ -174,12 +195,8 @@ def test_normalize_volume_examples():
     assert grown.scale == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     lo, hi = np.asarray(grown.bbox[0]), np.asarray(grown.bbox[1])
     assert np.allclose(hi - lo, math.sqrt(math.pi))
-    retarget = geom.normalize_volume(geom.ball(2), target=4 * math.pi)
-    assert retarget.scale == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ValueError, match="noisy"):
         geom.normalize_volume(replace(geom.ball(2), volume_error=1e-3))
-    with pytest.raises(ValueError, match="positive"):
-        geom.normalize_volume(geom.ball(2), target=0.0)
 
 
 def test_quadrature_spec_validation():
@@ -855,6 +872,37 @@ def test_quotient_scaling_law_off_balls():
     other, eo = geom.quotient_bound(scaled, tau / s**2,
                                     quad=QuadratureSpec("grid", cells=768))
     assert abs(other - base / s**4) <= (eo + eb / s**4) + 1e-9
+
+
+def dilated(dom, s):
+    # the domain dilated by s about the origin, as normalize_volume does
+    lo, hi = (s * np.asarray(x) for x in dom.bbox)
+    return replace(dom, scale=s * dom.scale,
+                   offset=tuple(s * np.asarray(dom.offset)),
+                   volume=s**dom.d * dom.volume, bbox=(tuple(lo), tuple(hi)))
+
+
+@pytest.mark.parametrize("kind", ["radial", "grid"])
+def test_quotient_scaling_law_with_an_explicit_center(kind):
+    # quotient_bound normalizes the domain and maps an explicit center c to
+    # c / s: dilating an unnormalized domain and its center by s maps
+    # (tau, Q) to (tau / s^2, Q / s^4) whatever c is
+    tau, s = 2.0, 0.7
+    quad = QuadratureSpec(kind, cells=8192 if kind == "radial" else 256)
+    c = 0.05
+    doms = [(geom.ellipsoid(2, (1.6, 0.9), center=(0.3, -0.2)), (0.4, -0.1)),
+            (geom.implicit_domain(
+                2, f"(abs(x) <= 1) & (abs(y) <= 1) & ~((x > {c!r}) & "
+                   f"(y > {c!r}))", (-1, 1, -1, 1),
+                volume=4.0 - (1.0 - c) ** 2), (-0.2, -0.15))]
+    for dom, center in doms:
+        base, eb = geom.quotient_bound(dom, tau, quad=quad, center=center)
+        other, eo = geom.quotient_bound(
+            dilated(dom, s), tau / s**2, quad=quad,
+            center=s * np.asarray(center))
+        assert other == pytest.approx(base / s**4, rel=1e-9)
+        # a bar at the rules' rounding floor moves with the rounding
+        assert eo * s**4 == pytest.approx(eb, rel=0.1, abs=0.0)
 
 
 def test_quotient_is_strictly_below_tone_on_an_ellipse():

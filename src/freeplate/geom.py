@@ -265,6 +265,8 @@ def _eval_implicit(expr, cols):
               sin=np.sin)
     try:
         out = eval(_compiled(expr), {"__builtins__": {}}, ns)  # noqa: S307
+    except SyntaxError as exc:
+        raise ValueError(f"implicit expr does not parse: {exc}") from None
     except Exception as exc:
         raise ValueError(f"implicit expr failed: {exc}") from None
     mask = np.asarray(out)
@@ -418,22 +420,17 @@ def implicit_domain(d, expr, bounds, volume=None):
     if b.shape != (2 * d,) or np.any(b[1::2] <= b[0::2]) \
             or not np.isfinite(b).all():
         raise ValueError("bounds must be d finite ordered (lo, hi) pairs")
-    try:
-        compile(expr, "<domain-config>", "eval")
-    except SyntaxError as exc:
-        raise ValueError(f"implicit expr does not parse: {exc}") from None
     dom = Domain(d, "implicit", {"expr": expr}, _tup(np.zeros(d)), 1.0,
                  1.0, 0.0, (_tup(b[0::2]), _tup(b[1::2])))
+    mid = 0.5 * (b[0::2] + b[1::2])
     # evaluate once up front so a bad expression fails here, not mid-quadrature
-    _eval_implicit(expr, list(0.5 * (b[0::2] + b[1::2])[:, None]))
+    _eval_implicit(expr, list(mid[:, None]))
     if volume is not None:
         if volume <= 0.0:
             raise ValueError("volume must be positive")
         return replace(dom, volume=float(volume))
-    dirs, W = _sphere_rule(d, default_quadrature(d).cells)
-    t, sign = dom.crossings(0.5 * (b[0::2] + b[1::2]), dirs)
-    vol, err = (float(x) for x in _estimate(W @ np.sum(sign * t**d, axis=1)
-                                            / d))
+    rows = _Rays(dom, default_quadrature(d).cells, mid).rows(lambda t: [t**d])
+    vol, err = (float(x) for x in _estimate(rows[0] / d))
     if vol <= 0.0:
         raise ValueError("implicit domain appears empty")
     return replace(dom, volume=vol, volume_error=err)
@@ -474,8 +471,7 @@ def normalize_volume(domain):
     at least 1e-4).
     """
     target = unit_ball_volume(domain.d)
-    if domain.volume_error > 0.0 and \
-            domain.volume_error / domain.volume >= 1e-4:
+    if domain.volume_error / domain.volume >= 1e-4:
         raise ValueError("domain volume estimate too noisy to normalize")
     s = (target / domain.volume) ** (1.0 / domain.d)
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
@@ -561,9 +557,10 @@ def _turn(d, n):
     return R
 
 
+@lru_cache(maxsize=4)
 def _sphere_rule(d, cells):
     """Directions of the product rule on S^(d-1) with about cells
-    directions, and the weights of the rule and of its companions.
+    directions, and the weights of the rule and of its companions (cached).
 
     The rule has n Gauss nodes in each of the d - 2 polar angles and 2n
     trapezoid nodes in the azimuth, 2 n^(d-1) directions (n even). The
@@ -596,7 +593,9 @@ def _sphere_rule(d, cells):
     for j in range(4):
         W[2 + j, :m] = np.where(az == j, 4.0 * w, 0.0)
     W[6, -m:] = w
-    return np.concatenate(blocks), W
+    dirs = np.concatenate(blocks)
+    dirs.flags.writeable = W.flags.writeable = False
+    return dirs, W
 
 
 def _estimate(rows):
@@ -707,6 +706,42 @@ class _RadialTable:
         return G
 
 
+class _Rays:
+    """Rays of the radial rule (_sphere_rule) from center: the one record of
+    every radial integral from there. Each part is cast once, on first use:
+    the main rows (W[0] > 0, which come first), then the companion rows."""
+
+    def __init__(self, domain, cells, center):
+        self.domain, self.cells, self.center = domain, cells, center
+        self._hits = []
+
+    def _cast(self, parts=2):
+        dirs, W = _sphere_rule(self.domain.d, self.cells)
+        m = int(np.count_nonzero(W[0] > 0.0))
+        for rows in (dirs[:m], dirs[m:])[len(self._hits):parts]:
+            self._hits.append(self.domain.crossings(self.center, rows))
+        return self._hits[:parts]
+
+    def rows(self, G):
+        # the rule's rows (_estimate) of sum_j sign_j G_i(t_j) over each ray
+        W = _sphere_rule(self.domain.d, self.cells)[1]
+        return [W @ np.concatenate(s) for s in zip(*(
+            [np.sum(sign * Gt, axis=1) for Gt in G(t)]
+            for t, sign in self._cast()))]
+
+    def main(self, G):
+        # the main rows' directions and their weighted sums of each G_i
+        [(t, sign)] = self._cast(1)
+        dirs, W = _sphere_rule(self.domain.d, self.cells)
+        w = W[0, :len(t)]
+        return dirs[:len(t)], [w * np.sum(sign * Gt, axis=1) for Gt in G(t)]
+
+    def integrals(self, g, panels):
+        # rows of int g_i(|x - center|) dx, G_i tabled to every crossing
+        umax = max(float(t.max()) for t, _ in self._cast())
+        return self.rows(_radial_table(g, umax, panels).G(self.domain.d))
+
+
 def integrate_radial(domain, f, quad, center=None):
     """Integrate the radial function f(|x - center|) over the domain.
 
@@ -722,41 +757,22 @@ def integrate_radial(domain, f, quad, center=None):
         cells, error bar from a half-resolution pass; mc: hit-or-miss mean
         with sample standard error.
     center : array_like, optional
-        Center of the radial function; defaults to the domain offset.
+        Center (d finite numbers) of f; defaults to the domain offset.
 
     Returns
     -------
     (value, error_estimate)
     """
-    c = np.asarray(domain.offset) if center is None \
-        else np.asarray(center, dtype=float)
+    c = _center_arg(domain.d, domain.offset if center is None else center)
     if quad.kind == "radial":
-        rows = _radial_sums(domain, lambda u: [f(u)], _PANELS, quad, c)
-        return tuple(float(x) for x in _estimate(rows[0]))
+        I = _Rays(domain, quad.cells, c).integrals(lambda u: [f(u)], _PANELS)
+        return tuple(float(x) for x in _estimate(I[0]))
     vals, errs, _ = _integrate(domain, lambda r: [f(r)], quad, c)
     return float(vals[0]), float(errs[0])
 
 
-def _radial_sums(domain, g, panels, quad, center, main=None):
-    """W @ (sum_j sign_j G_i(t_j)) over the rays of quad's sphere rule
-    from center for each profile g_i that g returns: the rule's rows of
-    the radial reduction of int_Omega g_i(|x - center|) dx. Given
-    main, the crossings of the main rows (W[0] > 0, which come first),
-    only the companion rows are cast; casts are row-separable, so the sums
-    are the same."""
-    d = domain.d
-    dirs, W = _sphere_rule(d, quad.cells)
-    first = W[0] > 0.0
-    if main is None:
-        main = domain.crossings(center, dirs[first])
-    casts = (main, domain.crossings(center, dirs[~first]))
-    G = _radial_table(g, max(float(t.max()) for t, _ in casts), panels).G(d)
-    sums = [[np.sum(sign * Gt, axis=1) for Gt in G(t)] for t, sign in casts]
-    return [W @ np.concatenate(rows) for rows in zip(*sums)]
-
-
-def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
-    """Translation v at which the centering field X(v) vanishes.
+def center_trial(domain, profile, quad=None, tol=None):
+    """Record (_Rays) from the v at which the centering field X(v) vanishes.
 
     X(v) = integral over the domain of rho(|x - v|)/|x - v| (x - v) dx
     = int_{S^{d-1}} theta sum_j sign_j H(t_j) dtheta with
@@ -775,14 +791,13 @@ def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
     direction, and centering there does not converge). Newton steps
     from the bbox center, clipped to the bbox, are halved until |X|
     falls; raises with the residual trace when halving no longer moves v
-    (the rule's noise floor) or after _CENTER_CASTS casts. The last cast
-    is always at the returned v; a list passed as _main receives its
-    crossings (t, sign) for the quotient's rule to reuse.
+    (the rule's noise floor) or after _CENTER_CASTS casts.
 
     Returns
     -------
-    numpy.ndarray
-        The offset v with |X(v)| <= tol (default 1e-6 |Omega| rho(diam)).
+    _Rays
+        From v, main rows cast: .center is the offset v with
+        |X(v)| <= tol (default 1e-6 |Omega| rho(diam)).
     """
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -790,61 +805,49 @@ def center_trial(domain, profile, quad=None, tol=None, *, _main=None):
         quad = default_quadrature(domain.d)
     if tol is None:
         tol = 1e-6 * domain.volume * trial.rho(profile, domain.diameter())
-    d = domain.d
-    dirs, W = _sphere_rule(d, quad.cells)
-    u, w = dirs[W[0] > 0.0], W[0][W[0] > 0.0]
 
     def pieces(r):
         pc = trial._eval_pieces(profile, r)
         return pc["rho"], pc["d1"], pc["p"]
 
     G = _radial_table(pieces, 1.5 * domain.diameter() + 1.0,
-                      _panels(profile)).G(d)
+                      _panels(profile)).G(domain.d)
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
 
     def cast(v):
-        # |X(v)|, the Newton step from v, clipped to the bbox, and the
-        # crossings; H, A and B share one Legendre basis at them
-        t, sign = hit = domain.crossings(v, u)
-        h, a, b = (w * np.sum(sign * Gt, axis=1) for Gt in G(t))
+        # |X(v)|, the Newton step clipped to the bbox, and the record from
+        # v; H, A and B share one Legendre basis at the record's crossings
+        rays = _Rays(domain, quad.cells, v)
+        u, (h, a, b) = rays.main(G)
         X = h @ u
-        M = (u.T * (a - b)) @ u + np.sum(b) * np.eye(d)     # -dX/dv
+        M = (u.T * (a - b)) @ u + np.sum(b) * np.eye(domain.d)  # -dX/dv
         return (float(np.linalg.norm(X)),
-                np.clip(v + np.linalg.solve(M, X), lo, hi) - v, hit)
+                np.clip(v + np.linalg.solve(M, X), lo, hi) - v, rays)
 
-    v = 0.5 * (lo + hi)
-    res, step, hit = cast(v)
+    res, step, rays = cast(0.5 * (lo + hi))
     trace = [res]
     while res > tol:
-        nxt = v + step
-        if len(trace) == _CENTER_CASTS or np.array_equal(nxt, v):
+        nxt = rays.center + step
+        if len(trace) == _CENTER_CASTS or np.array_equal(nxt, rays.center):
             shown = ", ".join(f"{t:.3e}" for t in trace[-6:])
             raise RuntimeError(
                 f"centering did not converge: |X| = {res:.3e} > tol = "
                 f"{tol:.3e}; residual trace tail [{shown}]")
-        r, nxt_step, nxt_hit = cast(nxt)
+        r, nxt_step, nxt_rays = cast(nxt)
         trace.append(r)
-        if r < res:
-            v, step, res, hit = nxt, nxt_step, r, nxt_hit
-        else:
-            step = 0.5 * step
-    if _main is not None:
-        _main.append(hit)
-    return v
+        step, res, rays = (nxt_step, r, nxt_rays) if r < res \
+            else (0.5 * step, res, rays)
+    return rays
 
 
 def _trial_center(domain, profile, quad, tol=None):
-    # the trial center and the crossings of the centering's rule from it
-    # (its main rows), or None where no cast was made: the symmetric shapes
-    # are centered at their offset by construction. A tolerance that no
-    # shape could meet is refused for every shape
+    # the trial center's record: center_trial's, or an uncast one at the
+    # offset of a symmetric shape (centered there by construction)
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if domain.shape in _SYMMETRIC:
-        return np.asarray(domain.offset, dtype=float), None
-    main = []
-    v = center_trial(domain, profile, quad, tol=tol, _main=main)
-    return v, main[0]
+        return _Rays(domain, quad.cells, np.asarray(domain.offset, float))
+    return center_trial(domain, profile, quad, tol=tol)
 
 
 def _panels(profile):
@@ -852,32 +855,33 @@ def _panels(profile):
     return _PANELS + math.ceil(2.0 * profile.mode.b)
 
 
-def _num_den(domain, profile, quad, center, main=None):
+def _num_den(domain, profile, quad, center=None, tol=None):
     """Quotient numerator and denominator of the profile on the domain,
-    which the caller has normalized to unit-ball volume.
+    which the caller has normalized to unit-ball volume, about center (by
+    default the trial center, _trial_center with tol).
 
     Returns (num, den, num error, den error, relative error of num/den).
-    radial: every bar is the companion rules' estimate (_estimate), the
-    ratio's from the companions' ratios; grid: the ratio's relative bar
-    is the sum of the relative bars; mc: both integrands share one sample
-    stream and the delta method keeps their covariance. Grid and mc
-    evaluate the profile through the table, radial through its G. main:
-    the radial rule's main-row crossings from center, when the centering
-    cast them with this rule (see _radial_sums).
+    radial: the rows of the center's record; every bar is the companion
+    rules' estimate (_estimate), the ratio's from the companions' ratios;
+    grid: the ratio's relative bar is the sum of the relative bars; mc:
+    both integrands share one sample stream and the delta method keeps
+    their covariance. Grid and mc evaluate the profile through the table,
+    radial through its G.
     """
     def integrands(u):
         # one profile pass for the numerator's and the denominator's table
         pc = trial._eval_pieces(profile, u)
         return trial._numerator(profile.mode, pc), pc["rho"] ** 2
 
+    rays = _trial_center(domain, profile, quad, tol) if center is None \
+        else _Rays(domain, quad.cells, center)
     if quad.kind == "radial":
-        num, den = _radial_sums(domain, integrands, _panels(profile), quad,
-                                center, main)
+        num, den = rays.integrals(integrands, _panels(profile))
         (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
         return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
     table = _radial_table(integrands, 1.5 * domain.diameter() + 1.0,
                           _panels(profile))
-    (num, den), (en, ed), cov = _integrate(domain, table, quad, center)
+    (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)
     if den == 0.0:
         raise ValueError("no quadrature nodes fall inside the domain")
     if cov is None:
@@ -907,8 +911,8 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     quad : QuadratureSpec, optional
         Defaults to the dimension default (the radial rule).
     center : array_like, optional
-        Trial center; default is the domain offset for symmetric shapes
-        and the fixed-point center otherwise.
+        Trial center (d finite numbers); default is the domain offset for
+        symmetric shapes and the zero of X (center_trial) otherwise.
 
     Returns
     -------
@@ -922,7 +926,7 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
         raise ValueError("tau must be positive")
     s = (domain.volume / unit_ball_volume(d)) ** (1.0 / d)
     if center is not None:
-        center = np.asarray(center, dtype=float) / s
+        center = _center_arg(d, center) / s
     Q, err = _quotient(normalize_volume(domain),
                        fundamental_tone(tau * s * s, d, 1.0), quad, center)
     return Q / s**4, err / s**4
@@ -933,10 +937,8 @@ def _quotient(domain, mode, quad, center=None, tol=None):
     # solved already; tol overrides the centering tolerance
     if quad is None:
         quad = default_quadrature(domain.d)
-    prof = trial.TrialProfile(mode)
-    c, main = _trial_center(domain, prof, quad, tol) if center is None \
-        else (center, None)
-    num, den, _, _, rel = _num_den(domain, prof, quad, c, main)
+    num, den, _, _, rel = _num_den(domain, trial.TrialProfile(mode), quad,
+                                   center, tol)
     Q = num / den
     return Q, abs(Q) * rel
 
@@ -950,13 +952,11 @@ def monotone_domain_comparison(domain, profile, quad=None):
     (numerator on the domain, on the ball, denominator likewise).
     """
     d = domain.d
-    if abs(domain.volume - unit_ball_volume(d)) > \
-            1e-8 * unit_ball_volume(d):
+    if abs(domain.volume - unit_ball_volume(d)) > 1e-8 * unit_ball_volume(d):
         raise ValueError("domain must be normalized to unit-ball volume")
     if quad is None:
         quad = default_quadrature(d)
-    c, main = _trial_center(domain, profile, quad)
-    num, den, en, ed, _ = _num_den(domain, profile, quad, c, main)
+    num, den, en, ed, _ = _num_den(domain, profile, quad)
     bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, QuadratureSpec("radial"),
                                    np.zeros(d))
     point = (num, bn, den, bd)

@@ -229,6 +229,7 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
         return real(n, alpha)
 
     monkeypatch.setattr(geom, "_gauss_gegenbauer", spy)
+    geom._sphere_rule.cache_clear()     # the rules are cached once built
     for d in range(3, 7):
         geom._sphere_rule(d, geom.default_quadrature(d).cells)
     assert (64, 0.5) in built and (3, 2.0) in built
@@ -296,9 +297,10 @@ def test_radial_quadrature_off_balls_and_off_center():
 def test_centering_recovers_translated_ball():
     prof = profile()
     dom = geom.ball(2, center=(0.3, 0.0))
-    v = geom.center_trial(dom, prof)
+    v = geom.center_trial(dom, prof).center
     assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 1e-9
-    v = geom.center_trial(dom, prof, QuadratureSpec("mc", samples=10**6, seed=4))
+    v = geom.center_trial(dom, prof, QuadratureSpec("mc", samples=10**6,
+                                                    seed=4)).center
     assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 5e-3
 
 
@@ -307,7 +309,7 @@ def test_centering_on_an_asymmetric_domain():
     dom = geom.implicit_domain(
         2, "(abs(x) <= 0.75) & (abs(y) <= 0.75) & ~((x > 0) & (y > 0))",
         (-0.75, 0.75, -0.75, 0.75), volume=27.0 / 16.0)
-    v = geom.center_trial(dom, profile())
+    v = geom.center_trial(dom, profile()).center
     assert -0.35 < v[0] < -0.05 and -0.35 < v[1] < -0.05
     # the domain is symmetric about the diagonal y = x
     assert abs(v[0] - v[1]) <= 0.01
@@ -321,7 +323,7 @@ def test_centering_argument_validation():
         with pytest.raises(ValueError, match="tol must be positive"):
             geom.center_trial(dom, prof, tol=tol)
     shifted = geom.ball(2, center=(0.3, 0.0))
-    v = geom.center_trial(shifted, prof, QuadratureSpec("radial"))
+    v = geom.center_trial(shifted, prof, QuadratureSpec("radial")).center
     assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 1e-9
 
 
@@ -344,10 +346,12 @@ def test_every_quadrature_kind_centers_at_the_same_point():
                 2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))",
                 (-1, 1, -1, 1), volume=3.0)]
     for dom in doms:
-        v = geom._trial_center(dom, prof, geom.default_quadrature(2))[0]
+        v = geom._trial_center(dom, prof,
+                               geom.default_quadrature(2)).center
         for quad in (QuadratureSpec("grid", cells=256),
                      QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
-            assert np.array_equal(geom._trial_center(dom, prof, quad)[0], v)
+            rays = geom._trial_center(dom, prof, quad)
+            assert np.array_equal(rays.center, v)
 
 
 def test_box_chord_along_a_face_from_a_point_on_it():
@@ -664,7 +668,8 @@ def test_centering_stays_on_the_mirror_of_a_thin_l_shape():
     for c, tau in ((-0.76171875, 0.01), (-0.65625, 1.0)):
         dom = l_shape(c)
         prof = trial.TrialProfile(ballmod.fundamental_tone(tau, 2))
-        v = geom.center_trial(dom, prof, QuadratureSpec("radial", cells=2048))
+        v = geom.center_trial(dom, prof,
+                              QuadratureSpec("radial", cells=2048)).center
         assert abs(v[0] - v[1]) <= 1e-12 * dom.diameter()
 
 
@@ -685,7 +690,7 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
     for dom in (l_shape(), two_balls_2d(), two_balls_3d()):
         quad = geom.default_quadrature(dom.d)
         mode = ballmod.fundamental_tone(1.7, dom.d, 1.0)
-        v = geom.center_trial(dom, trial.TrialProfile(mode), quad)
+        v = geom.center_trial(dom, trial.TrialProfile(mode), quad).center
         got = geom._quotient(dom, mode, quad)
         fresh = geom._quotient(dom, mode, quad, center=v)
         assert np.array(got).tobytes() == np.array(fresh).tobytes()
@@ -726,11 +731,34 @@ def test_centered_quotient_casts_each_ray_once(monkeypatch):
         return crossings(self, origin, dirs)
 
     monkeypatch.setattr(geom.Domain, "crossings", counting)
+    geom._sphere_rule.cache_clear()
     geom._quotient(dom, ballmod.fundamental_tone(1.0, 2, 1.0), None)
+    # one rule serves every Newton step and the quotient
+    assert geom._sphere_rule.cache_info().misses == 1
     dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
     main = int(np.sum(W[0] > 0.0))
     assert calls == [main] * 3 + [len(dirs) - main]
     assert sum(calls) == 32768
+    # in 3-d the companions are the half rule and the turned rule; the
+    # symmetric ellipsoid is not centered, so the quotient casts both parts
+    for dom, want in ((two_balls_3d(), [8192, 8192, 8192, 10240]),
+                      (geom.normalize_volume(geom.ellipsoid(3, (1.5, 1.5, 1))),
+                       [8192, 10240])):
+        calls.clear()
+        geom._quotient(dom, ballmod.fundamental_tone(1.7, 3, 1.0), None)
+        assert calls == want
+
+
+def test_implicit_volume_is_pinned():
+    # the radial reduction of f = 1 about the bbox center, as float.hex of
+    # (volume, volume_error) for an implicit disk and 3-d ball
+    for d, expr, pinned in (
+            (2, "x**2 + y**2 <= 1",
+             ("0x1.921fb54442d60p+1", "0x1.921fb54442d60p-45")),
+            (3, "x**2 + y**2 + z**2 <= 1",
+             ("0x1.0c152382d736bp+2", "0x1.30152382d736bp-44"))):
+        dom = geom.implicit_domain(d, expr, (-1, 1) * d)
+        assert (dom.volume.hex(), dom.volume_error.hex()) == pinned
 
 
 def profile_pieces(prof):
@@ -931,6 +959,28 @@ def test_quotient_argument_validation():
         geom.quotient_bound(dom, 0.0)
     with pytest.raises(ValueError, match="disagrees"):
         geom.quotient_bound(dom, 1.0, d=3)
+
+
+def test_centers_must_be_d_finite_numbers():
+    # a NaN center used to end in a ZeroDivisionError in the quotient and
+    # to give (0.0, 0.0) from integrate_radial
+    dom = geom.ellipsoid(2, (2.0, 0.5))
+    for center in ((math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="center must be d finite"):
+            geom.quotient_bound(dom, 1.0, center=center)
+        for quad in (QuadratureSpec("radial"), QuadratureSpec("grid")):
+            with pytest.raises(ValueError, match="center must be d finite"):
+                geom.integrate_radial(dom, np.ones_like, quad, center=center)
+
+
+def test_mc_quotient_needs_no_radial_rule():
+    # from d = 21 on the radial rule refuses to be built; a symmetric
+    # shape's record at its offset is never cast, so mc still works there
+    with pytest.raises(ValueError, match="d = 21 needs"):
+        geom._sphere_rule(21, 8192)
+    Q, err = geom.quotient_bound(geom.box(21, [1.0] * 21), 1.0,
+                                 quad=QuadratureSpec("mc", samples=2000))
+    assert math.isfinite(Q) and 0.0 < err < Q
 
 
 def test_domain_comparison_reports():

@@ -109,7 +109,8 @@ def test_radial_quotient_on_tangent_rays_and_corners(kind, p, tau):
     dom = geom.normalize_volume(dom)
     radial = QuadratureSpec("radial", cells=2048)
     v = geom.center_trial(
-        dom, trial.TrialProfile(ballmod.fundamental_tone(tau, 2)), radial)
+        dom, trial.TrialProfile(ballmod.fundamental_tone(tau, 2)),
+        radial).center
     q, e = geom.quotient_bound(dom, tau, quad=radial, center=v)
     fine, _ = geom.quotient_bound(
         dom, tau, quad=QuadratureSpec("radial", cells=32768), center=v)
@@ -143,7 +144,8 @@ def test_newton_centering_converges_and_keeps_the_symmetry(case, log_tau):
     dom, on_axis = case
     dom = geom.normalize_volume(dom)
     prof = trial.TrialProfile(ballmod.fundamental_tone(10.0**log_tau, dom.d))
-    v = geom.center_trial(dom, prof, QuadratureSpec("radial", cells=2048))
+    v = geom.center_trial(dom, prof,
+                          QuadratureSpec("radial", cells=2048)).center
     if dom.shape == "implicit":
         assert abs(v[0] - v[1]) <= 1e-6 * dom.diameter()
     elif on_axis:

@@ -13,13 +13,15 @@ many tensions at once and exposes those bounds and the membrane comparison
 constant.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (_ROOT_STATUS, _bracketed_root, _gauss_gegenbauer,
-                      _ultra_table, first_zero_j1prime)
+from .specfun import (_ARRAYS, _FLOATS, _ROOT_STATUS, _bracketed_root,
+                      _gauss_gegenbauer, _ultra_table, first_zero_j1prime)
 
 RESIDUAL_TOL = 1e-9
 _WIDEN = 1e-6    # relative widening of the bracket from the linear bounds
@@ -42,8 +44,8 @@ class BallMode:
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 2):
             raise ValueError("dimension d must be an integer >= 2")
-        if not np.all(np.isfinite((self.tau, self.radius, self.a, self.b,
-                                   self.gamma, self.omega))):
+        if not all(map(math.isfinite, (self.tau, self.radius, self.a,
+                                       self.b, self.gamma, self.omega))):
             raise ValueError("tau, radius, a, b, gamma and omega must be "
                              "finite doubles")
         if not (self.tau > 0 and self.radius > 0):
@@ -59,14 +61,20 @@ class BallMode:
 
 
 def _unit_tension(tau, radius):
-    # validate tau (one or an array) and radius; tau R^2 on the unit ball
-    if not np.all(np.isfinite(tau) & (tau > 0)):
+    # validate tau (a float, or an array) and radius; tau R^2 on the unit
+    # ball, a float for a float tau
+    ops = _FLOATS if isinstance(tau, float) else _ARRAYS
+
+    def bad(x):     # not a positive finite double, elementwise
+        return ops.any_(ops.not_((x > 0) & (x < math.inf)))
+
+    if bad(tau):
         raise ValueError("tau must be positive")
-    if not (np.isfinite(radius) and radius > 0):
+    if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be positive")
-    with np.errstate(over="ignore", under="ignore"):
-        t = tau * np.float64(radius) ** 2
-    if not np.all(np.isfinite(t) & (t > 0)):
+    with ops.quiet():
+        t = tau * (float(radius) * float(radius))
+    if bad(t):
         raise ValueError(f"tau R^2 is no positive finite double at radius={radius:g}")
     return t
 
@@ -93,7 +101,7 @@ def _secular_parts(a, tau, d):
     # with R''(1) = 0 the radial equations turn (d-1)(R'(1) - R(1)) into
     # gamma b^2 i_1 - a^2 j_1, so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2,
     # three terms of V's own order z^5: nothing cancels at small tension
-    b = np.sqrt(a * a + tau)
+    b = (math.sqrt if isinstance(a, float) else np.sqrt)(a * a + tau)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     j1, j2, j3 = (J(l, 0) for l in (1, 2, 3))
     i1, i2, i3 = (I(l, 0) for l in (1, 2, 3))
@@ -162,6 +170,61 @@ def boundary_residuals(mode):
     return m_res / m_scale, v_res / v_scale
 
 
+def _solve(tau, d, radius):
+    # the modes at tau, one body on a float tension (a BallMode, solved on
+    # floats) or on an array of them (a list); see fundamental_tones
+    if not (isinstance(d, int) and d >= 2):
+        raise ValueError("dimension d must be an integer >= 2")
+    t, radius = _unit_tension(tau, radius), float(radius)
+    ops = _FLOATS if isinstance(t, float) else _ARRAYS
+    ainf = first_zero_j1prime(d)
+    # a^2 (a^2 + t) = w at the two bounds w, solved free of cancellation;
+    # nan or 0 where t t overflows, which the kernels then reject
+    with ops.quiet():
+        lo, hi = (ops.sqrt(2.0 * w / (t + ops.sqrt(t * t + 4.0 * w)))
+                  for w in (ainf**2 * t, (d + 2) * t))
+    lo, hi = lo * (1.0 - _WIDEN), ops.minimum(hi * (1.0 + _WIDEN),
+                                              ainf * (1.0 - 1e-12))
+    x, status, (xl, xr), (vl, vr) = _bracketed_root(
+        lambda a, tt: _secular_vec(a, tt, d), lo, hi, t)
+    ok = status == 0
+    # a from the secant through the final bracket, 1e-13 wide, unless V
+    # underflows at an end (tau R^2 = 1e-300, say); lo where the solve failed
+    with ops.quiet():
+        sec = xl - ops.div(vl * (xr - xl), vr - vl)
+    zero = ops.minimum(abs(vl), abs(vr)) <= sys.float_info.min
+    a = ops.where(ok, ops.where(zero, x, sec), lo)
+    b = ops.sqrt(a * a + t)
+    J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
+    gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
+    m_res, m_scale, v_res, v_scale = _residual_scales(d, a, b, gamma, t, (J, I))
+    bad = ops.not_(ok) | (m_res > RESIDUAL_TOL * m_scale) \
+        | (v_res > RESIDUAL_TOL * v_scale)
+    if ops.any_(bad):
+        i = int(np.argmax(bad))
+        tau, ok, status, xl, xr, vl, vr, m_res, m_scale, v_res, v_scale = (
+            np.atleast_1d(v)[i] for v in (tau, ok, status, xl, xr, vl, vr,
+                                          m_res, m_scale, v_res, v_scale))
+        if not ok:
+            raise RuntimeError(
+                "the secular root find failed in the bracket from the "
+                f"linear bounds: tau={tau:g}, d={d}, radius={radius:g}, "
+                f"a*radius in [{xl:.17g}, {xr:.17g}], V={vl:.6g} "
+                f"and V={vr:.6g} there, {_ROOT_STATUS[status]}")
+        raise RuntimeError(
+            f"boundary residuals exceed tolerance at tau={tau:g}: M "
+            f"{m_res:.3g}/{m_scale:.3g}, V {v_res:.3g}/{v_scale:.3g}")
+    with ops.quiet():    # BallMode rejects what overflows
+        ar = a / radius
+        br = ops.sqrt(ar * ar + tau)
+        omega = ar * ar * br * br
+    if ops is _FLOATS:
+        return BallMode(d, tau, radius, ar, br, gamma, omega)
+    return [BallMode(d, float(tau), radius, float(x), float(y), float(g),
+                     float(w))
+            for tau, x, y, g, w in zip(tau, ar, br, gamma, omega)]
+
+
 def fundamental_tones(taus, d, radius=1.0):
     """Solve for the fundamental mode of the ball at every tension of taus
     at once, as a list of BallMode.
@@ -171,62 +234,22 @@ def fundamental_tones(taus, d, radius=1.0):
     omega_R must be finite doubles (or ValueError). The linear bounds
     tau mu < omega < tau (d+2), omega = a^2 (a^2 + tau), bracket the
     wavenumber in closed form; widened by a relative _WIDEN and clipped
-    below ainf, they go to one vectorized root find (Chandrupatla's, in
-    specfun._bracketed_root) at a relative tolerance of 1e-13, and the
-    secant through each final bracket gives a. gamma comes
-    from the tables of the residual check at the roots. The first tension
-    that fails raises a RuntimeError with its bracket, V at both ends and
-    the status.
+    below ainf, they go to one root find over the array (Chandrupatla's,
+    in specfun._bracketed_root) at a relative tolerance of 1e-13, and the
+    secant through each final bracket gives a. gamma comes from the
+    tables of the residual check at the roots. The first tension that
+    fails raises a RuntimeError with its bracket, V at both ends and the
+    status. fundamental_tone runs the same body on Python floats.
     """
-    if not (isinstance(d, int) and d >= 2):
-        raise ValueError("dimension d must be an integer >= 2")
-    taus = np.asarray(taus, dtype=float).ravel()
-    t = _unit_tension(taus, radius)
-    ainf = first_zero_j1prime(d)
-    # a^2 (a^2 + t) = w at the two bounds w, solved free of cancellation
-    w = np.outer([ainf**2, d + 2], t)
-    lo, hi = np.sqrt(2.0 * w / (t + np.sqrt(t * t + 4.0 * w)))
-    lo, hi = lo * (1.0 - _WIDEN), np.minimum(hi * (1.0 + _WIDEN),
-                                             ainf * (1.0 - 1e-12))
-    x, status, (xl, xr), (vl, vr) = _bracketed_root(
-        lambda a, tt: _secular_vec(a, tt, d), lo, hi, t)
-    ok = status == 0
-    # a from the secant through the final bracket, 1e-13 wide, unless V
-    # underflows at an end (tau R^2 = 1e-300, say); lo where the solve failed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sec = xl - vl * (xr - xl) / (vr - vl)
-    zero = np.minimum(abs(vl), abs(vr)) <= np.finfo(float).tiny
-    a = np.where(ok, np.where(zero, x, sec), lo)
-    b = np.sqrt(a * a + t)
-    J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
-    gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
-    m_res, m_scale, v_res, v_scale = _residual_scales(d, a, b, gamma, t, (J, I))
-    bad = ~ok | (m_res > RESIDUAL_TOL * m_scale) \
-        | (v_res > RESIDUAL_TOL * v_scale)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not ok[i]:
-            raise RuntimeError(
-                "the secular root find failed in the bracket from the "
-                f"linear bounds: tau={taus[i]:g}, d={d}, radius={radius:g}, "
-                f"a*radius in [{xl[i]:.17g}, {xr[i]:.17g}], V={vl[i]:.6g} "
-                f"and V={vr[i]:.6g} there, {_ROOT_STATUS[status[i]]}")
-        raise RuntimeError(
-            f"boundary residuals exceed tolerance at tau={taus[i]:g}: M "
-            f"{m_res[i]:.3g}/{m_scale[i]:.3g}, V {v_res[i]:.3g}/"
-            f"{v_scale[i]:.3g}")
-    with np.errstate(over="ignore"):    # BallMode rejects what overflows
-        ar = a / radius
-        br = np.sqrt(ar * ar + taus)
-        omega = ar * ar * br * br
-    return [BallMode(d, float(tau), float(radius), float(x), float(y),
-                     float(g), float(w))
-            for tau, x, y, g, w in zip(taus, ar, br, gamma, omega)]
+    return _solve(np.asarray(taus, dtype=float).ravel(), d, radius)
 
 
 def fundamental_tone(tau, d, radius=1.0):
-    """Solve for the fundamental mode of the ball at one tension."""
-    return fundamental_tones([tau], d, radius)[0]
+    """Solve for the fundamental mode of the ball at one tension, as
+    fundamental_tones does, but on Python floats from the bracket to the
+    BallMode: the one array is the joint first evaluation of V at both
+    bracket ends."""
+    return _solve(float(tau), d, radius)
 
 
 @lru_cache(maxsize=None)

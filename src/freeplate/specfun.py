@@ -18,9 +18,19 @@ forms at nu = -1/2 and 1/2 (Gautschi, SIAM Review 9, 1967; Olver & Sookne,
 Math. Comp. 26, 1972). Then j_l = z^l h_(s+l) and h_nu' = -+ z h_(nu+1), so
 every derivative is a sum of nonnegative powers of z times h's, each term
 positive for i. There is no series branch and no power of 1/z.
+
+Both the sweep and the root finder have one body that runs on a float or
+on an array, chosen by the input: a float z, a table of at most
+_PER_POINT points or a float bracket runs on Python floats, larger
+arrays in numpy, with the same bits. The one-tension tone solve thus
+runs on floats, and a batch of tensions in numpy.
 """
 
+import contextlib
 import math
+import operator
+import sys
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -50,17 +60,41 @@ def series_coeff_dk(k, d):
                                   + (1 - 2 * k - d / 2) * math.log(2.0))
 
 
-# what the sweep's one body calls on a float and on an array of points;
-# the closed forms come from numpy in both, so that their bits agree
-_MATH = (math.frexp, math.ldexp, max, math.sqrt, int, int,
-         lambda f, z: float(f(z)))
-_NUMPY = (np.frexp, np.ldexp, np.maximum, np.sqrt, lambda a: a.astype(int),
-          lambda a: int(a.max()), lambda f, z: f(z))
+def _fdiv(a, b):
+    # a / b on floats, with numpy's inf or nan where b is 0
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _sweep(kind, d, lo, hi, z, lib):
+# What a body that runs on a float or on an array calls, chosen by the
+# input: _FLOATS or _ARRAYS. On floats each operation gives numpy's result,
+# at a zero divisor, a negative root or a nan too, and raises nothing.
+# top_of is the largest int of as_int's result, value a numpy result as
+# the body's type (the sweep's closed forms come from numpy on both, so
+# that their bits agree), and quiet a context that silences numpy's
+# warnings.
+_Ops = namedtuple("_Ops", "frexp ldexp maximum minimum sqrt div sign where "
+                          "not_ any_ as_int top_of value quiet")
+_FLOATS = _Ops(
+    math.frexp, math.ldexp,
+    lambda a, b: max(a, b) if a == a and b == b else math.nan,
+    lambda a, b: min(a, b) if a == a and b == b else math.nan,
+    lambda x: math.sqrt(x) if x >= 0 else math.nan, _fdiv,
+    lambda x: (x > 0) - (x < 0) if x == x else math.nan,
+    lambda c, a, b: a if c else b, operator.not_, bool, int, int, float,
+    contextlib.nullcontext)
+_ARRAYS = _Ops(
+    np.frexp, np.ldexp, np.maximum, np.minimum, np.sqrt, np.divide, np.sign,
+    np.where, np.logical_not, np.any, lambda a: a.astype(int),
+    lambda a: int(a.max()), lambda v: v, lambda: np.errstate(all="ignore"))
+
+
+def _sweep(kind, d, lo, hi, z, ops):
     """h at the kernel orders s+lo..s+hi by one backward sweep, from one
-    body on a float z (lib _MATH) or on an array of points (lib _NUMPY).
+    body on a float z (ops _FLOATS) or on an array of points (_ARRAYS).
 
     Index n stands for the order nu = n + (d % 2)/2. With t = 4^m > z (1
     below z = 1) and u = z/t, both exact, the sweep carries w_n = t^nu h_nu,
@@ -73,7 +107,7 @@ def _sweep(kind, d, lo, hi, z, lib):
     by least squares to (w_(-1/2), u w_(1/2)) = sqrt(2 / (pi t)) (cos z,
     sin z), (cosh z, sinh z) for i, so that a zero of either does no harm.
     """
-    frexp, ldexp, maximum, sqrt, as_int, top_of, closed = lib
+    frexp, ldexp, maximum = ops.frexp, ops.ldexp, ops.maximum
     half = d % 2
     n_lo, n_hi = (d - 2) // 2 + lo, (d - 2) // 2 + hi
     m = maximum(0, (frexp(z)[1] + 1) // 2)
@@ -81,9 +115,9 @@ def _sweep(kind, d, lo, hi, z, lib):
     u = z * step
     # past the largest order any table reads, by a margin for Miller's
     # method and, for j, the O(z) orders before J_n falls off
-    start = as_int((d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5 + (
-        8.0 * sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
-    top = top_of(start)
+    start = ops.as_int((d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5 + (
+        8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
+    top = ops.top_of(start)
     every, even = kind == "i" and not half, kind == "j" and not half
     uu = u * u
     su2 = -uu if kind == "j" else uu
@@ -105,14 +139,14 @@ def _sweep(kind, d, lo, hi, z, lib):
         if n_lo <= n <= n_hi:
             kept.append((n, w, E))
     if half:
-        c, sn = ((closed(np.cos, z), closed(np.sin, z)) if kind == "j"
-                 else (closed(np.cosh, z), closed(np.sinh, z)))
+        c, sn = (ops.value(f(z)) for f in ((np.cos, np.sin) if kind == "j"
+                                           else (np.cosh, np.sinh)))
         a, b = w, u * w1
         f = math.sqrt(2.0 / math.pi) * (a * c + b * sn) / (a * a + b * b)
     else:
         # the sums weigh every order once, the identities order 0 once and
         # the others twice
-        f = (closed(np.exp, z) if kind == "i" else 1.0) / (S + S - w)
+        f = (ops.value(np.exp(z)) if kind == "i" else 1.0) / (S + S - w)
     # h_nu = t^-nu w_nu, and t^-1/2 more from the closed forms' factor
     return [ldexp(wn, En - E - 2 * m * (n + half)) * f
             for n, wn, En in reversed(kept)]
@@ -172,10 +206,15 @@ def _ultra_table(kind, l, d, z, deriv):
         raise ValueError("dimension d must be an integer >= 2")
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
         raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
-    arr = np.asarray(z, dtype=float)
-    shape, flat = arr.shape, arr.ravel()
-    # nan propagates through min and max
-    lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (0.0, 0.0)
+    if isinstance(z, float):
+        shape, flat = (), [float(z)]
+        lo = hi = flat[0]
+    else:
+        arr = np.asarray(z, dtype=float)
+        shape, flat = arr.shape, arr.ravel()
+        # nan propagates through min and max
+        lo, hi = ((float(flat.min()), float(flat.max())) if flat.size
+                  else (0.0, 0.0))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
     if lo < 0:
@@ -183,13 +222,14 @@ def _ultra_table(kind, l, d, z, deriv):
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
     if hi > zmax:
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
-    if flat.size > _PER_POINT:
-        h = _sweep(kind, d, l, l + deriv, flat, _NUMPY)
+    if len(flat) > _PER_POINT:
+        h = _sweep(kind, d, l, l + deriv, flat, _ARRAYS)
         pw = _powers(flat, l + deriv)
         return lambda order, k, over=0: _combine(
             _deriv_terms(kind, order, k, over), pw, h, order - l).reshape(shape)
     points = [(_powers(zi, l + deriv), _sweep(kind, d, l, l + deriv, zi,
-                                              _MATH)) for zi in flat.tolist()]
+                                              _FLOATS))
+              for zi in (flat if isinstance(z, float) else flat.tolist())]
 
     def entry(order, k, over=0):
         terms = _deriv_terms(kind, order, k, over)
@@ -222,68 +262,80 @@ def _bracketed_root(f, lo, hi, *args):
     (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation where the
     last three points allow it, bisection otherwise.
 
-    One call of f on lo and hi joined starts every bracket. Each element
-    stops once its bracket is narrower than _ROOT_XRTOL times its end with
-    the smaller |f|, or once f there is 0 or subnormal; each later call
-    evaluates only the elements still running. The arrays args run with x.
-    Returns x (nan where no sign change), the status as an index into
-    _ROOT_STATUS, and the final bracket and f at its ends, each ordered
-    left to right.
+    One body runs on a float bracket (lo a scalar: ops _FLOATS, with
+    float args) or on arrays of brackets (ops _ARRAYS), with the same bits
+    for each bracket. One call of f on lo and hi joined, as an array,
+    starts every bracket; each later call evaluates only the elements
+    still running, on a float x for a float bracket. Each element stops
+    once its bracket is narrower than _ROOT_XRTOL times its end with the
+    smaller |f|, or once f there is 0 or subnormal. The arrays args run
+    with x. Returns x (nan where no sign change), the status as an index
+    into _ROOT_STATUS, and the final bracket and f at its ends, each
+    ordered left to right: floats and an int for a float bracket.
     """
-    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    size = x1.size
-    args = [np.broadcast_to(arg, x1.shape) for arg in args]
-    both = f(np.concatenate([x1, x2]), *(np.concatenate([arg, arg]) for arg in args))
-    f1, f2 = both[:size], both[size:]
+    on_floats = np.ndim(lo) == 0
+    ops = _FLOATS if on_floats else _ARRAYS
+    div, sqrt, sign, where, not_ = ops.div, ops.sqrt, ops.sign, ops.where, \
+        ops.not_
+    if on_floats:
+        x1, x2, args = float(lo), float(hi), [float(arg) for arg in args]
+        f1, f2 = map(float, f(np.array([x1, x2]),
+                              *(np.array([arg, arg]) for arg in args)))
+    else:
+        x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        args = [np.broadcast_to(arg, x1.shape) for arg in args]
+        both = f(np.concatenate([x1, x2]),
+                 *(np.concatenate([arg, arg]) for arg in args))
+        f1, f2 = both[:x1.size], both[x1.size:]
+        act, out = np.arange(x1.size), np.empty((6, x1.size))
     x3, f3 = x2, f2     # the previous point; set by every step
-    act = np.arange(size)
-    x, status = np.full(size, np.nan), np.zeros(size, dtype=int)
-    ends = np.empty((4, size))
     t = 0.5
     for it in range(_ROOT_MAX_ITER + 1):
         if it:
             xn = x1 + t * (x2 - x1)
-            fn = f(xn, *args)
-            same = np.sign(fn) == np.sign(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            fn = ops.value(f(xn, *args))
+            same = sign(fn) == sign(f1)
+            x3, f3 = where(same, x1, x2), where(same, f1, f2)
+            x2, f2 = where(same, x2, x1), where(same, f2, f1)
             x1, f1 = xn, fn
-        small = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(small, x1, x2), np.where(small, f1, f2)
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * _ROOT_XRTOL
-        zero = np.abs(fmin) <= np.finfo(float).tiny
+        small = abs(f1) < abs(f2)
+        xmin, fmin = where(small, x1, x2), where(small, f1, f2)
+        dx = abs(x2 - x1)
+        tol = abs(xmin) * _ROOT_XRTOL
+        zero = abs(fmin) <= sys.float_info.min
         conv = zero | (dx < tol)
-        bad = ~zero & ~(np.sign(f1) * np.sign(f2) < 0)
+        bad = not_(zero | (sign(f1) * sign(f2) < 0))
         stop = conv | bad | (it == _ROOT_MAX_ITER)
-        if stop.any():
-            i = act[stop]
-            x[i] = np.where(bad, np.nan, xmin)[stop]
-            status[i] = np.select([bad, conv], [1, 0], 2)[stop]
-            ends[:, i] = x1[stop], x2[stop], f1[stop], f2[stop]
-            go = ~stop
+        if ops.any_(stop):
+            done = (where(bad, math.nan, xmin),
+                    where(bad, 1, where(conv, 0, 2)), x1, x2, f1, f2)
+            if on_floats:
+                break
+            out[:, act[stop]] = [v[stop] for v in done]
+            go = not_(stop)
             act, args = act[go], [arg[go] for arg in args]
             x1, x2, x3, f1, f2, f3, dx, tol = (
                 v[go] for v in (x1, x2, x3, f1, f2, f3, dx, tol))
-        if not act.size:
+        if not (on_floats or act.size):
             break
         if not it:
             continue
         # Chandrupatla's test: the inverse quadratic through the last three
         # points is monotone on the bracket; otherwise bisect
-        xi = (x1 - x2) / (x3 - x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
-                         f1 / (f1 - f2) * f3 / (f3 - f2)
-                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-        tl = 0.5 * tol / dx
-        t = np.clip(t, tl, 1.0 - tl)
-    xl, xr, fl, fr = ends
+        with ops.quiet():
+            xi = div(x1 - x2, x3 - x2)
+            phi = div(f1 - f2, f3 - f2)
+            alpha = div(x3 - x1, x2 - x1)
+            t = where((1.0 - sqrt(1.0 - xi) < phi) & (phi < sqrt(xi)),
+                      div(div(f1, f1 - f2) * f3, f3 - f2)
+                      - div(div(alpha * f1, f3 - f1) * f2, f2 - f3), 0.5)
+            tl = div(0.5 * tol, dx)
+        t = ops.minimum(ops.maximum(t, tl), 1.0 - tl)
+    x, status, xl, xr, fl, fr = done if on_floats else (
+        out[0], out[1].astype(int), *out[2:])
     left = xl < xr
-    return (x, status, (np.where(left, xl, xr), np.where(left, xr, xl)),
-            (np.where(left, fl, fr), np.where(left, fr, fl)))
+    return (x, status, (where(left, xl, xr), where(left, xr, xl)),
+            (where(left, fl, fr), where(left, fr, fl)))
 
 
 @lru_cache(maxsize=None)
@@ -303,11 +355,11 @@ def first_zero_j1prime(d):
             f"no sign change of j_1' in the scan window (0, 20], step 0.05, d={d}")
     i = flips[0]
     root, status, _, _ = _bracketed_root(lambda t: ultra_j(1, d, t, deriv=1),
-                                         zs[i:i + 1], zs[i + 1:i + 2])
-    if status[0]:
+                                         zs[i], zs[i + 1])
+    if status:
         raise RuntimeError(f"j_1' zero in [{zs[i]:.2f}, {zs[i + 1]:.2f}] not "
-                           f"refined, d={d}: {_ROOT_STATUS[status[0]]}")
-    return float(root[0])
+                           f"refined, d={d}: {_ROOT_STATUS[status]}")
+    return root
 
 
 @lru_cache(maxsize=None)

@@ -319,6 +319,26 @@ def test_tone_solve_call_budget(monkeypatch):
         assert counts["work"] == 2 * 3 * (secular + 2), (d, tau)
 
 
+def test_one_tension_solve_runs_on_floats(monkeypatch):
+    # after the joint first evaluation, at both bracket ends as arrays,
+    # every table of a one-tension solve is built at a float z, so a change
+    # that routes the solve back through arrays fails here
+    seen = []
+    table = ball._ultra_table
+
+    def spy(kind, l, d, z, deriv):
+        seen.append(z)
+        return table(kind, l, d, z, deriv)
+
+    monkeypatch.setattr(ball, "_ultra_table", spy)
+    for d, tau, radius in ((2, 1e-6, 1.0), (5, 1.0, 0.3), (30, 1e3, 10.0)):
+        seen.clear()
+        ball.fundamental_tone(tau, d, radius)
+        assert [np.shape(z) for z in seen[:2]] == [(2,), (2,)], (d, tau)
+        assert len(seen) > 2, (d, tau)
+        assert all(type(z) is float for z in seen[2:]), (d, tau)
+
+
 def test_overflow_propagates_from_the_batch():
     # i_l leaves double range past z = 690; the whole batch raises
     with pytest.raises(OverflowError):

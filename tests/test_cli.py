@@ -110,6 +110,25 @@ def test_tone_residuals_at_extreme_radii(capsys):
                 assert math.isfinite(res) and res <= ball.RESIDUAL_TOL, key
 
 
+def test_bracket_overflow_raises_without_a_warning(capsys):
+    # past tau R^2 of about 1.3e154, t^2 overflows in the closed-form
+    # bracket: the kernels reject the nan bracket at radius 1e154
+    # (ValueError, exit 2) and the i_l argument at tau 1e300 (an escaping
+    # OverflowError), for one tension and for a batch, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "tone", "--dim", "2", "--tau", "1",
+                             "--radius", "1e154")
+        assert code == 2 and out == ""
+        assert err.startswith("error: z must be finite")
+        with pytest.raises(OverflowError):
+            main(["tone", "--dim", "2", "--tau", "1e300"])
+        with pytest.raises(ValueError, match="z must be finite"):
+            ball.fundamental_tones([1.0, 1.5], 2, 1e154)
+        with pytest.raises(OverflowError):
+            ball.fundamental_tones([1e300, 1.0], 2)
+
+
 def test_secular_v_at_extreme_radii():
     # a R = 0.5 and tau R^2 = 1 at every radius: V_R = R^-3 V_1, which
     # overflows at R = 1e-150 (ValueError, as omega does) and underflows

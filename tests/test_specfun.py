@@ -388,3 +388,46 @@ def test_bracketed_root_reports_the_iteration_budget(monkeypatch):
         lambda x: np.tanh(x - 0.3), np.array([-1.0]), np.array([4.0]))
     assert sf._ROOT_STATUS[status[0]] == "iteration budget"
     assert xl[0] < 0.3 < xr[0] and xl[0] <= x[0] <= xr[0]
+
+
+def test_bracketed_root_on_a_float_matches_a_one_element_array(monkeypatch):
+    # one body for a float bracket and an array of them: the points f is
+    # called at, x, the status, the final bracket and f at its ends agree
+    # bit for bit. f = y^3 - y, y = x - c, as products: Python's x**3 and
+    # numpy's array x**3 can round apart
+    calls = []
+
+    def f(x, c):
+        calls.append(bits(x))
+        y = x - c
+        return y * y * y - y
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    def both(lo, hi, c):
+        calls.clear()
+        x, status, ends, vals = sf._bracketed_root(f, lo, hi, c)
+        assert type(x) is float and type(status) is int
+        on_floats = calls[:]
+        calls.clear()
+        one = sf._bracketed_root(f, np.array([lo]), np.array([hi]),
+                                 np.array([c]))
+        assert on_floats == calls
+        assert bits(x) == bits(one[0]) and status == one[1][0]
+        for pair, arrays in ((ends, one[2]), (vals, one[3])):
+            assert all(bits(u) == bits(v) for u, v in zip(pair, arrays))
+        return sf._ROOT_STATUS[status], x, ends
+
+    for c in np.linspace(-3.0, 5.0, 17):
+        # the root at y = 1
+        name, x, (xl, xr) = both(c + 0.2, c + 3.0, float(c))
+        assert name == "converged" and xl <= x <= xr
+        assert x == pytest.approx(c + 1.0, rel=1e-12, abs=1e-12)
+    name, x, ends = both(-0.25, 2.25, 0.25)      # f > 0 at both ends
+    assert name == "no sign change" and np.isnan(x) and ends == (-0.25, 2.25)
+    name, x, _ = both(-0.75, 1.25, 0.25)         # f = 0 at both ends
+    assert name == "converged" and x == 1.25
+    monkeypatch.setattr(sf, "_ROOT_MAX_ITER", 2)
+    name, x, (xl, xr) = both(0.45, 3.25, 0.25)
+    assert name == "iteration budget" and xl < 1.25 < xr

@@ -194,8 +194,7 @@ class Domain:
         t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
         m, span = u.shape[0], t_out - t_in
         diam = self.diameter()
-        far = float(np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o))))
-        steps = max(1, math.ceil(min(far, diam) * _RAY_STEPS / diam))
+        steps = max(1, math.ceil(min(self._far(o), diam) * _RAY_STEPS / diam))
         expr, d, scale = self.params["expr"], self.d, self.scale
         off = np.asarray(self.offset)
         frac = np.arange(steps + 1) / steps
@@ -244,6 +243,11 @@ class Domain:
     def diameter(self):
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
         return float(np.linalg.norm(hi - lo))
+
+    def _far(self, o):
+        # distance from o to the bbox corner farthest from it
+        lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
+        return float(np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o))))
 
 
 def _names(d):
@@ -810,8 +814,8 @@ def center_trial(domain, profile, quad=None, tol=None):
         pc = trial._eval_pieces(profile, r)
         return pc["rho"], pc["d1"], pc["p"]
 
-    G = _radial_table(pieces, 1.5 * domain.diameter() + 1.0,
-                      _panels(profile)).G(domain.d)
+    # Newton keeps v in the bbox, so no crossing lies beyond its diameter
+    G = _radial_table(pieces, domain.diameter(), _panels(profile)).G(domain.d)
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
 
     def cast(v):
@@ -879,7 +883,8 @@ def _num_den(domain, profile, quad, center=None, tol=None):
         num, den = rays.integrals(integrands, _panels(profile))
         (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
         return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
-    table = _radial_table(integrands, 1.5 * domain.diameter() + 1.0,
+    # every node lies in the bbox, within its farthest corner's distance
+    table = _radial_table(integrands, domain._far(rays.center),
                           _panels(profile))
     (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)
     if den == 0.0:

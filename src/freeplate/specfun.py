@@ -72,24 +72,25 @@ def _fdiv(a, b):
 # What a body that runs on a float or on an array calls, chosen by the
 # input: _FLOATS or _ARRAYS. On floats each operation gives numpy's result,
 # at a zero divisor, a negative root or a nan too, and raises nothing.
-# top_of is the largest int of as_int's result, value a numpy result as
-# the body's type (the sweep's closed forms come from numpy on both, so
-# that their bits agree), and quiet a context that silences numpy's
-# warnings.
+# ends gives the smallest and the largest int of as_int's result, value a
+# numpy result as the body's type (the sweep's closed forms come from
+# numpy on both, so that their bits agree), and quiet a context that
+# silences numpy's warnings.
 _Ops = namedtuple("_Ops", "frexp ldexp maximum minimum sqrt div sign where "
-                          "not_ any_ as_int top_of value quiet")
+                          "not_ any_ as_int ends value quiet")
 _FLOATS = _Ops(
     math.frexp, math.ldexp,
     lambda a, b: max(a, b) if a == a and b == b else math.nan,
     lambda a, b: min(a, b) if a == a and b == b else math.nan,
     lambda x: math.sqrt(x) if x >= 0 else math.nan, _fdiv,
     lambda x: (x > 0) - (x < 0) if x == x else math.nan,
-    lambda c, a, b: a if c else b, operator.not_, bool, int, int, float,
-    contextlib.nullcontext)
+    lambda c, a, b: a if c else b, operator.not_, bool, int,
+    lambda n: (n, n), float, contextlib.nullcontext)
 _ARRAYS = _Ops(
     np.frexp, np.ldexp, np.maximum, np.minimum, np.sqrt, np.divide, np.sign,
     np.where, np.logical_not, np.any, lambda a: a.astype(int),
-    lambda a: int(a.max()), lambda v: v, lambda: np.errstate(all="ignore"))
+    lambda a: (int(a.min()), int(a.max())), lambda v: v,
+    lambda: np.errstate(all="ignore"))
 
 
 def _sweep(kind, d, lo, hi, z, ops):
@@ -101,7 +102,9 @@ def _sweep(kind, d, lo, hi, z, ops):
         w_n = (2 nu_(n+1) / t) w_(n+1) -+ u^2 w_(n+2),
     which neither divides by z nor overflows. Each point starts at an index
     set by its own z, with w = 1 there and 0 above, so its bits do not
-    depend on the other points. Every _RESCALE orders w sheds its binary
+    depend on the other points; the seed (start == n) is added from the
+    top down to the smallest start only, as below it the seed would add
+    0.0 to a w that is never -0.0. Every _RESCALE orders w sheds its binary
     exponent, exactly. At integer orders the normalizing sum runs along by
     Horner in u (u^2 for j); at half-integer orders the last pair is fitted
     by least squares to (w_(-1/2), u w_(1/2)) = sqrt(2 / (pi t)) (cos z,
@@ -117,27 +120,35 @@ def _sweep(kind, d, lo, hi, z, ops):
     # method and, for j, the O(z) orders before J_n falls off
     start = ops.as_int((d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5 + (
         8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
-    top = ops.top_of(start)
+    low, top = ops.ends(start)
     every, even = kind == "i" and not half, kind == "j" and not half
     uu = u * u
     su2 = -uu if kind == "j" else uu
     st2 = step + step
     cs = (2.0 * top + 2.0 + half) * step       # 2 nu_(n+1) / t
-    w = w1 = S = 0.0 * u
+    # augmented assignments update an array in place and rebind a float;
+    # w takes w1's buffer, as su2 w1 + cs w, the recurrence's sum
+    w, w1, S = (0.0 * u for _ in range(3))
     E = 0
     kept = []
     for n in range(top, -half - 1, -1):
-        w, w1 = cs * w + su2 * w1 + (start == n), w
-        cs = cs - st2
+        w1 *= su2
+        w1 += cs * w
+        w, w1 = w1, w
+        if n >= low:
+            w += start == n
+        cs -= st2
         if every:
-            S = u * S + w
+            S *= u
+            S += w
         elif even and not n & 1:
-            S = uu * S + w
+            S *= uu
+            S += w
         if not n % _RESCALE:
             e = frexp(maximum(abs(w), abs(w1)))[1]
             w, w1, S, E = ldexp(w, -e), ldexp(w1, -e), ldexp(S, -e), E + e
-        if n_lo <= n <= n_hi:
-            kept.append((n, w, E))
+        if n <= n_hi and n >= n_lo:     # one test above n_hi, most orders
+            kept.append((n, 1.0 * w, E))     # a copy: the buffer goes on
     if half:
         c, sn = (ops.value(f(z)) for f in ((np.cos, np.sin) if kind == "j"
                                            else (np.cosh, np.sinh)))

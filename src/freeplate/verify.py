@@ -234,24 +234,24 @@ def gamma_star(a, d):
     return (3.0 * (d + 2) - a * a * (d + 5)) / ((3.0 + a * a) * (d + 2))
 
 
-def _small_tau_checks(tau_grid, d):
+def _small_tau_checks(modes, d):
     # gamma >= gamma* plus the wavenumber regime bounds
     #   d a^2/(d - a^2) > b^2 > (d+2) a^2/(d+2-a^2)
-    # over the small-tension regime tau <= 9/(d+5)
+    # at the modes of the small-tension regime tau <= 9/(d+5), solved by
+    # full_suite's one call
     checks = []
-    for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
+    for m in modes:
         a2, b2 = m.a**2, m.b**2
-        checks.append((m.gamma - gamma_star(m.a, d), (tau, m.a)))
-        checks.append((b2 - (d + 2) * a2 / (d + 2 - a2), (tau, m.a)))
-        checks.append((d * a2 / (d - a2) - b2, (tau, m.a)))
+        checks.append((m.gamma - gamma_star(m.a, d), (m.tau, m.a)))
+        checks.append((b2 - (d + 2) * a2 / (d + 2 - a2), (m.tau, m.a)))
+        checks.append((d * a2 / (d - a2) - b2, (m.tau, m.a)))
     return checks
 
 
-def _large_tau_checks(tau_grid, d):
-    checks = []
-    for tau, m in zip(tau_grid, fundamental_tones(tau_grid, d)):
-        checks.append((tau - 3.0 * m.a**2 / (d + 2), (tau, m.a)))
-    return checks
+def _large_tau_checks(modes, d):
+    # tau >= 3 a^2/(d+2) at the modes of the large-tension regime, solved
+    # by full_suite's one call
+    return [(m.tau - 3.0 * m.a**2 / (d + 2), (m.tau, m.a)) for m in modes]
 
 
 def default_small_tau_grid(d):
@@ -267,6 +267,10 @@ def default_large_tau_grid(d):
 def full_suite(d, trial_tau_grid=None, include_global=True,
                grid_size=DEFAULT_GRID):
     """Run every lemma check for one dimension, one report per lemma.
+
+    One fundamental_tones call solves the ball at every tension the
+    dimension needs: the small- and large-tension grids of the regime
+    rows and the profile tensions.
 
     Parameters
     ----------
@@ -296,12 +300,16 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
     if d >= 3:
         reports.append(verify_P_nonneg([d], grid_size))
 
+    # one solve for the three tension grids: the root find is elementwise,
+    # so each mode has the bits of a solve of its own grid
+    small, large = default_small_tau_grid(d), default_large_tau_grid(d)
+    modes = fundamental_tones(np.concatenate([small, large, taus]), d)
     reports.append(_reduce(f"gamma-lower-bound[d={d}]",
-                           _small_tau_checks(default_small_tau_grid(d), d),
+                           _small_tau_checks(modes[:small.size], d),
                            f"{_TENSION_PTS} log-spaced tension pts up to "
                            "9/(d+5)"))
     reports.append(_reduce(f"large-tension[d={d}]",
-                           _large_tau_checks(default_large_tau_grid(d), d),
+                           _large_tau_checks(modes[small.size:-taus.size], d),
                            f"{_TENSION_PTS} log-spaced tension pts above "
                            "9/(d+5)"))
 
@@ -310,7 +318,7 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
     profile_rows = ([], [], [], [])
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
-    for tau, mode in zip(taus, fundamental_tones(taus, d)):
+    for mode in modes[-taus.size:]:
         prof = trial.TrialProfile(mode)
         sub = trial._profile_checks(prof, inner, outer)
         groups = ([sub.pop(name) for name in trial._CONCAVITY],
@@ -318,7 +326,7 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
                   [sub["h-quantity"]])
         for rows, checks in zip(profile_rows, groups):
             margin, point = min(checks, key=lambda c: c[0])
-            rows.append((margin, (tau,) + point))
+            rows.append((margin, (mode.tau,) + point))
     tau_spec = f"{taus.size} tension pts in [{taus[0]:g};{taus[-1]:g}]"
     for lemma, rows, grid in zip(
             ("profile-concavity", "numerator-monotone",

@@ -933,6 +933,20 @@ def test_quotient_scaling_law_with_an_explicit_center(kind):
         assert eo * s**4 == pytest.approx(eb, rel=0.1, abs=0.0)
 
 
+def test_grid_and_mc_quotients_at_a_center_outside_the_domain():
+    # the node sets reach the bbox corner farthest from the center, past
+    # 1.5 diameters + 1 at (10, 0): their table covers it, and they agree
+    # with the radial rule within the summed bars
+    dom = geom.ball(2)
+    for center in ((3.0, 0.0), (10.0, 0.0)):
+        Q, err = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("radial"),
+                                     center=center)
+        for quad in (QuadratureSpec("grid"),
+                     QuadratureSpec("mc", samples=10**6, seed=1)):
+            q, e = geom.quotient_bound(dom, 1.0, quad=quad, center=center)
+            assert abs(q - Q) <= err + e, (center, quad.kind, q, Q)
+
+
 def test_quotient_is_strictly_below_tone_on_an_ellipse():
     dom = geom.ellipsoid(2, (2.0, 0.5))
     Q, err = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("grid", cells=512))

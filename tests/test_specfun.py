@@ -166,6 +166,30 @@ def test_table_entries_match_across_batch_sizes_bit_for_bit():
                             assert few(*key)[i].tobytes() == got[i].tobytes()
 
 
+def test_sweep_bits_hold_when_start_orders_lie_far_apart():
+    # the array sweep seeds each point at its own start and adds no seed
+    # below the batch's smallest start: in shuffled batches whose starts
+    # span the range, from z = 0 (either sign) through 1e-300 and the
+    # subnormals to the top, each entry is the bytes of its point's float
+    # sweep
+    rng = np.random.default_rng(23)
+    for kind, top in (("i", sf._I_Z_MAX), ("j", 1e4)):
+        zs = np.concatenate([[0.0, -0.0, 5e-324, 1e-310, 1e-300, top],
+                             np.logspace(-300.0, math.log10(top), 24),
+                             rng.uniform(0.0, 4.0, 8)])
+        for d in (2, 3, 30):
+            for lo, hi in ((0, sf.MAX_DERIV),
+                           (sf.MAX_ORDER, sf.MAX_ORDER + sf.MAX_DERIV)):
+                z = rng.permutation(zs)
+                batch = sf._sweep(kind, d, lo, hi, z, sf._ARRAYS)
+                for i, zi in enumerate(z):
+                    alone = sf._sweep(kind, d, lo, hi, float(zi), sf._FLOATS)
+                    for h, hz in zip(batch, alone):
+                        assert isinstance(hz, float)
+                        assert h[i].tobytes() == np.float64(hz).tobytes(), \
+                            (kind, d, lo, zi)
+
+
 def test_table_entries_are_the_callers_own():
     for zs in (np.array([0.0, 0.3]), np.array([1.0, 2.0]),
                np.linspace(0.0, 3.0, 2 * sf._PER_POINT)):

@@ -360,6 +360,22 @@ def test_suite_rows_past_the_fixture_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, d
 
 
+def test_full_suite_solves_once_per_dimension(monkeypatch):
+    # the two tension grids and the profile tensions share one solve; the
+    # pinned rows above and the CLI fixture show that no row moved
+    calls = []
+
+    def spy(taus, d, *args):
+        calls.append((np.size(taus), d))
+        return fundamental_tones(taus, d, *args)
+
+    monkeypatch.setattr(verify, "fundamental_tones", spy)
+    for d in (2, 5):
+        verify.full_suite(d, include_global=False)
+    assert calls == [(2 * verify._TENSION_PTS + 8, 2),
+                     (2 * verify._TENSION_PTS + 8, 5)]
+
+
 def test_full_suite_rows_and_determinism():
     taus = np.logspace(-2.0, 1.0, 3)
     rows = verify.full_suite(3, trial_tau_grid=taus, grid_size=1024)

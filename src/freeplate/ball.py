@@ -247,8 +247,8 @@ def fundamental_tones(taus, d, radius=1.0):
 def fundamental_tone(tau, d, radius=1.0):
     """Solve for the fundamental mode of the ball at one tension, as
     fundamental_tones does, but on Python floats from the bracket to the
-    BallMode: the one array is the joint first evaluation of V at both
-    bracket ends."""
+    BallMode, with no array between. Python's pow can round a**3 and b**3
+    apart from numpy's array pow, so the two can differ in the last bits."""
     return _solve(float(tau), d, radius)
 
 
@@ -280,8 +280,10 @@ def tone_bounds(tau, d):
     """Linear-in-tension bounds for the unit ball: (lower, upper_coord,
     upper_membrane) = (tau mu, tau (d+2), C(B) + tau mu) with mu = ainf^2.
 
-    The coordinate upper bound uses int_B |x|^2 dx = |B| d/(d+2).
+    The coordinate upper bound uses int_B |x|^2 dx = |B| d/(d+2). A tau
+    that is no positive finite double raises ValueError.
     """
+    tau = _unit_tension(float(tau), 1.0)
     mu = first_zero_j1prime(d) ** 2
     return tau * mu, tau * (d + 2), membrane_C(d) + tau * mu
 

@@ -11,6 +11,7 @@ the ray from c in the direction theta crosses the boundary.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -445,8 +446,9 @@ class QuadratureSpec:
     """Quadrature selection: radial (the default), grid, or mc.
 
     cells is the direction count of the radial rule or the grid
-    resolution per axis; samples and seed fix the mc stream. The
-    integrators return their error bars explicitly.
+    resolution per axis; samples and seed fix the mc stream. All three are
+    integers, cells and samples at least 2, seed at least 0 (or
+    ValueError). The integrators return their error bars explicitly.
     """
 
     kind: str
@@ -457,8 +459,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.kind not in ("radial", "grid", "mc"):
             raise ValueError("quadrature kind must be radial, grid, or mc")
-        if self.cells < 2 or self.samples < 2:
-            raise ValueError("cells and samples must be at least 2")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.cells, self.samples, self.seed)):
+            raise ValueError("cells, samples and seed must be integers")
+        if self.cells < 2 or self.samples < 2 or self.seed < 0:
+            raise ValueError("cells and samples must be >= 2, seed >= 0")
 
 
 def default_quadrature(d):

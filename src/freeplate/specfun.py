@@ -19,11 +19,11 @@ Math. Comp. 26, 1972). Then j_l = z^l h_(s+l) and h_nu' = -+ z h_(nu+1), so
 every derivative is a sum of nonnegative powers of z times h's, each term
 positive for i. There is no series branch and no power of 1/z.
 
-Both the sweep and the root finder have one body that runs on a float or
-on an array, chosen by the input: a float z, a table of at most
-_PER_POINT points or a float bracket runs on Python floats, larger
-arrays in numpy, with the same bits. The one-tension tone solve thus
-runs on floats, and a batch of tensions in numpy.
+The sweep, the kernel tables and the root finder each have one body that
+runs on a float or on an array, chosen by the argument's type: a scalar z
+or a float bracket runs on Python floats, an array of any size in numpy,
+with the same bits. The one-tension tone solve thus runs on floats from
+its bracket on, and a batch of tensions in numpy.
 """
 
 import contextlib
@@ -40,7 +40,6 @@ _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
 MAX_ORDER = 8
 MAX_DERIV = 4
 _RESCALE = 32          # orders between rescalings of the sweep
-_PER_POINT = 16        # z of at most this many points sweeps point by point
 _ROOT_XRTOL = 1e-13    # relative bracket width at which a root is accepted
 _ROOT_MAX_ITER = 2046  # bisections that span the normal doubles
 _ROOT_STATUS = ("converged", "no sign change", "iteration budget")
@@ -72,9 +71,10 @@ def _fdiv(a, b):
 # What a body that runs on a float or on an array calls, chosen by the
 # input: _FLOATS or _ARRAYS. On floats each operation gives numpy's result,
 # at a zero divisor, a negative root or a nan too, and raises nothing.
-# ends gives the smallest and the largest int of as_int's result, value a
-# numpy result as the body's type (the sweep's closed forms come from
-# numpy on both, so that their bits agree), and quiet a context that
+# ends gives the smallest and the largest int of as_int's result (for an
+# empty array sys.maxsize, so no seed, and base, the floor of every start),
+# value a numpy result as the body's type (the sweep's closed forms come
+# from numpy on both, so that their bits agree), and quiet a context that
 # silences numpy's warnings.
 _Ops = namedtuple("_Ops", "frexp ldexp maximum minimum sqrt div sign where "
                           "not_ any_ as_int ends value quiet")
@@ -85,11 +85,12 @@ _FLOATS = _Ops(
     lambda x: math.sqrt(x) if x >= 0 else math.nan, _fdiv,
     lambda x: (x > 0) - (x < 0) if x == x else math.nan,
     lambda c, a, b: a if c else b, operator.not_, bool, int,
-    lambda n: (n, n), float, contextlib.nullcontext)
+    lambda n, base: (n, n), float, contextlib.nullcontext)
 _ARRAYS = _Ops(
     np.frexp, np.ldexp, np.maximum, np.minimum, np.sqrt, np.divide, np.sign,
     np.where, np.logical_not, np.any, lambda a: a.astype(int),
-    lambda a: (int(a.min()), int(a.max())), lambda v: v,
+    lambda a, base: (int(a.min(initial=sys.maxsize)),
+                     int(a.max(initial=base))), lambda v: v,
     lambda: np.errstate(all="ignore"))
 
 
@@ -118,9 +119,10 @@ def _sweep(kind, d, lo, hi, z, ops):
     u = z * step
     # past the largest order any table reads, by a margin for Miller's
     # method and, for j, the O(z) orders before J_n falls off
-    start = ops.as_int((d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5 + (
+    base = (d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5
+    start = ops.as_int(base + (
         8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
-    low, top = ops.ends(start)
+    low, top = ops.ends(start, base)
     every, even = kind == "i" and not half, kind == "j" and not half
     uu = u * u
     su2 = -uu if kind == "j" else uu
@@ -203,13 +205,13 @@ def _ultra_table(kind, l, d, z, deriv):
     so a table of l = 1 and deriv = 2 serves j_3 as well.
 
     Validates z once, by its min and max, and runs one _sweep for h at the
-    orders s+l..s+l+deriv: over the array at more than _PER_POINT points,
-    point by point on floats otherwise. Returns entry(order, k, over=0),
-    the k-th derivative of that order over z^over, exact and finite at
-    z = 0 as it lowers each term's power of z (ValueError where one would
-    fall below z^0); at over=0 bit for bit the value ultra_j/ultra_i give.
-    A scalar z gives floats, an array z a new array per entry, which the
-    caller may write into.
+    orders s+l..s+l+deriv: on Python floats for a scalar z (a float, an
+    int, a numpy scalar or a 0-d array), in numpy for an array of any size
+    or shape. Returns entry(order, k, over=0), the k-th derivative of that
+    order over z^over, exact and finite at z = 0 as it lowers each term's
+    power of z (ValueError where one would fall below z^0); at over=0 bit
+    for bit the value ultra_j/ultra_i give. A scalar z gives floats, an
+    array z a new array per entry, which the caller may write into.
     """
     if not (isinstance(l, int) and 0 <= l <= MAX_ORDER):
         raise ValueError(f"order l must be an integer in [0, {MAX_ORDER}]")
@@ -217,15 +219,13 @@ def _ultra_table(kind, l, d, z, deriv):
         raise ValueError("dimension d must be an integer >= 2")
     if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
         raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
-    if isinstance(z, float):
-        shape, flat = (), [float(z)]
-        lo = hi = flat[0]
+    if isinstance(z, float) or np.ndim(z) == 0:
+        z = lo = hi = float(z)
+        ops = _FLOATS
     else:
-        arr = np.asarray(z, dtype=float)
-        shape, flat = arr.shape, arr.ravel()
+        z, ops = np.asarray(z, dtype=float), _ARRAYS
         # nan propagates through min and max
-        lo, hi = ((float(flat.min()), float(flat.max())) if flat.size
-                  else (0.0, 0.0))
+        lo, hi = (float(z.min()), float(z.max())) if z.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("z must be finite")
     if lo < 0:
@@ -233,21 +233,10 @@ def _ultra_table(kind, l, d, z, deriv):
     zmax = _J_Z_MAX if kind == "j" else _I_Z_MAX
     if hi > zmax:
         raise OverflowError(f"{kind}_l argument beyond kernel range ({zmax:g})")
-    if len(flat) > _PER_POINT:
-        h = _sweep(kind, d, l, l + deriv, flat, _ARRAYS)
-        pw = _powers(flat, l + deriv)
-        return lambda order, k, over=0: _combine(
-            _deriv_terms(kind, order, k, over), pw, h, order - l).reshape(shape)
-    points = [(_powers(zi, l + deriv), _sweep(kind, d, l, l + deriv, zi,
-                                              _FLOATS))
-              for zi in (flat if isinstance(z, float) else flat.tolist())]
-
-    def entry(order, k, over=0):
-        terms = _deriv_terms(kind, order, k, over)
-        vals = [_combine(terms, pw, h, order - l) for pw, h in points]
-        return np.array(vals).reshape(shape) if shape else vals[0]
-
-    return entry
+    h = _sweep(kind, d, l, l + deriv, z, ops)
+    pw = _powers(z, l + deriv)
+    return lambda order, k, over=0: _combine(
+        _deriv_terms(kind, order, k, over), pw, h, order - l)
 
 
 def ultra_j(l, d, z, deriv=0):
@@ -275,23 +264,23 @@ def _bracketed_root(f, lo, hi, *args):
 
     One body runs on a float bracket (lo a scalar: ops _FLOATS, with
     float args) or on arrays of brackets (ops _ARRAYS), with the same bits
-    for each bracket. One call of f on lo and hi joined, as an array,
-    starts every bracket; each later call evaluates only the elements
-    still running, on a float x for a float bracket. Each element stops
-    once its bracket is narrower than _ROOT_XRTOL times its end with the
+    for each bracket. A float bracket starts with two calls of f on
+    floats, at lo and then hi, and makes every later call on a float x;
+    arrays of brackets start with one call on lo and hi joined, and each
+    later call evaluates only the elements still running. Each element
+    stops once its bracket is narrower than _ROOT_XRTOL times its end with the
     smaller |f|, or once f there is 0 or subnormal. The arrays args run
     with x. Returns x (nan where no sign change), the status as an index
     into _ROOT_STATUS, and the final bracket and f at its ends, each
     ordered left to right: floats and an int for a float bracket.
     """
-    on_floats = np.ndim(lo) == 0
+    on_floats = isinstance(lo, float) or np.ndim(lo) == 0
     ops = _FLOATS if on_floats else _ARRAYS
     div, sqrt, sign, where, not_ = ops.div, ops.sqrt, ops.sign, ops.where, \
         ops.not_
     if on_floats:
         x1, x2, args = float(lo), float(hi), [float(arg) for arg in args]
-        f1, f2 = map(float, f(np.array([x1, x2]),
-                              *(np.array([arg, arg]) for arg in args)))
+        f1, f2 = (float(f(x, *args)) for x in (x1, x2))
     else:
         x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
         args = [np.broadcast_to(arg, x1.shape) for arg in args]

@@ -206,6 +206,15 @@ def test_quadrature_spec_validation():
         QuadratureSpec("simpson")
     with pytest.raises(ValueError):
         QuadratureSpec("grid", cells=1)
+    # integer cells, samples and seed, the seed nonnegative: a float cells
+    # would put the grid's last node on the bbox face, a seed of None
+    # would draw an unseeded stream
+    for field, bad in (("cells", 64.5), ("cells", 64.0), ("samples", 1e6),
+                       ("seed", None), ("seed", 2.5), ("seed", True),
+                       ("seed", -1), ("cells", "64")):
+        with pytest.raises(ValueError):
+            QuadratureSpec("mc", **{field: bad})
+    assert QuadratureSpec("mc", cells=np.int64(64), seed=np.int32(0)).seed == 0
     # the radial product rule has at least 2^d directions whatever cells
     # asks for, and refuses more than 2^20 before building any array
     with pytest.raises(ValueError, match="d = 30 needs 1073741824 "

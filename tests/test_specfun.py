@@ -116,14 +116,14 @@ def test_series_and_kernel_agree_on_small_arguments():
 
 
 def test_table_entries_match_single_kernels_bit_for_bit():
-    # z from 0 across 1/2 and 1, where the sweep's scale t changes, swept
-    # point by point (14 points) and over the array (19 points)
+    # z from 0 across 1/2 and 1, where the sweep's scale t changes, over
+    # arrays of 14 and 19 points; a scalar z, a 0-d array among them,
+    # gives floats
     small = np.concatenate([[0.0], np.geomspace(1e-3, 0.5, 6),
                             0.5 + np.geomspace(1e-9, 20.0, 7)])
     for zs, kind, fn in ((zs, kind, fn) for zs in (
             small, np.concatenate([small, np.linspace(0.7, 20.0, 5)]))
             for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i))):
-        assert (zs.size > sf._PER_POINT) == (zs.size == 19)
         for d in (2, 3, 8, 30):
             for l in range(sf.MAX_ORDER + 1):
                 for deriv in range(sf.MAX_DERIV + 1):
@@ -132,21 +132,20 @@ def test_table_entries_match_single_kernels_bit_for_bit():
                         for k in range(deriv - (order - l) + 1):
                             np.testing.assert_array_equal(
                                 table(order, k), fn(order, d, zs, k))
-            for z in (0.3, 2.0):
+            for z in (0.3, 2.0, np.array(0.3), np.float64(2.0), 2):
                 table = sf._ultra_table(kind, 1, d, z, 4)
-                assert table(3, 2) == fn(3, d, z, 2)
-                assert isinstance(table(3, 2), float)
+                assert table(3, 2) == fn(3, d, float(z), 2)
+                assert type(table(3, 2)) is float
 
 
 def test_table_entries_match_across_batch_sizes_bit_for_bit():
-    # a point's bits depend on its z alone: alone, in the point-by-point
-    # sweep of a small array and in the array sweep of a large one, every
+    # a point's bits depend on its z alone: alone (a float or a 0-d
+    # array), in arrays of 1, 2 and 14 points and in one of 53, every
     # entry is the same bytes, -0.0 included; z at 0, at the powers of 4
     # where the sweep's scale changes, and at the ends of the range; the
     # entries over z (over=1) as well
     pts = np.array([0.0, 1e-300, 6e-9, 0.3, 0.5, 1.0, 4.0, 4.0000000000000009,
                     16.0, 20.0, 64.0, 300.0, 689.9])
-    big = np.resize(pts, 3 * sf._PER_POINT + 5)
     for kind, top in (("j", sf._J_Z_MAX), ("i", 689.9)):
         zs = np.append(pts[pts <= top], top)
         for d in (2, 3, 30):
@@ -154,16 +153,19 @@ def test_table_entries_match_across_batch_sizes_bit_for_bit():
                 keys = [(l + m, k) for m in range(deriv + 1)
                         for k in range(deriv - m + 1)]
                 keys += [(l + m, 0, 1) for m in range(deriv + 1) if l + m]
-                wide = sf._ultra_table(kind, l, d, np.resize(zs, big.size), deriv)
-                few = sf._ultra_table(kind, l, d, zs[:sf._PER_POINT], deriv)
+                wide = sf._ultra_table(kind, l, d, np.resize(zs, 53), deriv)
+                few = [(zs[:n].size, sf._ultra_table(kind, l, d, zs[:n], deriv))
+                       for n in (1, 2, 16)]
                 for key in keys:
                     got = wide(*key)
                     for i, z in enumerate(zs):
-                        alone = sf._ultra_table(kind, l, d, float(z), deriv)(*key)
-                        assert isinstance(alone, float)
-                        assert np.float64(alone).tobytes() == got[i].tobytes()
-                        if i < sf._PER_POINT:
-                            assert few(*key)[i].tobytes() == got[i].tobytes()
+                        for z0 in (float(z), np.array(z)):
+                            alone = sf._ultra_table(kind, l, d, z0, deriv)(*key)
+                            assert type(alone) is float
+                            assert np.float64(alone).tobytes() == \
+                                got[i].tobytes()
+                    for n, table in few:
+                        assert table(*key).tobytes() == got[:n].tobytes()
 
 
 def test_sweep_bits_hold_when_start_orders_lie_far_apart():
@@ -192,7 +194,7 @@ def test_sweep_bits_hold_when_start_orders_lie_far_apart():
 
 def test_table_entries_are_the_callers_own():
     for zs in (np.array([0.0, 0.3]), np.array([1.0, 2.0]),
-               np.linspace(0.0, 3.0, 2 * sf._PER_POINT)):
+               np.linspace(0.0, 3.0, 32)):
         for kind in ("j", "i"):
             table = sf._ultra_table(kind, 1, 3, zs, 4)
             first = table(1, 2)
@@ -230,7 +232,8 @@ def test_table_error_contracts():
         with pytest.raises(ValueError):
             sf._ultra_table(kind, sf.MAX_ORDER + 1, 2, 1.0, 0)
         # over z^over only where every term keeps a nonnegative power
-        for zs in (0.5, np.linspace(0.0, 1.0, 2 * sf._PER_POINT)):
+        for zs in (0.5, np.array(0.5), np.array([0.0, 0.5]),
+                   np.linspace(0.0, 1.0, 32)):
             table = sf._ultra_table(kind, 1, 2, zs, 2)
             for order, k, over in ((1, 1, 1), (1, 0, 2), (2, 0, 3)):
                 with pytest.raises(ValueError):
@@ -246,7 +249,11 @@ def test_table_error_contracts():
         sf._ultra_table("i", 1, 2, np.array([-1.0, 700.0, np.nan]), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         sf._ultra_table("i", 1, 2, np.array([700.0, -1.0]), 2)
-    assert sf._ultra_table("j", 1, 2, np.empty(0), 2)(2, 1).shape == (0,)
+    # an empty array gives empty entries, of its shape
+    for kind in ("j", "i"):
+        for shape in ((0,), (0, 3)):
+            table = sf._ultra_table(kind, 1, 2, np.empty(shape), 2)
+            assert table(2, 1).shape == table(1, 0, 1).shape == shape
 
 
 def test_modified_function_positivity():
@@ -416,13 +423,14 @@ def test_bracketed_root_reports_the_iteration_budget(monkeypatch):
 
 def test_bracketed_root_on_a_float_matches_a_one_element_array(monkeypatch):
     # one body for a float bracket and an array of them: the points f is
-    # called at, x, the status, the final bracket and f at its ends agree
-    # bit for bit. f = y^3 - y, y = x - c, as products: Python's x**3 and
-    # numpy's array x**3 can round apart
+    # called at, in order, x, the status, the final bracket and f at its
+    # ends agree bit for bit, however the points are grouped into calls.
+    # f = y^3 - y, y = x - c, as products: Python's x**3 and numpy's array
+    # x**3 can round apart
     calls = []
 
     def f(x, c):
-        calls.append(bits(x))
+        calls.extend(bits(v) for v in np.ravel(x))
         y = x - c
         return y * y * y - y
 

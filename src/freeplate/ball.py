@@ -80,11 +80,13 @@ def _unit_tension(tau, radius):
 
 
 def _unit_args(a, tau, d, radius):
-    # validate (a, tau) and map them to the unit ball: (a R, tau R^2)
+    # validate (a, tau) and map them to the unit ball: (a R, tau R^2); a R
+    # is a float for a float a, as tau R^2 is for a float tau
     t = _unit_tension(tau, radius)
-    z = np.asarray(a, dtype=float) * radius
+    ops = _FLOATS if isinstance(a, float) else _ARRAYS
+    z = (a if ops is _FLOATS else np.asarray(a, dtype=float)) * float(radius)
     ainf = first_zero_j1prime(d)
-    if np.any(z <= 0) or np.any(z >= ainf):
+    if ops.any_(z <= 0) or ops.any_(z >= ainf):
         raise ValueError(f"wavenumber a must lie in (0, {ainf / radius:.6g})")
     return z, t
 
@@ -132,12 +134,15 @@ def secular_V(a, tau, d, radius=1.0):
         (tau + (d-1)/R^2) R'(R) - ((d-1)/R^3) R(R)
         + a^3 j_1'(aR) - gamma b^3 i_1'(bR),
     evaluated in the cancellation-free form of _secular_parts through
-    V_R(a, tau) = R^-3 V_1(aR, tau R^2). Raises ValueError where V_R
-    overflows; where it underflows, the underflowed value is returned.
+    V_R(a, tau) = R^-3 V_1(aR, tau R^2). R^3 is taken as m^3 2^(3e) with
+    R = m 2^e, 1/2 <= m < 1, so that V_R does not depend on R^3 being a
+    double. Raises ValueError where V_R overflows; where it underflows,
+    the underflowed value is returned.
     """
     v = _secular_vec(*_unit_args(a, tau, d, radius), d)
+    m, e = math.frexp(radius)
     with np.errstate(all="ignore"):
-        v = v / np.float64(radius) ** 3
+        v = np.ldexp(v / np.float64(m) ** 3, -3 * e)
     if not np.isfinite(v):
         raise ValueError(f"V_R is no finite double at radius={radius:g}")
     return float(v)

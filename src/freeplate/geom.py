@@ -45,10 +45,10 @@ _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
 # then disagree). They are taken this fraction of the span inside instead
 _RAY_EDGE = 2.0**-30
 _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
-# radii per gather of the radial series: a chunk's gathered coefficients
-# are tables x terms arrays of this length (1 MiB at the centering's three
-# 11-term tables), where one gather over a whole cast would hold that many
-# copies of its radii and raise the peak memory
+# radii per chunk of the radial series: each term's gather is a tables x
+# chunk array (96 KiB at the centering's three tables), where one pass
+# over a whole cast would hold its gathers and the recurrence's
+# temporaries at the cast's length and raise the peak memory
 _SERIES_CHUNK = 2**12
 _PANELS = 64            # radial panels per unit of the table's variable
 _CENTER_CASTS = 64      # centering casts before giving up (Newton takes ~3)
@@ -663,9 +663,10 @@ class _RadialTable:
     def _series(self, R, coefs):
         # panel index of each R and the Legendre series of every table
         # there; coefs is (tables, terms, panels). Per chunk of R one
-        # gather takes every table's terms at the chunk's panels and one
         # three-term recurrence serves all tables, each series summed term
-        # by term
+        # by term, and each term's coefficients are gathered for every
+        # table when the recurrence reaches it: a gather of all terms at
+        # once would hold tables x terms copies of the chunk
         R = np.asarray(R, dtype=float)
         if R.size and R.max() > self.top / self.panels:
             raise ValueError("radius beyond the radial table")
@@ -676,13 +677,13 @@ class _RadialTable:
         for i in range(0, flat.size, _SERIES_CHUNK):
             ji = j[i:i + _SERIES_CHUNK]
             x = 2.0 * (flat[i:i + _SERIES_CHUNK] * self.panels - ji) - 1.0
-            c = coefs.take(ji, axis=2)
             out = rows[:, i:i + _SERIES_CHUNK]
-            np.add(c[:, 0], c[:, 1] * x, out=out)
+            np.add(coefs[:, 0].take(ji, axis=1),
+                   coefs[:, 1].take(ji, axis=1) * x, out=out)
             p0, p1 = np.ones_like(x), x
             for k in range(1, coefs.shape[1] - 1):
                 p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-                out += c[:, k + 1] * p1
+                out += coefs[:, k + 1].take(ji, axis=1) * p1
         return j.reshape(R.shape), list(outs)
 
     def __call__(self, u):
@@ -700,19 +701,35 @@ class _RadialTable:
             # every segment that starts at the origin has a crossing at
             # t = 0, often half of a cast's: the series runs once at 0,
             # where it is a rounding error rather than exactly 0, and that
-            # value fills every zero radius
+            # value fills every zero radius. The nonzero radii are taken
+            # and put back by flat index, faster than by a boolean mask
             R = np.asarray(R, dtype=float)
-            nz = R != 0.0
-            j, parts = self._series(np.concatenate([[0.0], R[nz]]), coefs)
+            flat = R.ravel()
+            nz = np.flatnonzero(flat)
+            j, parts = self._series(np.concatenate([[0.0], flat[nz]]), coefs)
             outs = []
             for cum, part in zip(cums, parts):
                 part += cum[j]
                 out = np.full(R.shape, part[0])
-                out[nz] = part[1:]
+                out.ravel()[nz] = part[1:]
                 outs.append(out)
             return outs
 
         return G
+
+
+def _ray_sums(sign, Gt):
+    # sum_j sign_j G(t_j) over each ray (row) with the bits of
+    # np.sum(sign * Gt, axis=1), which adds a row of fewer than 8 columns
+    # from 0, left to right. Added column by column, each add runs along
+    # the rays, where the row sum walks every short row in a strided loop;
+    # numpy sums a row of 8 or more columns pairwise, so those keep np.sum
+    if Gt.shape[1] >= 8:
+        return np.sum(sign * Gt, axis=1)
+    out = np.zeros(len(Gt))
+    for j in range(Gt.shape[1]):
+        out += sign[:, j] * Gt[:, j]
+    return out
 
 
 class _Rays:
@@ -735,7 +752,7 @@ class _Rays:
         # the rule's rows (_estimate) of sum_j sign_j G_i(t_j) over each ray
         W = _sphere_rule(self.domain.d, self.cells)[1]
         return [W @ np.concatenate(s) for s in zip(*(
-            [np.sum(sign * Gt, axis=1) for Gt in G(t)]
+            [_ray_sums(sign, Gt) for Gt in G(t)]
             for t, sign in self._cast()))]
 
     def main(self, G):
@@ -743,7 +760,7 @@ class _Rays:
         [(t, sign)] = self._cast(1)
         dirs, W = _sphere_rule(self.domain.d, self.cells)
         w = W[0, :len(t)]
-        return dirs[:len(t)], [w * np.sum(sign * Gt, axis=1) for Gt in G(t)]
+        return dirs[:len(t)], [w * _ray_sums(sign, Gt) for Gt in G(t)]
 
     def integrals(self, g, panels):
         # rows of int g_i(|x - center|) dx, G_i tabled to every crossing

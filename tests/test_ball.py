@@ -367,6 +367,46 @@ def test_one_tension_solve_runs_on_floats(monkeypatch):
         assert all(type(z) is float for z in seen[1:]), d
 
 
+def test_one_point_functions_run_on_floats(monkeypatch):
+    # secular_V and gamma_of at a float a build every table at a float z
+    # and return Python floats with the bits of the 0-d array path, written
+    # out here as the oracle: V_1 divided by numpy's R^3, at power-of-two
+    # radii, where R^3 = m^3 2^(3e) exactly; at any radius the float and
+    # the 0-d array input agree
+    seen = []
+    table = ball._ultra_table
+
+    def spy(kind, l, d, z, deriv):
+        seen.append(z)
+        return table(kind, l, d, z, deriv)
+
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        d = int(rng.integers(2, 31))
+        ainf = first_zero_j1prime(d)
+        a1 = float(rng.uniform(0.01, 0.99) * ainf)
+        t1 = float(10.0 ** rng.uniform(-8.0, 5.0))
+        R = 2.0 ** int(rng.integers(-40, 41))
+        a, tau = a1 / R, t1 / (R * R)
+        z, t = np.asarray(a) * R, tau * (R * R)
+        with np.errstate(all="ignore"):
+            v_old = float(ball._secular_vec(z, t, d) / np.float64(R) ** 3)
+        g_old = float(ball._secular_parts(z, t, d)[0])
+        monkeypatch.setattr(ball, "_ultra_table", spy)
+        seen.clear()
+        v, g = ball.secular_V(a, tau, d, R), ball.gamma_of(a, tau, d, R)
+        monkeypatch.undo()
+        assert type(v) is float and type(g) is float
+        assert len(seen) == 4 and all(type(x) is float for x in seen)
+        assert (v, g) == (v_old, g_old), (d, a, tau, R)
+        R = float(10.0 ** rng.uniform(-3.0, 3.0))
+        a, tau = a1 / R, t1 / (R * R)
+        assert ball.secular_V(a, tau, d, R) == ball.secular_V(
+            np.asarray(a), tau, d, R)
+        assert ball.gamma_of(a, tau, d, R) == ball.gamma_of(
+            np.asarray(a), tau, d, R)
+
+
 def test_overflow_propagates_from_the_batch():
     # i_l leaves double range past z = 690; the whole batch raises
     with pytest.raises(OverflowError):

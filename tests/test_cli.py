@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +134,10 @@ def test_bracket_overflow_raises_without_a_warning(capsys):
 def test_secular_v_at_extreme_radii():
     # a R = 0.5 and tau R^2 = 1 at every radius: V_R = R^-3 V_1, which
     # overflows at R = 1e-150 (ValueError, as omega does) and underflows
-    # at R = 1e105 (the underflowed value), with no numpy warning; at a
-    # power of two, the exact R^-3 V_1
+    # at R = 1e105 (the underflowed value), with no numpy warning. There
+    # R^3 is beyond double range but V_R is the subnormal nearest to
+    # R^-3 V_1, taken in exact rational arithmetic from the unit-ball V_1;
+    # at a power of two, the exact R^-3 V_1
     v1 = ball.secular_V(0.5, 1.0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -141,6 +145,9 @@ def test_secular_v_at_extreme_radii():
             ball.secular_V(0.5e150, 1e300, 2, 1e-150)
         v = ball.secular_V(0.5e-105, 1e-210, 2, 1e105)
     assert math.isfinite(v) and abs(v) < np.finfo(float).tiny
+    z, t = 0.5e-105 * 1e105, 1e-210 * (1e105 * 1e105)
+    exact = float(Fraction(ball.secular_V(z, t, 2)) / Fraction(1e105) ** 3)
+    assert v == exact and 2.6e-316 < v < 2.8e-316
     R = 2.0**-300
     assert ball.secular_V(0.5 / R, 1.0 / R**2, 2, R) == v1 / R**3
     assert ball.gamma_of(0.5e-105, 1e-210, 2, 1e105) == pytest.approx(
@@ -343,6 +350,57 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(ring),
                        "--tau", "1", "--quad", "grid", "--samples", "2")
     assert code == 2 and "no quadrature nodes" in err
+
+
+# sha256 of the quotient output for each (config, tau, extra flags): the
+# seven shape kinds of the quotient-domains benchmark at fixed parameters
+# with the default rule, then the grid and mc fallbacks on the overlapping
+# two balls, recorded with the radial series' per-term gathers and the
+# column by column ray sums (the same bytes as before them)
+_TWO_BALLS = "shape=two-balls\ndim=2\nradii=1,0.9\ncenters=-0.3,0;0.3,0\n"
+_QUOTIENT_SHA256 = [
+    ("shape=ellipsoid\ndim=2\nsemiaxes=2.2,1\n", "0.3", (),
+     "7850dca7180748f61c44e435cf141684"
+     "79f091febb7bf8d70d30cbd061a27ad4"),
+    ("shape=box\ndim=2\nsides=1.9,1\n", "4.5", (),
+     "907e7f47431f9d944eb8d8b775c5e6d9"
+     "749f169d19d1e97189c94dac203c6586"),
+    ("shape=annulus\ndim=2\ninner=0.4\nouter=1\n", "1.2", (),
+     "da21e2c4ec8751130abd6a45358bc454"
+     "a3b447d6915dff656c108483777236c3"),
+    ("shape=two-balls\ndim=2\nradii=0.55,0.52\n"
+     "centers=-0.72,0;0.69,0.05\n", "0.7", (),
+     "e38665787d8207c021d869596fdbe443"
+     "4ae899ac3014d73287ccd7f740a5479a"),
+    ("shape=implicit\ndim=2\nexpr=(abs(x) <= 1) & (abs(y) <= 1) & "
+     "~((x > 0.05) & (y > 0.05))\nbounds=-1,1,-1,1\nvolume=3.0975\n", "2",
+     (),
+     "3fc138f0d435b652958d35557f7ba1bb"
+     "2a9f3138e3b9a2c32194decfc47d95ce"),
+    (_TWO_BALLS, "0.15", (),
+     "a50359b46954026ec590486ac482451f"
+     "ab761d56a2e2bc75ed32b809766901f4"),
+    ("shape=ellipsoid\ndim=3\nsemiaxes=1.6,1.6,1\n", "8", (),
+     "ea51048c67e87c28d6dcd75b84c29945"
+     "6782225284a62c56d8b35d8d1bba0cb4"),
+    (_TWO_BALLS, "0.15", ("--quad", "grid", "--samples", "64"),
+     "198841a7a110d94a8bbba2147d724599"
+     "2366a8a94401af9e3d83dbc64e1461e4"),
+    (_TWO_BALLS, "0.15", ("--quad", "mc", "--samples", "20000", "--seed",
+                          "3"),
+     "b0b408f11a2d50117a107a63ece229b1"
+     "34df4a34105e922918475e2a30480d30"),
+]
+
+
+def test_quotient_outputs_are_pinned(tmp_path):
+    cfg, out = tmp_path / "d.cfg", tmp_path / "q.txt"
+    for text, tau, extra, digest in _QUOTIENT_SHA256:
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["quotient", "--domain", str(cfg), "--tau", tau, *extra,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+            (text, extra)
 
 
 @pytest.mark.parametrize("key, lines", [

@@ -850,9 +850,10 @@ def test_radial_table_shares_one_basis_bit_for_bit():
 
 def test_radial_series_peak_memory_on_a_centering_cast():
     # one G call over a centering cast of two balls (8192 rays, 4
-    # crossings each, the centering's 3 tables) peaks below the 3.4 MiB
-    # the per-table gathers took: the series gathers every table's terms a
-    # chunk at a time, where one gather over the whole cast would hold 33
+    # crossings each, the centering's 3 tables) peaks below 1.5 MiB: the
+    # series gathers one term of every table at a time, a chunk of radii
+    # long (1.07 MiB measured), where a gather of every term of a chunk
+    # took 2.60 MiB and one gather over the whole cast would hold 33
     # copies of its radii
     dom = two_balls_2d()
     prof = profile(tau=1.7)
@@ -874,7 +875,7 @@ def test_radial_series_peak_memory_on_a_centering_cast():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 3.4 * 2**20
+    assert peak <= 1.5 * 2**20
 
 
 def test_quotient_equals_tone_on_the_unit_ball():

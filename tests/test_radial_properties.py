@@ -163,3 +163,122 @@ def test_implicit_volume_from_the_radial_rule():
     ball3 = geom.implicit_domain(3, "x**2 + y**2 + z**2 <= 1",
                                  (-1, 1, -1, 1, -1, 1))
     assert ball3.volume == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def oracle_series(table, R, coefs):
+    # the radial table's series with every table's terms gathered at once
+    # and the nonzero radii taken by a boolean mask: the arithmetic that
+    # _RadialTable._series and G must reproduce bit for bit
+    flat = np.asarray(R, dtype=float).ravel()
+    j = np.minimum((flat * table.panels).astype(int), table.top - 1)
+    x = 2.0 * (flat * table.panels - j) - 1.0
+    c = coefs.take(j, axis=2)
+    out = c[:, 0] + c[:, 1] * x
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, coefs.shape[1] - 1):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        out += c[:, k + 1] * p1
+    return j.reshape(np.shape(R)), [o.reshape(np.shape(R)) for o in out]
+
+
+def oracle_G(table, d):
+    ys = [gu * table.u ** (d - 1) for gu in table.gus]
+    cums = [np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
+            * (0.5 / table.panels) for y in ys]
+    coefs = np.stack([((0.5 / table.panels) * (y @ geom._TO_INTEGRAL.T)).T
+                      for y in ys])
+
+    def G(R):
+        nz = R != 0.0
+        j, parts = oracle_series(table, np.concatenate([[0.0], R[nz]]),
+                                 coefs)
+        outs = []
+        for cum, part in zip(cums, parts):
+            part += cum[j]
+            out = np.full(R.shape, part[0])
+            out[nz] = part[1:]
+            outs.append(out)
+        return outs
+
+    return G
+
+
+def oracle_rows(W, hits, G):
+    return [W @ np.concatenate(s) for s in zip(*(
+        [np.sum(sign * Gt, axis=1) for Gt in G(t)] for t, sign in hits))]
+
+
+@st.composite
+def radial_cases(draw):
+    # a random table of 1-3 profiles (values of either sign, so G and the
+    # ray sums change sign and give signed zeros), and crossings of k = 1
+    # to 6 columns: zero radii anywhere, each ray's signs +-1 then 0 on
+    # the padding, as an implicit cast leaves them (t = 0 there)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from((2, 3)))
+    cells = draw(st.sampled_from((16, 64)))
+    panels = draw(st.sampled_from((3, 64, 71)))
+    umax = draw(st.floats(0.5, 3.0))
+    k = draw(st.integers(1, 6))
+    tables = draw(st.integers(1, 3))
+    table = geom._radial_table(
+        lambda u: [rng.standard_normal(u.shape) for _ in range(tables)],
+        umax, panels)
+    W = geom._sphere_rule(d, cells)[1]
+    m = int(np.count_nonzero(W[0] > 0.0))
+    hits = []
+    for rays in (m, W.shape[1] - m):
+        t = rng.uniform(0.0, umax, (rays, k))
+        t[rng.random((rays, k)) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+        sign = rng.choice((-1.0, 1.0), (rays, k))
+        pad = np.arange(k) >= rng.integers(0, k + 1, rays)[:, None]
+        t[pad], sign[pad] = 0.0, 0.0
+        hits.append((t, sign))
+    return d, cells, table, W, hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_cases())
+def test_radial_table_and_ray_sums_keep_the_oracle_bits(case):
+    d, cells, table, W, hits = case
+    G, ref = table.G(d), oracle_G(table, d)
+    for t, _ in hits:
+        for got, want in zip(G(t), ref(t)):
+            assert np.array_equal(bits(got), bits(want))
+    # the grid and mc evaluation of the profiles
+    u = np.concatenate([hits[0][0].ravel(), [0.0, table.top / table.panels]])
+    coefs = np.stack([(gu @ geom._TO_SERIES.T).T for gu in table.gus])
+    for got, want in zip(table(u), oracle_series(table, u, coefs)[1]):
+        assert np.array_equal(bits(got), bits(want))
+    rays = geom._Rays(geom.ball(d), cells, np.zeros(d))
+    rays._hits = hits
+    for got, want in zip(rays.rows(G), oracle_rows(W, hits, ref)):
+        assert np.array_equal(bits(got), bits(want))
+    (t, sign), w = hits[0], W[0, :len(hits[0][0])]
+    for got, want in zip(rays.main(G)[1], ref(t)):
+        assert np.array_equal(bits(got), bits(w * np.sum(sign * want,
+                                                          axis=1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from((1, 5, 300)),
+       k=st.integers(1, 10))
+def test_ray_sums_match_numpy_row_sums_bit_for_bit(seed, m, k):
+    # signed zeros, exact cancellations and sign-0 padding: the column by
+    # column sums add as np.sum(sign * Gt, axis=1) does, also from 8
+    # columns on, where numpy sums each row pairwise
+    rng = np.random.default_rng(seed)
+    Gt = rng.choice((0.0, -0.0, 1.0, -1.0, 3.0), (m, k)) \
+        * rng.choice((1.0, 1.0 + 2.0**-52), (m, k))
+    Gt[:, ::2] += rng.standard_normal((m, (k + 1) // 2)) \
+        * rng.integers(0, 2, (m, (k + 1) // 2))
+    sign = rng.choice((-1.0, 0.0, 1.0), (m, k))
+    got = geom._ray_sums(sign, Gt)
+    assert np.array_equal(bits(got), bits(np.sum(sign * Gt, axis=1)))
+    row = np.array([1.0, -1.0] * k)[:k]    # a library shape's broadcast signs
+    assert np.array_equal(bits(geom._ray_sums(np.broadcast_to(row, (m, k)), Gt)),
+                          bits(np.sum(row * Gt, axis=1)))

@@ -719,13 +719,9 @@ class _RadialTable:
 
 
 def _ray_sums(sign, Gt):
-    # sum_j sign_j G(t_j) over each ray (row) with the bits of
-    # np.sum(sign * Gt, axis=1), which adds a row of fewer than 8 columns
-    # from 0, left to right. Added column by column, each add runs along
-    # the rays, where the row sum walks every short row in a strided loop;
-    # numpy sums a row of 8 or more columns pairwise, so those keep np.sum
-    if Gt.shape[1] >= 8:
-        return np.sum(sign * Gt, axis=1)
+    # sum_j sign_j G(t_j) over each ray (row), from +0.0, left to right.
+    # Added column by column, each add runs along the rays, where
+    # np.sum(..., axis=1) walks every short row in a strided loop
     out = np.zeros(len(Gt))
     for j in range(Gt.shape[1]):
         out += sign[:, j] * Gt[:, j]

@@ -86,7 +86,8 @@ def _unit_args(a, tau, d, radius):
     ops = _FLOATS if isinstance(a, float) else _ARRAYS
     z = (a if ops is _FLOATS else np.asarray(a, dtype=float)) * float(radius)
     ainf = first_zero_j1prime(d)
-    if ops.any_(z <= 0) or ops.any_(z >= ainf):
+    # a failed 0 < z < ainf, which a nan fails too
+    if ops.any_(ops.not_((z > 0) & (z < ainf))):
         raise ValueError(f"wavenumber a must lie in (0, {ainf / radius:.6g})")
     return z, t
 

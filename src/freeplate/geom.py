@@ -10,6 +10,7 @@ G(R) = int_0^R f(r) r^(d-1) dr and t_j are the signed distances at which
 the ray from c in the direction theta crosses the boundary.
 """
 
+import ast
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -29,9 +30,14 @@ _SHAPES = {"ball": ("radius",), "ellipsoid": ("semiaxes",), "box": ("sides",),
            "implicit": ("expr", "bounds")}
 _SYMMETRIC = frozenset(("ball", "ellipsoid", "box", "annulus"))
 _MC_CHUNK = 2**20
-# implicit domains: each ray is sampled on contains at steps of at most
+# implicit domains whose comparisons are polynomials of degree <= 2 (_atoms)
+# are cast exactly, from their roots along each ray; roots this many ulps
+# of the farthest bbox corner's distance apart, or from a bbox end, are one
+_MERGE_ULPS = 8
+_BRANCHES = 64          # most polynomials one side of a comparison expands to
+# every other implicit domain is sampled: each ray at steps of at most
 # 1/_RAY_STEPS of the bbox diagonal, so this is the thinnest feature the
-# ray cast resolves (as the cell is for the grid); changes are bisected
+# sampled cast resolves (as the cell is for the grid); changes are bisected
 _RAY_STEPS = 256
 # ray samples per expression call (a block of steps of every ray, or of
 # rays past _RAY_CHUNK of them): at 2**15 (256 KiB an array of doubles) a
@@ -181,6 +187,64 @@ class Domain:
         return t * self.scale, np.broadcast_to(sign, t.shape)
 
     def _ray_cast(self, o, u):
+        # CSG ray casting (Roth 1982) with the set operations left to the
+        # expression: membership changes only at a root of an atom of
+        # _atoms, so between the sorted roots inside the bbox it is
+        # constant, and the expression's value at each piece's midpoint
+        # (contains' arithmetic, (o + t u - offset) / scale) gives it. One
+        # expression call per piece column over all rays; beyond the bbox
+        # counts as outside. Rows of candidates, pieces and inside run
+        # along the rays
+        atoms = _atoms(self.params["expr"], self.d)
+        if atoms is None:
+            return self._sampled_cast(o, u)
+        lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
+        t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
+        m, scale = u.shape[0], self.scale
+        off = np.asarray(self.offset)
+        tol = _MERGE_ULPS * np.finfo(float).eps * self._far(o)
+        # along the ray y = y0 + t w in the base frame an atom c + b.y +
+        # y.A.y is q0 + 2 h t + a t^2: q0 = p(y0), h = (b / 2 + A y0).w,
+        # a = w.A.w, with the roots of the stable quadratic formula
+        (c1, b1), (c2, b2, A2) = atoms
+        uT = np.ascontiguousarray(u.T)
+        y0, w = (o - off) / scale, uT / scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Ay = A2.reshape(-1, self.d, self.d) @ y0
+            q0 = (c2 + b2 @ y0 + Ay @ y0)[:, None]
+            h = (0.5 * b2 + Ay) @ w
+            a = A2 @ (w[:, None] * w).reshape(-1, m)
+            s = -(h + np.copysign(np.sqrt(h * h - a * q0), h))
+            cand = np.concatenate([-(c1 + b1 @ y0)[:, None] / (b1 @ w),
+                                   s / a, q0 / s])
+        # a root within tol of an end is that end, and so is every root
+        # that is not real or not inside: the sort puts them last
+        inner = (cand > t_in + tol) & (cand < t_out - tol)
+        cand = np.where(inner, cand, t_out)[inner.any(axis=1)]
+        _sort_columns(cand)
+        k = int(inner.sum(axis=0).max(initial=0))
+        P = np.concatenate([t_in[None], cand[:k], t_out[None]])
+        for j in range(2, k + 1):
+            P[j] = np.where(P[j] - P[j - 1] <= tol, P[j - 1], P[j])
+        # inside[j + 1]: piece j, held from piece j - 1 where it is empty
+        inside = np.zeros((k + 3, m), dtype=bool)
+        for j in range(k + 1):
+            mid = 0.5 * (P[j] + P[j + 1])
+            ins = _eval_implicit(self.params["expr"], [
+                (o[i] + mid * uT[i] - off[i]) / scale
+                for i in range(self.d)])
+            inside[j + 1] = np.where(P[j + 1] > P[j], ins, inside[j])
+        # a change at breakpoint j is its ray's n[j]-th (a row by row sum:
+        # np.cumsum down the short axis 0 took 0.4 ms a cast)
+        change = inside[1:] != inside[:-1]
+        n = change.astype(int)
+        for j in range(1, k + 2):
+            n[j] += n[j - 1]
+        c, r = np.nonzero(change)
+        return _packed(m, r, n[c, r] - 1, P[c, r],
+                       np.where(inside[c + 1, r], -1.0, 1.0))
+
+    def _sampled_cast(self, o, u):
         # sample each ray inside the bbox at steps of at most
         # diameter / _RAY_STEPS, then bisect every change of membership;
         # beyond the bbox counts as outside. No span inside the bbox is
@@ -190,10 +254,13 @@ class Domain:
         # Samples are taken in the base frame, where the expression reads
         # them, step-major: row j + 1 of inside is sample j of every ray,
         # A + at[j] B, so that each numpy loop runs along the rays. The
-        # bisection keeps contains' arithmetic, (o + t u - offset) / scale
+        # bisection keeps contains' arithmetic, (o + t u - offset) / scale.
+        # A ray that misses the bbox is sampled at the origin: its slab
+        # bounds meet up to 1e16 away, where exp(x * x) overflows
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
         t_in, t_out = _slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
         m, span = u.shape[0], t_out - t_in
+        t_in = np.where(span > 0.0, t_in, 0.0)
         diam = self.diameter()
         steps = max(1, math.ceil(min(self._far(o), diam) * _RAY_STEPS / diam))
         expr, d, scale = self.params["expr"], self.d, self.scale
@@ -235,11 +302,8 @@ class Domain:
                                          for k in range(d)]) == a_in
             am, bm = np.where(same, h, am), np.where(same, bm, h)
         tc[mid] = 0.5 * (am + bm)
-        slot = np.arange(r.size) - np.searchsorted(r, r)
-        k = int(slot.max()) + 1 if slot.size else 1
-        t, sg = np.zeros((m, k)), np.zeros((m, k))
-        t[r, slot], sg[r, slot] = tc, sign
-        return t, sg
+        return _packed(m, r, np.arange(r.size) - np.searchsorted(r, r), tc,
+                       sign)
 
     def diameter(self):
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
@@ -278,6 +342,163 @@ def _eval_implicit(expr, cols):
     if mask.shape != cols[0].shape or mask.dtype != bool:
         raise ValueError("implicit expr must produce a boolean mask")
     return mask
+
+
+class _Outside(Exception):
+    """A node of an implicit expression outside the exact cast's grammar."""
+
+
+@lru_cache(maxsize=32)
+def _atoms(expr, d):
+    """The polynomials among whose roots along any ray the expression's
+    membership changes, or None where a node lies outside the grammar
+    (docs/domains.md) and the sampled cast serves the expression.
+
+    A polynomial c + b.y + y.A.y of the base coordinates y is a vector
+    (c, b, A.ravel()). Returns ((c, b), (c, b, A.ravel())) stacked over
+    the linear and over the quadratic ones: every comparison gives the
+    differences of its sides' branches (_branches).
+    """
+    names = _names(d)
+    polys = []
+    try:
+        _comparisons(ast.parse(expr, mode="eval").body, names, polys)
+    except (SyntaxError, OverflowError, _Outside):
+        return None
+    kept = {p.tobytes(): p for p in polys if _degree(p, d)}.values()
+    lin = np.array([p[:1 + d] for p in kept if _degree(p, d) == 1]).reshape(
+        -1, 1 + d)
+    quad = np.array([p for p in kept if _degree(p, d) == 2]).reshape(
+        -1, 1 + d + d * d)
+    return ((lin[:, 0], lin[:, 1:1 + d]),
+            (quad[:, 0], quad[:, 1:1 + d], quad[:, 1 + d:]))
+
+
+def _degree(p, d):
+    return 2 if p[1 + d:].any() else 1 if p[1:1 + d].any() else 0
+
+
+def _comparisons(node, names, polys):
+    # the boolean level: & | ~ over comparisons, one atom for each pair of
+    # a chain, whose roots are where its sides' branches meet
+    if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                  (ast.BitAnd, ast.BitOr)):
+        _comparisons(node.left, names, polys)
+        _comparisons(node.right, names, polys)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+        _comparisons(node.operand, names, polys)
+    elif isinstance(node, ast.Compare):
+        sides = [_branches(s, names)
+                 for s in (node.left, *node.comparators)]
+        for (P, root), (Q, qroot) in zip(sides, sides[1:]):
+            if qroot:
+                (P, root), (Q, qroot) = (Q, qroot), (P, root)
+            if root:
+                # sqrt(p) against a constant k meets it where p = k^2, and
+                # turns nan where p < 0
+                if qroot or any(_degree(q, len(names)) for q in Q):
+                    raise _Outside
+                polys += P
+                Q = [q * q for q in Q]
+            polys += [p - q for p in P for q in Q]
+    else:
+        raise _Outside
+
+
+def _branches(node, names):
+    """(P, root) of a numeric node: at every point its value is one of the
+    polynomials P (abs, minimum and maximum give every branch's, so P is a
+    superset), or with root the square root of one. Raises _Outside past
+    the grammar: constants, pi, the coordinates, + - * and unary -, / by
+    a constant, ** 2, abs, minimum, maximum, and sqrt(p) and hypot(p, q)
+    of degree 2 or less under the root, which only a comparison with a
+    constant takes."""
+    d = len(names)
+
+    def const(v):
+        p = np.zeros(1 + d + d * d)
+        p[0] = v
+        return p
+
+    def polys(n):
+        P, root = _branches(n, names)
+        if root:
+            raise _Outside
+        return P
+
+    def mul(p, q):
+        if _degree(p, d) + _degree(q, d) > 2:
+            raise _Outside
+        if not _degree(p, d) or not _degree(q, d):
+            return p[0] * q if not _degree(p, d) else q[0] * p
+        bp, bq = p[1:1 + d], q[1:1 + d]
+        A = np.outer(bp, bq)
+        return np.concatenate([[p[0] * q[0]], p[0] * bq + q[0] * bp,
+                               (0.5 * (A + A.T)).ravel()])
+
+    P, root = None, False
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+            and -math.inf < node.value < math.inf:
+        P = [const(node.value)]
+    elif isinstance(node, ast.Name) and node.id in names + ("pi",):
+        P = [const(math.pi)] if node.id == "pi" else [np.eye(1 + d + d * d)[
+            1 + names.index(node.id)]]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        P = [-p for p in polys(node.operand)]
+    elif isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        L, R = polys(node.left), polys(node.right)
+        if isinstance(node.op, (ast.Div, ast.Pow)) and (
+                len(R) > 1 or _degree(R[0], d)):
+            raise _Outside
+        if isinstance(node.op, ast.Div):
+            if R[0][0] == 0.0:
+                raise _Outside
+            P = [p / R[0][0] for p in L]
+        elif isinstance(node.op, ast.Pow):
+            if R[0][0] != 2.0:
+                raise _Outside
+            P = [mul(p, p) for p in L]
+        else:
+            op = {ast.Add: np.add, ast.Sub: np.subtract,
+                  ast.Mult: mul}[type(node.op)]
+            P = [op(p, q) for p in L for q in R]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and not node.keywords:
+        f, args = node.func.id, node.args
+        if f == "abs" and len(args) == 1:
+            P = [s * p for p in polys(args[0]) for s in (1.0, -1.0)]
+        elif f in ("minimum", "maximum") and len(args) == 2:
+            P = polys(args[0]) + polys(args[1])
+        elif f == "sqrt" and len(args) == 1:
+            P, root = polys(args[0]), True
+        elif f == "hypot" and len(args) == 2:
+            P = [mul(p, p) + mul(q, q)
+                 for p in polys(args[0]) for q in polys(args[1])]
+            root = True
+    if P is None or len(P) > _BRANCHES:
+        raise _Outside
+    return P, root
+
+
+def _sort_columns(a):
+    # each column of a (k, m) in ascending order, in place, by the odd-even
+    # transposition network: k (k - 1) / 2 compare-exchanges of two rows,
+    # each along the rays, where np.sort would sort m columns one by one
+    for p in range(len(a)):
+        for i in range(p % 2, len(a) - 1, 2):
+            lo = np.minimum(a[i], a[i + 1])
+            np.maximum(a[i], a[i + 1], out=a[i + 1])
+            a[i] = lo
+
+
+def _packed(m, r, slot, tc, sign):
+    # the (t, sign) rows of crossings from each crossing's ray r and its
+    # place slot among the ray's crossings, in t order; sign 0 on padding
+    k = int(slot.max()) + 1 if slot.size else 1
+    t, sg = np.zeros((m, k)), np.zeros((m, k))
+    t[r, slot], sg[r, slot] = tc, sign
+    return t, sg
 
 
 def _center_arg(d, center):
@@ -762,35 +983,6 @@ class _Rays:
         # rows of int g_i(|x - center|) dx, G_i tabled to every crossing
         umax = max(float(t.max()) for t, _ in self._cast())
         return self.rows(_radial_table(g, umax, panels).G(self.domain.d))
-
-
-def integrate_radial(domain, f, quad, center=None):
-    """Integrate the radial function f(|x - center|) over the domain.
-
-    Parameters
-    ----------
-    domain : Domain
-    f : callable
-        Radial profile; must accept numpy arrays of radii.
-    quad : QuadratureSpec
-        radial: the sphere rule over the rays' crossings with
-        G(R) = int_0^R f(r) r^(d-1) dr, error estimate from the rule's
-        companion rules (see _estimate); grid: midpoint rule on bbox
-        cells, error bar from a half-resolution pass; mc: hit-or-miss mean
-        with sample standard error.
-    center : array_like, optional
-        Center (d finite numbers) of f; defaults to the domain offset.
-
-    Returns
-    -------
-    (value, error_estimate)
-    """
-    c = _center_arg(domain.d, domain.offset if center is None else center)
-    if quad.kind == "radial":
-        I = _Rays(domain, quad.cells, c).integrals(lambda u: [f(u)], _PANELS)
-        return tuple(float(x) for x in _estimate(I[0]))
-    vals, errs, _ = _integrate(domain, lambda r: [f(r)], quad, c)
-    return float(vals[0]), float(errs[0])
 
 
 def center_trial(domain, profile, quad=None, tol=None):

@@ -240,6 +240,12 @@ def test_error_contracts():
         ball.gamma_of(0.5, -1.0, 2)
     with pytest.raises(ValueError):
         ball.secular_V(-0.5, 1.0, 2)
+    # a nan wavenumber fails the range check, as a float and in an array,
+    # rather than the kernel's finiteness check
+    for a in (math.nan, np.array([0.5, math.nan]), np.array(math.nan)):
+        for f in (ball.secular_V, ball.gamma_of):
+            with pytest.raises(ValueError, match="wavenumber a must lie in"):
+                f(a, 1.0, 2)
     for tau in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be positive"):
             ball.tone_bounds(tau, 2)

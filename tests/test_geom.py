@@ -258,14 +258,27 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
                                rtol=1e-13, atol=0.0)
 
 
+def integrate_radial(dom, f, quad, center=None):
+    # the integral of the radial function f(|x - center|) over the domain
+    # (center by default its offset) and its error estimate: the radial
+    # rule's rows from a record at center, or the grid or mc node set
+    c = np.asarray(dom.offset if center is None else center, dtype=float)
+    if quad.kind == "radial":
+        rows = geom._Rays(dom, quad.cells, c).integrals(lambda u: [f(u)],
+                                                        geom._PANELS)
+        return tuple(float(x) for x in geom._estimate(rows[0]))
+    vals, errs, _ = geom._integrate(dom, lambda r: [f(r)], quad, c)
+    return float(vals[0]), float(errs[0])
+
+
 def test_integrate_radial_closed_forms():
     one = lambda r: np.ones_like(r)
     for d in (2, 3):
         dom = geom.ball(d)
-        val, err = geom.integrate_radial(dom, one, QuadratureSpec("radial"))
+        val, err = integrate_radial(dom, one, QuadratureSpec("radial"))
         assert val == pytest.approx(geom.unit_ball_volume(d), rel=1e-12)
-        val, err = geom.integrate_radial(dom, lambda r: r**2,
-                                         QuadratureSpec("radial"))
+        val, err = integrate_radial(dom, lambda r: r**2,
+                                    QuadratureSpec("radial"))
         exact = d * geom.unit_ball_volume(d) / (d + 2)
         assert val == pytest.approx(exact, rel=1e-12)
 
@@ -275,10 +288,10 @@ def test_integrate_radial_grid_and_mc_agree():
     f = lambda r: r**2
     # second moment of the ellipse about its center
     exact = math.pi * 2.0 * 0.5 * (2.0**2 + 0.5**2) / 4
-    gval, gerr = geom.integrate_radial(el, f, QuadratureSpec("grid", cells=1024))
+    gval, gerr = integrate_radial(el, f, QuadratureSpec("grid", cells=1024))
     assert gerr > 0.0
     assert abs(gval - exact) <= 5 * gerr + 1e-6
-    mval, merr = geom.integrate_radial(
+    mval, merr = integrate_radial(
         el, f, QuadratureSpec("mc", samples=10**6, seed=2))
     assert abs(mval - exact) <= 4 * merr
     assert abs(mval - gval) <= 4 * (merr + gerr)
@@ -288,7 +301,7 @@ def test_radial_quadrature_off_balls_and_off_center():
     f = lambda r: r**2
     el = geom.ellipsoid(2, (2.0, 0.5))
     exact = math.pi * 2.0 * 0.5 * (2.0**2 + 0.5**2) / 4
-    val, err = geom.integrate_radial(el, f, QuadratureSpec("radial"))
+    val, err = integrate_radial(el, f, QuadratureSpec("radial"))
     assert val == pytest.approx(exact, rel=1e-10)
     assert abs(val - exact) <= err
     # about an off-center point the second moment gains the parallel-axis
@@ -297,8 +310,8 @@ def test_radial_quadrature_off_balls_and_off_center():
         dom = geom.ball(len(c))
         vol = dom.volume
         exact = vol * len(c) / (len(c) + 2) + vol * float(np.dot(c, c))
-        val, err = geom.integrate_radial(dom, f, QuadratureSpec("radial"),
-                                         center=c)
+        val, err = integrate_radial(dom, f, QuadratureSpec("radial"),
+                                    center=c)
         assert val == pytest.approx(exact, rel=1e-10)
         assert abs(val - exact) <= err
 
@@ -379,10 +392,18 @@ def l_shape(c=0.05):
         (-1, 1, -1, 1), volume=4.0 - (1.0 - c) ** 2))
 
 
+def exp_disc():
+    # a disc that the exact cast's grammar does not take (exp), so the
+    # sampled cast serves it
+    return geom.implicit_domain(2, "exp(x*x + y*y) <= 2.7", (-1, 1, -1, 1),
+                                volume=math.pi * math.log(2.7))
+
+
 def test_ray_cast_is_row_separable():
     # a ray's crossings depend on the origin and its direction alone, not
-    # on the other rays of the call: the subset of nearly horizontal rays
-    # has a shorter longest span than the whole rule
+    # on the other rays of the call, in the exact and in the sampled cast:
+    # the subset of nearly horizontal rays has a shorter longest span than
+    # the whole rule
     def trimmed(t, sign):
         k = int(np.max(np.sum(sign != 0.0, axis=1)))
         assert not np.any(sign[:, k:]) and not np.any(t[:, k:])
@@ -390,7 +411,7 @@ def test_ray_cast_is_row_separable():
 
     doms = [l_shape(), geom.implicit_domain(
         2, "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)", (-1, 1, -1, 1),
-        volume=0.75 * math.pi)]
+        volume=0.75 * math.pi), exp_disc()]
     dirs, _ = geom._sphere_rule(2, 512)
     S = np.abs(dirs[:, 1]) < 0.1
     for dom in doms:
@@ -440,10 +461,11 @@ def l_shape_3d():
 
 
 def test_implicit_cast_is_the_same_alone_in_the_main_rows_and_past_a_chunk():
-    # the cast samples step-major blocks of at most _RAY_CHUNK points and
-    # chunks the rays above _RAY_CHUNK of them: a ray's crossings are the
-    # same bits cast alone, within the rule's main rows and within a cast
-    # of more than _RAY_CHUNK rays (where its copies sit at other indices)
+    # the sampled cast takes step-major blocks of at most _RAY_CHUNK points
+    # and chunks the rays above _RAY_CHUNK of them, the exact cast one
+    # column of pieces over all rays: a ray's crossings are the same bits
+    # cast alone, within the rule's main rows and within a cast of more
+    # than _RAY_CHUNK rays (where its copies sit at other indices)
     def rows(t, sign):
         k = np.sum(sign != 0.0, axis=1)
         assert not np.any(t[np.arange(t.shape[1]) >= k[:, None]])
@@ -451,7 +473,8 @@ def test_implicit_cast_is_the_same_alone_in_the_main_rows_and_past_a_chunk():
                 for i in range(len(t))]
 
     for dom, o in ((l_shape(), (-0.1, -0.1)), (l_shape(), (2.5, 0.4)),
-                   (l_shape_3d(), (-0.1, 0.2, -0.3))):
+                   (l_shape_3d(), (-0.1, 0.2, -0.3)),
+                   (exp_disc(), (0.1, -0.2))):
         dirs, W = geom._sphere_rule(dom.d, 8192)
         u = dirs[W[0] > 0.0]
         big = np.concatenate([u[::-1], u, u, u, u[::2]])
@@ -476,6 +499,8 @@ def _closed_form_crossings(lib, o, dirs):
         if lib.shape == "annulus":
             bo, ao, bi, ai = row
             segs = [(ao, bo)] if bi <= ai else [(ao, ai), (bi, bo)]
+        elif lib.shape == "two-balls":
+            segs = [(row[1], row[0]), (row[3], row[2])]
         else:
             segs = [(row[1], row[0])]
         out.append([x for a, b in segs if b > a
@@ -484,57 +509,156 @@ def _closed_form_crossings(lib, o, dirs):
 
 
 def test_implicit_twins_match_the_closed_forms():
-    # implicit twins of the library ellipse, annulus and 3-d ellipsoid,
-    # normalized alike, cross every ray of the main rows as often as the
-    # closed forms and within 1e-13 diameters of them. The end samples sit
-    # _RAY_EDGE of the span inside the bbox, so an exit that close to a
-    # face the shape touches is reported on the face; the ellipse's second
-    # origin has such rays
+    # implicit twins of the library ellipse, box, annulus, two balls and
+    # 3-d ellipsoid, normalized alike, cross every ray of the main rows as
+    # often as the closed forms and within 1e-13 diameters of them, on the
+    # faces of a shape that touches its bbox too (the ellipse's second
+    # origin has an exit 4.2e-11 diameters from a face, which the sampled
+    # cast put on the face; the box lies on its bbox)
     cases = [
         (geom.ellipsoid(2, (2.0, 1.0)), "x*x/4 + y*y <= 1", (-2, 2, -1, 1),
          [(0.3, -0.2), (-1.5, 0.5), (2.5, 1.5)]),
+        (geom.box(2, (1.8, 1.0)), "(abs(x) <= 0.9) & (abs(y) <= 0.5)",
+         (-0.9, 0.9, -0.5, 0.5), [(0.3, -0.2), (-0.9, 0.1), (2.5, 1.5)]),
         (geom.annulus(2, 0.5, 1.0), "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)",
          (-1, 1, -1, 1), [(0.1, -0.2), (0.0, 0.7), (2.5, 0.4)]),
+        (geom.two_balls(2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1))),
+         "((x + 0.5)**2 + y*y <= 0.36) | ((x - 0.5)**2 + (y - 0.1)**2 "
+         "<= 0.25)", (-1.1, 1.0, -0.6, 0.6),
+         [(0.0, 0.0), (-0.5, 0.3), (1.5, -0.8)]),
         (geom.ellipsoid(3, (1.5, 1.0, 0.7)), "x*x/2.25 + y*y + z*z/0.49 <= 1",
          (-1.5, 1.5, -1, 1, -0.7, 0.7),
          [(0.2, -0.1, 0.3), (-1.4, 0.0, 0.0), (0.0, 0.0, 1.5)]),
     ]
-    on_face = 0
     for lib, expr, bounds, origins in cases:
         d = lib.d
         twin = geom.normalize_volume(geom.implicit_domain(d, expr, bounds,
                                                           volume=lib.volume))
         lib = geom.normalize_volume(lib)
         assert twin.scale == lib.scale and twin.bbox == lib.bbox
+        assert geom._atoms(expr, d) is not None
         dirs, W = geom._sphere_rule(d, geom.default_quadrature(d).cells)
         u = dirs[W[0] > 0.0]
-        lo, hi = np.asarray(lib.bbox[0]), np.asarray(lib.bbox[1])
         diam = lib.diameter()
         for o in origins:
             o = lib.scale * np.asarray(o)
             want = _closed_form_crossings(lib, o, u)
             t, sign = twin.crossings(o, u)
-            t_in, t_out = geom._slab(o - 0.5 * (lo + hi), u, 0.5 * (hi - lo))
             for i, row in enumerate(want):
                 got = [(t[i, j], sign[i, j]) for j in range(t.shape[1])
                        if sign[i, j] != 0.0]
                 assert [g[1] for g in got] == [w[1] for w in row]
                 for (tg, _), (tw, _) in zip(got, row):
-                    if abs(tg - tw) > 1e-13 * diam:
-                        assert min(abs(tg - t_in[i]),
-                                   abs(tg - t_out[i])) <= 1e-13 * diam
-                        assert abs(tg - tw) <= geom._RAY_EDGE * diam
-                        on_face += 1
-    assert on_face > 0
+                    assert abs(tg - tw) <= 1e-13 * diam, (expr, o, i)
+
+
+def test_exact_cast_finds_features_thinner_than_a_sample_step():
+    # the sampled cast steps diameter / 256 along a ray, so it missed a
+    # slit of width 0.002 (volume 3.99907 against 3.9968, bar 1.0e-4) and
+    # the notch corner of the L-shape where two rays clip it
+    dom = geom.implicit_domain(
+        2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((abs(y - 0.3) < 0.001) & "
+           "(abs(x) < 0.8))", (-1, 1, -1, 1))
+    assert abs(dom.volume - 3.9968) <= dom.volume_error < 1e-5
+    # from (0.3, -0.5) a ray that leaves the normalized L through the
+    # notch's lower edge y = c s before its left edge x = c s re-enters
+    # at once: chords of 1.5e-3 and 2.7e-4 outside, then up to the top
+    c, L = 0.05, l_shape()
+    s, o = L.scale, np.array([0.3, -0.5])
+    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    u = dirs[W[0] > 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta, tb = (c * s - o[1]) / u[:, 1], (c * s - o[0]) / u[:, 0]
+    clip = np.flatnonzero((u[:, 0] < 0.0) & (u[:, 1] > 0.0)
+                          & (tb > ta) & (tb - ta < 2e-3))
+    assert np.allclose(tb[clip] - ta[clip], [1.509e-3, 2.745e-4], rtol=1e-3)
+    assert np.allclose(u[clip], [-0.412, 0.911], atol=2e-3)
+    t, sign = L.crossings(o, u[clip])
+    for i, j in enumerate(clip):
+        want = [0.0, ta[j], tb[j], (s - o[1]) / u[j, 1]]
+        assert np.array_equal(sign[i], [-1.0, 1.0, -1.0, 1.0])
+        assert np.all(np.abs(t[i] - want) <= 1e-13 * L.diameter())
+
+
+def _random_csg(rng, depth):
+    # a random &, |, ~ combination of discs, half-planes and boxes, written
+    # with every function of the exact cast's grammar
+    if depth == 0 or rng.random() < 0.3:
+        cx, cy = (round(v, 3) for v in rng.uniform(-0.8, 0.8, 2))
+        r, hx, hy = (round(v, 3) for v in rng.uniform(0.1, 0.9, 3))
+        a, b = (round(v, 3) for v in rng.normal(size=2))
+        return [f"((x - {cx})**2 + (y - {cy})**2 <= {r * r})",
+                f"(hypot(x - {cx}, y - {cy}) < {r})",
+                f"(sqrt((x - {cx}) * (x - {cx}) + y*y) >= {r})",
+                f"({a} * x + {b} * y <= {cx})",
+                f"(minimum(x - {cx}, {b} - y / 2) < 0)",
+                f"((abs(x - {cx}) <= {hx}) & (abs(y - {cy}) < {hy}))",
+                f"(maximum(abs(x - {cx}) / {hx}, abs(y) / {hy}) <= 1)",
+                ][rng.integers(7)]
+    op = rng.integers(3)
+    if op == 2:
+        return f"~{_random_csg(rng, depth - 1)}"
+    return (f"({_random_csg(rng, depth - 1)} {'&|'[op]} "
+            f"{_random_csg(rng, depth - 1)})")
+
+
+def test_exact_cast_matches_dense_sampling_of_random_shapes():
+    # every ray's segments, from the exact cast, against membership sampled
+    # at 4001 points along the ray's span in the bbox (beyond it counts as
+    # outside): they agree at every sample farther than 1e-12 from a
+    # reported crossing, so no segment longer than a sample step is missed
+    # or made up
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        expr = _random_csg(rng, 3)
+        assert geom._atoms(expr, 2) is not None, expr
+        dom = geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume=1.0)
+        u = rng.normal(size=(48, 2))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        for o in (rng.uniform(-1.0, 1.0, 2), np.array([1.7, -1.2])):
+            t, sign = dom.crossings(o, u)
+            t_in, t_out = geom._slab(o, u, np.ones(2))
+            for i in range(len(u)):
+                tc, sc = t[i][sign[i] != 0.0], sign[i][sign[i] != 0.0]
+                assert np.all(np.diff(tc) > 0.0) and np.all(sc[::2] == -1.0)
+                assert np.all(sc[1::2] == 1.0) and len(sc) % 2 == 0
+                if t_out[i] == t_in[i]:     # the ray misses the bbox
+                    assert not len(sc)
+                    continue
+                ts = np.linspace(t_in[i], t_out[i], 4001)
+                got = dom.contains(o + ts[:, None] * u[i])
+                want = (-sc * (tc <= ts[:, None])).sum(axis=1) == 1
+                gap = np.abs(ts[:, None] - tc).min(axis=1, initial=1.0)
+                far = gap > 1e-12
+                assert np.array_equal(got[far], want[far]), (expr, o, i)
+
+
+def test_exact_cast_merges_the_roots_at_a_vertex():
+    # a ray aimed at the vertex of two half-planes crosses both lines
+    # there, at roots that rounding sets a few ulps apart: they are one
+    # breakpoint, so no segment of zero length appears (unmerged, 30 of
+    # these 300 rays had one)
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        (a1, b1), (a2, b2) = rng.normal(size=(2, 2)).tolist()
+        v = rng.uniform(-0.5, 0.5, 2)
+        expr = (f"({a1!r} * x + {b1!r} * y <= {a1 * v[0] + b1 * v[1]}) "
+                f"{'&|'[rng.integers(2)]} "
+                f"({a2!r} * x + {b2!r} * y <= {a2 * v[0] + b2 * v[1]})")
+        dom = geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume=1.0)
+        o = rng.uniform(-1.0, 1.0, 2)
+        t, sign = dom.crossings(o, [(v - o) / np.linalg.norm(v - o)])
+        tc = t[0][sign[0] != 0.0]
+        assert np.all(tc[1::2] - tc[::2] > 1e-9), expr
 
 
 def test_implicit_cast_evaluates_each_sample_once(monkeypatch):
-    # one 8192-ray L-shape cast evaluates the expression once per sampling
+    # one 8192-ray sampled cast evaluates the expression once per sampling
     # block of at most _RAY_CHUNK points, m (steps + 1) points in all, and
     # once per bisection round, always on 1-d contiguous coordinates (a
     # call per ray would make thousands of calls); past _RAY_CHUNK rays
     # the blocks still hold at most _RAY_CHUNK points
-    dom = l_shape()
+    dom = exp_disc()
     dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
     u, o = dirs[W[0] > 0.0], np.array([-0.1, -0.1])
     lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
@@ -562,6 +686,34 @@ def test_implicit_cast_evaluates_each_sample_once(monkeypatch):
         assert len(set(bisections)) == 1
         assert 0 < bisections[0] <= np.count_nonzero(t)
     assert m > geom._RAY_CHUNK >= len(u)
+
+
+def test_exact_cast_expression_call_budget(monkeypatch):
+    # one 8192-ray L-shape cast calls the expression once per column of
+    # pieces, on every ray and 1-d contiguous coordinates. Its atoms have
+    # 6 roots along a ray (four faces and the notch's two edges), so a ray
+    # has at most 7 pieces: at most 8 calls, where the sampled cast makes
+    # one per block of samples and 45 bisection rounds (about 80)
+    dom = l_shape()
+    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    u = dirs[W[0] > 0.0]
+    (c1, _), (c2, _, _) = geom._atoms(dom.params["expr"], 2)
+    pieces = 1 + len(c1) + 2 * len(c2)
+    assert pieces == 7
+    evaluate, sizes = geom._eval_implicit, []
+
+    def counting(expr, cols):
+        assert all(c.ndim == 1 and c.flags.c_contiguous for c in cols)
+        sizes.append(cols[0].size)
+        return evaluate(expr, cols)
+
+    monkeypatch.setattr(geom, "_eval_implicit", counting)
+    for o in ((-0.1, -0.1), (0.3, -0.5), (2.5, 0.4)):
+        sizes.clear()
+        t, sign = dom.crossings(np.array(o), u)
+        assert np.any(sign)
+        assert 1 <= len(sizes) <= pieces + 1
+        assert set(sizes) == {len(u)}
 
 
 def _two_ball_pairs(rng, d):
@@ -643,30 +795,49 @@ def test_two_balls_crossings_are_disjoint_segments():
 
 
 def test_implicit_crossings_are_pinned():
-    # sha256 of the crossings' float.hex (t, then sign) of the L-shape and
-    # an annulus from one origin inside the bbox and one outside, recorded
-    # before the cast built its samples one coordinate block at a time;
-    # ("l", 0) re-recorded when the end samples moved inside the bbox: 10
-    # of its 1024 rays now exit exactly at the face, one ulp further out
+    # sha256 of the crossings' float.hex (t, then sign) from one origin
+    # inside the bbox and one outside. The L-shape and the annulus take the
+    # exact cast (recorded when it replaced the sampled one for them); the
+    # expressions with sin, a cube and a division by a coordinate lie
+    # outside its grammar and keep the sampled cast's bits, recorded
+    # before the exact cast existed
     pinned = {
-        ("l", 0): "0be8f00f6e3895b8a4b3aa6ddc24611b"
-                  "a9d88287d9f081dc1819bddbdd29d913",
-        ("l", 1): "51278a95f74ac5a6f76331267e1b98cc"
-                  "5bbc478559cf7097f4110cd57332286f",
-        ("annulus", 0): "dc35da6371ea63f06080467b91a100df"
-                        "b0a59f9523a86840511bb9baadce9034",
-        ("annulus", 1): "f7c03ebf4c6b73fdeb43b0667988dd96"
-                        "80ca8714e98fc9dbc2eb32032298eee5",
+        ("l", 0): "0c53871ea69c54b1e30a1433a48539b0"
+                  "2aa6c9f7fc1f9149f5ba0288667f5aab",
+        ("l", 1): "8a48209d8cc278d8b3302bad783a17cc"
+                  "6d62211f45e944d182ede81096e1ea7b",
+        ("annulus", 0): "e330e2b4a53304b1df208a439e2c1e09"
+                        "35326534be82095008c87008c891b112",
+        ("annulus", 1): "5386b2b3c63557a805a092085c5fa881"
+                        "ec9e4a02bab4877d20d50817b242e7b0",
+        ("sin", 0): "21bfd3d83964aae2967143bdaf80b2bc"
+                    "1dd68b33a3a26abf0ff2f4789e43ecbd",
+        ("sin", 1): "7d7023e1c9fa6fa3d6cbd46f539fdd2a"
+                    "8ea03c7b2d274f2cfd864d78d4f91ce9",
+        ("cube", 0): "fb463dcf4818c48d2b2ce81f7840a72b"
+                     "c478a47fd02fef671f17e73823f369d5",
+        ("cube", 1): "88d300132a68c71a276426dcf7de2405"
+                     "3ebc03b5b5fa9136401c35990523c61f",
+        ("over-x", 0): "5469317b1cfc20eaace67cd089554930"
+                       "ef5339e335e639fde2de80872e68c7e0",
+        ("over-x", 1): "2fb653ae88b1794ac1bee4649aa5d96c"
+                       "ceaeb9f1f25ff4ed39fcc41aac9dc9fc",
     }
+    sampled = {"sin": "(sin(3*x) + y*y <= 0.5) & (x*x <= 0.8)",
+               "cube": "x*x*x + y*y <= 0.4",
+               "over-x": "y*y/(x + 2) + x*x <= 0.5"}
     doms = {"l": l_shape(), "annulus": geom.implicit_domain(
         2, "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)", (-1, 1, -1, 1),
         volume=0.75 * math.pi)}
+    for name, expr in sampled.items():
+        assert geom._atoms(expr, 2) is None
+        doms[name] = geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume=1.0)
     dirs, _ = geom._sphere_rule(2, 512)
     for (name, k), digest in pinned.items():
         t, sign = doms[name].crossings(((0.1, -0.2), (2.5, 0.4))[k], dirs)
         text = " ".join(float(v).hex() for v in np.concatenate(
             [t.ravel(), sign.ravel()]))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, k)
 
 
 def test_centering_stays_on_the_mirror_of_a_thin_l_shape():
@@ -760,12 +931,14 @@ def test_centered_quotient_casts_each_ray_once(monkeypatch):
 
 def test_implicit_volume_is_pinned():
     # the radial reduction of f = 1 about the bbox center, as float.hex of
-    # (volume, volume_error) for an implicit disk and 3-d ball
+    # (volume, volume_error) for an implicit disk and 3-d ball; the ball's
+    # error re-recorded for the exact cast (0x1.30152382d736bp-44 from the
+    # sampled one, both near the rules' rounding floor)
     for d, expr, pinned in (
             (2, "x**2 + y**2 <= 1",
              ("0x1.921fb54442d60p+1", "0x1.921fb54442d60p-45")),
             (3, "x**2 + y**2 + z**2 <= 1",
-             ("0x1.0c152382d736bp+2", "0x1.30152382d736bp-44"))):
+             ("0x1.0c152382d736bp+2", "0x1.2d152382d736bp-44"))):
         dom = geom.implicit_domain(d, expr, (-1, 1) * d)
         assert (dom.volume.hex(), dom.volume_error.hex()) == pinned
 
@@ -986,15 +1159,12 @@ def test_quotient_argument_validation():
 
 
 def test_centers_must_be_d_finite_numbers():
-    # a NaN center used to end in a ZeroDivisionError in the quotient and
-    # to give (0.0, 0.0) from integrate_radial
+    # a NaN center used to end in a ZeroDivisionError in the quotient
     dom = geom.ellipsoid(2, (2.0, 0.5))
     for center in ((math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="center must be d finite"):
-            geom.quotient_bound(dom, 1.0, center=center)
         for quad in (QuadratureSpec("radial"), QuadratureSpec("grid")):
             with pytest.raises(ValueError, match="center must be d finite"):
-                geom.integrate_radial(dom, np.ones_like, quad, center=center)
+                geom.quotient_bound(dom, 1.0, quad=quad, center=center)
 
 
 def test_mc_quotient_needs_no_radial_rule():

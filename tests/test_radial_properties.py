@@ -12,12 +12,14 @@ from freeplate import ball as ballmod
 from freeplate import geom, trial
 from freeplate.geom import QuadratureSpec
 
+from test_geom import integrate_radial
+
 SETTINGS = settings(max_examples=100, deadline=None)
 
 
 def second_moment(dom, center):
-    return geom.integrate_radial(dom, lambda r: r**2,
-                                 geom.default_quadrature(dom.d), center)
+    return integrate_radial(dom, lambda r: r**2,
+                            geom.default_quadrature(dom.d), center)
 
 
 @st.composite
@@ -81,8 +83,8 @@ def test_box_second_moments_lie_within_the_reported_bar(case):
 def test_radial_volumes_of_holes_and_unions(dom, center):
     # segments add with their signs, so origins in a hole, between two
     # balls or outside a union all give the closed-form volume
-    val, err = geom.integrate_radial(dom, np.ones_like,
-                                     geom.default_quadrature(dom.d), center)
+    val, err = integrate_radial(dom, np.ones_like,
+                                geom.default_quadrature(dom.d), center)
     assert abs(val - dom.volume) <= err
 
 

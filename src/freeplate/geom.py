@@ -363,7 +363,7 @@ def _atoms(expr, d):
     polys = []
     try:
         _comparisons(ast.parse(expr, mode="eval").body, names, polys)
-    except (SyntaxError, OverflowError, _Outside):
+    except (SyntaxError, _Outside):
         return None
     kept = {p.tobytes(): p for p in polys if _degree(p, d)}.values()
     lin = np.array([p[:1 + d] for p in kept if _degree(p, d) == 1]).reshape(

@@ -2,7 +2,7 @@
 function, and quadrature driving the quotient bound: normalize a domain to
 unit-ball volume, locate the vanishing point of the centering field X(v),
 integrate the numerator and denominator with the radial reduction (or the
-tensor-grid and Monte Carlo fallbacks), and compare against the ball.
+tensor-grid and Monte Carlo fallbacks).
 
 The radial reduction: every integrand is a function of |x - c|, so
 int_Omega f(|x - c|) dx = int_{S^{d-1}} sum_j sign_j G(t_j) dtheta, where
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from . import trial, verify
+from . import trial
 from .ball import fundamental_tone
 from .specfun import _gauss_gegenbauer
 
@@ -649,8 +649,19 @@ def implicit_domain(d, expr, bounds, volume=None):
     dom = Domain(d, "implicit", {"expr": expr}, _tup(np.zeros(d)), 1.0,
                  1.0, 0.0, (_tup(b[0::2]), _tup(b[1::2])))
     mid = 0.5 * (b[0::2] + b[1::2])
-    # evaluate once up front so a bad expression fails here, not mid-quadrature
-    _eval_implicit(expr, list(mid[:, None]))
+    # evaluate once up front so a bad expression fails here, not
+    # mid-quadrature, on two copies of the bbox center: numpy refuses the
+    # truth value of two points, which and, or, not and a chained
+    # comparison take, where one point would pass
+    try:
+        _eval_implicit(expr, list(np.repeat(mid[:, None], 2, axis=1)))
+    except ValueError as exc:
+        if "truth value" not in str(exc):
+            raise
+        raise ValueError("implicit expr takes the truth value of an array: "
+                         "combine comparisons with &, |, ~ (not and, or, "
+                         "not) and write a < x < b as (a < x) & (x < b)"
+                         ) from None
     if volume is not None:
         if volume <= 0.0:
             raise ValueError("volume must be positive")
@@ -1054,57 +1065,9 @@ def center_trial(domain, profile, quad=None, tol=None):
     return rays
 
 
-def _trial_center(domain, profile, quad, tol=None):
-    # the trial center's record: center_trial's, or an uncast one at the
-    # offset of a symmetric shape (centered there by construction)
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if domain.shape in _SYMMETRIC:
-        return _Rays(domain, quad.cells, np.asarray(domain.offset, float))
-    return center_trial(domain, profile, quad, tol=tol)
-
-
 def _panels(profile):
     # radial panels per unit radius: the profile varies on the scale 1/b
     return _PANELS + math.ceil(2.0 * profile.mode.b)
-
-
-def _num_den(domain, profile, quad, center=None, tol=None):
-    """Quotient numerator and denominator of the profile on the domain,
-    which the caller has normalized to unit-ball volume, about center (by
-    default the trial center, _trial_center with tol).
-
-    Returns (num, den, num error, den error, relative error of num/den).
-    radial: the rows of the center's record; every bar is the companion
-    rules' estimate (_estimate), the ratio's from the companions' ratios;
-    grid: the ratio's relative bar is the sum of the relative bars; mc:
-    both integrands share one sample stream and the delta method keeps
-    their covariance. Grid and mc evaluate the profile through the table,
-    radial through its G.
-    """
-    def integrands(u):
-        # one profile pass for the numerator's and the denominator's table
-        pc = trial._eval_pieces(profile, u)
-        return trial._numerator(profile.mode, pc), pc["rho"] ** 2
-
-    rays = _trial_center(domain, profile, quad, tol) if center is None \
-        else _Rays(domain, quad.cells, center)
-    if quad.kind == "radial":
-        num, den = rays.integrals(integrands, _panels(profile))
-        (n0, en), (d0, ed), (Q, eq) = map(_estimate, (num, den, num / den))
-        return float(n0), float(d0), float(en), float(ed), float(eq / abs(Q))
-    # every node lies in the bbox, within its farthest corner's distance
-    table = _radial_table(integrands, domain._far(rays.center),
-                          _panels(profile))
-    (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)
-    if den == 0.0:
-        raise ValueError("no quadrature nodes fall inside the domain")
-    if cov is None:
-        rel = en / abs(num) + ed / abs(den)
-    else:
-        rel = math.sqrt(max(0.0, cov[0, 0] / num**2 + cov[1, 1] / den**2
-                            - 2.0 * cov[0, 1] / (num * den)))
-    return float(num), float(den), float(en), float(ed), float(rel)
 
 
 def quotient_bound(domain, tau, d=None, quad=None, center=None):
@@ -1148,37 +1111,49 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
 
 
 def _quotient(domain, mode, quad, center=None, tol=None):
-    # quotient_bound on a volume-normalized domain with its unit-ball mode
-    # solved already; tol overrides the centering tolerance
+    """quotient_bound on a volume-normalized domain with its unit-ball mode
+    solved already: (Q, error bar) about center, by default the trial
+    center (a symmetric shape's offset, else center_trial with tol).
+
+    radial: Q and its bar from the ratio's rows of the center's record
+    (_estimate); grid: the ratio's relative bar is the sum of the
+    relative bars; mc: both integrands share one sample stream and the
+    delta method keeps their covariance. Grid and mc evaluate the profile
+    through the table, radial through its G.
+    """
+    if tol is not None and not tol > 0.0:
+        raise ValueError("tol must be positive")
     if quad is None:
         quad = default_quadrature(domain.d)
-    num, den, _, _, rel = _num_den(domain, trial.TrialProfile(mode), quad,
-                                   center, tol)
-    Q = num / den
-    return Q, abs(Q) * rel
+    profile = trial.TrialProfile(mode)
 
+    def integrands(u):
+        # one profile pass for the numerator's and the denominator's table
+        pc = trial._eval_pieces(profile, u)
+        return trial._numerator(mode, pc), pc["rho"] ** 2
 
-def monotone_domain_comparison(domain, profile, quad=None):
-    """Compare the quotient integrals against the unit ball's.
-
-    Checks that the numerator integral does not exceed the ball's and the
-    denominator integral is at least the ball's, each padded by the
-    combined error bars; worst_point records the four integrals
-    (numerator on the domain, on the ball, denominator likewise).
-    """
-    d = domain.d
-    if abs(domain.volume - unit_ball_volume(d)) > 1e-8 * unit_ball_volume(d):
-        raise ValueError("domain must be normalized to unit-ball volume")
-    if quad is None:
-        quad = default_quadrature(d)
-    num, den, en, ed, _ = _num_den(domain, profile, quad)
-    bn, bd, ebn, ebd, _ = _num_den(ball(d), profile, QuadratureSpec("radial"),
-                                   np.zeros(d))
-    point = (num, bn, den, bd)
-    return verify._reduce(
-        f"domain-comparison[{domain.shape};d={d};tau={profile.mode.tau:g}]",
-        [((bn - num) + (en + ebn), point), ((den - bd) + (ed + ebd), point)],
-        f"{quad.kind} quadrature; margins padded by combined error bars")
+    if center is None and domain.shape not in _SYMMETRIC:
+        rays = center_trial(domain, profile, quad, tol=tol)
+    else:
+        rays = _Rays(domain, quad.cells, np.asarray(
+            domain.offset if center is None else center, dtype=float))
+    if quad.kind == "radial":
+        num, den = rays.integrals(integrands, _panels(profile))
+        Q, eq = (float(x) for x in _estimate(num / den))
+        return Q, abs(Q) * (eq / abs(Q))
+    # every node lies in the bbox, within its farthest corner's distance
+    table = _radial_table(integrands, domain._far(rays.center),
+                          _panels(profile))
+    (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)
+    if den == 0.0:
+        raise ValueError("no quadrature nodes fall inside the domain")
+    if cov is None:
+        rel = en / abs(num) + ed / abs(den)
+    else:
+        rel = math.sqrt(max(0.0, cov[0, 0] / num**2 + cov[1, 1] / den**2
+                            - 2.0 * cov[0, 1] / (num * den)))
+    Q = float(num) / float(den)
+    return Q, abs(Q) * float(rel)
 
 
 def parse_domain_config(text):

@@ -350,6 +350,16 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(ring),
                        "--tau", "1", "--quad", "grid", "--samples", "2")
     assert code == 2 and "no quadrature nodes" in err
+    # a chained comparison fails at construction, given a volume or not
+    band = tmp_path / "band.cfg"
+    for extra in ("volume=2\n", ""):
+        band.write_text("shape=implicit\ndim=2\n"
+                        "expr=(-1 < x < 1) & (y*y < 0.5)\n"
+                        f"bounds=-1,1,-1,1\n{extra}", encoding="utf-8")
+        code, out, err = run(capsys, "quotient", "--domain", str(band),
+                             "--tau", "1")
+        assert code == 2 and out == ""
+        assert "write a < x < b as (a < x) & (x < b)" in err
 
 
 # sha256 of the quotient output for each (config, tau, extra flags): the

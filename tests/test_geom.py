@@ -162,6 +162,15 @@ def test_implicit_domain_basics():
         geom.implicit_domain(2, "x + y", (-1, 1, -1, 1), volume=1.0)
     with pytest.raises(ValueError):
         geom.implicit_domain(2, "__import__('os')", (-1, 1, -1, 1))
+    # and, or, not and a chained comparison take the truth value of an
+    # array; they fail at construction, given a volume or not
+    for expr in ("(-1 < x < 1) & (y*y < 0.5)",
+                 "(x*x < 0.5) and (y*y < 0.5)", "(x*x < 0.5) or (y > 0)",
+                 "not (x*x + y*y > 1)"):
+        for volume in (2.0, None):
+            with pytest.raises(ValueError, match=r"&, \|, ~.*\(a < x\) & "
+                                                 r"\(x < b\)"):
+                geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume)
 
 
 def test_domains_need_finite_numbers():
@@ -368,12 +377,12 @@ def test_every_quadrature_kind_centers_at_the_same_point():
                 2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0) & (y > 0))",
                 (-1, 1, -1, 1), volume=3.0)]
     for dom in doms:
-        v = geom._trial_center(dom, prof,
-                               geom.default_quadrature(2)).center
+        v = geom.center_trial(dom, prof).center
         for quad in (QuadratureSpec("grid", cells=256),
                      QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
-            rays = geom._trial_center(dom, prof, quad)
-            assert np.array_equal(rays.center, v)
+            got = geom._quotient(dom, prof.mode, quad)
+            at_v = geom._quotient(dom, prof.mode, quad, center=v)
+            assert np.array(got).tobytes() == np.array(at_v).tobytes()
 
 
 def test_box_chord_along_a_face_from_a_point_on_it():
@@ -876,27 +885,18 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
         assert np.array(got).tobytes() == np.array(fresh).tobytes()
 
 
-def test_domain_comparison_reports_are_unchanged():
-    # (worst margin, worst point) of each report as float.hex, recorded
-    # with the kernels' backward recurrence, the tone's final secant and the
-    # trial profile's one Bessel path from r = 0
+def test_trial_center_quotients_are_pinned():
+    # (Q, error bar) of _quotient at the trial center, tau = 1, as
+    # float.hex; no CLI pin covers the 3-d two-balls
     pinned = {
-        "l": ("0x1.f4bfbb1f07fa1p-6",
-              ("0x1.0448142bd4b7ap+2", "0x1.063cae4a655e1p+2",
-               "0x1.43ee0c7f3c29ep+0", "0x1.095a9c1bf6f1ep+0")),
-        "tb2": ("0x1.6ec54cb7c8f14p-5",
-                ("0x1.035f9e2e6fab5p+2", "0x1.063cae4a655e1p+2",
-                 "0x1.6142775f5fddcp+0", "0x1.095a9c1bf6f1ep+0")),
-        "tb3": ("0x1.9c414a0b589e5p-9",
-                ("0x1.65c092f085180p+1", "0x1.66245af798e12p+1",
-                 "0x1.2d65be86b253fp-1", "0x1.20f794cc3d332p-1")),
+        "l": ("0x1.9b65ee2a00c4cp+1", "0x1.39c96eb1b65eep-17"),
+        "tb2": ("0x1.77ece0d0ad955p+1", "0x1.066e46ef9f670p-16"),
+        "tb3": ("0x1.2fddd09b6483dp+2", "0x1.92088dc74ddd1p-16"),
     }
     for name, dom in (("l", l_shape()), ("tb2", two_balls_2d()),
                       ("tb3", two_balls_3d())):
-        rep = geom.monotone_domain_comparison(dom, profile(dom.d))
-        assert rep.passed
-        assert (rep.worst_margin.hex(),
-                tuple(x.hex() for x in rep.worst_point)) == pinned[name]
+        Q, err = geom._quotient(dom, profile(dom.d).mode, None)
+        assert (Q.hex(), err.hex()) == pinned[name]
 
 
 def test_centered_quotient_casts_each_ray_once(monkeypatch):
@@ -1175,41 +1175,6 @@ def test_mc_quotient_needs_no_radial_rule():
     Q, err = geom.quotient_bound(geom.box(21, [1.0] * 21), 1.0,
                                  quad=QuadratureSpec("mc", samples=2000))
     assert math.isfinite(Q) and 0.0 < err < Q
-
-
-def test_domain_comparison_reports():
-    prof = profile()
-    rep = geom.monotone_domain_comparison(geom.ball(2), prof,
-                                          QuadratureSpec("radial"))
-    assert rep.passed and rep.lemma_id == "domain-comparison[ball;d=2;tau=1]"
-    num, bn, den, bd = rep.worst_point
-    assert num == pytest.approx(bn, rel=1e-10)
-    assert den == pytest.approx(bd, rel=1e-10)
-    ann = geom.annulus(2, 0.6, math.sqrt(1.36))
-    rep = geom.monotone_domain_comparison(ann, prof)
-    assert rep.passed and rep.worst_margin > 0.05
-    el = geom.normalize_volume(geom.ellipsoid(2, (1.5, 2.0 / 3.0)))
-    rep = geom.monotone_domain_comparison(el, prof)
-    assert rep.passed and rep.worst_margin > 0.0
-    with pytest.raises(ValueError, match="normalized"):
-        geom.monotone_domain_comparison(geom.ball(2, 2.0), prof)
-
-
-def test_domain_comparison_integrals_give_the_quotient():
-    # on a unit-volume domain the comparison integrates the same
-    # numerator and denominator as quotient_bound, on the same nodes
-    tau = 1.5
-    prof = profile(tau=tau)
-    doms = [geom.normalize_volume(geom.ellipsoid(2, (1.5, 2.0 / 3.0))),
-            geom.normalize_volume(geom.two_balls(
-                2, (0.6, 0.5), ((-0.5, 0.0), (0.5, 0.1))))]
-    for quad in (QuadratureSpec("grid", cells=256),
-                 QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
-        for dom in doms:
-            Q, _ = geom.quotient_bound(dom, tau, quad=quad)
-            num, _, den, _ = geom.monotone_domain_comparison(
-                dom, prof, quad).worst_point
-            assert Q == pytest.approx(num / den, rel=1e-14)
 
 
 def test_config_round_trips():

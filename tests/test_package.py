@@ -69,3 +69,17 @@ def test_tone_path_loads_no_geom_verify_or_polynomial():
         "from freeplate.cli import main\n"
         f"print([m for m in {heavy!r} if m not in sys.modules])\n")
     assert out[-2:] == ["[]", "[]"]
+
+
+def test_quotient_loads_no_verify_or_report():
+    # the quotient needs geom, trial, ball and specfun; verify and the
+    # report rows are the lemma suite's alone
+    out = run_fresh(
+        "import sys\n"
+        "import freeplate\n"
+        "from freeplate import geom\n"
+        "dom = geom.normalize_volume(geom.ellipsoid(2, (2.0, 0.5)))\n"
+        "freeplate.quotient_bound(dom, 1.0)\n"
+        "print(sorted(m for m in ('freeplate.verify', 'freeplate.report')\n"
+        "             if m in sys.modules))\n")
+    assert out[-1] == "[]"

@@ -51,10 +51,10 @@ _BISECTIONS = 45        # a step halved 45 times is below eps * diameter
 # then disagree). They are taken this fraction of the span inside instead
 _RAY_EDGE = 2.0**-30
 _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
-# radii per chunk of the radial series: each term's gather is a tables x
-# chunk array (96 KiB at the centering's three tables), where one pass
-# over a whole cast would hold its gathers and the recurrence's
-# temporaries at the cast's length and raise the peak memory
+# radii per chunk of a radial table's Horner pass: its gathers, x and sum
+# are tables x chunk arrays (96 KiB each at the centering's three tables),
+# where one pass over a whole cast would hold them at the cast's length
+# and raise the peak memory
 _SERIES_CHUNK = 2**12
 _PANELS = 64            # radial panels per unit of the table's variable
 _CENTER_CASTS = 64      # centering casts before giving up (Newton takes ~3)
@@ -863,91 +863,87 @@ def _estimate(rows):
 _NODES, _NODE_WEIGHTS = legendre.leggauss(_GAUSS_NODES)
 _TO_SERIES = np.linalg.inv(legendre.legvander(_NODES, _GAUSS_NODES - 1))
 _TO_INTEGRAL = legendre.legint(_TO_SERIES, lbnd=-1.0)
+# Legendre to power basis, entry (m, n) the coefficient of x^m in P_n:
+# (-1)^k C(n, k) C(n + m, n) / 2^n at m = n - 2k, exact in floats
+_TO_POWER = np.array([[
+    (-1) ** ((n - m) // 2) * math.comb(n, (n - m) // 2) * math.comb(n + m, n)
+    / 2**n if m <= n and (n - m) % 2 == 0 else 0.0
+    for n in range(_GAUSS_NODES + 1)] for m in range(_GAUSS_NODES + 1)])
 
 
-def _radial_table(g, umax, panels):
-    """The _RadialTable of the radial profiles on [0, umax], from one call
-    g(u) at the Gauss-Legendre nodes of panels of width 1 / panels that
-    returns the profiles' values as a sequence."""
+def _panel_nodes(umax, panels):
+    # the Gauss-Legendre nodes of the panels of width 1 / panels on
+    # [0, max(umax, 1)], one panel a row
     top = math.ceil(max(umax, 1.0) * panels)
-    u = (np.arange(top)[:, None] + 0.5 * (_NODES + 1.0)) / panels
-    return _RadialTable(u, [gu.reshape(u.shape) for gu in g(u.ravel())],
-                        panels)
+    return (np.arange(top)[:, None] + 0.5 * (_NODES + 1.0)) / panels
 
 
 class _RadialTable:
     """Radial profiles g_i(u) from their values gus[i] at the panel nodes u
-    of _radial_table.
+    (_panel_nodes).
 
     u = 1, where the trial profile's third derivative jumps, is a panel
     edge. Inside each panel g_i is the polynomial through the panel's
-    values: calling the table evaluates every g_i (grid and mc nodes), and
-    G(d) gives R -> [int_0^R g_i(u) u^(d-1) du], each panel's integral
-    exact for polynomials of degree 2 * _GAUSS_NODES - 1 (radial rule).
-    Both take the panel index and the Legendre basis at R once for all
-    profiles.
+    values, converted once from its Legendre series to the power basis in
+    x in [-1, 1]: calling the table evaluates every g_i (grid and mc
+    nodes), and G(d) gives R -> [int_0^R g_i(u) u^(d-1) du], each panel's
+    integral exact for polynomials of degree 2 * _GAUSS_NODES - 1 (radial
+    rule), with the integral up to the panel's left edge folded into the
+    constant coefficient and exactly 0 at R = 0. Both run Horner's rule for
+    all profiles at once (_horner), _SERIES_CHUNK radii at a time so that
+    the memory it takes stays bounded.
     """
 
     def __init__(self, u, gus, panels):
-        self.u, self.gus, self.panels = u, gus, panels
+        self.u, self.panels = u, panels
+        self.gus = [np.reshape(gu, u.shape) for gu in gus]
         self.top = u.shape[0]
 
-    def _series(self, R, coefs):
-        # panel index of each R and the Legendre series of every table
-        # there; coefs is (tables, terms, panels). Per chunk of R one
-        # three-term recurrence serves all tables, each series summed term
-        # by term, and each term's coefficients are gathered for every
-        # table when the recurrence reaches it: a gather of all terms at
-        # once would hold tables x terms copies of the chunk
+    def _horner(self, coefs, R, at=None):
+        # values (tables,) + R.shape of the power series coefs, (terms,
+        # tables, top), at R (only at the flat indices at, the rest 0), by
+        # Horner's rule a chunk of radii at a time: each term one gather of
+        # every table's coefficient, one multiply and one add
         R = np.asarray(R, dtype=float)
         if R.size and R.max() > self.top / self.panels:
             raise ValueError("radius beyond the radial table")
+        tables = coefs.shape[1]
         flat = R.ravel()
-        j = np.minimum((flat * self.panels).astype(int), self.top - 1)
-        outs = np.empty((len(coefs),) + R.shape)
-        rows = outs.reshape(len(coefs), flat.size)
-        for i in range(0, flat.size, _SERIES_CHUNK):
-            ji = j[i:i + _SERIES_CHUNK]
-            x = 2.0 * (flat[i:i + _SERIES_CHUNK] * self.panels - ji) - 1.0
-            out = rows[:, i:i + _SERIES_CHUNK]
-            np.add(coefs[:, 0].take(ji, axis=1),
-                   coefs[:, 1].take(ji, axis=1) * x, out=out)
-            p0, p1 = np.ones_like(x), x
-            for k in range(1, coefs.shape[1] - 1):
-                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-                out += coefs[:, k + 1].take(ji, axis=1) * p1
-        return j.reshape(R.shape), list(outs)
+        out = np.zeros((tables, flat.size))
+        for i in range(0, flat.size if at is None else at.size, _SERIES_CHUNK):
+            part = slice(i, i + _SERIES_CHUNK) if at is None \
+                else at[i:i + _SERIES_CHUNK]
+            x = flat[part] * self.panels
+            j = np.minimum(x.astype(int), self.top - 1)
+            x -= j
+            x = np.tile(2.0 * x - 1.0, (tables, 1))
+            acc = coefs[-1].take(j, axis=1)
+            for c in coefs[-2::-1]:
+                acc *= x
+                acc += c.take(j, axis=1)
+            for row, vals in zip(out, acc):  # faster than out[:, part]
+                row[part] = vals
+        return list(out.reshape((tables,) + R.shape))
 
     def __call__(self, u):
-        return self._series(u, np.stack([(gu @ _TO_SERIES.T).T
-                                         for gu in self.gus]))[1]
+        return self._horner(np.stack(
+            [_TO_POWER[:-1, :-1] @ (gu @ _TO_SERIES.T).T for gu in self.gus],
+            axis=1), u)
 
     def G(self, d):
-        ys = [gu * self.u ** (d - 1) for gu in self.gus]
-        cums = [np.concatenate([[0.0], np.cumsum(y @ _NODE_WEIGHTS)])
-                * (0.5 / self.panels) for y in ys]
-        coefs = np.stack([((0.5 / self.panels) * (y @ _TO_INTEGRAL.T)).T
-                          for y in ys])
+        coefs = []
+        for gu in self.gus:
+            y = gu * self.u ** (d - 1)
+            c = _TO_POWER @ ((0.5 / self.panels) * (y @ _TO_INTEGRAL.T)).T
+            cum = np.cumsum(y @ _NODE_WEIGHTS) * (0.5 / self.panels)
+            c[0, 1:] += cum[:-1]
+            coefs.append(c)
+        coefs = np.stack(coefs, axis=1)
 
-        def G(R):
-            # every segment that starts at the origin has a crossing at
-            # t = 0, often half of a cast's: the series runs once at 0,
-            # where it is a rounding error rather than exactly 0, and that
-            # value fills every zero radius. The nonzero radii are taken
-            # and put back by flat index, faster than by a boolean mask
-            R = np.asarray(R, dtype=float)
-            flat = R.ravel()
-            nz = np.flatnonzero(flat)
-            j, parts = self._series(np.concatenate([[0.0], flat[nz]]), coefs)
-            outs = []
-            for cum, part in zip(cums, parts):
-                part += cum[j]
-                out = np.full(R.shape, part[0])
-                out.ravel()[nz] = part[1:]
-                outs.append(out)
-            return outs
-
-        return G
+        # G(0) = 0 exactly, and t = 0 is often half of a cast's crossings:
+        # only the others are evaluated, by flat index (faster than a mask)
+        return lambda R: self._horner(coefs, R,
+                                      np.flatnonzero(np.asarray(R) != 0.0))
 
 
 def _ray_sums(sign, Gt):
@@ -963,11 +959,13 @@ def _ray_sums(sign, Gt):
 class _Rays:
     """Rays of the radial rule (_sphere_rule) from center: the one record of
     every radial integral from there. Each part is cast once, on first use:
-    the main rows (W[0] > 0, which come first), then the companion rows."""
+    the main rows (W[0] > 0, which come first), then the companion rows.
+    .pieces: center_trial's profile pass (panel nodes u, trial pieces)."""
 
     def __init__(self, domain, cells, center):
         self.domain, self.cells, self.center = domain, cells, center
         self._hits = []
+        self.pieces = None
 
     def _cast(self, parts=2):
         dirs, W = _sphere_rule(self.domain.d, self.cells)
@@ -989,11 +987,6 @@ class _Rays:
         dirs, W = _sphere_rule(self.domain.d, self.cells)
         w = W[0, :len(t)]
         return dirs[:len(t)], [w * _ray_sums(sign, Gt) for Gt in G(t)]
-
-    def integrals(self, g, panels):
-        # rows of int g_i(|x - center|) dx, G_i tabled to every crossing
-        umax = max(float(t.max()) for t, _ in self._cast())
-        return self.rows(_radial_table(g, umax, panels).G(self.domain.d))
 
 
 def center_trial(domain, profile, quad=None, tol=None):
@@ -1022,26 +1015,28 @@ def center_trial(domain, profile, quad=None, tol=None):
     -------
     _Rays
         From v, main rows cast: .center is the offset v with
-        |X(v)| <= tol (default 1e-6 |Omega| rho(diam)).
+        |X(v)| <= tol (default 1e-6 |Omega| rho(diam)), .pieces the
+        profile pass, to diam, that the quotient's tables reuse.
     """
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if quad is None or quad.kind != "radial":
         quad = default_quadrature(domain.d)
+    # one profile pass, on the panel nodes to the diameter and at it (the
+    # default tol): Newton keeps v in the bbox, so no crossing lies beyond
+    # the diameter, and the quotient's tables read the same pass (.pieces)
+    u = _panel_nodes(domain.diameter(), _panels(profile))
+    pc = trial._eval_pieces(profile, np.append(u, domain.diameter()))
     if tol is None:
-        tol = 1e-6 * domain.volume * trial.rho(profile, domain.diameter())
-
-    def pieces(r):
-        pc = trial._eval_pieces(profile, r)
-        return pc["rho"], pc["d1"], pc["p"]
-
-    # Newton keeps v in the bbox, so no crossing lies beyond its diameter
-    G = _radial_table(pieces, domain.diameter(), _panels(profile)).G(domain.d)
+        tol = 1e-6 * domain.volume * float(pc["rho"][-1])
+    pc = {name: vals[:-1] for name, vals in pc.items()}
+    G = _RadialTable(u, (pc["rho"], pc["d1"], pc["p"]),
+                     _panels(profile)).G(domain.d)
     lo, hi = np.asarray(domain.bbox[0]), np.asarray(domain.bbox[1])
 
     def cast(v):
         # |X(v)|, the Newton step clipped to the bbox, and the record from
-        # v; H, A and B share one Legendre basis at the record's crossings
+        # v; H, A and B share one Horner pass at the record's crossings
         rays = _Rays(domain, quad.cells, v)
         u, (h, a, b) = rays.main(G)
         X = h @ u
@@ -1062,6 +1057,7 @@ def center_trial(domain, profile, quad=None, tol=None):
         trace.append(r)
         step, res, rays = (nxt_step, r, nxt_rays) if r < res \
             else (0.5 * step, res, rays)
+    rays.pieces = u, pc
     return rays
 
 
@@ -1126,24 +1122,24 @@ def _quotient(domain, mode, quad, center=None, tol=None):
     if quad is None:
         quad = default_quadrature(domain.d)
     profile = trial.TrialProfile(mode)
-
-    def integrands(u):
-        # one profile pass for the numerator's and the denominator's table
-        pc = trial._eval_pieces(profile, u)
-        return trial._numerator(mode, pc), pc["rho"] ** 2
-
     if center is None and domain.shape not in _SYMMETRIC:
         rays = center_trial(domain, profile, quad, tol=tol)
     else:
         rays = _Rays(domain, quad.cells, np.asarray(
             domain.offset if center is None else center, dtype=float))
+    if rays.pieces is None:
+        # a profile pass to the farthest crossing (radial) or bbox corner
+        far = max(float(t.max()) for t, _ in rays._cast()) \
+            if quad.kind == "radial" else domain._far(rays.center)
+        u = _panel_nodes(far, _panels(profile))
+        rays.pieces = u, trial._eval_pieces(profile, u.ravel())
+    u, pc = rays.pieces
+    table = _RadialTable(u, (trial._numerator(mode, pc), pc["rho"] ** 2),
+                         _panels(profile))
     if quad.kind == "radial":
-        num, den = rays.integrals(integrands, _panels(profile))
+        num, den = rays.rows(table.G(domain.d))
         Q, eq = (float(x) for x in _estimate(num / den))
         return Q, abs(Q) * (eq / abs(Q))
-    # every node lies in the bbox, within its farthest corner's distance
-    table = _radial_table(integrands, domain._far(rays.center),
-                          _panels(profile))
     (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)
     if den == 0.0:
         raise ValueError("no quadrature nodes fall inside the domain")

@@ -7,6 +7,7 @@ results are checked against genuinely independent arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -386,3 +387,19 @@ def mp_tone(tau, d, dps=60):
         a = mp.findroot(V, (lo, top * (1 - mp.mpf(10) ** (-dps // 2))),
                         solver="anderson")
         return float(a * a * (a * a + tau))
+
+
+def legendre_to_power(n):
+    """(n, n) matrix whose column k holds the power-basis coefficients of
+    the Legendre polynomial P_k, from Rodrigues' formula
+    P_k = d^k/dx^k (x^2 - 1)^k / (2^k k!) in exact rationals: each entry
+    is an integer over a power of two, so the floats are exact."""
+    out = np.zeros((n, n))
+    for k in range(n):
+        scale = Fraction(1, 2**k * math.factorial(k))
+        # (x^2 - 1)^k = sum_i C(k, i) (-1)^(k - i) x^(2i), differentiated
+        # k times term by term
+        for i in range((k + 1) // 2, k + 1):
+            out[2 * i - k, k] = float(scale * math.comb(k, i) * (-1) ** (k - i)
+                                      * math.perm(2 * i, k))
+    return out

@@ -365,44 +365,58 @@ def test_quotient_error_paths(capsys, tmp_path):
 # sha256 of the quotient output for each (config, tau, extra flags): the
 # seven shape kinds of the quotient-domains benchmark at fixed parameters
 # with the default rule, then the grid and mc fallbacks on the overlapping
-# two balls, recorded with the radial series' per-term gathers and the
-# column by column ray sums (the same bytes as before them). The implicit
-# L-shape re-recorded for the exact cast: Q kept its bytes, error_bar
-# went 1.0787876060065298e-05 -> 1.0787876061397566e-05 and
-# separation_sigmas 132683.55382519847 -> 132683.55380881249
+# two balls. Re-recorded for the radial tables' Horner pass in the power
+# basis, which moved these lines (old -> new; the ellipse, the annulus and
+# the radial overlapping two balls kept their bytes):
+#   box: error_bar 3.1737734310179324e-05 -> 3.1737734320837465e-05,
+#     separation_sigmas 102011.5113586935 -> 102011.51132443608
+#   two-balls (tau 0.7): error_bar 4.6461704933725921e-06 ->
+#     4.6461704937611702e-06, separation_sigmas 330544.09341812832 ->
+#     330544.09339048358
+#   implicit L-shape: error_bar 1.0787876061397566e-05 ->
+#     1.0787876060065298e-05, separation_sigmas 132683.55380881249 ->
+#     132683.55382519847
+#   3-d ellipsoid: Q 35.463112294764393 -> 35.4631122947644 (1 ulp),
+#     margin 2.6614546768358593 -> 2.6614546768358522, error_bar
+#     2.4070070713564788e-06 -> 2.4070070766855493e-06, separation_sigmas
+#     1105711.199816287 -> 1105711.1973682593
+#   grid: error_bar 0.011503006590905517 -> 0.011503006590905527,
+#     separation_sigmas 1.6867121898928634 -> 1.6867121898928619
+#   mc: error_bar 0.0027990719387031957 -> 0.0027990719387031961,
+#     separation_sigmas 7.9982454731839336 -> 7.9982454731839319
 _TWO_BALLS = "shape=two-balls\ndim=2\nradii=1,0.9\ncenters=-0.3,0;0.3,0\n"
 _QUOTIENT_SHA256 = [
     ("shape=ellipsoid\ndim=2\nsemiaxes=2.2,1\n", "0.3", (),
      "7850dca7180748f61c44e435cf141684"
      "79f091febb7bf8d70d30cbd061a27ad4"),
     ("shape=box\ndim=2\nsides=1.9,1\n", "4.5", (),
-     "907e7f47431f9d944eb8d8b775c5e6d9"
-     "749f169d19d1e97189c94dac203c6586"),
+     "30197a1807a17eee321967ddd8052b14"
+     "ba038c31848a443e8125e3224cb1fb8a"),
     ("shape=annulus\ndim=2\ninner=0.4\nouter=1\n", "1.2", (),
      "da21e2c4ec8751130abd6a45358bc454"
      "a3b447d6915dff656c108483777236c3"),
     ("shape=two-balls\ndim=2\nradii=0.55,0.52\n"
      "centers=-0.72,0;0.69,0.05\n", "0.7", (),
-     "e38665787d8207c021d869596fdbe443"
-     "4ae899ac3014d73287ccd7f740a5479a"),
+     "d82d333afcc41a5e8140f8f395b35224"
+     "06cd6007de5773e3ef76af9785c9491e"),
     ("shape=implicit\ndim=2\nexpr=(abs(x) <= 1) & (abs(y) <= 1) & "
      "~((x > 0.05) & (y > 0.05))\nbounds=-1,1,-1,1\nvolume=3.0975\n", "2",
      (),
-     "01282cafc8e4c4429207b0e758528235"
-     "fc2277258ba2e0fe2039bc23601b0d94"),
+     "3fc138f0d435b652958d35557f7ba1bb"
+     "2a9f3138e3b9a2c32194decfc47d95ce"),
     (_TWO_BALLS, "0.15", (),
      "a50359b46954026ec590486ac482451f"
      "ab761d56a2e2bc75ed32b809766901f4"),
     ("shape=ellipsoid\ndim=3\nsemiaxes=1.6,1.6,1\n", "8", (),
-     "ea51048c67e87c28d6dcd75b84c29945"
-     "6782225284a62c56d8b35d8d1bba0cb4"),
+     "084b55874d9a17e73694e6242a3310fc"
+     "e092a05f1f78b4aa15ce39b45d9cd0b0"),
     (_TWO_BALLS, "0.15", ("--quad", "grid", "--samples", "64"),
-     "198841a7a110d94a8bbba2147d724599"
-     "2366a8a94401af9e3d83dbc64e1461e4"),
+     "d55892eb866b9991340844cc1fd6a764"
+     "d61ba6d5ac8f7be76a7fd350de29bded"),
     (_TWO_BALLS, "0.15", ("--quad", "mc", "--samples", "20000", "--seed",
                           "3"),
-     "b0b408f11a2d50117a107a63ece229b1"
-     "34df4a34105e922918475e2a30480d30"),
+     "723e78a6932c42c4671a8d0ea98e1b00"
+     "37a8470b0ed1bf728bc12e2b09a5a10f"),
 ]
 
 

@@ -11,7 +11,7 @@ from freeplate import ball as ballmod
 from freeplate import geom, trial
 from freeplate.geom import QuadratureSpec
 
-from oracles import mp_gauss_gegenbauer
+from oracles import legendre_to_power, mp_gauss_gegenbauer
 
 
 def profile(d=2, tau=1.0):
@@ -273,8 +273,10 @@ def integrate_radial(dom, f, quad, center=None):
     # rule's rows from a record at center, or the grid or mc node set
     c = np.asarray(dom.offset if center is None else center, dtype=float)
     if quad.kind == "radial":
-        rows = geom._Rays(dom, quad.cells, c).integrals(lambda u: [f(u)],
-                                                        geom._PANELS)
+        rays = geom._Rays(dom, quad.cells, c)
+        u = geom._panel_nodes(max(float(t.max()) for t, _ in rays._cast()),
+                              geom._PANELS)
+        rows = rays.rows(geom._RadialTable(u, [f(u)], geom._PANELS).G(dom.d))
         return tuple(float(x) for x in geom._estimate(rows[0]))
     vals, errs, _ = geom._integrate(dom, lambda r: [f(r)], quad, c)
     return float(vals[0]), float(errs[0])
@@ -887,11 +889,15 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
 
 def test_trial_center_quotients_are_pinned():
     # (Q, error bar) of _quotient at the trial center, tau = 1, as
-    # float.hex; no CLI pin covers the 3-d two-balls
+    # float.hex; no CLI pin covers the 3-d two-balls. Re-recorded for the
+    # radial tables' Horner pass in the power basis (old -> new): tb2 Q
+    # 0x1.77ece0d0ad955p+1 -> 0x1.77ece0d0ad956p+1 (1 ulp), error bar
+    # 0x1.066e46ef9f670p-16 -> 0x1.066e46ef77670p-16; tb3 error bar
+    # 0x1.92088dc74ddd1p-16 -> 0x1.92088dc73ddd1p-16; the L-shape kept both
     pinned = {
         "l": ("0x1.9b65ee2a00c4cp+1", "0x1.39c96eb1b65eep-17"),
-        "tb2": ("0x1.77ece0d0ad955p+1", "0x1.066e46ef9f670p-16"),
-        "tb3": ("0x1.2fddd09b6483dp+2", "0x1.92088dc74ddd1p-16"),
+        "tb2": ("0x1.77ece0d0ad956p+1", "0x1.066e46ef77670p-16"),
+        "tb3": ("0x1.2fddd09b6483dp+2", "0x1.92088dc73ddd1p-16"),
     }
     for name, dom in (("l", l_shape()), ("tb2", two_balls_2d()),
                       ("tb3", two_balls_3d())):
@@ -929,6 +935,24 @@ def test_centered_quotient_casts_each_ray_once(monkeypatch):
         assert calls == want
 
 
+def test_centered_quotient_evaluates_the_profile_once(monkeypatch):
+    # the centering's profile pass, on the panel nodes to the diameter and
+    # at the diameter (the default tol), also gives the quotient's tables
+    # (the parent of this budget made 3 passes: tol, centering, quotient)
+    calls = []
+    pieces = trial._eval_pieces
+
+    def counting(prof, r, deriv=2):
+        calls.append(len(r))
+        return pieces(prof, r, deriv)
+
+    monkeypatch.setattr(trial, "_eval_pieces", counting)
+    for dom in (two_balls_2d(), l_shape()):
+        calls.clear()
+        geom._quotient(dom, profile(dom.d).mode, None)
+        assert len(calls) == 1
+
+
 def test_implicit_volume_is_pinned():
     # the radial reduction of f = 1 about the bbox center, as float.hex of
     # (volume, volume_error) for an implicit disk and 3-d ball; the ball's
@@ -943,47 +967,45 @@ def test_implicit_volume_is_pinned():
         assert (dom.volume.hex(), dom.volume_error.hex()) == pinned
 
 
-def profile_pieces(prof):
-    # the centering's three tables: rho, rho' and rho / r
-    def pieces(r):
-        pc = trial._eval_pieces(prof, r)
-        return pc["rho"], pc["d1"], pc["p"]
-
-    return pieces
+def profile_table(prof, umax):
+    # the centering's three tables, rho, rho' and rho / r, on [0, umax]
+    n = geom._panels(prof)
+    u = geom._panel_nodes(umax, n)
+    pc = trial._eval_pieces(prof, u.ravel())
+    return geom._RadialTable(u, (pc["rho"], pc["d1"], pc["p"]), n)
 
 
 def series_reference(table, gu, R, d=None):
-    # one profile's series on the table's panels, by the three-term
-    # recurrence written out: the profile itself for d None, else
-    # G(R) = int_0^R g(u) u^(d-1) du (panel sums plus the last panel's part)
+    # one profile's table at R by Horner's rule written out over all of R
+    # at once, its power-basis coefficients from the exact Legendre to
+    # power matrix: the profile itself for d None, else
+    # G(R) = int_0^R g(u) u^(d-1) du, the panels left of R's panel summed
+    # into the constant coefficient and exactly 0 at R = 0 and -0.0
     n = table.panels
+    P = legendre_to_power(geom._GAUSS_NODES + 1)
     if d is None:
-        coef, cum = gu @ geom._TO_SERIES.T, None
+        c = P[:-1, :-1] @ (gu @ geom._TO_SERIES.T).T
     else:
         y = gu * table.u ** (d - 1)
-        cum = np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
-        cum *= 0.5 / n
-        coef = (0.5 / n) * (y @ geom._TO_INTEGRAL.T)
+        c = P @ ((0.5 / n) * (y @ geom._TO_INTEGRAL.T)).T
+        c[0, 1:] += (np.cumsum(y @ geom._NODE_WEIGHTS) * (0.5 / n))[:-1]
     j = np.minimum((R * n).astype(int), table.top - 1)
     x = 2.0 * (R * n - j) - 1.0
-    p0, p1 = np.ones_like(x), x
-    out = coef[j, 0] + coef[j, 1] * x
-    for k in range(1, coef.shape[1] - 1):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        out += coef[j, k + 1] * p1
-    return out if cum is None else cum[j] + out
+    out = c[-1, j]
+    for k in range(len(c) - 2, -1, -1):
+        out = out * x + c[k, j]
+    return out if d is None else np.where(R == 0.0, 0.0, out)
 
 
 def test_radial_table_shares_one_basis_bit_for_bit():
-    # one panel index and Legendre basis serve every profile of a table,
-    # and each profile's series is summed as a one-profile table and the
-    # written-out recurrence sum it. Neither the chunks of _SERIES_CHUNK
-    # radii nor G's one evaluation at R = 0 (a rounding error, not exactly
-    # 0) for every zero radius moves a bit: at the panel edge u = 1, in the
+    # one panel index and Horner pass serve every profile of a table, and
+    # each profile's values are those of a one-profile table and of the
+    # written-out Horner sum. Neither the chunks of _SERIES_CHUNK radii nor
+    # G's skipped zero radii move a bit: at the panel edge u = 1, in the
     # last panel and at its end, on -0.0, for 1-d and (m, k) radii, and at
     # sizes below, at and above a chunk
     prof = profile(tau=2.0)
-    table = geom._radial_table(profile_pieces(prof), 2.3, geom._panels(prof))
+    table = profile_table(prof, 2.3)
     n, d = table.panels, 3
     end = table.top / n
     rng = np.random.default_rng(11)
@@ -1021,21 +1043,79 @@ def test_radial_table_shares_one_basis_bit_for_bit():
                 f(np.array(bad))
 
 
+def legendre_G(table, gu, R, d):
+    # G by each panel's Legendre series and its three-term recurrence, the
+    # form the power basis replaced: the panel sums left of R's panel plus
+    # the series of R's panel
+    n = table.panels
+    y = gu * table.u ** (d - 1)
+    cum = np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
+    cum *= 0.5 / n
+    coef = (0.5 / n) * (y @ geom._TO_INTEGRAL.T)
+    j = np.minimum((R * n).astype(int), table.top - 1)
+    x = 2.0 * (R * n - j) - 1.0
+    p0, p1 = np.ones_like(x), x
+    out = coef[j, 0] + coef[j, 1] * x
+    for k in range(1, coef.shape[1] - 1):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        out += coef[j, k + 1] * p1
+    return cum[j] + out
+
+
+def test_radial_table_G_against_mpmath_quadrature():
+    # G(R) = int_0^R rho(u) u^(d-1) du of the trial profile against 50-digit
+    # Gauss-Legendre quadrature of rho = j_1(a u) + gamma i_1(b u), from
+    # mpmath's Bessel functions, and of its linear extension past u = 1:
+    # at panel edges, u = 1 and the table's end, within 1e-14 max|G|, and
+    # within 4 ulps of max|G| of the Legendre series evaluation
+    for d in (2, 3, 5, 10):
+        for tau in (0.01, 1.0, 100.0):
+            prof = profile(d, tau)
+            n = geom._panels(prof)
+            u = geom._panel_nodes(1.6, n)
+            table = geom._RadialTable(
+                u, [trial._eval_pieces(prof, u.ravel())["rho"]], n)
+            R = np.array([1.0, 0.5 * n, n - 1.0, n, n + 7.0, table.top]) / n
+            got = table.G(d)(R)[0]
+            with mp.workdps(50):
+                s = mp.mpf(d - 2) / 2
+                a, b, g = (mp.mpf(x) for x in (prof.mode.a, prof.mode.b,
+                                               prof.mode.gamma))
+
+                def rho(t):
+                    return (mp.besselj(s + 1, a * t) * (a * t) ** -s
+                            + g * mp.besseli(s + 1, b * t) * (b * t) ** -s)
+
+                slope = mp.diff(rho, 1)
+                edge = rho(1) - slope
+                ends = [mp.mpf(0)] + [mp.mpf(r) for r in R]
+                ref, total = [], mp.mpf(0)
+                for lo, hi in zip(ends, ends[1:]):
+                    inner = hi <= 1
+                    total += mp.quad(
+                        lambda t: (rho(t) if inner else edge + slope * t)
+                        * t ** (d - 1), [lo, hi], method="gauss-legendre")
+                    ref.append(float(total))
+            top = np.max(np.abs(ref))
+            assert np.all(np.abs(got - ref) <= 1e-14 * top), (d, tau)
+            old = legendre_G(table, table.gus[0], R, d)
+            assert np.all(np.abs(got - old) <= 4 * np.spacing(top)), (d, tau)
+
+
 def test_radial_series_peak_memory_on_a_centering_cast():
     # one G call over a centering cast of two balls (8192 rays, 4
     # crossings each, the centering's 3 tables) peaks below 1.5 MiB: the
-    # series gathers one term of every table at a time, a chunk of radii
-    # long (1.07 MiB measured), where a gather of every term of a chunk
-    # took 2.60 MiB and one gather over the whole cast would hold 33
-    # copies of its radii
+    # result is 0.75 MiB, and the Horner pass gathers one term of every
+    # table at a time, a chunk of radii long (1.35 MiB in all measured),
+    # where a gather of every term of a chunk took 2.60 MiB and one gather
+    # over the whole cast would hold 33 copies of its radii
     dom = two_balls_2d()
     prof = profile(tau=1.7)
     dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
     lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
     t, _ = dom.crossings(0.5 * (lo + hi), dirs[W[0] > 0.0])
     assert t.shape == (8192, 4)
-    G = geom._radial_table(profile_pieces(prof), 1.5 * dom.diameter() + 1.0,
-                           geom._panels(prof)).G(2)
+    G = profile_table(prof, 1.5 * dom.diameter() + 1.0).G(2)
     G(t)
     tracing = tracemalloc.is_tracing()
     if not tracing:

@@ -12,7 +12,7 @@ from freeplate import ball as ballmod
 from freeplate import geom, trial
 from freeplate.geom import QuadratureSpec
 
-from test_geom import integrate_radial
+from test_geom import integrate_radial, series_reference
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -171,42 +171,15 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def oracle_series(table, R, coefs):
-    # the radial table's series with every table's terms gathered at once
-    # and the nonzero radii taken by a boolean mask: the arithmetic that
-    # _RadialTable._series and G must reproduce bit for bit
-    flat = np.asarray(R, dtype=float).ravel()
-    j = np.minimum((flat * table.panels).astype(int), table.top - 1)
-    x = 2.0 * (flat * table.panels - j) - 1.0
-    c = coefs.take(j, axis=2)
-    out = c[:, 0] + c[:, 1] * x
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, coefs.shape[1] - 1):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        out += c[:, k + 1] * p1
-    return j.reshape(np.shape(R)), [o.reshape(np.shape(R)) for o in out]
+def oracle_series(table, R):
+    # the radial table's profiles and G by the written-out Horner sum, one
+    # profile at a time over all of R: the arithmetic that
+    # _RadialTable._horner must reproduce bit for bit
+    return [series_reference(table, gu, R) for gu in table.gus]
 
 
 def oracle_G(table, d):
-    ys = [gu * table.u ** (d - 1) for gu in table.gus]
-    cums = [np.concatenate([[0.0], np.cumsum(y @ geom._NODE_WEIGHTS)])
-            * (0.5 / table.panels) for y in ys]
-    coefs = np.stack([((0.5 / table.panels) * (y @ geom._TO_INTEGRAL.T)).T
-                      for y in ys])
-
-    def G(R):
-        nz = R != 0.0
-        j, parts = oracle_series(table, np.concatenate([[0.0], R[nz]]),
-                                 coefs)
-        outs = []
-        for cum, part in zip(cums, parts):
-            part += cum[j]
-            out = np.full(R.shape, part[0])
-            out[nz] = part[1:]
-            outs.append(out)
-        return outs
-
-    return G
+    return lambda R: [series_reference(table, gu, R, d) for gu in table.gus]
 
 
 def oracle_ray_sums(sign, Gt):
@@ -236,9 +209,9 @@ def radial_cases(draw):
     umax = draw(st.floats(0.5, 3.0))
     k = draw(st.integers(1, 6))
     tables = draw(st.integers(1, 3))
-    table = geom._radial_table(
-        lambda u: [rng.standard_normal(u.shape) for _ in range(tables)],
-        umax, panels)
+    u = geom._panel_nodes(umax, panels)
+    table = geom._RadialTable(
+        u, [rng.standard_normal(u.shape) for _ in range(tables)], panels)
     W = geom._sphere_rule(d, cells)[1]
     m = int(np.count_nonzero(W[0] > 0.0))
     hits = []
@@ -262,8 +235,7 @@ def test_radial_table_and_ray_sums_keep_the_oracle_bits(case):
             assert np.array_equal(bits(got), bits(want))
     # the grid and mc evaluation of the profiles
     u = np.concatenate([hits[0][0].ravel(), [0.0, table.top / table.panels]])
-    coefs = np.stack([(gu @ geom._TO_SERIES.T).T for gu in table.gus])
-    for got, want in zip(table(u), oracle_series(table, u, coefs)[1]):
+    for got, want in zip(table(u), oracle_series(table, u)):
         assert np.array_equal(bits(got), bits(want))
     rays = geom._Rays(geom.ball(d), cells, np.zeros(d))
     rays._hits = hits

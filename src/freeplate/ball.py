@@ -8,13 +8,13 @@ natural boundary conditions has an l = 1 mode u = R(r) Y_1 with radial part
 gamma enforces the second-derivative boundary condition R''(radius) = 0; the
 wavenumber a is the root of the scalar residual of the remaining natural
 condition (secular_V below) inside the bracket that the linear bounds
-tau mu < omega < tau (d+2) put on it. This module solves for the mode at
+tau mu < omega < tau (d+2) put on it, found by Newton steps with dV/da
+from the same kernel tables as V. This module solves for the mode at
 many tensions at once and exposes those bounds and the membrane comparison
 constant.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,22 +99,50 @@ def _coupling(a, b, j2, j3, i2, i3):
 
 
 def _secular_parts(a, tau, d):
-    # gamma and V on the unit ball from j_1..j_3 at a and i_1..i_3 at b.
-    # The order recurrences give z j_1' - j_1 = -z j_2, z i_1' - i_1 = z i_2;
-    # with R''(1) = 0 the radial equations turn (d-1)(R'(1) - R(1)) into
-    # gamma b^2 i_1 - a^2 j_1, so V = tau R'(1) - a^3 j_2 - gamma b^3 i_2,
-    # three terms of V's own order z^5: nothing cancels at small tension
-    b = (math.sqrt if isinstance(a, float) else np.sqrt)(a * a + tau)
-    J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
-    j1, j2, j3 = (J(l, 0) for l in (1, 2, 3))
-    i1, i2, i3 = (I(l, 0) for l in (1, 2, 3))
+    # gamma, V and dV/da on the unit ball from j_1..j_3 at a, i_1..i_3 at b
+    # and their first derivatives, one table of each to the third
+    # derivative (whose entries through the second are the second-
+    # derivative table's). The order recurrences give z j_1' - j_1 =
+    # -z j_2, z i_1' - i_1 = z i_2; with R''(1) = 0 the radial equations
+    # turn (d-1)(R'(1) - R(1)) into gamma b^2 i_1 - a^2 j_1, so
+    # V = tau R'(1) - a^3 j_2 - gamma b^3 i_2, three terms of V's own
+    # order z^5: nothing cancels at small tension. dV/da follows by the
+    # chain rule, with db/da = a/b. V and dV/da come scaled by 2^(-5e),
+    # b = m 2^e, a factor spread over the products so that none of them
+    # underflows where V, of order b^5 at small tension, would (tau below
+    # about 1e-246); elsewhere the scaling is exact, so V/V' keeps its bits
+    ops = _FLOATS if isinstance(a, float) else _ARRAYS
+    b = ops.sqrt(a * a + tau)
+    J, I = _ultra_table("j", 1, d, a, 3), _ultra_table("i", 1, d, b, 3)
+    j1, j2, j3, dj1, dj2, dj3 = J(1, 0), J(2, 0), J(3, 0), J(1, 1), \
+        J(2, 1), J(3, 1)
+    i1, i2, i3, di1, di2, di3 = I(1, 0), I(2, 0), I(3, 0), I(1, 1), \
+        I(2, 1), I(3, 1)
     gamma = _coupling(a, b, j2, j3, i2, i3)
-    slope = j1 - a * j2 + gamma * (i1 + b * i2)
-    return gamma, tau * slope - a**3 * j2 - gamma * b**3 * i2
+    # gamma = -n / m with n = a (a j_3 - 3 j_2) and m = b (b i_3 + 3 i_2)
+    r = a / b
+    dn = a * (a * dj3 + 2.0 * j3 - 3.0 * dj2) - 3.0 * j2
+    dm = (b * (b * di3 + 2.0 * i3 + 3.0 * di2) + 3.0 * i2) * r
+    dgamma = -(dn + gamma * dm) / (b * (b * i3 + 3.0 * i2))
+    ib = i1 + b * i2
+    slope = j1 - a * j2 + gamma * ib
+    dslope = dj1 - j2 - a * dj2 + dgamma * ib \
+        + gamma * (di1 + i2 + b * di2) * r
+    e, ld = ops.frexp(b)[1], ops.ldexp
+    sa, sb, st = ld(a, -e), ld(b, -e), ld(tau, -4 * e)
+    sb2 = sb * sb
+    sj2, si2 = ld(j2, -2 * e), ld(i2, -2 * e)
+    v = st * ld(slope, -e) - sa * sa * sa * sj2 - gamma * (sb2 * sb) * si2
+    dv = st * ld(dslope, -e) - sa * sa * ld(3.0 * j2 + a * dj2, -3 * e) \
+        - dgamma * (sb2 * sb) * si2 \
+        - gamma * sb2 * ld(3.0 * i2 + b * di2, -3 * e) * r
+    return gamma, v, dv, e
 
 
 def _secular_vec(a, tau, d):
-    return _secular_parts(a, tau, d)[1]
+    # V itself, unscaled; it underflows where tau is below about 1e-246
+    _, v, _, e = _secular_parts(a, tau, d)
+    return (_FLOATS if isinstance(a, float) else _ARRAYS).ldexp(v, 5 * e)
 
 
 def gamma_of(a, tau, d, radius=1.0):
@@ -161,7 +189,7 @@ def _residual_scales(d, a, b, gamma, tau, tables=None):
     j1, i1, j1p, i1p = J(1, 0), I(1, 0), J(1, 1), I(1, 1)
     terms = [(tau + (d - 1)) * (a * j1p + gamma * b * i1p),
              -(d - 1) * (j1 + gamma * i1),
-             a**3 * j1p, -gamma * b**3 * i1p]
+             a * a * a * j1p, -gamma * (b * b * b) * i1p]
     v_res, v_scale = abs(sum(terms)), sum(abs(t) for t in terms)
     return m_res, m_scale, v_res, v_scale
 
@@ -191,15 +219,10 @@ def _solve(tau, d, radius):
                   for w in (ainf**2 * t, (d + 2) * t))
     lo, hi = lo * (1.0 - _WIDEN), ops.minimum(hi * (1.0 + _WIDEN),
                                               ainf * (1.0 - 1e-12))
-    x, status, (xl, xr), (vl, vr) = _bracketed_root(
-        lambda a, tt: _secular_vec(a, tt, d), lo, hi, t)
+    x, status, (xl, xr), _ = _bracketed_root(
+        lambda a, tt: _secular_parts(a, tt, d)[1:3], lo, hi, t)
     ok = status == 0
-    # a from the secant through the final bracket, 1e-13 wide, unless V
-    # underflows at an end (tau R^2 = 1e-300, say); lo where the solve failed
-    with ops.quiet():
-        sec = xl - ops.div(vl * (xr - xl), vr - vl)
-    zero = ops.minimum(abs(vl), abs(vr)) <= sys.float_info.min
-    a = ops.where(ok, ops.where(zero, x, sec), lo)
+    a = ops.where(ok, x, lo)      # lo where the solve failed
     b = ops.sqrt(a * a + t)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
@@ -208,10 +231,13 @@ def _solve(tau, d, radius):
         | (v_res > RESIDUAL_TOL * v_scale)
     if ops.any_(bad):
         i = int(np.argmax(bad))
-        tau, ok, status, xl, xr, vl, vr, m_res, m_scale, v_res, v_scale = (
-            np.atleast_1d(v)[i] for v in (tau, ok, status, xl, xr, vl, vr,
-                                          m_res, m_scale, v_res, v_scale))
+        tau, t, ok, status, xl, xr, m_res, m_scale, v_res, v_scale = (
+            np.atleast_1d(v)[i] for v in (tau, t, ok, status, xl, xr, m_res,
+                                          m_scale, v_res, v_scale))
         if not ok:
+            # V itself at both ends: the root find's values are scaled, and
+            # an end it never reached has none
+            vl, vr = (_secular_vec(float(x), float(t), d) for x in (xl, xr))
             raise RuntimeError(
                 "the secular root find failed in the bracket from the "
                 f"linear bounds: tau={tau:g}, d={d}, radius={radius:g}, "
@@ -240,12 +266,14 @@ def fundamental_tones(taus, d, radius=1.0):
     omega_R must be finite doubles (or ValueError). The linear bounds
     tau mu < omega < tau (d+2), omega = a^2 (a^2 + tau), bracket the
     wavenumber in closed form; widened by a relative _WIDEN and clipped
-    below ainf, they go to one root find over the array (Chandrupatla's,
-    in specfun._bracketed_root) at a relative tolerance of 1e-13, and the
-    secant through each final bracket gives a. gamma comes from the
-    tables of the residual check at the roots. The first tension that
-    fails raises a RuntimeError with its bracket, V at both ends and the
-    status. fundamental_tone runs the same body on Python floats.
+    below ainf, they go to one root find over the array, the safeguarded
+    Newton method of specfun._bracketed_root on V and dV/da (from
+    _secular_parts, one J and one I table per evaluation), which starts
+    at each bracket's midpoint and takes about 3 evaluations; a is its
+    last Newton point. gamma comes from the tables of the residual check
+    at the roots. The first tension that fails raises a RuntimeError with
+    its final bracket, V at both ends and the status. fundamental_tone
+    runs the same body on Python floats.
     """
     return _solve(np.asarray(taus, dtype=float).ravel(), d, radius)
 
@@ -253,8 +281,7 @@ def fundamental_tones(taus, d, radius=1.0):
 def fundamental_tone(tau, d, radius=1.0):
     """Solve for the fundamental mode of the ball at one tension, as
     fundamental_tones does, but on Python floats from the bracket to the
-    BallMode, with no array between. Python's pow can round a**3 and b**3
-    apart from numpy's array pow, so the two can differ in the last bits."""
+    BallMode, with no array between, and with the same bits."""
     return _solve(float(tau), d, radius)
 
 

@@ -4,8 +4,9 @@ j_l(z) = z^(-s) J_(s+l)(z) and i_l(z) = z^(-s) I_(s+l)(z) with s = (d-2)/2,
 for integer dimension d >= 2 and integer order 0 <= l <= 8, together with
 derivatives through fourth order, the series coefficients d_k of the
 expansions of j_1'' and i_1'', the first nontrivial zero of j_1', the
-bracketed root finder that both it and the ball's tone solve use, and the
-Gauss-Gegenbauer rule of membrane_C and of geom's polar angles.
+bracketed root finder (safeguarded Newton steps on f and f') that both it
+and the ball's tone solve use, and the Gauss-Gegenbauer rule of membrane_C
+and of geom's polar angles.
 
 Every value comes from one backward (Miller) recurrence over the scaled
 functions h_nu(z) = z^-nu C_nu(z), C = J or I, which are finite at z = 0:
@@ -40,8 +41,8 @@ _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
 MAX_ORDER = 8
 MAX_DERIV = 4
 _RESCALE = 32          # orders between rescalings of the sweep
-_ROOT_XRTOL = 1e-13    # relative bracket width at which a root is accepted
-_ROOT_MAX_ITER = 2046  # bisections that span the normal doubles
+_ROOT_STEP_RTOL = 1e-8  # relative Newton step below which a root is accepted
+_ROOT_MAX_ITER = 2046   # evaluations; 2046 bisections span the doubles
 _ROOT_STATUS = ("converged", "no sign change", "iteration budget")
 
 
@@ -76,19 +77,18 @@ def _fdiv(a, b):
 # value a numpy result as the body's type (the sweep's closed forms come
 # from numpy on both, so that their bits agree), and quiet a context that
 # silences numpy's warnings.
-_Ops = namedtuple("_Ops", "frexp ldexp maximum minimum sqrt div sign where "
-                          "not_ any_ as_int ends value quiet")
+_Ops = namedtuple("_Ops", "frexp ldexp maximum minimum sqrt div where not_ "
+                          "any_ as_int ends value quiet")
 _FLOATS = _Ops(
     math.frexp, math.ldexp,
     lambda a, b: max(a, b) if a == a and b == b else math.nan,
     lambda a, b: min(a, b) if a == a and b == b else math.nan,
     lambda x: math.sqrt(x) if x >= 0 else math.nan, _fdiv,
-    lambda x: (x > 0) - (x < 0) if x == x else math.nan,
     lambda c, a, b: a if c else b, operator.not_, bool, int,
     lambda n, base: (n, n), float, contextlib.nullcontext)
 _ARRAYS = _Ops(
-    np.frexp, np.ldexp, np.maximum, np.minimum, np.sqrt, np.divide, np.sign,
-    np.where, np.logical_not, np.any, lambda a: a.astype(int),
+    np.frexp, np.ldexp, np.maximum, np.minimum, np.sqrt, np.divide, np.where,
+    np.logical_not, np.any, lambda a: a.astype(int),
     lambda a, base: (int(a.min(initial=sys.maxsize)),
                      int(a.max(initial=base))), lambda v: v,
     lambda: np.errstate(all="ignore"))
@@ -257,94 +257,85 @@ def ultra_i(l, d, z, deriv=0):
 
 
 def _bracketed_root(f, lo, hi, *args):
-    """Roots of the elementwise function f(x, *args) in the brackets
-    [lo, hi], each with a sign change of f, by Chandrupatla's method
-    (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation where the
-    last three points allow it, bisection otherwise.
+    """Roots of the elementwise function f(x, *args), which returns f and
+    f' at x, in the brackets [lo, hi] by a safeguarded Newton method.
+
+    Each element starts at its bracket's midpoint, and neither end is
+    evaluated up front. Every evaluation takes the root's side from the
+    sign of the Newton step f/f' and shrinks the bracket to it. A step
+    that leaves the bracket goes to the end it crosses if f is not yet
+    known there, so a root close to an end of the bracket costs one
+    evaluation there, and to the bracket's midpoint otherwise, so no point
+    is evaluated twice. An element stops once |step| < _ROOT_STEP_RTOL |x|
+    and returns x - step (within the final bracket), or once f at x is 0
+    or subnormal and returns x; or, where the step at an end of the
+    bracket points out of it, with no sign change.
 
     One body runs on a float bracket (lo a scalar: ops _FLOATS, with
     float args) or on arrays of brackets (ops _ARRAYS), with the same bits
-    for each bracket. A float bracket starts with two calls of f on
-    floats, at lo and then hi, and makes every later call on a float x;
-    arrays of brackets start with one call on lo and hi joined, and each
-    later call evaluates only the elements still running. Each element
-    stops once its bracket is narrower than _ROOT_XRTOL times its end with the
-    smaller |f|, or once f there is 0 or subnormal. The arrays args run
-    with x. Returns x (nan where no sign change), the status as an index
-    into _ROOT_STATUS, and the final bracket and f at its ends, each
+    for each bracket; each array call evaluates only the elements still
+    running, and the arrays args run with x. Returns x (nan where no sign
+    change), the status as an index into _ROOT_STATUS, and the final
+    bracket and f at its ends (nan at an end never evaluated), each
     ordered left to right: floats and an int for a float bracket.
     """
     on_floats = isinstance(lo, float) or np.ndim(lo) == 0
     ops = _FLOATS if on_floats else _ARRAYS
-    div, sqrt, sign, where, not_ = ops.div, ops.sqrt, ops.sign, ops.where, \
-        ops.not_
+    where, not_ = ops.where, ops.not_
     if on_floats:
-        x1, x2, args = float(lo), float(hi), [float(arg) for arg in args]
-        f1, f2 = (float(f(x, *args)) for x in (x1, x2))
+        lo, hi, args = float(lo), float(hi), [float(arg) for arg in args]
+        flo = fhi = math.nan
     else:
-        x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        args = [np.broadcast_to(arg, x1.shape) for arg in args]
-        both = f(np.concatenate([x1, x2]),
-                 *(np.concatenate([arg, arg]) for arg in args))
-        f1, f2 = both[:x1.size], both[x1.size:]
-        act, out = np.arange(x1.size), np.empty((6, x1.size))
-    x3, f3 = x2, f2     # the previous point; set by every step
-    t = 0.5
-    for it in range(_ROOT_MAX_ITER + 1):
-        if it:
-            xn = x1 + t * (x2 - x1)
-            fn = ops.value(f(xn, *args))
-            same = sign(fn) == sign(f1)
-            x3, f3 = where(same, x1, x2), where(same, f1, f2)
-            x2, f2 = where(same, x2, x1), where(same, f2, f1)
-            x1, f1 = xn, fn
-        small = abs(f1) < abs(f2)
-        xmin, fmin = where(small, x1, x2), where(small, f1, f2)
-        dx = abs(x2 - x1)
-        tol = abs(xmin) * _ROOT_XRTOL
-        zero = abs(fmin) <= sys.float_info.min
-        conv = zero | (dx < tol)
-        bad = not_(zero | (sign(f1) * sign(f2) < 0))
-        stop = conv | bad | (it == _ROOT_MAX_ITER)
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        args = [np.broadcast_to(arg, lo.shape) for arg in args]
+        flo, fhi = np.full_like(lo, math.nan), np.full_like(lo, math.nan)
+        act, out = np.arange(lo.size), np.empty((6, lo.size))
+    x = lo + 0.5 * (hi - lo)
+    for it in range(_ROOT_MAX_ITER):
+        fx, dfx = (ops.value(v) for v in f(x, *args))
+        with ops.quiet():
+            step = ops.div(fx, dfx)
+        # x becomes the upper end where the root lies below it, the lower
+        # end where above; at an end whose step points out, neither
+        below = step > 0
+        up, dn = below & (x > lo), not_(below) & (x < hi)
+        lo, flo = where(dn, x, lo), where(dn | (x == lo), fx, flo)
+        hi, fhi = where(up, x, hi), where(up | (x == hi), fx, fhi)
+        zero = abs(fx) <= sys.float_info.min
+        bad = not_(zero) & (not_(up | dn) | (step != step))
+        conv = zero | (abs(step) < _ROOT_STEP_RTOL * abs(x))
+        root = ops.minimum(ops.maximum(x - step, lo), hi)
+        stop = bad | conv | (it == _ROOT_MAX_ITER - 1)
         if ops.any_(stop):
-            done = (where(bad, math.nan, xmin),
-                    where(bad, 1, where(conv, 0, 2)), x1, x2, f1, f2)
+            done = (where(bad, math.nan, where(zero, x, root)),
+                    where(bad, 1, where(conv, 0, 2)), lo, hi, flo, fhi)
             if on_floats:
                 break
             out[:, act[stop]] = [v[stop] for v in done]
             go = not_(stop)
             act, args = act[go], [arg[go] for arg in args]
-            x1, x2, x3, f1, f2, f3, dx, tol = (
-                v[go] for v in (x1, x2, x3, f1, f2, f3, dx, tol))
-        if not (on_floats or act.size):
-            break
-        if not it:
-            continue
-        # Chandrupatla's test: the inverse quadratic through the last three
-        # points is monotone on the bracket; otherwise bisect
-        with ops.quiet():
-            xi = div(x1 - x2, x3 - x2)
-            phi = div(f1 - f2, f3 - f2)
-            alpha = div(x3 - x1, x2 - x1)
-            t = where((1.0 - sqrt(1.0 - xi) < phi) & (phi < sqrt(xi)),
-                      div(div(f1, f1 - f2) * f3, f3 - f2)
-                      - div(div(alpha * f1, f3 - f1) * f2, f2 - f3), 0.5)
-            tl = div(0.5 * tol, dx)
-        t = ops.minimum(ops.maximum(t, tl), 1.0 - tl)
+            lo, hi, flo, fhi, root = (v[go] for v in (lo, hi, flo, fhi,
+                                                      root))
+            if not act.size:
+                break
+        # the Newton point, or past an end the end itself while f there
+        # is unknown, else the midpoint
+        mid = lo + 0.5 * (hi - lo)
+        x = where(root <= lo, where(flo == flo, mid, lo),
+                  where(root >= hi, where(fhi == fhi, mid, hi), root))
     x, status, xl, xr, fl, fr = done if on_floats else (
         out[0], out[1].astype(int), *out[2:])
-    left = xl < xr
-    return (x, status, (where(left, xl, xr), where(left, xr, xl)),
-            (where(left, fl, fr), where(left, fr, fl)))
+    return x, status, (xl, xr), (fl, fr)
 
 
 @lru_cache(maxsize=None)
 def first_zero_j1prime(d):
-    """First z > 0 with j_1'(z) = 0, to relative tolerance 1e-12.
+    """First z > 0 with j_1'(z) = 0, to a few units in the last place.
 
     Bracketed by a fixed-step scan of (0, 20] with step 0.05, then refined
-    by _bracketed_root; raises if the scan window contains no sign change
-    or the refinement fails.
+    by _bracketed_root's Newton steps on j_1' and j_1'', both from one
+    table per point; raises if the scan window contains no sign change or
+    the refinement fails.
     """
     zs = np.arange(0.05, 20.0 + 1e-9, 0.05)
     vals = ultra_j(1, d, zs, deriv=1)
@@ -354,8 +345,11 @@ def first_zero_j1prime(d):
         raise RuntimeError(
             f"no sign change of j_1' in the scan window (0, 20], step 0.05, d={d}")
     i = flips[0]
-    root, status, _, _ = _bracketed_root(lambda t: ultra_j(1, d, t, deriv=1),
-                                         zs[i], zs[i + 1])
+    def f(z):
+        J = _ultra_table("j", 1, d, z, 2)
+        return J(1, 1), J(1, 2)
+
+    root, status, _, _ = _bracketed_root(f, zs[i], zs[i + 1])
     if status:
         raise RuntimeError(f"j_1' zero in [{zs[i]:.2f}, {zs[i + 1]:.2f}] not "
                            f"refined, d={d}: {_ROOT_STATUS[status]}")

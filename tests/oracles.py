@@ -367,26 +367,30 @@ def mp_tone(tau, d, dps=60):
     tension. Returns a float.
     """
     with mp.workdps(dps):
-        s = mp.mpf(d - 2) / 2
         tau = mp.mpf(tau)
-
-        def V(a):
-            b = mp.sqrt(a * a + tau)
-            j1, j2 = (mp.besselj(s + l, a) * a ** (-s) for l in (1, 2))
-            i1, i2 = (mp.besseli(s + l, b) * b ** (-s) for l in (1, 2))
-            j1p, i1p = j1 / a - j2, i1 / b + i2
-            j1pp = -(d - 1) * j1p / a - (1 - (d - 1) / a**2) * j1
-            i1pp = -(d - 1) * i1p / b + (1 + (d - 1) / b**2) * i1
-            g = -a * a * j1pp / (b * b * i1pp)
-            return ((tau + d - 1) * (a * j1p + g * b * i1p)
-                    - (d - 1) * (j1 + g * i1) + a**3 * j1p - g * b**3 * i1p)
-
         top = _mp_ainf(d)
         w = tau * top**2 / 2
         lo = mp.sqrt(2 * w / (tau + mp.sqrt(tau * tau + 4 * w)))
-        a = mp.findroot(V, (lo, top * (1 - mp.mpf(10) ** (-dps // 2))),
+        a = mp.findroot(lambda a: mp_secular_V(a, tau, d),
+                        (lo, top * (1 - mp.mpf(10) ** (-dps // 2))),
                         solver="anderson")
         return float(a * a * (a * a + tau))
+
+
+def mp_secular_V(a, tau, d):
+    """The natural boundary condition of mp_tone at the unit radius, at
+    the working precision, as an mpf."""
+    s = mp.mpf(d - 2) / 2
+    a, tau = mp.mpf(a), mp.mpf(tau)
+    b = mp.sqrt(a * a + tau)
+    j1, j2 = (mp.besselj(s + l, a) * a ** (-s) for l in (1, 2))
+    i1, i2 = (mp.besseli(s + l, b) * b ** (-s) for l in (1, 2))
+    j1p, i1p = j1 / a - j2, i1 / b + i2
+    j1pp = -(d - 1) * j1p / a - (1 - (d - 1) / a**2) * j1
+    i1pp = -(d - 1) * i1p / b + (1 + (d - 1) / b**2) * i1
+    g = -a * a * j1pp / (b * b * i1pp)
+    return ((tau + d - 1) * (a * j1p + g * b * i1p)
+            - (d - 1) * (j1 + g * i1) + a**3 * j1p - g * b**3 * i1p)
 
 
 def legendre_to_power(n):

@@ -1,5 +1,8 @@
 import math
+import re
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from freeplate import ball, specfun
 from freeplate.specfun import first_zero_j1prime, ultra_i, ultra_j
 
 from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_membrane_C,
-                     mp_tone, mp_ultra, rayleigh_ritz_tone,
+                     mp_secular_V, mp_tone, mp_ultra, rayleigh_ritz_tone,
                      uniform_ball_samples)
 
 
@@ -150,25 +153,29 @@ def test_membrane_constant_against_mpmath_quadrature():
 
 
 def test_root_finder_matches_scipy_find_root(monkeypatch):
-    # the in-repo Chandrupatla port against scipy's, on the tone solve's own
-    # brackets and secular function, d x tension from 1e-14 to 4e5
+    # the Newton solve against scipy's bracketing root finder run to
+    # the last bits on the unscaled secular function, on the tone solve's
+    # own brackets, d x tension from 1e-14 to 4e5
     from scipy.optimize.elementwise import find_root
     seen = []
     real = ball._bracketed_root
 
     def spy(f, lo, hi, *args):
         out = real(f, lo, hi, *args)
-        seen.append((f, lo, hi, args, out[:2]))
+        seen.append((lo, hi, args, out[:2]))
         return out
 
     monkeypatch.setattr(ball, "_bracketed_root", spy)
     taus = np.geomspace(1e-14, 4e5, 60)
-    for d in (2, 3, 5, 10, 30):
+    dims = (2, 3, 5, 10, 30)
+    for d in dims:
         ball.fundamental_tones(taus, d)
     assert len(seen) == 5
-    for f, lo, hi, args, (x, status) in seen:
-        ref = find_root(f, (lo, hi), args=args,
-                        tolerances={"xatol": 0.0, "xrtol": 1e-13})
+    for d, (lo, hi, args, (x, status)) in zip(dims, seen):
+        ref = find_root(lambda a, t, d=d: ball._secular_vec(a, t, d),
+                        (lo, hi), args=args,
+                        tolerances={"xatol": 0.0, "xrtol": 4e-16},
+                        maxiter=200)
         assert np.all(status == 0) and np.all(ref.status == 0)
         np.testing.assert_allclose(x, ref.x, rtol=1e-15, atol=0.0)
 
@@ -252,12 +259,14 @@ def test_error_contracts():
 
 
 def test_tone_against_mpmath_oracle_across_tension():
+    # from tau = 1e-8 on, 4 times the largest error seen (5.1e-16 at d = 5,
+    # tau = 1)
     taus = np.array([1e-12, 1e-8, 1e-4, 1.0, 1e4])
     for d in (2, 5, 30):
         mu = first_zero_j1prime(d) ** 2
         for tau, m in zip(taus, ball.fundamental_tones(taus, d)):
             ref = mp_tone(tau, d)
-            rtol = 1e-12 if tau >= 1e-8 else 1e-9
+            rtol = 2.04e-15 if tau >= 1e-8 else 1e-9
             assert abs(m.omega - ref) <= rtol * ref, (d, tau)
             assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
             if tau >= 1e-8:
@@ -275,10 +284,9 @@ def test_batched_solve_matches_one_tension_solves():
             assert m.gamma == pytest.approx(one.gamma, rel=1e-12)
 
 
-def test_one_tension_and_batch_solves_agree_to_a_few_ulps():
-    # the float solve and the array solve share one body, but Python's
-    # float pow and numpy's array pow can round a**3 and b**3 apart; over
-    # seeded draws of d and tau the two stay within 2e-15 relative
+def test_one_tension_and_batch_solves_agree_bit_for_bit():
+    # the float solve and the array solve share one body, with every cube
+    # a product, so over seeded draws of d and tau they agree bit for bit
     rng = np.random.default_rng(2024)
     dims = rng.integers(2, 31, 600)
     taus = 10.0 ** rng.uniform(-10.0, 5.0, 600)
@@ -287,33 +295,87 @@ def test_one_tension_and_batch_solves_agree_to_a_few_ulps():
             one = ball.fundamental_tone(m.tau, d)
             for name in ("a", "b", "gamma", "omega"):
                 x, y = getattr(one, name), getattr(m, name)
-                assert abs(x - y) <= 2e-15 * abs(y), (d, m.tau, name)
+                assert x == y, (d, m.tau, name)
 
 
 def test_solver_failure_carries_its_trace(monkeypatch):
-    monkeypatch.setattr(ball, "_secular_vec",
-                        lambda a, tau, d: np.ones_like(a))
-    with pytest.raises(RuntimeError) as info:
-        ball.fundamental_tone(0.5, 3)
-    msg = str(info.value)
-    for part in ("tau=0.5", "d=3", "a*radius in [", "V=1 and V=1",
-                 "no sign change"):
-        assert part in msg
+    # V = V' = 1: every step points below, to the bracket's lower end,
+    # where it points out; the final bracket has V at both its ends
+    monkeypatch.setattr(ball, "_secular_parts",
+                        lambda a, tau, d: (None, 1.0 + 0.0 * a,
+                                           1.0 + 0.0 * a, 0))
+    for solve in (ball.fundamental_tone, ball.fundamental_tones):
+        with pytest.raises(RuntimeError) as info:
+            solve(0.5, 3)
+        msg = str(info.value)
+        for part in ("tau=0.5", "d=3", "a*radius in [", "V=1 and V=1",
+                     "no sign change"):
+            assert part in msg
 
 
 def test_solver_budget_failure_carries_its_trace(monkeypatch):
+    # one evaluation, at the midpoint: the message has V at both ends of
+    # the final bracket, the one never evaluated included
     first_zero_j1prime(3)       # cached before the budget shrinks
     monkeypatch.setattr(specfun, "_ROOT_MAX_ITER", 1)
-    with pytest.raises(RuntimeError, match="iteration budget") as info:
-        ball.fundamental_tone(0.5, 3)
-    assert "tau=0.5" in str(info.value) and "a*radius in [" in str(info.value)
+    for solve in (ball.fundamental_tone, ball.fundamental_tones):
+        with pytest.raises(RuntimeError, match="iteration budget") as info:
+            solve(0.5, 3)
+        msg = str(info.value)
+        assert "tau=0.5" in msg and "a*radius in [" in msg
+        vl, vr = map(float, re.search(r"V=(\S+) and V=(\S+) there",
+                                      msg).groups())
+        assert vl * vr < 0, msg
+
+
+def test_secular_derivative_against_mpmath():
+    # dV/da from the tables' first derivatives, unscaled, against a
+    # 50-digit numerical derivative of the closed form, at half the root,
+    # the root and midway from it to the first zero of j_1'
+    for d in (2, 3, 10, 30):
+        ainf = first_zero_j1prime(d)
+        for tau in (1e-8, 1e-4, 1.0, 1e2, 1e5):
+            m = ball.fundamental_tone(tau, d)
+            for a in (0.5 * m.a, m.a, 0.5 * (m.a + ainf)):
+                _, _, dv, e = ball._secular_parts(a, tau, d)
+                with mp.workdps(50):
+                    ref = float(mp.diff(lambda x: mp_secular_V(x, tau, d),
+                                        mp.mpf(a)))
+                assert abs(math.ldexp(dv, 5 * e) - ref) <= 1e-14 * abs(ref), (
+                    d, tau, a)
+
+
+def test_solve_where_v_underflows_and_at_extreme_radii():
+    # at tau R^2 = 1e-300, V (of order a^5) underflows unscaled, but the
+    # solve's scaled V does not, so omega is tau R^2 (d+2) within a few
+    # ulps, as the linear bounds squeeze it; at the radii of the CLI's
+    # extreme-radius tests the unit-ball solve is the one at tau R^2. No
+    # warning, and the float and array solves agree bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (2, 3, 5, 10, 30):
+            for tau, radius in ((1e-300, 1.0), (1.0, 1e-150), (1.0, 1e-105),
+                                (1e-210, 1e105), (1.0, 1e-8), (1e-16, 1.0)):
+                m = ball.fundamental_tone(tau, d, radius)
+                assert m == ball.fundamental_tones([tau], d, radius)[0]
+                assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
+                t = tau * (radius * radius)
+                a, b = m.a * radius, m.b * radius
+                if t < 1e-200:
+                    w = a * a * b * b
+                    assert abs(w - t * (d + 2)) <= 4e-15 * w, (d, tau)
+                else:
+                    one = ball.fundamental_tone(t, d)
+                    assert a == pytest.approx(one.a, rel=4e-16)
+                    assert b == pytest.approx(one.b, rel=4e-16)
 
 
 def test_tone_solve_call_budget(monkeypatch):
     # secular evaluations and kernel tables of one solve, with its gamma and
     # residual check: gamma comes from the residual check's tables, so a
-    # solve builds one J and one I table per secular evaluation and one
-    # pair more, each to the second derivative (orders 1..3) at one point
+    # solve builds one J and one I table per secular evaluation, to the
+    # third derivative (orders 1..4), and one pair more to the second
+    # (orders 1..3), each at one point
     counts = dict.fromkeys(("secular", "j", "i", "work"), 0)
     parts, table = ball._secular_parts, ball._ultra_table
 
@@ -330,15 +392,15 @@ def test_tone_solve_call_budget(monkeypatch):
     monkeypatch.setattr(ball, "_ultra_table", counted_table)
     # (d, tau): a and b below 1/2 (the first two), then a past 1/2 and far
     # past it
-    budget = {(2, 1e-6): 6, (3, 1e-2): 6, (3, 2e-2): 7, (5, 1.0): 7,
-              (30, 1e5): 6}
+    budget = {(2, 1e-6): 3, (3, 1e-2): 3, (3, 2e-2): 3, (5, 1.0): 4,
+              (30, 1e5): 2}
     for (d, tau), secular in budget.items():
         first_zero_j1prime(d)           # cached outside the count
         counts.update(dict.fromkeys(counts, 0))
         ball.fundamental_tone(tau, d)
         assert (counts["secular"], counts["j"], counts["i"]) == (
             secular, secular + 1, secular + 1), (d, tau)
-        assert counts["work"] == 2 * 3 * (secular + 1), (d, tau)
+        assert counts["work"] == 2 * (4 * secular + 3), (d, tau)
 
 
 def test_one_tension_solve_runs_on_floats(monkeypatch):

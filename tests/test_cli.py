@@ -365,25 +365,24 @@ def test_quotient_error_paths(capsys, tmp_path):
 # sha256 of the quotient output for each (config, tau, extra flags): the
 # seven shape kinds of the quotient-domains benchmark at fixed parameters
 # with the default rule, then the grid and mc fallbacks on the overlapping
-# two balls. Re-recorded for the radial tables' Horner pass in the power
-# basis, which moved these lines (old -> new; the ellipse, the annulus and
-# the radial overlapping two balls kept their bytes):
-#   box: error_bar 3.1737734310179324e-05 -> 3.1737734320837465e-05,
-#     separation_sigmas 102011.5113586935 -> 102011.51132443608
-#   two-balls (tau 0.7): error_bar 4.6461704933725921e-06 ->
-#     4.6461704937611702e-06, separation_sigmas 330544.09341812832 ->
-#     330544.09339048358
-#   implicit L-shape: error_bar 1.0787876061397566e-05 ->
-#     1.0787876060065298e-05, separation_sigmas 132683.55380881249 ->
-#     132683.55382519847
-#   3-d ellipsoid: Q 35.463112294764393 -> 35.4631122947644 (1 ulp),
-#     margin 2.6614546768358593 -> 2.6614546768358522, error_bar
-#     2.4070070713564788e-06 -> 2.4070070766855493e-06, separation_sigmas
-#     1105711.199816287 -> 1105711.1973682593
-#   grid: error_bar 0.011503006590905517 -> 0.011503006590905527,
-#     separation_sigmas 1.6867121898928634 -> 1.6867121898928619
-#   mc: error_bar 0.0027990719387031957 -> 0.0027990719387031961,
-#     separation_sigmas 7.9982454731839336 -> 7.9982454731839319
+# two balls. Re-recorded for the tone's safeguarded Newton solve, which
+# moved omega and what follows from it in these outputs (old -> new; the
+# ellipse, box, annulus, radial overlapping two balls, grid and mc kept
+# their bytes):
+#   two-balls (tau 0.7): Q 1.2406656141818639 -> 1.2406656141818637,
+#     omega 2.7764298277797654 -> 2.7764298277797637, margin
+#     1.5357642135979015 -> 1.5357642135978999, error_bar
+#     4.6461704937611702e-06 -> 4.6461704934281033e-06, separation_sigmas
+#     330544.09339048358 -> 330544.09341417876
+#   implicit L-shape: Q 6.3942057491505144 -> 6.3942057491505153, omega
+#     7.8255794830257583 -> 7.8255794830257539, margin 1.4313737338752439
+#     -> 1.4313737338752386, error_bar 1.0787876060065298e-05 ->
+#     1.0787876057178718e-05, separation_sigmas 132683.55382519847 ->
+#     132683.55386070095
+#   3-d ellipsoid: Q 35.4631122947644 -> 35.463112294764414, omega
+#     38.124566971600252 -> 38.124566971600267, error_bar
+#     2.4070070766855493e-06 -> 2.407007080238263e-06, separation_sigmas
+#     1105711.1973682593 -> 1105711.1957362427
 _TWO_BALLS = "shape=two-balls\ndim=2\nradii=1,0.9\ncenters=-0.3,0;0.3,0\n"
 _QUOTIENT_SHA256 = [
     ("shape=ellipsoid\ndim=2\nsemiaxes=2.2,1\n", "0.3", (),
@@ -397,19 +396,19 @@ _QUOTIENT_SHA256 = [
      "a3b447d6915dff656c108483777236c3"),
     ("shape=two-balls\ndim=2\nradii=0.55,0.52\n"
      "centers=-0.72,0;0.69,0.05\n", "0.7", (),
-     "d82d333afcc41a5e8140f8f395b35224"
-     "06cd6007de5773e3ef76af9785c9491e"),
+     "243fe0c850d39a1ba4536a1dba6346e5"
+     "cd06c9b06d6495cd4cc4ae059d2247cf"),
     ("shape=implicit\ndim=2\nexpr=(abs(x) <= 1) & (abs(y) <= 1) & "
      "~((x > 0.05) & (y > 0.05))\nbounds=-1,1,-1,1\nvolume=3.0975\n", "2",
      (),
-     "3fc138f0d435b652958d35557f7ba1bb"
-     "2a9f3138e3b9a2c32194decfc47d95ce"),
+     "58c4e0809ce9fc052a650d39de4c3254"
+     "b87d877defb0aff64507232866f9a9e1"),
     (_TWO_BALLS, "0.15", (),
      "a50359b46954026ec590486ac482451f"
      "ab761d56a2e2bc75ed32b809766901f4"),
     ("shape=ellipsoid\ndim=3\nsemiaxes=1.6,1.6,1\n", "8", (),
-     "084b55874d9a17e73694e6242a3310fc"
-     "e092a05f1f78b4aa15ce39b45d9cd0b0"),
+     "3e2844d8ed1ae3e04cfbd42ccabcac58"
+     "e20885433eeec65c4ae9fe6693c3f7cb"),
     (_TWO_BALLS, "0.15", ("--quad", "grid", "--samples", "64"),
      "d55892eb866b9991340844cc1fd6a764"
      "d61ba6d5ac8f7be76a7fd350de29bded"),

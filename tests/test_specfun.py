@@ -386,39 +386,66 @@ def test_series_oracle_holds_at_large_arguments():
 
 
 def test_first_zero_j1prime_against_mpmath():
+    # Newton steps on j_1' and j_1'' end within a unit in the last place
     for d in range(2, 31):
         ref = _mp_ainf(d)
-        assert abs(sf.first_zero_j1prime(d) - ref) <= 1e-13 * ref, d
+        assert abs(sf.first_zero_j1prime(d) - ref) <= 4e-16 * ref, d
 
 
 def test_bracketed_root_statuses_and_brackets():
     # a cubic with its root at c, a bracket without a sign change, and two
-    # whose end is the root; only running elements are evaluated, each
-    # with its own c
+    # whose end is the root; each element runs with its own c, and is
+    # evaluated in the first calls only, up to the one that stops it
     calls = []
 
-    def f(x, c):
-        calls.append(x.size)
-        return (x - c) ** 3 + (x - c)
+    def f(x, c, tag):
+        calls.append(tag.tolist())
+        y = x - c
+        return y * y * y + y, 3.0 * y * y + 1.0
 
     lo, hi = np.array([0.0, 2.0, 0.0, 1.0]), np.array([3.0, 3.0, 1.0, 5.0])
     c = np.array([1.7, 1.0, 1.0, 1.0])
-    x, status, (xl, xr), (fl, fr) = sf._bracketed_root(f, lo, hi, c)
+    x, status, (xl, xr), (fl, fr) = sf._bracketed_root(
+        f, lo, hi, c, np.arange(4.0))
     names = [sf._ROOT_STATUS[k] for k in status]
     assert names == ["converged", "no sign change", "converged", "converged"]
-    assert x[0] == pytest.approx(1.7, rel=1e-13) and np.isnan(x[1])
+    assert abs(x[0] - 1.7) <= 4e-16 * 1.7 and np.isnan(x[1])
     assert x[2] == x[3] == 1.0
-    assert np.all(xl <= xr) and (xl[1], xr[1]) == (2.0, 3.0)
-    assert np.all(fl[[0, 2, 3]] <= 0) and np.all(fr[[0, 2, 3]] >= 0)
-    assert calls[0] == 8 and all(n == 1 for n in calls[1:])
+    # f at an end is known where an evaluation set that end, and it has
+    # the end's sign; the no-sign-change bracket ends at the point whose
+    # step left it, f > 0 at both ends
+    assert np.all(xl <= xr) and (xl[1], xr[1]) == (2.0, 2.5)
+    assert fl[1] > 0 and fr[1] > 0
+    assert np.all(np.isnan(fl[[0, 2, 3]]) | (fl[[0, 2, 3]] <= 0))
+    assert np.all(np.isnan(fr[[0, 2, 3]]) | (fr[[0, 2, 3]] >= 0))
+    assert np.all((xl <= x) & (x <= xr) | np.isnan(x))
+    # each evaluation has only the midpoints' four points first, then
+    # only the elements still running
+    assert calls[0] == [0.0, 1.0, 2.0, 3.0]
+    last = {k: max(i for i, tags in enumerate(calls) if k in tags)
+            for k in range(4)}
+    for i, tags in enumerate(calls):
+        assert tags == [k for k in range(4) if last[k] >= i], i
 
 
 def test_bracketed_root_reports_the_iteration_budget(monkeypatch):
+    # tanh from 1.2 to the left of its root: the Newton step leaves the
+    # bracket at each end, so clipping alone would cycle between them; the
+    # budget stops after two evaluations, and the full budget bisects once
+    # both ends are known and converges
+    def f(x):
+        t = np.tanh(x - 0.3)
+        return t, 1.0 - t * t
+
+    x, status, _, _ = sf._bracketed_root(f, np.array([-1.0]), np.array([4.0]))
+    assert sf._ROOT_STATUS[status[0]] == "converged"
+    assert abs(x[0] - 0.3) <= 4e-16 * 0.3
     monkeypatch.setattr(sf, "_ROOT_MAX_ITER", 2)
-    x, status, (xl, xr), _ = sf._bracketed_root(
-        lambda x: np.tanh(x - 0.3), np.array([-1.0]), np.array([4.0]))
+    x, status, (xl, xr), (fl, fr) = sf._bracketed_root(
+        f, np.array([-1.0]), np.array([4.0]))
     assert sf._ROOT_STATUS[status[0]] == "iteration budget"
     assert xl[0] < 0.3 < xr[0] and xl[0] <= x[0] <= xr[0]
+    assert (xl[0], xr[0]) == (-1.0, 1.5) and fl[0] < 0 < fr[0]
 
 
 def test_bracketed_root_on_a_float_matches_a_one_element_array(monkeypatch):
@@ -432,7 +459,7 @@ def test_bracketed_root_on_a_float_matches_a_one_element_array(monkeypatch):
     def f(x, c):
         calls.extend(bits(v) for v in np.ravel(x))
         y = x - c
-        return y * y * y - y
+        return y * y * y - y, 3.0 * y * y - 1.0
 
     def bits(v):
         return np.asarray(v, dtype=float).tobytes()
@@ -449,17 +476,23 @@ def test_bracketed_root_on_a_float_matches_a_one_element_array(monkeypatch):
         assert bits(x) == bits(one[0]) and status == one[1][0]
         for pair, arrays in ((ends, one[2]), (vals, one[3])):
             assert all(bits(u) == bits(v) for u, v in zip(pair, arrays))
-        return sf._ROOT_STATUS[status], x, ends
+        return sf._ROOT_STATUS[status], x, ends, vals
 
     for c in np.linspace(-3.0, 5.0, 17):
         # the root at y = 1
-        name, x, (xl, xr) = both(c + 0.2, c + 3.0, float(c))
+        name, x, (xl, xr), _ = both(c + 0.2, c + 3.0, float(c))
         assert name == "converged" and xl <= x <= xr
-        assert x == pytest.approx(c + 1.0, rel=1e-12, abs=1e-12)
-    name, x, ends = both(-0.25, 2.25, 0.25)      # f > 0 at both ends
-    assert name == "no sign change" and np.isnan(x) and ends == (-0.25, 2.25)
-    name, x, _ = both(-0.75, 1.25, 0.25)         # f = 0 at both ends
-    assert name == "converged" and x == 1.25
+        assert x == pytest.approx(c + 1.0, rel=1e-15, abs=1e-15)
+    # f > 0 and rising on the bracket: the step at its lower end points out
+    name, x, ends, vals = both(1.5, 3.0, 0.25)
+    assert name == "no sign change" and np.isnan(x)
+    assert ends[0] == 1.5 < ends[1] < 2.25 and vals[0] > 0 and vals[1] > 0
+    name, x, _, _ = both(-0.75, 1.25, 0.25)      # f = 0 at the midpoint
+    assert name == "converged" and x == 0.25
+    # the step leaves the bracket at its upper end, where f is unknown: the
+    # next point is that end, the root
+    name, x, ends, vals = both(0.45, 1.25, 0.25)
+    assert name == "converged" and x == 1.25 and vals[1] == 0.0
     monkeypatch.setattr(sf, "_ROOT_MAX_ITER", 2)
-    name, x, (xl, xr) = both(0.45, 3.25, 0.25)
+    name, x, (xl, xr), _ = both(0.45, 3.25, 0.25)
     assert name == "iteration budget" and xl < 1.25 < xr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from freeplate import geom, specfun, trial, verify
+from freeplate import ball, geom, specfun, trial, verify
 from freeplate.ball import fundamental_tone, fundamental_tones
 from freeplate.report import CSV_HEADER, VerificationReport, reports_to_csv
 from freeplate.specfun import first_zero_j1prime
@@ -282,8 +282,11 @@ def test_profile_pass_kernel_budget(monkeypatch):
     # values are cached builds its tables to the second derivative only, so
     # geom's tables build no fourth derivatives; a centered quotient's
     # tables share its centering's pass, so the L-shape takes what the
-    # ellipse does (8160 when each made its own)
-    suite_budget = {2: 409_040, 5: 408_782, 10: 408_656}
+    # ellipse does (8160 when each made its own). The suite's one tone
+    # batch builds its secular tables to the third derivative, four orders
+    # a point, in about half the evaluations of the bracketing solve
+    # before it (409_040, 408_782 and 408_656 then)
+    suite_budget = {2: 407_048, 5: 407_024, 10: 406_920}
     c = 0.05
     shapes = {"ellipse": geom.ellipsoid(2, (2.0, 1.0)),
               "l-shape": geom.implicit_domain(
@@ -310,49 +313,49 @@ def test_profile_pass_kernel_budget(monkeypatch):
 
 # sha256 of reports_to_csv(full_suite(d, include_global=False)) for the
 # dimensions past the verify fixture's 2..10, recorded with the kernels'
-# backward recurrence, the tone's final secant and the trial profile's one
-# Bessel path from r = 0
+# backward recurrence, the tone's safeguarded Newton solve and the trial
+# profile's one Bessel path from r = 0
 _SUITE_SHA256 = {
-    11: "20e3e4baddae3971aa8a12660f081919"
-        "14f08bf59c4bea812477d22b27e71da6",
-    12: "3206ab7f8e99d523e4aa9219a0337e13"
-        "1d17d11f3316e2990a56cec9fa93b3f2",
+    11: "43cbecdba89453ef28a73f5843cfefc7"
+        "9ff4b08b2c6d624d3db287b0b7166c04",
+    12: "1856ccc040f4ed56a658a77a1ca009cd"
+        "e10d02faec512c72c2a936cc5bb9829b",
     13: "83062da4614aefcb07af6fc3c4dc98b1"
         "a2e945d511c5887bc36c75c15a0ff1e0",
-    14: "e1469a561d670bae556ef48d7a8a902f"
-        "7b2379f15e6da9a6f1100110156bc2a6",
-    15: "bb959a8927cf2870b6d88e6d7de8aa4b"
-        "dde4051a18940947c73e912997c09946",
-    16: "f28a5acce5a99b427c826cf46fc7196f"
-        "d6dbe728ab58ce058e6248f8705df7c3",
-    17: "d5c29fbe3ffebd52d90cae044782593c"
-        "3deccf133eda3d9412277881e94548af",
-    18: "149e4a96ab590434cf4a61646bd3d2b8"
-        "054565d5e4a0e04e9a6a4adba976df80",
-    19: "9c4e7831f80604a3b616716229c730cb"
-        "e77caeb558bb8ed11f6243955833904d",
-    20: "2204adc1b78b38f9d88353503ebc5bab"
-        "d100caf44571fbc5bbe505c59952a5c1",
-    21: "f926de3f5ddf4cffd345fe7c66d35d07"
-        "d5d2323b3b5d013a09afff48e97ce290",
-    22: "99db5a62e3fdd692a39feca6bfdbfcf5"
-        "2051389a22a065d50bd3949c09d5d68a",
-    23: "8edfdcea366a924aaa00c1d0b65639e5"
-        "aef57482c8c25ed31bde6222c5ea7234",
-    24: "3b4f02bf26b13b9b88d64ee120805b70"
-        "ca02f6b8ab9a51f58a8c580d50bb57cd",
-    25: "c46aad39fbc7a50f51165216fe5f6f2c"
-        "a3d5956ab49caa89ad854c578b27373e",
-    26: "b16e82825e1960880e588a2707ba5c45"
-        "34fe5a4394b1b0aeaca30daf90c2be1e",
-    27: "7b6fac1d56971d5f001d4221b118d04b"
-        "511f393e46834883a8ab0583a42c8566",
-    28: "71472e68b34f6d75b3034cbd803d4c81"
-        "4982d5a26734c4a2accdb1daeb4716b9",
-    29: "206fdccc05fc9e4c69e88b36b1e2bcbd"
-        "2982ac4c6609c69b9cf98eeec9048b9b",
-    30: "620c5e9334e6ca128d35d06f99e50a45"
-        "f9cbcc0713daae2d0d5fdd0b012698bf",
+    14: "07633eefe8d76496b5f75f335c2c1ef3"
+        "3efcd0003782cc4c116da84d7c009492",
+    15: "133f21f2c33771a7847ba74b24071d92"
+        "c0422b80950600e073f3f35b9e2b570f",
+    16: "3fe6cec0e14253537c9c4f0de64bc506"
+        "128ff74ab379435552b99e083768b3d6",
+    17: "72d09860fe6bf5b93120ec7ea4086525"
+        "ebe7045366f9a2cfca069ea8c49b1f62",
+    18: "de554fa349c23bed6fcfad740008c433"
+        "dfeaa22f9195dcbc9e7a4c0efc6e325b",
+    19: "481660d74716c89a0b1c0283506edae1"
+        "0b010dfc7069ac3751ef0b7b2fbbd5fe",
+    20: "96e526a2d210b07f808e115c2346dd36"
+        "72f90da782c66f029e3900b72e5d90d0",
+    21: "985e5c0200396412349894b317b7c042"
+        "01c9a9793d09153cda3c98a145b3fcb0",
+    22: "8740d9555de541ee77620b9f5e573ef8"
+        "9d83d2685b0ab6737c64ab55cceeb5c6",
+    23: "daed83f023fddff73560de0f2425d133"
+        "b444a5b8a3b636203f0c09bbd9f85cf7",
+    24: "0b7bd4069bddac15b1b91e94d9392cb0"
+        "212ae97a3e7db01e6337bb7b846f476e",
+    25: "f27e6500fc0eb4211567f0d9bebb5e2e"
+        "0e79203bc354c66afba2a87f0384f951",
+    26: "9ad2c0cf919b1574bce310bdcc779f5a"
+        "afaefc9ead2db6e10bb41550a2fb2c1d",
+    27: "b6d720d25d8301e02077e4bb3a62a955"
+        "890fa1c40ec3fe136d3207fd330a76ce",
+    28: "c0a606e8acd8d3b6f68095c935291c95"
+        "dd47e79a67d64d2053d515971a5cbdf1",
+    29: "b40c75829588323b36d24b5b94aa56a3"
+        "d7537c38f911c339323691a88ba522a1",
+    30: "aed989a3d3631f631d58ea62ca07822e"
+        "e478295c985462afaaa77a13c20401e1",
 }
 
 
@@ -376,6 +379,27 @@ def test_full_suite_solves_once_per_dimension(monkeypatch):
         verify.full_suite(d, include_global=False)
     assert calls == [(2 * verify._TENSION_PTS + 8, 2),
                      (2 * verify._TENSION_PTS + 8, 5)]
+
+
+def test_full_suite_secular_evaluation_budget(monkeypatch):
+    # the array secular evaluations of each dimension's one batch solve:
+    # every call evaluates the tensions still running, all 136 of them
+    # first, at their brackets' midpoints (the bracketing solve before the
+    # Newton steps made 7 calls and 968 points at d = 2, 6 and 903 at d = 9)
+    sizes = []
+    parts = ball._secular_parts
+
+    def counted(a, tau, d):
+        sizes.append(np.size(a))
+        return parts(a, tau, d)
+
+    monkeypatch.setattr(ball, "_secular_parts", counted)
+    budget = {2: [136, 136, 135, 70], 9: [136, 136, 135, 56]}
+    for d, want in budget.items():
+        first_zero_j1prime(d)           # cached outside the count
+        sizes.clear()
+        verify.full_suite(d, include_global=False)
+        assert sizes == want, d
 
 
 def test_full_suite_rows_and_determinism():

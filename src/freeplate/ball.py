@@ -5,13 +5,13 @@ natural boundary conditions has an l = 1 mode u = R(r) Y_1 with radial part
 
     R(r) = j_1(a r) + gamma i_1(b r),    b^2 - a^2 = tau,  omega = a^2 b^2.
 
-gamma enforces the second-derivative boundary condition R''(radius) = 0; the
-wavenumber a is the root of the scalar residual of the remaining natural
-condition (secular_V below) inside the bracket that the linear bounds
-tau mu < omega < tau (d+2) put on it, found by Newton steps with dV/da
-from the same kernel tables as V. This module solves for the mode at
-many tensions at once and exposes those bounds and the membrane comparison
-constant.
+On the unit ball, at tau R^2, gamma enforces R''(1) = 0 and the wavenumber
+a is the root of the residual V of the remaining natural condition
+(_secular_parts below) in the bracket from the linear bounds
+tau mu < omega < tau (d+2), found by Newton steps with dV/da from V's
+tables. The solve checks both conditions at the root and hands back their
+residuals with the mode. This module solves for the mode at many tensions
+at once and exposes those bounds and the membrane comparison constant.
 """
 
 import math
@@ -79,19 +79,6 @@ def _unit_tension(tau, radius):
     return t
 
 
-def _unit_args(a, tau, d, radius):
-    # validate (a, tau) and map them to the unit ball: (a R, tau R^2); a R
-    # is a float for a float a, as tau R^2 is for a float tau
-    t = _unit_tension(tau, radius)
-    ops = _FLOATS if isinstance(a, float) else _ARRAYS
-    z = (a if ops is _FLOATS else np.asarray(a, dtype=float)) * float(radius)
-    ainf = first_zero_j1prime(d)
-    # a failed 0 < z < ainf, which a nan fails too
-    if ops.any_(ops.not_((z > 0) & (z < ainf))):
-        raise ValueError(f"wavenumber a must lie in (0, {ainf / radius:.6g})")
-    return z, t
-
-
 def _coupling(a, b, j2, j3, i2, i3):
     # gamma on the unit ball from j_2, j_3 at a and i_2, i_3 at b: R''(1) = 0
     # with the order recurrences j_1'' = j_3 - 3 j_2/z, i_1'' = i_3 + 3 i_2/z
@@ -145,44 +132,12 @@ def _secular_vec(a, tau, d):
     return (_FLOATS if isinstance(a, float) else _ARRAYS).ldexp(v, 5 * e)
 
 
-def gamma_of(a, tau, d, radius=1.0):
-    """Coupling constant gamma = -a^2 j_1''(aR) / (b^2 i_1''(bR)), b^2 = a^2 + tau.
-
-    Strictly positive on 0 < aR < first zero of j_1', because j_1'' < 0 there
-    and i_1'' > 0 everywhere; makes R''(radius) vanish identically.
-    """
-    return float(_secular_parts(*_unit_args(a, tau, d, radius), d)[0])
-
-
-def secular_V(a, tau, d, radius=1.0):
-    """Residual of the remaining natural boundary condition at r = radius
-    for the l = 1 mode with gamma chosen by gamma_of.
-
-    Closed form (validated in the tests against a finite-difference
-    application of the boundary operator on the sphere):
-        (tau + (d-1)/R^2) R'(R) - ((d-1)/R^3) R(R)
-        + a^3 j_1'(aR) - gamma b^3 i_1'(bR),
-    evaluated in the cancellation-free form of _secular_parts through
-    V_R(a, tau) = R^-3 V_1(aR, tau R^2). R^3 is taken as m^3 2^(3e) with
-    R = m 2^e, 1/2 <= m < 1, so that V_R does not depend on R^3 being a
-    double. Raises ValueError where V_R overflows; where it underflows,
-    the underflowed value is returned.
-    """
-    v = _secular_vec(*_unit_args(a, tau, d, radius), d)
-    m, e = math.frexp(radius)
-    with np.errstate(all="ignore"):
-        v = np.ldexp(v / np.float64(m) ** 3, -3 * e)
-    if not np.isfinite(v):
-        raise ValueError(f"V_R is no finite double at radius={radius:g}")
-    return float(v)
-
-
-def _residual_scales(d, a, b, gamma, tau, tables=None):
-    """Natural scales and residuals of the two boundary conditions on the
-    unit ball, in the closed form of secular_V; a, b, gamma and tau may be
-    arrays, and tables the _ultra_table pair at a and b if built already."""
-    J, I = tables or (_ultra_table("j", 1, d, a, 2),
-                      _ultra_table("i", 1, d, b, 2))
+def _residual_scales(d, a, b, gamma, tau, J, I):
+    """Residuals and natural scales (sums of the terms' magnitudes) of the
+    natural conditions on the unit ball, from the tables J at a and I at b:
+    a^2 j_1''(a) + gamma b^2 i_1''(b) and, in closed form,
+        (tau + d - 1) R'(1) - (d - 1) R(1) + a^3 j_1'(a) - gamma b^3 i_1'(b);
+    a, b, gamma and tau may be arrays."""
     t1 = a * a * J(1, 2)
     t2 = gamma * b * b * I(1, 2)
     m_res, m_scale = abs(t1 + t2), abs(t1) + abs(t2)
@@ -194,19 +149,10 @@ def _residual_scales(d, a, b, gamma, tau, tables=None):
     return m_res, m_scale, v_res, v_scale
 
 
-def boundary_residuals(mode):
-    """Relative residuals of the moment and shear boundary conditions,
-    each scaled by the sum of magnitudes of its terms, taken on the unit
-    ball (aR, bR, tau R^2), which the scaling law makes equal."""
-    R = mode.radius
-    m_res, m_scale, v_res, v_scale = _residual_scales(
-        mode.d, mode.a * R, mode.b * R, mode.gamma, _unit_tension(mode.tau, R))
-    return m_res / m_scale, v_res / v_scale
-
-
 def _solve(tau, d, radius):
     # the modes at tau, one body on a float tension (a BallMode, solved on
-    # floats) or on an array of them (a list); see fundamental_tones
+    # floats) or on an array of them (a list), and the relative moment and
+    # shear residuals that the check took; see fundamental_tones
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
     t, radius = _unit_tension(tau, radius), float(radius)
@@ -226,7 +172,7 @@ def _solve(tau, d, radius):
     b = ops.sqrt(a * a + t)
     J, I = _ultra_table("j", 1, d, a, 2), _ultra_table("i", 1, d, b, 2)
     gamma = _coupling(a, b, J(2, 0), J(3, 0), I(2, 0), I(3, 0))
-    m_res, m_scale, v_res, v_scale = _residual_scales(d, a, b, gamma, t, (J, I))
+    m_res, m_scale, v_res, v_scale = _residual_scales(d, a, b, gamma, t, J, I)
     bad = ops.not_(ok) | (m_res > RESIDUAL_TOL * m_scale) \
         | (v_res > RESIDUAL_TOL * v_scale)
     if ops.any_(bad):
@@ -250,11 +196,12 @@ def _solve(tau, d, radius):
         ar = a / radius
         br = ops.sqrt(ar * ar + tau)
         omega = ar * ar * br * br
+    res = m_res / m_scale, v_res / v_scale
     if ops is _FLOATS:
-        return BallMode(d, tau, radius, ar, br, gamma, omega)
-    return [BallMode(d, float(tau), radius, float(x), float(y), float(g),
-                     float(w))
-            for tau, x, y, g, w in zip(tau, ar, br, gamma, omega)]
+        return (BallMode(d, tau, radius, ar, br, gamma, omega), *res)
+    return ([BallMode(d, float(tau), radius, float(x), float(y), float(g),
+                      float(w))
+             for tau, x, y, g, w in zip(tau, ar, br, gamma, omega)], *res)
 
 
 def fundamental_tones(taus, d, radius=1.0):
@@ -270,19 +217,20 @@ def fundamental_tones(taus, d, radius=1.0):
     Newton method of specfun._bracketed_root on V and dV/da (from
     _secular_parts, one J and one I table per evaluation), which starts
     at each bracket's midpoint and takes about 3 evaluations; a is its
-    last Newton point. gamma comes from the tables of the residual check
-    at the roots. The first tension that fails raises a RuntimeError with
-    its final bracket, V at both ends and the status. fundamental_tone
-    runs the same body on Python floats.
+    last Newton point. One table pair at the roots gives gamma and both
+    residuals, each relative to its terms' magnitudes; the first tension
+    with a failed root find (final bracket, V at both ends and the status)
+    or a residual over RESIDUAL_TOL raises a RuntimeError. No tension, no
+    evaluation. fundamental_tone runs the same body on Python floats.
     """
-    return _solve(np.asarray(taus, dtype=float).ravel(), d, radius)
+    return _solve(np.asarray(taus, dtype=float).ravel(), d, radius)[0]
 
 
 def fundamental_tone(tau, d, radius=1.0):
     """Solve for the fundamental mode of the ball at one tension, as
     fundamental_tones does, but on Python floats from the bracket to the
     BallMode, with no array between, and with the same bits."""
-    return _solve(float(tau), d, radius)
+    return _solve(float(tau), d, radius)[0]
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,8 @@ def _emit(text, out):
 
 
 def cmd_tone(args):
-    mode = ball.fundamental_tone(args.tau, args.dim, args.radius)
-    mres, vres = ball.boundary_residuals(mode)
+    # the one-tension solve's own path, with the residuals of its check
+    mode, mres, vres = ball._solve(args.tau, args.dim, args.radius)
     lines = [f"d = {mode.d}",
              f"tau = {format_float(mode.tau)}",
              f"radius = {format_float(mode.radius)}",

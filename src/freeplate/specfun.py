@@ -274,10 +274,11 @@ def _bracketed_root(f, lo, hi, *args):
     One body runs on a float bracket (lo a scalar: ops _FLOATS, with
     float args) or on arrays of brackets (ops _ARRAYS), with the same bits
     for each bracket; each array call evaluates only the elements still
-    running, and the arrays args run with x. Returns x (nan where no sign
-    change), the status as an index into _ROOT_STATUS, and the final
-    bracket and f at its ends (nan at an end never evaluated), each
-    ordered left to right: floats and an int for a float bracket.
+    running (none of an empty array), and the arrays args run with x.
+    Returns x (nan where no sign change), the status as an index into
+    _ROOT_STATUS, and the final bracket and f at its ends (nan at an end
+    never evaluated), each ordered left to right: floats and an int for a
+    float bracket.
     """
     on_floats = isinstance(lo, float) or np.ndim(lo) == 0
     ops = _FLOATS if on_floats else _ARRAYS
@@ -292,6 +293,8 @@ def _bracketed_root(f, lo, hi, *args):
         act, out = np.arange(lo.size), np.empty((6, lo.size))
     x = lo + 0.5 * (hi - lo)
     for it in range(_ROOT_MAX_ITER):
+        if not (on_floats or act.size):     # no element left running
+            break
         fx, dfx = (ops.value(v) for v in f(x, *args))
         with ops.quiet():
             step = ops.div(fx, dfx)
@@ -316,8 +319,6 @@ def _bracketed_root(f, lo, hi, *args):
             act, args = act[go], [arg[go] for arg in args]
             lo, hi, flo, fhi, root = (v[go] for v in (lo, hi, flo, fhi,
                                                       root))
-            if not act.size:
-                break
         # the Newton point, or past an end the end itself while f there
         # is unknown, else the midpoint
         mid = lo + 0.5 * (hi - lo)

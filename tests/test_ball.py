@@ -14,11 +14,17 @@ from oracles import (fd_boundary_V, fd_hessian_sq_norm_vec, mp_membrane_C,
                      uniform_ball_samples)
 
 
+def unit_gamma(a, tau, d, radius):
+    # gamma at radius R, which the scaling law takes from the unit ball at
+    # (aR, tau R^2)
+    return ball._secular_parts(a * radius, tau * (radius * radius), d)[0]
+
+
 def secular_term_scale(a, tau, d, radius):
     """Sum of absolute values of the four closed-form terms; the natural
     magnitude against which the boundary residual is measured."""
     b = math.sqrt(a * a + tau)
-    g = ball.gamma_of(a, tau, d, radius)
+    g = unit_gamma(a, tau, d, radius)
     j1 = ultra_j(1, d, a * radius)
     i1 = ultra_i(1, d, b * radius)
     j1p = ultra_j(1, d, a * radius, deriv=1)
@@ -29,9 +35,11 @@ def secular_term_scale(a, tau, d, radius):
 
 
 def test_gamma_definition_rearranged():
+    # gamma makes R''(radius) vanish: a^2 j_1''(aR) + gamma b^2 i_1''(bR) = 0,
+    # at R = 1.5 with gamma from the unit ball at (aR, tau R^2)
     for d, tau, a, R in ((2, 1.0, 0.9, 1.0), (3, 0.3, 1.2, 1.0),
                          (5, 4.0, 0.4, 1.0), (2, 1.0, 1.1, 1.5)):
-        g = ball.gamma_of(a, tau, d, R)
+        g = unit_gamma(a, tau, d, R)
         b = math.sqrt(a * a + tau)
         t1 = a * a * ultra_j(1, d, a * R, deriv=2)
         t2 = g * b * b * ultra_i(1, d, b * R, deriv=2)
@@ -39,21 +47,23 @@ def test_gamma_definition_rearranged():
 
 
 def test_gamma_positive():
+    # j_1'' < 0 below the first zero of j_1' and i_1'' > 0 everywhere
     for a in (0.5, 1.0, 1.5):
-        assert ball.gamma_of(a, 1.0, 2, 1.0) > 0
+        assert ball._secular_parts(a, 1.0, 2)[0] > 0
 
 
 def test_gamma_against_series_oracle():
     d, tau, a = 3, 1.0, 1.0
     b = math.sqrt(a * a + tau)
     expected = -a * a * mp_ultra("j", 1, d, a, 2) / (b * b * mp_ultra("i", 1, d, b, 2))
-    assert ball.gamma_of(a, tau, d) == pytest.approx(expected, rel=1e-12)
+    assert ball._secular_parts(a, tau, d)[0] == pytest.approx(expected,
+                                                              rel=1e-12)
 
 
 def test_secular_zero_at_solved_root():
     mode = ball.fundamental_tone(1.0, 2)
     scale = secular_term_scale(mode.a, mode.tau, mode.d, mode.radius)
-    assert abs(ball.secular_V(mode.a, 1.0, 2)) <= 1e-10 * scale
+    assert abs(ball._secular_vec(mode.a, 1.0, 2)) <= 1e-10 * scale
 
 
 def test_secular_single_sign_change():
@@ -71,7 +81,8 @@ def test_secular_closed_form_matches_fd_operator():
     # anti-derivation-error check: apply the raw boundary operator
     #   V u = tau u_r - r^-2 Delta_S(u_r - u/r) - (Delta u)_r
     # by finite differences on the sphere and compare with the closed form,
-    # normalized by the operator's natural term-sum magnitude
+    # normalized by the operator's natural term-sum magnitude; at radius R
+    # the closed form is V_R(a, tau) = R^-3 V_1(aR, tau R^2)
     rng = np.random.default_rng(99)
     for _ in range(20):
         d = int(rng.integers(2, 6))
@@ -79,10 +90,10 @@ def test_secular_closed_form_matches_fd_operator():
         R = float(rng.choice([1.0, 1.37]))
         a = float(rng.uniform(0.15, 0.95) * first_zero_j1prime(d) / R)
         b = math.sqrt(a * a + tau)
-        g = ball.gamma_of(a, tau, d, R)
+        g = unit_gamma(a, tau, d, R)
         fd = fd_boundary_V(lambda r: ultra_j(1, d, a * r) + g * ultra_i(1, d, b * r),
                            R, d, tau)
-        cf = ball.secular_V(a, tau, d, R)
+        cf = ball._secular_vec(a * R, tau * (R * R), d) / R**3
         assert abs(fd - cf) <= 1e-6 * secular_term_scale(a, tau, d, R)
 
 
@@ -225,9 +236,11 @@ def test_mode_invariant_matrix():
             assert m.omega == pytest.approx(m.a**2 * m.b**2, rel=1e-14)
             assert m.gamma > 0
             assert 0 < m.a * m.radius < ainf
+            a, b = m.a * m.radius, m.b * m.radius
             m_res, m_scale, v_res, v_scale = ball._residual_scales(
-                m.d, m.a * m.radius, m.b * m.radius, m.gamma,
-                m.tau * m.radius**2)
+                m.d, a, b, m.gamma, m.tau * m.radius**2,
+                specfun._ultra_table("j", 1, d, a, 2),
+                specfun._ultra_table("i", 1, d, b, 2))
             assert m_res <= 1e-9 * m_scale
             assert v_res <= 1e-9 * v_scale
 
@@ -241,18 +254,6 @@ def test_error_contracts():
         ball.fundamental_tone(float("nan"), 2)
     with pytest.raises(ValueError):
         ball.fundamental_tone(1.0, 2, radius=-2.0)
-    with pytest.raises(ValueError):
-        ball.gamma_of(5.0, 1.0, 2)      # beyond the first zero of j_1'
-    with pytest.raises(ValueError):
-        ball.gamma_of(0.5, -1.0, 2)
-    with pytest.raises(ValueError):
-        ball.secular_V(-0.5, 1.0, 2)
-    # a nan wavenumber fails the range check, as a float and in an array,
-    # rather than the kernel's finiteness check
-    for a in (math.nan, np.array([0.5, math.nan]), np.array(math.nan)):
-        for f in (ball.secular_V, ball.gamma_of):
-            with pytest.raises(ValueError, match="wavenumber a must lie in"):
-                f(a, 1.0, 2)
     for tau in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be positive"):
             ball.tone_bounds(tau, 2)
@@ -260,15 +261,17 @@ def test_error_contracts():
 
 def test_tone_against_mpmath_oracle_across_tension():
     # from tau = 1e-8 on, 4 times the largest error seen (5.1e-16 at d = 5,
-    # tau = 1)
+    # tau = 1); the residuals are the batch solve's own
     taus = np.array([1e-12, 1e-8, 1e-4, 1.0, 1e4])
     for d in (2, 5, 30):
         mu = first_zero_j1prime(d) ** 2
-        for tau, m in zip(taus, ball.fundamental_tones(taus, d)):
+        modes, m_res, v_res = ball._solve(taus, d, 1.0)
+        assert m_res.shape == v_res.shape == taus.shape
+        for tau, m, mr, vr in zip(taus, modes, m_res, v_res):
             ref = mp_tone(tau, d)
             rtol = 2.04e-15 if tau >= 1e-8 else 1e-9
             assert abs(m.omega - ref) <= rtol * ref, (d, tau)
-            assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
+            assert max(mr, vr) <= ball.RESIDUAL_TOL
             if tau >= 1e-8:
                 assert tau * mu < m.omega < tau * (d + 2), (d, tau)
 
@@ -356,9 +359,9 @@ def test_solve_where_v_underflows_and_at_extreme_radii():
         for d in (2, 3, 5, 10, 30):
             for tau, radius in ((1e-300, 1.0), (1.0, 1e-150), (1.0, 1e-105),
                                 (1e-210, 1e105), (1.0, 1e-8), (1e-16, 1.0)):
-                m = ball.fundamental_tone(tau, d, radius)
+                m, m_res, v_res = ball._solve(tau, d, radius)
                 assert m == ball.fundamental_tones([tau], d, radius)[0]
-                assert max(ball.boundary_residuals(m)) <= ball.RESIDUAL_TOL
+                assert max(m_res, v_res) <= ball.RESIDUAL_TOL
                 t = tau * (radius * radius)
                 a, b = m.a * radius, m.b * radius
                 if t < 1e-200:
@@ -403,6 +406,23 @@ def test_tone_solve_call_budget(monkeypatch):
         assert counts["work"] == 2 * (4 * secular + 3), (d, tau)
 
 
+def test_empty_batch_makes_no_secular_evaluation(monkeypatch):
+    # a batch with no tension returns [] at once, with no secular
+    # evaluation (the root find used to run its whole budget on it)
+    calls = []
+    parts = ball._secular_parts
+
+    def counted(*args):
+        calls.append(args)
+        return parts(*args)
+
+    first_zero_j1prime(3)               # cached outside the count
+    monkeypatch.setattr(ball, "_secular_parts", counted)
+    assert ball.fundamental_tones([], 3) == []
+    assert ball.infinite_tension_ratio(3, []) == []
+    assert calls == []
+
+
 def test_one_tension_solve_runs_on_floats(monkeypatch):
     # every table of a one-tension solve is built at a float z, from the
     # evaluations at both bracket ends on, and so is every table of the
@@ -436,11 +456,9 @@ def test_one_tension_solve_runs_on_floats(monkeypatch):
 
 
 def test_one_point_functions_run_on_floats(monkeypatch):
-    # secular_V and gamma_of at a float a build every table at a float z
-    # and return Python floats with the bits of the 0-d array path, written
-    # out here as the oracle: V_1 divided by numpy's R^3, at power-of-two
-    # radii, where R^3 = m^3 2^(3e) exactly; at any radius the float and
-    # the 0-d array input agree
+    # V and gamma at a float a build every table at a float z and return
+    # Python floats with the bits of the 0-d array path, which builds none
+    # at a float z
     seen = []
     table = ball._ultra_table
 
@@ -448,31 +466,22 @@ def test_one_point_functions_run_on_floats(monkeypatch):
         seen.append(z)
         return table(kind, l, d, z, deriv)
 
+    monkeypatch.setattr(ball, "_ultra_table", spy)
     rng = np.random.default_rng(25)
     for _ in range(300):
         d = int(rng.integers(2, 31))
         ainf = first_zero_j1prime(d)
-        a1 = float(rng.uniform(0.01, 0.99) * ainf)
-        t1 = float(10.0 ** rng.uniform(-8.0, 5.0))
-        R = 2.0 ** int(rng.integers(-40, 41))
-        a, tau = a1 / R, t1 / (R * R)
-        z, t = np.asarray(a) * R, tau * (R * R)
-        with np.errstate(all="ignore"):
-            v_old = float(ball._secular_vec(z, t, d) / np.float64(R) ** 3)
-        g_old = float(ball._secular_parts(z, t, d)[0])
-        monkeypatch.setattr(ball, "_ultra_table", spy)
+        a = float(rng.uniform(0.01, 0.99) * ainf)
+        tau = float(10.0 ** rng.uniform(-8.0, 5.0))
         seen.clear()
-        v, g = ball.secular_V(a, tau, d, R), ball.gamma_of(a, tau, d, R)
-        monkeypatch.undo()
+        v0, g0 = ball._secular_vec(np.array(a), tau, d), \
+            ball._secular_parts(np.array(a), tau, d)[0]
+        assert len(seen) == 4 and not any(type(x) is float for x in seen)
+        seen.clear()
+        v, g = ball._secular_vec(a, tau, d), ball._secular_parts(a, tau, d)[0]
         assert type(v) is float and type(g) is float
         assert len(seen) == 4 and all(type(x) is float for x in seen)
-        assert (v, g) == (v_old, g_old), (d, a, tau, R)
-        R = float(10.0 ** rng.uniform(-3.0, 3.0))
-        a, tau = a1 / R, t1 / (R * R)
-        assert ball.secular_V(a, tau, d, R) == ball.secular_V(
-            np.asarray(a), tau, d, R)
-        assert ball.gamma_of(a, tau, d, R) == ball.gamma_of(
-            np.asarray(a), tau, d, R)
+        assert (v, g) == (v0, g0), (d, a, tau)
 
 
 def test_overflow_propagates_from_the_batch():

@@ -4,10 +4,8 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import freeplate
@@ -91,8 +89,6 @@ def test_tone_rejects_a_tension_scale_beyond_double_range(capsys):
     for radius in (1e200, 1e-200):
         with pytest.raises(ValueError, match="tau R"):
             ball.fundamental_tones([1.0, 2.0], 3, radius)
-        with pytest.raises(ValueError, match="tau R"):
-            ball.gamma_of(0.5 / radius, 1.0, 3, radius)
 
 
 def test_tone_residuals_at_extreme_radii(capsys):
@@ -131,27 +127,42 @@ def test_bracket_overflow_raises_without_a_warning(capsys):
             ball.fundamental_tones([1e300, 1.0], 2)
 
 
-def test_secular_v_at_extreme_radii():
-    # a R = 0.5 and tau R^2 = 1 at every radius: V_R = R^-3 V_1, which
-    # overflows at R = 1e-150 (ValueError, as omega does) and underflows
-    # at R = 1e105 (the underflowed value), with no numpy warning. There
-    # R^3 is beyond double range but V_R is the subnormal nearest to
-    # R^-3 V_1, taken in exact rational arithmetic from the unit-ball V_1;
-    # at a power of two, the exact R^-3 V_1
-    v1 = ball.secular_V(0.5, 1.0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="V_R is no finite double"):
-            ball.secular_V(0.5e150, 1e300, 2, 1e-150)
-        v = ball.secular_V(0.5e-105, 1e-210, 2, 1e105)
-    assert math.isfinite(v) and abs(v) < np.finfo(float).tiny
-    z, t = 0.5e-105 * 1e105, 1e-210 * (1e105 * 1e105)
-    exact = float(Fraction(ball.secular_V(z, t, 2)) / Fraction(1e105) ** 3)
-    assert v == exact and 2.6e-316 < v < 2.8e-316
-    R = 2.0**-300
-    assert ball.secular_V(0.5 / R, 1.0 / R**2, 2, R) == v1 / R**3
-    assert ball.gamma_of(0.5e-105, 1e-210, 2, 1e105) == pytest.approx(
-        ball.gamma_of(0.5, 1.0, 2), rel=1e-14)
+def test_tone_prints_the_residuals_of_its_solve(monkeypatch, tmp_path):
+    # tone prints the residuals that the solve's check took at the root: a
+    # tone call builds one J and one I table per secular evaluation and one
+    # pair at the root, all inside the solve, and no pair after it
+    counts = dict.fromkeys(("secular", "j", "i"), 0)
+    at_return = []
+    parts, table, solve = ball._secular_parts, ball._ultra_table, ball._solve
+
+    def counted_parts(*args):
+        counts["secular"] += 1
+        return parts(*args)
+
+    def counted_table(kind, l, d, z, deriv):
+        counts[kind] += 1
+        return table(kind, l, d, z, deriv)
+
+    def spied_solve(*args):
+        out = solve(*args)
+        at_return.append(dict(counts))
+        return out
+
+    monkeypatch.setattr(ball, "_secular_parts", counted_parts)
+    monkeypatch.setattr(ball, "_ultra_table", counted_table)
+    monkeypatch.setattr(ball, "_solve", spied_solve)
+    out = tmp_path / "tone.txt"
+    for d, tau, radius in ((2, "1e-6", "1"), (5, "1", "0.01"),
+                           (30, "10", "100")):
+        first_zero_j1prime(d)           # cached outside the count
+        counts.update(dict.fromkeys(counts, 0))
+        at_return.clear()
+        assert main(["tone", "--dim", str(d), "--tau", tau, "--radius",
+                     radius, "--out", str(out)]) == 0
+        secular = counts["secular"]
+        assert secular > 0 and (counts["j"], counts["i"]) == (
+            secular + 1, secular + 1), (d, tau, radius)
+        assert at_return == [counts], (d, tau, radius)
 
 
 def test_tone_rejects_omega_beyond_double_range(capsys):

@@ -98,25 +98,21 @@ def _sweep(kind, d, lo, hi, z, ops):
     """h at the kernel orders s+lo..s+hi by one backward sweep, from one
     body on a float z (ops _FLOATS) or on an array of points (_ARRAYS).
 
-    Index n stands for the order nu = n + (d % 2)/2. With t = 4^m > z (1
-    below z = 1) and u = z/t, both exact, the sweep carries w_n = t^nu h_nu,
-        w_n = (2 nu_(n+1) / t) w_(n+1) -+ u^2 w_(n+2),
-    which neither divides by z nor overflows. Each point starts at an index
-    set by its own z, with w = 1 there and 0 above, so its bits do not
-    depend on the other points; the seed (start == n) is added from the
-    top down to the smallest start only, as below it the seed would add
-    0.0 to a w that is never -0.0. Every _RESCALE orders w sheds its binary
-    exponent, exactly. At integer orders the normalizing sum runs along by
-    Horner in u (u^2 for j); at half-integer orders the last pair is fitted
-    by least squares to (w_(-1/2), u w_(1/2)) = sqrt(2 / (pi t)) (cos z,
-    sin z), (cosh z, sinh z) for i, so that a zero of either does no harm.
+    Index n stands for the order nu = n + (d % 2)/2. The sweep carries h
+    itself, h_(nu-1) = 2 nu h_nu -+ z^2 h_(nu+1). Every _RESCALE orders h
+    sheds its binary exponent, exactly; in between |h| grows by at most
+    nu + sqrt(nu^2 + z^2) an order, to below 1e142 for j (z <= 1e4) and
+    1e96 for i (z <= 690). Each point starts at an index set by its own
+    z, with h = 1 there and 0 above, so its bits do not depend on the
+    other points (the seed is added down to the smallest start only, as
+    below it, it would add 0.0 to an h that is never -0.0). Integer
+    orders are normalized by a sum run by Horner in z (z^2 for j),
+    half-integer ones by a least-squares fit of (h_(-1/2), z h_(1/2)) to
+    sqrt(2/pi) (cos z, sin z), (cosh z, sinh z) for i, which no zero harms.
     """
     frexp, ldexp, maximum = ops.frexp, ops.ldexp, ops.maximum
     half = d % 2
     n_lo, n_hi = (d - 2) // 2 + lo, (d - 2) // 2 + hi
-    m = maximum(0, (frexp(z)[1] + 1) // 2)
-    step = ldexp(1.0, -2 * m)
-    u = z * step
     # past the largest order any table reads, by a margin for Miller's
     # method and, for j, the O(z) orders before J_n falls off
     base = (d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5
@@ -124,45 +120,42 @@ def _sweep(kind, d, lo, hi, z, ops):
         8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
     low, top = ops.ends(start, base)
     every, even = kind == "i" and not half, kind == "j" and not half
-    uu = u * u
-    su2 = -uu if kind == "j" else uu
-    st2 = step + step
-    cs = (2.0 * top + 2.0 + half) * step       # 2 nu_(n+1) / t
+    zz = z * z
+    sz2 = -zz if kind == "j" else zz
     # augmented assignments update an array in place and rebind a float;
-    # w takes w1's buffer, as su2 w1 + cs w, the recurrence's sum
-    w, w1, S = (0.0 * u for _ in range(3))
+    # h takes h1's buffer, as sz2 h1 + 2 nu h, the recurrence's sum
+    h, h1, S = (0.0 * z for _ in range(3))
     E = 0
     kept = []
+    two_nu = 2.0 * top + 2.0 + half        # 2 nu_(n+1), a float: exact
     for n in range(top, -half - 1, -1):
-        w1 *= su2
-        w1 += cs * w
-        w, w1 = w1, w
+        h1 *= sz2
+        h1 += two_nu * h
+        two_nu -= 2.0
+        h, h1 = h1, h
         if n >= low:
-            w += start == n
-        cs -= st2
+            h += start == n
         if every:
-            S *= u
-            S += w
+            S *= z
+            S += h
         elif even and not n & 1:
-            S *= uu
-            S += w
+            S *= zz
+            S += h
         if not n % _RESCALE:
-            e = frexp(maximum(abs(w), abs(w1)))[1]
-            w, w1, S, E = ldexp(w, -e), ldexp(w1, -e), ldexp(S, -e), E + e
+            e = frexp(maximum(abs(h), abs(h1)))[1]
+            h, h1, S, E = ldexp(h, -e), ldexp(h1, -e), ldexp(S, -e), E + e
         if n <= n_hi and n >= n_lo:     # one test above n_hi, most orders
-            kept.append((n, 1.0 * w, E))     # a copy: the buffer goes on
+            kept.append((1.0 * h, E))     # a copy: the buffer goes on
     if half:
         c, sn = (ops.value(f(z)) for f in ((np.cos, np.sin) if kind == "j"
                                            else (np.cosh, np.sinh)))
-        a, b = w, u * w1
+        a, b = h, z * h1
         f = math.sqrt(2.0 / math.pi) * (a * c + b * sn) / (a * a + b * b)
     else:
         # the sums weigh every order once, the identities order 0 once and
         # the others twice
-        f = (ops.value(np.exp(z)) if kind == "i" else 1.0) / (S + S - w)
-    # h_nu = t^-nu w_nu, and t^-1/2 more from the closed forms' factor
-    return [ldexp(wn, En - E - 2 * m * (n + half)) * f
-            for n, wn, En in reversed(kept)]
+        f = (ops.value(np.exp(z)) if kind == "i" else 1.0) / (S + S - h)
+    return [ldexp(hn, En - E) * f for hn, En in reversed(kept)]
 
 
 @lru_cache(maxsize=None)

@@ -357,6 +357,10 @@ def _gauss_gegenbauer(n, alpha):
     # of the Jacobi matrix of the orthonormal recurrence
     # t p_k = b_(k+1) p_(k+1) + b_k p_(k-1), polished by one Newton step on
     # p_n; the weights are the Christoffel numbers 1 / sum_(k<n) p_k(t)^2.
+    # The weight is even, so the Jacobi matrix has a zero diagonal and, its
+    # even indices first, is [[0, B], [B^T, 0]] with B the lower bidiagonal
+    # (n+1)//2 x n//2 of the b's: the nodes are -+ the singular values of
+    # B, and 0 for odd n, from an SVD of half the size on a side.
     # Cached: the rule is a constant table, and the recurrence is a Python
     # loop of n steps
     k = np.arange(1, n)
@@ -375,7 +379,11 @@ def _gauss_gegenbauer(n, alpha):
                 dp, (p + t * dp - c[j] * dp0) / c[j + 1]
         return p, dp, ss
 
-    t = np.linalg.eigvalsh(np.diag(b, -1))
+    B = np.zeros(((n + 1) // 2, n // 2))
+    B[range(n // 2), range(n // 2)] = b[0::2]
+    B[range(1, (n + 1) // 2), range((n - 1) // 2)] = b[1::2]
+    sv = np.linalg.svd(B, compute_uv=False)
+    t = np.concatenate([-sv, np.zeros(n % 2), sv[::-1]])
     p, dp, _ = recur(t)
     t = t - p / dp
     t = 0.5 * (t - t[::-1])

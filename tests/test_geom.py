@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from freeplate import ball as ballmod
-from freeplate import geom, trial
+from freeplate import geom, specfun, trial
 from freeplate.geom import QuadratureSpec
 
 from oracles import legendre_to_power, mp_gauss_gegenbauer
@@ -265,6 +265,34 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
     np.testing.assert_allclose(t, t_lg, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(w, mp_gauss_gegenbauer(80, 0.5, t)[1],
                                rtol=1e-13, atol=0.0)
+
+
+def test_gauss_rules_send_no_large_matrix_to_linalg(monkeypatch):
+    # the rules of membrane_C (80 nodes) and of the default radial rules
+    # take their nodes from an SVD of half the Jacobi matrix's size, so no
+    # matrix over 40 on a side reaches np.linalg; an 80 x 80 eigenproblem
+    # there left OpenBLAS's worker thread spinning for about 0.1 s
+    shapes = []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if name.startswith("_") or isinstance(fn, type) or not callable(fn):
+            continue
+
+        def spy(*args, _fn=fn, **kwargs):
+            shapes.extend(np.shape(a) for a in args
+                          if isinstance(a, np.ndarray))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for cached in (specfun._gauss_gegenbauer, ballmod.membrane_C,
+                   geom._sphere_rule):
+        cached.cache_clear()
+    for d in range(2, 31):
+        ballmod.membrane_C(d)
+    for d in range(3, 7):
+        geom._sphere_rule(d, 8192)
+    assert (40, 40) in shapes
+    assert max(max(shape) for shape in shapes) <= 40, sorted(set(shapes))
 
 
 def integrate_radial(dom, f, quad, center=None):

@@ -18,7 +18,9 @@ e^z = I_0 + 2 sum I_k, and at half-integer orders (odd d) by the closed
 forms at nu = -1/2 and 1/2 (Gautschi, SIAM Review 9, 1967; Olver & Sookne,
 Math. Comp. 26, 1972). Then j_l = z^l h_(s+l) and h_nu' = -+ z h_(nu+1), so
 every derivative is a sum of nonnegative powers of z times h's, each term
-positive for i. There is no series branch and no power of 1/z.
+positive for i. There is no series branch and no power of 1/z. Orders
+up to s+5, all that the program reads, sweep from above s+5, the others
+from above s+12.
 
 The sweep, the kernel tables and the root finder each have one body that
 runs on a float or on an array, chosen by the argument's type: a scalar z
@@ -38,8 +40,9 @@ import numpy as np
 
 _J_Z_MAX = 1.0e4       # the sweep for j_l runs over O(z) orders
 _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
-MAX_ORDER = 8
-MAX_DERIV = 4
+MAX_ORDER = 8          # l <= 8 and deriv <= 4 span orders s..s+12; those
+MAX_DERIV = 4          # above s + _READ_TOP only tests and direct reads use
+_READ_TOP = 5          # the program's tables (l = 1, deriv <= 4) read s..s+5
 _RESCALE = 32          # orders between rescalings of the sweep
 _ROOT_STEP_RTOL = 1e-8  # relative Newton step below which a root is accepted
 _ROOT_MAX_ITER = 2046   # evaluations; 2046 bisections span the doubles
@@ -95,8 +98,9 @@ _ARRAYS = _Ops(
 
 
 def _sweep(kind, d, lo, hi, z, ops):
-    """h at the kernel orders s+lo..s+hi by one backward sweep, from one
-    body on a float z (ops _FLOATS) or on an array of points (_ARRAYS).
+    """h at the kernel orders s+lo..s+hi, from one body on a float z (ops
+    _FLOATS) or on an array of points (_ARRAYS): orders up to s + _READ_TOP
+    by a sweep based above it, the others by one based above s + 12.
 
     Index n stands for the order nu = n + (d % 2)/2. The sweep carries h
     itself, h_(nu-1) = 2 nu h_nu -+ z^2 h_(nu+1). Every _RESCALE orders h
@@ -110,15 +114,19 @@ def _sweep(kind, d, lo, hi, z, ops):
     half-integer ones by a least-squares fit of (h_(-1/2), z h_(1/2)) to
     sqrt(2/pi) (cos z, sin z), (cosh z, sinh z) for i, which no zero harms.
     """
+    if lo <= _READ_TOP < hi:
+        return (_sweep(kind, d, lo, _READ_TOP, z, ops)
+                + _sweep(kind, d, _READ_TOP + 1, hi, z, ops))
     frexp, ldexp, maximum = ops.frexp, ops.ldexp, ops.maximum
     half = d % 2
     n_lo, n_hi = (d - 2) // 2 + lo, (d - 2) // 2 + hi
-    # past the largest order any table reads, by a margin for Miller's
-    # method and, for j, the O(z) orders before J_n falls off
-    base = (d - 2) // 2 + MAX_ORDER + MAX_DERIV + 5
+    # past the sweep's top order, by a margin for Miller's method and, for
+    # j, the O(z) orders before J_n falls off
+    top = _READ_TOP if hi <= _READ_TOP else MAX_ORDER + MAX_DERIV
+    base = (d - 2) // 2 + top + 5
     start = ops.as_int(base + (
         8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
-    low, top = ops.ends(start, base)
+    low, high = ops.ends(start, base)
     every, even = kind == "i" and not half, kind == "j" and not half
     zz = z * z
     sz2 = -zz if kind == "j" else zz
@@ -127,8 +135,8 @@ def _sweep(kind, d, lo, hi, z, ops):
     h, h1, S = (0.0 * z for _ in range(3))
     E = 0
     kept = []
-    two_nu = 2.0 * top + 2.0 + half        # 2 nu_(n+1), a float: exact
-    for n in range(top, -half - 1, -1):
+    two_nu = 2.0 * high + 2.0 + half        # 2 nu_(n+1), a float: exact
+    for n in range(high, -half - 1, -1):
         h1 *= sz2
         h1 += two_nu * h
         two_nu -= 2.0

@@ -376,57 +376,72 @@ def test_quotient_error_paths(capsys, tmp_path):
 # sha256 of the quotient output for each (config, tau, extra flags): the
 # seven shape kinds of the quotient-domains benchmark at fixed parameters
 # with the default rule, then the grid and mc fallbacks on the overlapping
-# two balls. Re-recorded for the tone's safeguarded Newton solve, which
-# moved omega and what follows from it in these outputs (old -> new; the
-# ellipse, box, annulus, radial overlapping two balls, grid and mc kept
-# their bytes):
-#   two-balls (tau 0.7): Q 1.2406656141818639 -> 1.2406656141818637,
-#     omega 2.7764298277797654 -> 2.7764298277797637, margin
-#     1.5357642135979015 -> 1.5357642135978999, error_bar
-#     4.6461704937611702e-06 -> 4.6461704934281033e-06, separation_sigmas
-#     330544.09339048358 -> 330544.09341417876
-#   implicit L-shape: Q 6.3942057491505144 -> 6.3942057491505153, omega
-#     7.8255794830257583 -> 7.8255794830257539, margin 1.4313737338752439
-#     -> 1.4313737338752386, error_bar 1.0787876060065298e-05 ->
-#     1.0787876057178718e-05, separation_sigmas 132683.55382519847 ->
-#     132683.55386070095
-#   3-d ellipsoid: Q 35.4631122947644 -> 35.463112294764414, omega
-#     38.124566971600252 -> 38.124566971600267, error_bar
-#     2.4070070766855493e-06 -> 2.407007080238263e-06, separation_sigmas
-#     1105711.1973682593 -> 1105711.1957362427
+# two balls. Re-recorded for the Bessel sweep whose orders up to s + 5
+# start from a base above s + 5, which moved the kernels, and so the tone
+# and the profile, at the 1e-15 level (old -> new; every line not named
+# kept its bytes):
+#   ellipse: Q 0.90408272037942339 -> 0.9040827203794235, margin
+#     0.29144637490475789 -> 0.29144637490475778, error_bar (at the
+#     rounding floor) 1.7094391259027809e-14 -> 1.7371947015184098e-14,
+#     separation_sigmas 17049239747033.438 -> 16776839962153.73
+#   box: error_bar 3.1737734320837465e-05 -> 3.1737734311067502e-05,
+#     separation_sigmas 102011.51132443608 -> 102011.51135583872
+#   annulus: omega 4.7333739339452308 -> 4.7333739339452281, margin
+#     1.3623684392631334 -> 1.3623684392631308, separation_sigmas
+#     28439038835583.879 -> 28439038835583.824
+#   two-balls (tau 0.7): Q 1.2406656141818637 -> 1.2406656141818639,
+#     margin 1.5357642135978999 -> 1.5357642135978997, error_bar
+#     4.6461704934281033e-06 -> 4.6461704931505475e-06, separation_sigmas
+#     330544.09341417876 -> 330544.09343392495
+#   implicit L-shape: omega 7.8255794830257539 -> 7.8255794830257583,
+#     margin 1.4313737338752386 -> 1.431373733875243, error_bar
+#     1.0787876057178718e-05 -> 1.0787876057622808e-05, separation_sigmas
+#     132683.55386070095 -> 132683.55385523936
+#   overlapping two balls, radial: Q 0.57981479494471222 ->
+#     0.57981479494471211, margin 0.019053597649767773 ->
+#     0.019053597649767884, separation_sigmas 1567069.3440244934 ->
+#     1567069.3440245024
+#   3-d ellipsoid: Q 35.463112294764414 -> 35.4631122947644, omega
+#     38.124566971600267 -> 38.124566971600252
+#   grid: error_bar 0.011503006590905527 -> 0.01150300659090559,
+#     separation_sigmas 1.6867121898928619 -> 1.6867121898928528
+#   mc: Q 0.57648072813163098 -> 0.57648072813163087, margin
+#     0.022387664462849011 -> 0.022387664462849122, error_bar
+#     0.0027990719387031961 -> 0.002799071938703197, separation_sigmas
+#     7.9982454731839319 -> 7.9982454731839692
 _TWO_BALLS = "shape=two-balls\ndim=2\nradii=1,0.9\ncenters=-0.3,0;0.3,0\n"
 _QUOTIENT_SHA256 = [
     ("shape=ellipsoid\ndim=2\nsemiaxes=2.2,1\n", "0.3", (),
-     "7850dca7180748f61c44e435cf141684"
-     "79f091febb7bf8d70d30cbd061a27ad4"),
+     "ecba3036cd1d25d8eca028707b174e63"
+     "1325bc03d764d926b8541e0fea93ec26"),
     ("shape=box\ndim=2\nsides=1.9,1\n", "4.5", (),
-     "30197a1807a17eee321967ddd8052b14"
-     "ba038c31848a443e8125e3224cb1fb8a"),
+     "2ca97827bc4cb630a61f6e3bb2b25150"
+     "c61e384389ab8c462080e2f21c63a789"),
     ("shape=annulus\ndim=2\ninner=0.4\nouter=1\n", "1.2", (),
-     "da21e2c4ec8751130abd6a45358bc454"
-     "a3b447d6915dff656c108483777236c3"),
+     "73ae3f6b59b6515f297aa4a139837ea4"
+     "f0fe92adebf4870d17bbf2c17caee9f1"),
     ("shape=two-balls\ndim=2\nradii=0.55,0.52\n"
      "centers=-0.72,0;0.69,0.05\n", "0.7", (),
-     "243fe0c850d39a1ba4536a1dba6346e5"
-     "cd06c9b06d6495cd4cc4ae059d2247cf"),
+     "51fe924225fd6e1ead3dc7fad58842a1"
+     "b52441b3f5efd37f838b4878dbc91710"),
     ("shape=implicit\ndim=2\nexpr=(abs(x) <= 1) & (abs(y) <= 1) & "
      "~((x > 0.05) & (y > 0.05))\nbounds=-1,1,-1,1\nvolume=3.0975\n", "2",
      (),
-     "58c4e0809ce9fc052a650d39de4c3254"
-     "b87d877defb0aff64507232866f9a9e1"),
+     "819d9c0f6681724c9f29c1697d32a5c3"
+     "68ec30a3906340263961858ce1d4b3ac"),
     (_TWO_BALLS, "0.15", (),
-     "a50359b46954026ec590486ac482451f"
-     "ab761d56a2e2bc75ed32b809766901f4"),
+     "28084ca7b3d0802e29140bce69cbe189"
+     "b69ac8c5b1d2063db220e0eead4500cf"),
     ("shape=ellipsoid\ndim=3\nsemiaxes=1.6,1.6,1\n", "8", (),
-     "3e2844d8ed1ae3e04cfbd42ccabcac58"
-     "e20885433eeec65c4ae9fe6693c3f7cb"),
+     "f70feaf2f7b1ac7b1f7aa76ef70f6bc4"
+     "9ab28650ed94044e731bdb00e0cac109"),
     (_TWO_BALLS, "0.15", ("--quad", "grid", "--samples", "64"),
-     "d55892eb866b9991340844cc1fd6a764"
-     "d61ba6d5ac8f7be76a7fd350de29bded"),
+     "dfd92a6f6e5ee79af3e201dfeaeeb3ee"
+     "ebb5c8609b2427a66b5b94a6f68bd0e0"),
     (_TWO_BALLS, "0.15", ("--quad", "mc", "--samples", "20000", "--seed",
                           "3"),
-     "723e78a6932c42c4671a8d0ea98e1b00"
-     "37a8470b0ed1bf728bc12e2b09a5a10f"),
+     "81ec1ae24ffe166e1f8ff7205a3a4b07"
+     "94cb997044ea6ce32d23a998f26ea2e9"),
 ]
 
 

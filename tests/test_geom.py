@@ -918,14 +918,17 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
 def test_trial_center_quotients_are_pinned():
     # (Q, error bar) of _quotient at the trial center, tau = 1, as
     # float.hex; no CLI pin covers the 3-d two-balls. Re-recorded for the
-    # tone's safeguarded Newton solve (old -> new): tb3 Q
-    # 0x1.2fddd09b6483dp+2 -> 0x1.2fddd09b6483ap+2 (3 ulps), error bar
-    # 0x1.92088dc73ddd1p-16 -> 0x1.92088dc6fddd1p-16; the L-shape and tb2
-    # kept both
+    # Bessel sweep whose orders up to s + 5 start from a base above s + 5
+    # (old -> new): l Q 0x1.9b65ee2a00c4cp+1 -> 0x1.9b65ee2a00c4fp+1 (3
+    # ulps), error bar 0x1.39c96eb1b65eep-17 -> 0x1.39c96eb1265eep-17; tb2
+    # Q 0x1.77ece0d0ad956p+1 -> 0x1.77ece0d0ad958p+1 (2 ulps), error bar
+    # 0x1.066e46ef77670p-16 -> 0x1.066e46ef2f670p-16; tb3 Q
+    # 0x1.2fddd09b6483ap+2 -> 0x1.2fddd09b6483ep+2 (4 ulps), error bar
+    # 0x1.92088dc6fddd1p-16 -> 0x1.92088dc74ddd1p-16
     pinned = {
-        "l": ("0x1.9b65ee2a00c4cp+1", "0x1.39c96eb1b65eep-17"),
-        "tb2": ("0x1.77ece0d0ad956p+1", "0x1.066e46ef77670p-16"),
-        "tb3": ("0x1.2fddd09b6483ap+2", "0x1.92088dc6fddd1p-16"),
+        "l": ("0x1.9b65ee2a00c4fp+1", "0x1.39c96eb1265eep-17"),
+        "tb2": ("0x1.77ece0d0ad958p+1", "0x1.066e46ef2f670p-16"),
+        "tb3": ("0x1.2fddd09b6483ep+2", "0x1.92088dc74ddd1p-16"),
     }
     for name, dom in (("l", l_shape()), ("tb2", two_balls_2d()),
                       ("tb3", two_balls_3d())):

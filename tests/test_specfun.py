@@ -115,27 +115,47 @@ def test_series_and_kernel_agree_on_small_arguments():
                         assert fn(l, d, z, deriv) == pytest.approx(ref, rel=1e-13)
 
 
+def _table_keys(l, deriv):
+    # every (order, k) that the table of (l, deriv) holds
+    return [(order, k) for order in range(l, min(l + deriv, sf.MAX_ORDER) + 1)
+            for k in range(deriv - (order - l) + 1)]
+
+
 def test_table_entries_match_single_kernels_bit_for_bit():
-    # z from 0 across 1/2 and 1, where the sweep's scale t changes, over
-    # arrays of 14 and 19 points; a scalar z, a 0-d array among them,
-    # gives floats
+    # z from 0 across 1/2 and 1 over arrays of 14 and 19 points; a scalar
+    # z, a 0-d array among them, gives floats. Every table that straddles
+    # order s + _READ_TOP takes its orders from two sweeps, as the single
+    # reads do. At the tops of the ranges (i at 300 and 689.9, j at 1e3
+    # and 9999.5) on floats, as an array sweep up from z = 9999.5 takes
+    # about 30 ms
     small = np.concatenate([[0.0], np.geomspace(1e-3, 0.5, 6),
                             0.5 + np.geomspace(1e-9, 20.0, 7)])
     for zs, kind, fn in ((zs, kind, fn) for zs in (
             small, np.concatenate([small, np.linspace(0.7, 20.0, 5)]))
             for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i))):
-        for d in (2, 3, 8, 30):
+        for d in (2, 3, 4, 8, 30):
             for l in range(sf.MAX_ORDER + 1):
                 for deriv in range(sf.MAX_DERIV + 1):
                     table = sf._ultra_table(kind, l, d, zs, deriv)
-                    for order in range(l, min(l + deriv, sf.MAX_ORDER) + 1):
-                        for k in range(deriv - (order - l) + 1):
-                            np.testing.assert_array_equal(
-                                table(order, k), fn(order, d, zs, k))
+                    for order, k in _table_keys(l, deriv):
+                        np.testing.assert_array_equal(
+                            table(order, k), fn(order, d, zs, k))
             for z in (0.3, 2.0, np.array(0.3), np.float64(2.0), 2):
                 table = sf._ultra_table(kind, 1, d, z, 4)
                 assert table(3, 2) == fn(3, d, float(z), 2)
                 assert type(table(3, 2)) is float
+    for kind, fn, tops in (("j", sf.ultra_j, (1e3, 9999.5)),
+                           ("i", sf.ultra_i, (300.0, 689.9))):
+        for d, z in ((d, z) for d in (2, 3, 4, 30) for z in tops):
+            single = {(order, k): fn(order, d, z, k)
+                      for order in range(sf.MAX_ORDER + 1)
+                      for k in range(sf.MAX_DERIV + 1)}
+            assert all(math.isfinite(v) for v in single.values())
+            for l in range(sf.MAX_ORDER + 1):
+                for deriv in range(sf.MAX_DERIV + 1):
+                    table = sf._ultra_table(kind, l, d, z, deriv)
+                    for key in _table_keys(l, deriv):
+                        assert table(*key) == single[key]
 
 
 def test_table_entries_match_across_batch_sizes_bit_for_bit():
@@ -276,6 +296,33 @@ def test_high_precision_agreement_across_paths():
                         ref = mp_ultra(kind, l, d, z, deriv)
                         got = fn(l, d, z, deriv)
                         assert got == pytest.approx(ref, rel=5e-12, abs=1e-13)
+    # at the tops of the ranges, against mpmath's Bessel functions: j
+    # relative to its envelope sqrt(J^2 + Y^2) z^-s, i relative to itself,
+    # on floats and in an array. The sweeps for orders up to s + _READ_TOP
+    # start 5 + 8 sqrt(z) orders above it, so at d = 2, z = 689.9 the sum
+    # e^z = I_0 + 2 sum I_k ends at order 220, where its terms, out to
+    # about 8.6 sqrt(z), still count: i at orders s..s+5 holds 2e-15
+    for kind, fn, tops in (("j", sf.ultra_j, (1e3, 9999.5)),
+                           ("i", sf.ultra_i, (300.0, 689.9))):
+        for d in (2, 3, 4, 30):
+            for l in range(sf._READ_TOP + 1):
+                f, s = _mp_ultra_fn(kind, l, d)
+                table = sf._ultra_table(kind, l, d, np.array([0.5, *tops]),
+                                        sf.MAX_DERIV)
+                got = [table(l, k)[1:] for k in range(sf.MAX_DERIV + 1)]
+                for n, z in enumerate(tops):
+                    zm = mp.mpf(z)
+                    refs = list(mp.diffs(f, zm, sf.MAX_DERIV))
+                    scale = [abs(ref) for ref in refs]
+                    if kind == "j":
+                        nu = s + l
+                        scale = [mp.sqrt(mp.besselj(nu, zm) ** 2 + mp.bessely(
+                            nu, zm) ** 2) * zm ** (-s)] * len(refs)
+                    for k, ref in enumerate(refs):
+                        for value in (got[k][n], fn(l, d, z, k)):
+                            err = float(abs(value - ref) / scale[k])
+                            bound = 2e-15 if (kind, k) == ("i", 0) else 5e-12
+                            assert err < bound, (kind, d, l, k, z, err)
 
 
 def test_vectorized_matches_scalar():

@@ -313,49 +313,50 @@ def test_profile_pass_kernel_budget(monkeypatch):
 
 # sha256 of reports_to_csv(full_suite(d, include_global=False)) for the
 # dimensions past the verify fixture's 2..10, recorded with the kernels'
-# backward recurrence, the tone's safeguarded Newton solve and the trial
-# profile's one Bessel path from r = 0
+# backward recurrence (its orders up to s + 5 swept from a base above
+# s + 5), the tone's safeguarded Newton solve and the trial profile's one
+# Bessel path from r = 0
 _SUITE_SHA256 = {
-    11: "43cbecdba89453ef28a73f5843cfefc7"
-        "9ff4b08b2c6d624d3db287b0b7166c04",
-    12: "1856ccc040f4ed56a658a77a1ca009cd"
-        "e10d02faec512c72c2a936cc5bb9829b",
-    13: "83062da4614aefcb07af6fc3c4dc98b1"
-        "a2e945d511c5887bc36c75c15a0ff1e0",
-    14: "07633eefe8d76496b5f75f335c2c1ef3"
-        "3efcd0003782cc4c116da84d7c009492",
-    15: "133f21f2c33771a7847ba74b24071d92"
-        "c0422b80950600e073f3f35b9e2b570f",
-    16: "3fe6cec0e14253537c9c4f0de64bc506"
-        "128ff74ab379435552b99e083768b3d6",
-    17: "72d09860fe6bf5b93120ec7ea4086525"
-        "ebe7045366f9a2cfca069ea8c49b1f62",
-    18: "de554fa349c23bed6fcfad740008c433"
-        "dfeaa22f9195dcbc9e7a4c0efc6e325b",
-    19: "481660d74716c89a0b1c0283506edae1"
-        "0b010dfc7069ac3751ef0b7b2fbbd5fe",
-    20: "96e526a2d210b07f808e115c2346dd36"
-        "72f90da782c66f029e3900b72e5d90d0",
-    21: "985e5c0200396412349894b317b7c042"
-        "01c9a9793d09153cda3c98a145b3fcb0",
-    22: "8740d9555de541ee77620b9f5e573ef8"
-        "9d83d2685b0ab6737c64ab55cceeb5c6",
-    23: "daed83f023fddff73560de0f2425d133"
-        "b444a5b8a3b636203f0c09bbd9f85cf7",
-    24: "0b7bd4069bddac15b1b91e94d9392cb0"
-        "212ae97a3e7db01e6337bb7b846f476e",
-    25: "f27e6500fc0eb4211567f0d9bebb5e2e"
-        "0e79203bc354c66afba2a87f0384f951",
-    26: "9ad2c0cf919b1574bce310bdcc779f5a"
-        "afaefc9ead2db6e10bb41550a2fb2c1d",
-    27: "b6d720d25d8301e02077e4bb3a62a955"
-        "890fa1c40ec3fe136d3207fd330a76ce",
-    28: "c0a606e8acd8d3b6f68095c935291c95"
-        "dd47e79a67d64d2053d515971a5cbdf1",
-    29: "b40c75829588323b36d24b5b94aa56a3"
-        "d7537c38f911c339323691a88ba522a1",
-    30: "aed989a3d3631f631d58ea62ca07822e"
-        "e478295c985462afaaa77a13c20401e1",
+    11: "8cefabc4b0745704815c3aa8ced91df1"
+        "a0baa928aa32421b656f741b63fb5bcc",
+    12: "656bd59f7b7ba4a5f370e4619d83a8c1"
+        "d5e7a125aaac3a324762ee1f04a9f801",
+    13: "b8195ca257112f89d863ccd683c02113"
+        "67d6ac345256358589b9ecfe15865c68",
+    14: "322f178d076e92d755b9726a4d1c40e6"
+        "8bcdb12a8d22a7309c0ca4cba1d8870a",
+    15: "733fb08e1ce82c603697f9a3793d40d5"
+        "6d258e12ec07fc87922fa4d9eb83513f",
+    16: "f4c9daa3e45bfcba770fc65051780d8e"
+        "ce6741ba6109beff0f8470487692bb34",
+    17: "9b7967258d2f4ba8bcdbdf591a806827"
+        "6e71c67f66a78d47142679b12c9aa8ce",
+    18: "5982d978bc887356d1c527ee3b048124"
+        "bba1b78d2097267b61b5eb392188d63c",
+    19: "db24e2353d83488f657f94b8ec91f9f7"
+        "1097100900258aa5b44c399cd1620f5f",
+    20: "1f8f2d196282ebda2951d28983f13aa7"
+        "d76daa8ab50c12c0cdff32ea3de0cbec",
+    21: "80fbde3d226393e2f3080f5a6de72643"
+        "8805ac2f6f1c2d55ba10633706fb9668",
+    22: "8ab822d8f40cd37c94f4412c7096ee36"
+        "13c4ae324e037eb0de5b70652aa285c4",
+    23: "7f9c63aeb0f2fcfceece333af093ceb4"
+        "2fa855935168e3f79e30ca82504d7e29",
+    24: "0b7f94440d1c2e4e8e32d534c39eff73"
+        "7f88451fa506990fc30d4dcd25c626ba",
+    25: "50825878333c06b2d6b3ef8eca95a574"
+        "287186566fce9472ac85ce5d4e84f03e",
+    26: "3788e9bfa5aa41d613d13ea01e2beab0"
+        "8bd333c1a91843aeb0b21608ef174ab4",
+    27: "358d708390a51ab0b6ba48a252782fe4"
+        "24bd07c2856264d50013fa162e82a0c0",
+    28: "574045768221df4cb01181fb417e1e3f"
+        "d39c0ecefeb459f5771136976c0aa0bf",
+    29: "1213d75acd6c8006a4f7edceaf43fc86"
+        "1fd9a6f3127a8b77df11dced2447a341",
+    30: "f16cc8eb5dc1122d82f5f3e15bc99cfd"
+        "2164a7b7660d2a8022d2a4975a86643d",
 }
 
 

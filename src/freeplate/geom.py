@@ -58,6 +58,7 @@ _GAUSS_NODES = 10       # Gauss-Legendre nodes per radial panel
 _SERIES_CHUNK = 2**12
 _PANELS = 64            # radial panels per unit of the table's variable
 _CENTER_CASTS = 64      # centering casts before giving up (Newton takes ~3)
+_NO_CROSSING = "domain appears empty: no ray of the radial rule crosses it"
 # the rules' sums carry rounding, so no error bar is smaller than this
 _ROUNDING = 64 * np.finfo(float).eps
 
@@ -1039,6 +1040,8 @@ def center_trial(domain, profile, quad=None, tol=None):
         # v; H, A and B share one Horner pass at the record's crossings
         rays = _Rays(domain, quad.cells, v)
         u, (h, a, b) = rays.main(G)
+        if not b.any():
+            raise ValueError(_NO_CROSSING)
         X = h @ u
         M = (u.T * (a - b)) @ u + np.sum(b) * np.eye(domain.d)  # -dX/dv
         return (float(np.linalg.norm(X)),
@@ -1138,6 +1141,8 @@ def _quotient(domain, mode, quad, center=None, tol=None):
                          _panels(profile))
     if quad.kind == "radial":
         num, den = rays.rows(table.G(domain.d))
+        if den[0] == 0.0:
+            raise ValueError(_NO_CROSSING)
         Q, eq = (float(x) for x in _estimate(num / den))
         return Q, abs(Q) * (eq / abs(Q))
     (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)

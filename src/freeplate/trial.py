@@ -1,10 +1,9 @@
 """Radial trial profile for the quotient bound.
 
 The profile rho equals the solved ball mode's radial part on [0, 1] and
-continues linearly beyond r = 1. This module evaluates rho, its
-derivatives, the quotient-numerator integrand N[rho], and the pointwise
-sub-checks (concavity of rho, partial monotonicity of N) that the
-isoperimetric argument relies on; `verify` reduces them to lemma rows.
+continues linearly beyond r = 1. This module only evaluates: rho, its
+derivatives and the quotient-numerator integrand N[rho]. `geom` integrates
+these pieces, and `verify` turns them into the profile lemma rows.
 
 On [0, 1), r = 0 included, every value comes from one Bessel path: one j
 table at a r and one i table at b r. rho/r and (rho - r rho')/r^2 take
@@ -18,11 +17,6 @@ import numpy as np
 
 from .ball import BallMode
 from .specfun import _ultra_table
-
-ENDPOINT_TOL = 1e-10
-_EQ_SLACK = 1e-12
-# the names of _profile_checks' sub-checks of the concavity row
-_CONCAVITY = ("concave", "flat-at-0", "flat-at-1", "fourth-positive")
 
 
 @dataclass(frozen=True)
@@ -105,27 +99,10 @@ def _evaluate(profile, r, pick):
     return float(vals[0]) if arr.ndim == 0 else vals
 
 
-def rho(profile, r, deriv=0):
-    """Evaluate the trial profile or one of its first two derivatives.
-
-    Parameters
-    ----------
-    profile : TrialProfile
-    r : float or array_like
-        Radii, >= 0 and finite.
-    deriv : int, optional
-        Derivative order, 0, 1 or 2.
-
-    Returns
-    -------
-    float or ndarray
-        rho^(deriv)(r); beyond r = 1 the profile is linear, so the second
-        derivative is 0 there.
-    """
-    if deriv not in (0, 1, 2):
-        raise ValueError("deriv must be 0, 1 or 2")
-    name = ("rho", "d1", "d2")[deriv]
-    return _evaluate(profile, r, lambda m, pc: pc[name])
+def rho(profile, r):
+    """The trial profile at the radii r (float or array_like, >= 0 and
+    finite), as a float or an ndarray; it is linear beyond r = 1."""
+    return _evaluate(profile, r, lambda m, pc: pc["rho"])
 
 
 def numerator_integrand(profile, r):
@@ -151,82 +128,3 @@ def numerator_integrand(profile, r):
 def _numerator(m, pc):
     return (pc["d2"] ** 2 + 3.0 * (m.d - 1) * pc["q"] ** 2
             + m.tau * pc["d1"] ** 2 + m.tau * (m.d - 1) * pc["p"] ** 2)
-
-
-def h_decrease_quantity(profile, r):
-    """Quantity (6/r^2)(rho - r rho') + 3 rho'' + tau rho.
-
-    Its positivity on (0, 1] makes h(r) = 3(rho - r rho')^2/r^4
-    + tau rho^2/r^2 decreasing, the step that needs the gamma chain.
-    """
-    return _evaluate(profile, r, _h_quantity)
-
-
-def _h_quantity(m, pc):
-    return 6.0 * pc["q"] + 3.0 * pc["d2"] + m.tau * pc["rho"]
-
-
-def _profile_checks(profile, inner, outer):
-    """Named sub-checks, each (margin, point), from one evaluation of the
-    profile, rho'''' included, on the inner grid in (0, 1), the outer grid
-    in [1, inf), r = 1 and r = 0. First the four of concavity, named in
-    _CONCAVITY: -rho'' inside; rho'' = 0 at both ends, as equalities at
-    ENDPOINT_TOL; and rho'''' > 0 on the inner grid and r = 1, so that
-    rho'' can vanish only at the ends. Then those of the partial
-    monotonicity of N[rho] (N inside above N outside, and its three
-    ingredients), among them "denominator-rise" (rho^2 increasing over both
-    grids) and "h-quantity" (h_decrease_quantity on the inner grid and
-    r = 1)."""
-    m = profile.mode
-    ni = inner.size
-    combined = np.concatenate([inner, outer])
-    nc = combined.size
-    pc = _eval_pieces(profile, np.append(combined, [1.0, 0.0]), deriv=4)
-    closed = np.append(inner, 1.0)
-    checks = {}
-
-    d2 = pc["d2"]
-    i = int(np.argmin(-d2[:ni]))
-    checks["concave"] = (float(-d2[i]), (inner[i],))
-    # rho''(0) = 0 as every term of the tables' rho'' carries a power of r,
-    # rho''(1-) = 0 by the construction of gamma
-    _, _, d2_end, d4_end = _edge_values(profile)
-    checks["flat-at-0"] = (ENDPOINT_TOL - abs(float(d2[nc + 1])), (0.0,))
-    checks["flat-at-1"] = (ENDPOINT_TOL - abs(d2_end), (1.0,))
-    d4 = np.append(pc["d4"][:ni], d4_end)
-    i = int(np.argmin(d4))
-    checks["fourth-positive"] = (float(d4[i]), (closed[i],))
-
-    n = _numerator(m, pc)
-    n_in, n_out = n[:ni], n[ni:nc]
-    i, j = int(np.argmin(n_in)), int(np.argmax(n_out))
-    checks["numerator-gap"] = (float(n_in[i] - n_out[j]), (inner[i], outer[j]))
-
-    i = int(np.argmin(d2[:ni] ** 2))
-    checks["curvature-inside"] = (float(d2[i] ** 2), (inner[i],))
-    d2_out_max = float(np.max(d2[ni:nc] ** 2))
-    checks["curvature-outside"] = (_EQ_SLACK - d2_out_max, (outer[0],))
-
-    grad = m.tau * pc["d1"][:nc] ** 2
-    drops = grad[:-1] - grad[1:]
-    i = int(np.argmin(drops))
-    checks["gradient-drop"] = (
-        float(drops[i]) + _EQ_SLACK * float(np.max(grad)), (combined[i],))
-
-    h = 3.0 * pc["q"][:nc] ** 2 + m.tau * pc["p"][:nc] ** 2
-    drops = h[:-1] - h[1:]
-    i = int(np.argmin(drops))
-    checks["h-drop"] = (float(drops[i]), (combined[i],))
-
-    den = pc["rho"][:nc] ** 2
-    rises = den[1:] - den[:-1]
-    i = int(np.argmin(rises))
-    checks["denominator-rise"] = (float(rises[i]), (combined[i],))
-    checks["denominator-gap"] = (float(np.min(den[ni:]) - np.max(den[:ni])),
-                                 (inner[-1], outer[0]))
-
-    quant = _h_quantity(m, pc)
-    quant = np.append(quant[:ni], quant[nc])
-    i = int(np.argmin(quant))
-    checks["h-quantity"] = (float(quant[i]), (closed[i],))
-    return checks

@@ -1,8 +1,10 @@
 """Grid certification of the auxiliary inequalities behind the quotient
 bound: sign patterns of the radial Bessel functions, cubic bounds on their
 second derivatives, the coupling-constant chain for small and large
-tension, and the two polynomials whose positivity closes the small-tension
-case.
+tension, the pointwise facts about the trial profile (concavity of rho,
+partial monotonicity of N[rho], rho^2 and h), and the two polynomials
+whose positivity closes the small-tension case. Each row is the worst of
+its sub-checks, (margin, point) pairs.
 """
 
 import math
@@ -19,6 +21,8 @@ from .specfun import (_ultra_table, first_zero_j1prime, series_coeff_dk,
 
 P3_CRITICAL_REF = 79.0
 DEFAULT_GRID = 4096
+ENDPOINT_TOL = 1e-10
+_EQ_SLACK = 1e-12
 _NOISE_FLOOR = 1e-12
 _TENSION_PTS = 64
 
@@ -264,6 +268,61 @@ def default_large_tau_grid(d):
     return np.logspace(math.log10(edge), 2.0, _TENSION_PTS + 1)[1:]
 
 
+def _profile_checks(profile, inner, outer):
+    """The four profile rows' sub-checks, {row: {name: (margin, point)}},
+    from one profile pass, rho'''' included, on the inner grid in (0, 1),
+    the outer grid in [1, inf), r = 1 and r = 0. Concavity: -rho'' inside,
+    rho'' = 0 at both ends (equalities at ENDPOINT_TOL), and rho'''' > 0
+    on the inner grid and r = 1, so that rho'' vanishes only at the ends.
+    The partial monotonicity of N[rho]: N inside above N outside, and its
+    ingredients, the last two rows' sub-checks among them: rho^2
+    increasing over both grids, and 6 (rho - r rho')/r^2 + 3 rho''
+    + tau rho > 0 on the inner grid and r = 1, which makes
+    h(r) = 3 (rho - r rho')^2/r^4 + tau rho^2/r^2 decreasing.
+    """
+    m = profile.mode
+    ni = inner.size
+    combined = np.concatenate([inner, outer])
+    nc = combined.size
+    pc = trial._eval_pieces(profile, np.append(combined, [1.0, 0.0]), deriv=4)
+    closed = np.append(inner, 1.0)
+
+    d2 = pc["d2"]
+    # rho''(0) = 0 as every term of the tables' rho'' carries a power of r,
+    # rho''(1-) = 0 by the construction of gamma
+    _, _, d2_end, d4_end = trial._edge_values(profile)
+    concavity = {
+        "concave": _least(-d2[:ni], inner),
+        "flat-at-0": (ENDPOINT_TOL - abs(float(d2[nc + 1])), (0.0,)),
+        "flat-at-1": (ENDPOINT_TOL - abs(d2_end), (1.0,)),
+        "fourth-positive": _least(np.append(pc["d4"][:ni], d4_end), closed)}
+
+    n = trial._numerator(m, pc)
+    n_in, n_out = n[:ni], n[ni:nc]
+    i, j = int(np.argmin(n_in)), int(np.argmax(n_out))
+    grad = m.tau * pc["d1"][:nc] ** 2
+    drop, point = _least(grad[:-1] - grad[1:], combined)
+    h = 3.0 * pc["q"][:nc] ** 2 + m.tau * pc["p"][:nc] ** 2
+    den = pc["rho"][:nc] ** 2
+    rise = _least(den[1:] - den[:-1], combined)
+    quant = 6.0 * pc["q"] + 3.0 * d2 + m.tau * pc["rho"]
+    h_quantity = _least(np.append(quant[:ni], quant[nc]), closed)
+    monotone = {
+        "numerator-gap": (float(n_in[i] - n_out[j]), (inner[i], outer[j])),
+        "curvature-inside": _least(d2[:ni] ** 2, inner),
+        "curvature-outside": (_EQ_SLACK - float(np.max(d2[ni:nc] ** 2)),
+                              (outer[0],)),
+        "gradient-drop": (drop + _EQ_SLACK * float(np.max(grad)), point),
+        "h-drop": _least(h[:-1] - h[1:], combined),
+        "denominator-rise": rise,
+        "denominator-gap": (float(np.min(den[ni:]) - np.max(den[:ni])),
+                            (inner[-1], outer[0])),
+        "h-quantity": h_quantity}
+    return {"profile-concavity": concavity, "numerator-monotone": monotone,
+            "denominator-increase": {"denominator-rise": rise},
+            "h-decrease-condition": {"h-quantity": h_quantity}}
+
+
 def full_suite(d, trial_tau_grid=None, include_global=True,
                grid_size=DEFAULT_GRID):
     """Run every lemma check for one dimension, one report per lemma.
@@ -315,25 +374,23 @@ def full_suite(d, trial_tau_grid=None, include_global=True,
 
     # one profile pass per tension, rho'''' included, feeds the four
     # profile rows
-    profile_rows = ([], [], [], [])
+    profile_rows = {}
     inner = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     outer = np.linspace(1.0 + 1e-9, 10.0, grid_size)
     for mode in modes[-taus.size:]:
-        prof = trial.TrialProfile(mode)
-        sub = trial._profile_checks(prof, inner, outer)
-        groups = ([sub.pop(name) for name in trial._CONCAVITY],
-                  sub.values(), [sub["denominator-rise"]],
-                  [sub["h-quantity"]])
-        for rows, checks in zip(profile_rows, groups):
-            margin, point = min(checks, key=lambda c: c[0])
-            rows.append((margin, (mode.tau,) + point))
+        rows = _profile_checks(trial.TrialProfile(mode), inner, outer)
+        for lemma, checks in rows.items():
+            margin, point = min(checks.values(), key=lambda c: c[0])
+            profile_rows.setdefault(lemma, []).append(
+                (margin, (mode.tau,) + point))
     tau_spec = f"{taus.size} tension pts in [{taus[0]:g};{taus[-1]:g}]"
-    for lemma, rows, grid in zip(
-            ("profile-concavity", "numerator-monotone",
-             "denominator-increase", "h-decrease-condition"), profile_rows,
-            (f"{grid_size} radial pts", f"{grid_size} inner and outer pts",
-             f"{2 * grid_size} radial pts", f"{grid_size} pts on (0;1]")):
-        reports.append(_reduce(f"{lemma}[d={d}]", rows, f"{tau_spec}; {grid}"))
+    for lemma, grid in (
+            ("profile-concavity", f"{grid_size} radial pts"),
+            ("numerator-monotone", f"{grid_size} inner and outer pts"),
+            ("denominator-increase", f"{2 * grid_size} radial pts"),
+            ("h-decrease-condition", f"{grid_size} pts on (0;1]")):
+        reports.append(_reduce(f"{lemma}[d={d}]", profile_rows[lemma],
+                               f"{tau_spec}; {grid}"))
 
     if include_global:
         reports.append(verify_P_nonneg(range(3, 31), grid_size))

@@ -361,6 +361,16 @@ def test_quotient_error_paths(capsys, tmp_path):
     code, _, err = run(capsys, "quotient", "--domain", str(ring),
                        "--tau", "1", "--quad", "grid", "--samples", "2")
     assert code == 2 and "no quadrature nodes" in err
+    # a given volume skips the estimate that finds an empty shape, so the
+    # centering's cast is the first to see that no ray crosses it
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("shape=implicit\ndim=2\nexpr=x > 100\n"
+                     "bounds=-1,1,-1,1\nvolume=1\n", encoding="utf-8")
+    code, out, err = run(capsys, "quotient", "--domain", str(empty),
+                         "--tau", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: domain appears empty: no ray of the radial rule "
+                   "crosses it\n")
     # a chained comparison fails at construction, given a volume or not
     band = tmp_path / "band.cfg"
     for extra in ("volume=2\n", ""):

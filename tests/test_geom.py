@@ -1267,6 +1267,13 @@ def test_quotient_argument_validation():
         geom.quotient_bound(dom, 0.0)
     with pytest.raises(ValueError, match="disagrees"):
         geom.quotient_bound(dom, 1.0, d=3)
+    # no ray crosses this shape: the centered quotient stops before its
+    # Newton solve, the one about a given center before its 0/0
+    empty = geom.implicit_domain(2, "x > 100", (-1, 1, -1, 1), volume=1.0)
+    for center in (None, (0.0, 0.0)):
+        with pytest.raises(ValueError, match="^domain appears empty: no ray "
+                                             "of the radial rule crosses"):
+            geom.quotient_bound(empty, 1.0, center=center)
 
 
 def test_centers_must_be_d_finite_numbers():

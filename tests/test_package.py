@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -15,6 +16,14 @@ EXPORTS = {"ball": ("BallMode", "fundamental_tone"),
            "trial": ("TrialProfile",),
            "verify": ("full_suite", "spot_values")}
 SUBMODULES = ("ball", "specfun", "geom", "trial", "verify", "report")
+# module-level definitions that no program code names, each with its reason
+NAMED_OUTSIDE = {
+    "trial.rho": "bench/reference.py's radial-reduction Q reference",
+    "trial.numerator_integrand": "bench/reference.py's radial-reduction Q "
+                                 "reference",
+    "ball.infinite_tension_ratio": "the tau -> infinity squeeze checks of "
+                                   "the ball tone",
+}
 
 
 def run_fresh(code):
@@ -83,3 +92,24 @@ def test_quotient_loads_no_verify_or_report():
         "print(sorted(m for m in ('freeplate.verify', 'freeplate.report')\n"
         "             if m in sys.modules))\n")
     assert out[-1] == "[]"
+
+
+def test_every_definition_is_named_by_the_program():
+    # a module-level def or class that only the tests call is code the
+    # program carries for nothing: each one is named (a Name or an
+    # Attribute, so docstrings and strings do not count) somewhere in the
+    # package's code, exported, a dunder, or on NAMED_OUTSIDE, whose
+    # entries are still defined and still unnamed
+    src = Path(freeplate.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    orphans = sorted(
+        f"{module}.{node.name}" for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named and node.name not in freeplate._EXPORTS
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+    assert orphans == sorted(NAMED_OUTSIDE)

@@ -14,18 +14,27 @@ def profile(d=2, tau=1.0):
     return trial.TrialProfile(ball.fundamental_tone(tau, d))
 
 
+def piece(prof, name, r):
+    # one piece of _eval_pieces ("rho", "d1", "d2", "q", "p") at the radii
+    # r: the profile pass of geom and verify, a float for a scalar r
+    arr = np.asarray(r, dtype=float)
+    vals = trial._eval_pieces(prof, np.atleast_1d(arr))[name]
+    return float(vals[0]) if arr.ndim == 0 else vals
+
+
 def test_smooth_join_at_unit_radius():
     prof = profile()
-    r1 = trial.rho(prof, 1.0)
-    rp1 = trial.rho(prof, 1.0, deriv=1)
+    r1 = piece(prof, "rho", 1.0)
+    rp1 = piece(prof, "d1", 1.0)
     eps = 1e-8
-    assert trial.rho(prof, 1.0 - eps) == pytest.approx(r1 - eps * rp1, abs=1e-12)
-    assert trial.rho(prof, 1.0 - eps, deriv=1) == pytest.approx(rp1, abs=1e-12)
+    assert piece(prof, "rho", 1.0 - eps) == pytest.approx(r1 - eps * rp1,
+                                                          abs=1e-12)
+    assert piece(prof, "d1", 1.0 - eps) == pytest.approx(rp1, abs=1e-12)
     m = prof.mode
     curv_left = (m.a**2 * ultra_j(1, m.d, m.a, deriv=2)
                  + m.gamma * m.b**2 * ultra_i(1, m.d, m.b, deriv=2))
     assert abs(curv_left) <= 1e-12 * abs(m.a**2 * ultra_j(1, m.d, m.a, deriv=2))
-    assert trial.rho(prof, 1.0, deriv=2) == 0.0
+    assert piece(prof, "d2", 1.0) == 0.0
 
 
 def test_pieces_match_mpmath_from_r_zero():
@@ -65,18 +74,18 @@ def test_pieces_match_mpmath_from_r_zero():
 
 def test_linear_extension_values():
     prof = profile()
-    r1 = trial.rho(prof, 1.0)
-    rp1 = trial.rho(prof, 1.0, deriv=1)
-    assert trial.rho(prof, 2.0) == pytest.approx(r1 + rp1, rel=1e-15)
-    assert trial.rho(prof, 3.7, deriv=1) == rp1
-    assert trial.rho(prof, 3.7, deriv=2) == 0.0
+    r1 = piece(prof, "rho", 1.0)
+    rp1 = piece(prof, "d1", 1.0)
+    assert piece(prof, "rho", 2.0) == pytest.approx(r1 + rp1, rel=1e-15)
+    assert piece(prof, "d1", 3.7) == rp1
+    assert piece(prof, "d2", 3.7) == 0.0
 
 
 def test_slope_positive_inside():
     prof = profile()
-    assert trial.rho(prof, 0.5, deriv=1) > 0
+    assert piece(prof, "d1", 0.5) > 0
     rs = np.linspace(1e-6, 1.0, 500)
-    assert np.all(trial.rho(prof, rs, deriv=1) > 0)
+    assert np.all(piece(prof, "d1", rs) > 0)
 
 
 def test_defect_nonnegative():
@@ -84,9 +93,9 @@ def test_defect_nonnegative():
     for d, tau in ((2, 1.0), (3, 10.0), (7, 0.05)):
         prof = profile(d, tau)
         rs = np.linspace(1e-6, 10.0, 2000)
-        defect = trial.rho(prof, rs) - rs * trial.rho(prof, rs, deriv=1)
+        defect = piece(prof, "rho", rs) - rs * piece(prof, "d1", rs)
         assert np.all(defect > 0)
-        r0 = trial.rho(prof, 0.0) - 0.0
+        r0 = piece(prof, "rho", 0.0) - 0.0
         assert r0 == 0.0
 
 
@@ -103,7 +112,7 @@ def test_cartesian_sums_match_radial_formulas():
 
         def u(x, k):
             r = float(np.sqrt(np.dot(x, x)))
-            return x[k] * trial.rho(prof, r) / r
+            return x[k] * piece(prof, "rho", r) / r
 
         npts = 0
         while npts < 50:
@@ -112,9 +121,9 @@ def test_cartesian_sums_match_radial_formulas():
             if r < 0.05 or abs(r - 1.0) < 0.01:
                 continue
             npts += 1
-            rho0 = trial.rho(prof, r)
-            rho1 = trial.rho(prof, r, deriv=1)
-            rho2 = trial.rho(prof, r, deriv=2)
+            rho0 = piece(prof, "rho", r)
+            rho1 = piece(prof, "d1", r)
+            rho2 = piece(prof, "d2", r)
             defect = rho0 - r * rho1
             sq = sum(u(x, k) ** 2 for k in range(d))
             assert sq == pytest.approx(rho0**2, rel=1e-10)
@@ -131,7 +140,7 @@ def test_cartesian_sums_match_radial_formulas():
 def test_numerator_limit_and_positivity():
     for d, tau in ((2, 1.0), (4, 0.3)):
         prof = profile(d, tau)
-        slope0 = trial.rho(prof, 0.0, deriv=1)
+        slope0 = piece(prof, "d1", 0.0)
         assert trial.numerator_integrand(prof, 0.0) == pytest.approx(
             tau * d * slope0**2, rel=1e-14)
         rs = np.linspace(0.0, 10.0, 3000)
@@ -142,8 +151,8 @@ def test_numerator_outside_has_no_curvature_term():
     prof = profile()
     m = prof.mode
     r = 1.5
-    rho0 = trial.rho(prof, r)
-    rp1 = trial.rho(prof, r, deriv=1)
+    rho0 = piece(prof, "rho", r)
+    rp1 = piece(prof, "d1", r)
     defect = rho0 - r * rp1
     expected = (3 * (m.d - 1) * defect**2 / r**4 + m.tau * rp1**2
                 + m.tau * (m.d - 1) * rho0**2 / r**2)
@@ -178,15 +187,19 @@ def test_h_decrease_quantity_positive():
     for d, tau in ((2, 1.0), (2, 1e-3), (9, 0.01)):
         prof = profile(d, tau)
         rs = np.linspace(0.0, 1.0, 4097)[1:]
-        assert np.all(trial.h_decrease_quantity(prof, rs) > 0)
+        quant = (6.0 * piece(prof, "q", rs) + 3.0 * piece(prof, "d2", rs)
+                 + prof.mode.tau * piece(prof, "rho", rs))
+        assert np.all(quant > 0)
 
 
 def test_vectorized_matches_scalar():
     prof = profile(3, 2.0)
     rs = np.array([0.0, 5e-4, 0.3, 0.999, 1.0, 2.5])
-    for dv in (0, 1, 2):
-        vec = trial.rho(prof, rs, deriv=dv)
-        assert vec.tolist() == [trial.rho(prof, float(r), deriv=dv) for r in rs]
+    for name in ("rho", "d1", "d2", "q", "p"):
+        vec = piece(prof, name, rs)
+        assert vec.tolist() == [piece(prof, name, float(r)) for r in rs]
+    vec = trial.rho(prof, rs)
+    assert vec.tolist() == [trial.rho(prof, float(r)) for r in rs]
     vec = trial.numerator_integrand(prof, rs)
     assert vec.tolist() == [trial.numerator_integrand(prof, float(r))
                             for r in rs]
@@ -196,12 +209,9 @@ def test_validation_errors():
     prof = profile()
     with pytest.raises(ValueError):
         trial.TrialProfile(ball.fundamental_tone(1.0, 2, radius=2.0))
-    for fn in (trial.rho, trial.numerator_integrand,
-               trial.h_decrease_quantity):
+    for fn in (trial.rho, trial.numerator_integrand):
         for bad in (-0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 fn(prof, bad)
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 fn(prof, np.array([0.5, bad, 2.0]))
-    with pytest.raises(ValueError):
-        trial.rho(prof, 0.5, deriv=3)

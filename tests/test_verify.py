@@ -11,6 +11,7 @@ from freeplate.report import CSV_HEADER, VerificationReport, reports_to_csv
 from freeplate.specfun import first_zero_j1prime
 
 from oracles import mp_quartic_min
+from test_trial import piece
 
 
 def product_form(x, d):
@@ -202,7 +203,7 @@ def test_profile_rows_match_the_public_scans():
                    "denominator-increase": [], "h-decrease-condition": []}
         for tau, mode in zip(taus, fundamental_tones(taus, d)):
             prof = trial.TrialProfile(mode)
-            neg = -trial.rho(prof, inner, deriv=2)
+            neg = -piece(prof, "d2", inner)
             i = int(np.argmin(neg))
             checks = [(neg[i], (inner[i],))]
             # rho'' = 0 at both ends, and rho'''' > 0 on the inner grid and
@@ -210,26 +211,26 @@ def test_profile_rows_match_the_public_scans():
             a, b, g = mode.a, mode.b, mode.gamma
             end1 = (a**2 * specfun.ultra_j(1, d, a, deriv=2)
                     + g * b**2 * specfun.ultra_i(1, d, b, deriv=2))
-            checks += [(trial.ENDPOINT_TOL
-                        - abs(trial.rho(prof, 0.0, deriv=2)), (0.0,)),
-                       (trial.ENDPOINT_TOL - abs(end1), (1.0,))]
+            checks += [(verify.ENDPOINT_TOL - abs(piece(prof, "d2", 0.0)),
+                        (0.0,)), (verify.ENDPOINT_TOL - abs(end1), (1.0,))]
             fourth = (a**4 * specfun.ultra_j(1, d, a * closed, deriv=4)
                       + g * b**4 * specfun.ultra_i(1, d, b * closed, deriv=4))
             i = int(np.argmin(fourth))
             checks.append((fourth[i], (closed[i],)))
-            sub = trial._profile_checks(prof, inner, outer)
-            monotone = [c for name, c in sub.items()
-                        if name not in trial._CONCAVITY]
+            monotone = verify._profile_checks(
+                prof, inner, outer)["numerator-monotone"].values()
             for name, found in (("profile-concavity", checks),
                                 ("numerator-monotone", monotone)):
                 margin, point = min(found, key=lambda c: c[0])
                 entries[name].append((margin, (tau,) + point))
-            den = trial.rho(prof, combined) ** 2
+            den = piece(prof, "rho", combined) ** 2
             rises = den[1:] - den[:-1]
             i = int(np.argmin(rises))
             entries["denominator-increase"].append((rises[i],
                                                     (tau, combined[i])))
-            quant = trial.h_decrease_quantity(prof, closed)
+            quant = (6.0 * piece(prof, "q", closed)
+                     + 3.0 * piece(prof, "d2", closed)
+                     + mode.tau * piece(prof, "rho", closed))
             i = int(np.argmin(quant))
             entries["h-decrease-condition"].append((quant[i],
                                                     (tau, closed[i])))

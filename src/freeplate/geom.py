@@ -30,7 +30,7 @@ _SHAPES = {"ball": ("radius",), "ellipsoid": ("semiaxes",), "box": ("sides",),
            "implicit": ("expr", "bounds")}
 _SYMMETRIC = frozenset(("ball", "ellipsoid", "box", "annulus"))
 _MC_CHUNK = 2**20
-# implicit domains whose comparisons are polynomials of degree <= 2 (_atoms)
+# implicit domains whose comparisons are polynomials of degree <= 2 (_checked)
 # are cast exactly, from their roots along each ray; roots this many ulps
 # of the farthest bbox corner's distance apart, or from a bbox end, are one
 _MERGE_ULPS = 8
@@ -110,6 +110,8 @@ class Domain:
                               and 0.0 < self.volume < math.inf):
             raise ValueError("domain requires d >= 1 and a finite scale "
                              "> 0 and volume > 0")
+        if self.shape == "implicit":
+            _checked(self.params["expr"], self.d)
 
     def contains(self, points):
         """Vectorized membership: points (n, d) or (d,) -> bool mask."""
@@ -190,13 +192,13 @@ class Domain:
     def _ray_cast(self, o, u):
         # CSG ray casting (Roth 1982) with the set operations left to the
         # expression: membership changes only at a root of an atom of
-        # _atoms, so between the sorted roots inside the bbox it is
+        # _checked, so between the sorted roots inside the bbox it is
         # constant, and the expression's value at each piece's midpoint
         # (contains' arithmetic, (o + t u - offset) / scale) gives it. One
         # expression call per piece column over all rays; beyond the bbox
         # counts as outside. Rows of candidates, pieces and inside run
         # along the rays
-        atoms = _atoms(self.params["expr"], self.d)
+        atoms = _checked(self.params["expr"], self.d)[1]
         if atoms is None:
             return self._sampled_cast(o, u)
         lo, hi = np.asarray(self.bbox[0]), np.asarray(self.bbox[1])
@@ -322,21 +324,18 @@ def _names(d):
     return tuple(f"x{k}" for k in range(1, d + 1))
 
 
-@lru_cache(maxsize=32)
-def _compiled(expr):
-    return compile(expr, "<domain-config>", "eval")
+# the calls of the implicit grammar (docs/domains.md): numpy's, by arity
+_FUNCTIONS = {"abs": 1, "sqrt": 1, "exp": 1, "cos": 1, "sin": 1, "minimum": 2,
+              "maximum": 2, "hypot": 2}
 
 
 def _eval_implicit(expr, cols):
     # cols: the d coordinate arrays of the points, one per name of _names
-    ns = dict(zip(_names(len(cols)), cols))
-    ns.update(abs=np.abs, sqrt=np.sqrt, exp=np.exp, minimum=np.minimum,
-              maximum=np.maximum, hypot=np.hypot, pi=np.pi, cos=np.cos,
-              sin=np.sin)
+    ns = dict(zip(_names(len(cols)), cols), pi=np.pi,
+              **{f: getattr(np, f) for f in _FUNCTIONS})
     try:
-        out = eval(_compiled(expr), {"__builtins__": {}}, ns)  # noqa: S307
-    except SyntaxError as exc:
-        raise ValueError(f"implicit expr does not parse: {exc}") from None
+        out = eval(_checked(expr, len(cols))[0],  # noqa: S307
+                   {"__builtins__": {}}, ns)
     except Exception as exc:
         raise ValueError(f"implicit expr failed: {exc}") from None
     mask = np.asarray(out)
@@ -345,75 +344,80 @@ def _eval_implicit(expr, cols):
     return mask
 
 
-class _Outside(Exception):
-    """A node of an implicit expression outside the exact cast's grammar."""
-
-
 @lru_cache(maxsize=32)
-def _atoms(expr, d):
-    """The polynomials among whose roots along any ray the expression's
-    membership changes, or None where a node lies outside the grammar
-    (docs/domains.md) and the sampled cast serves the expression.
-
-    A polynomial c + b.y + y.A.y of the base coordinates y is a vector
-    (c, b, A.ravel()). Returns ((c, b), (c, b, A.ravel())) stacked over
-    the linear and over the quadratic ones: every comparison gives the
-    differences of its sides' branches (_branches).
-    """
-    names = _names(d)
-    polys = []
+def _checked(expr, d):
+    """(code, atoms) of an implicit expression in d coordinates from one
+    parse, or ValueError past the grammar (docs/domains.md). atoms are the
+    polynomials c + b.y + y.A.y of the base coordinates y at whose roots
+    along a ray membership may change (_comparisons), stacked over the
+    linear and over the quadratic ones as ((c, b), (c, b, A.ravel())), or
+    None where the sampled cast serves the expression."""
     try:
-        _comparisons(ast.parse(expr, mode="eval").body, names, polys)
-    except (SyntaxError, _Outside):
-        return None
+        tree = ast.parse(expr, mode="eval")
+        polys = _comparisons(tree.body, _names(d))
+        code = compile(tree, "<domain-config>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ValueError("implicit expr does not parse: "
+                         f"{str(exc) or 'nested too deeply'}") from None
+    if polys is None:
+        return code, None
     kept = {p.tobytes(): p for p in polys if _degree(p, d)}.values()
     lin = np.array([p[:1 + d] for p in kept if _degree(p, d) == 1]).reshape(
         -1, 1 + d)
     quad = np.array([p for p in kept if _degree(p, d) == 2]).reshape(
         -1, 1 + d + d * d)
-    return ((lin[:, 0], lin[:, 1:1 + d]),
-            (quad[:, 0], quad[:, 1:1 + d], quad[:, 1 + d:]))
+    return code, ((lin[:, 0], lin[:, 1:1 + d]),
+                  (quad[:, 0], quad[:, 1:1 + d], quad[:, 1 + d:]))
 
 
 def _degree(p, d):
     return 2 if p[1 + d:].any() else 1 if p[1:1 + d].any() else 0
 
 
-def _comparisons(node, names, polys):
-    # the boolean level: & | ~ over comparisons, one atom for each pair of
-    # a chain, whose roots are where its sides' branches meet
-    if isinstance(node, ast.BinOp) and isinstance(node.op,
-                                                  (ast.BitAnd, ast.BitOr)):
-        _comparisons(node.left, names, polys)
-        _comparisons(node.right, names, polys)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
-        _comparisons(node.operand, names, polys)
-    elif isinstance(node, ast.Compare):
-        sides = [_branches(s, names)
-                 for s in (node.left, *node.comparators)]
-        for (P, root), (Q, qroot) in zip(sides, sides[1:]):
-            if qroot:
-                (P, root), (Q, qroot) = (Q, qroot), (P, root)
-            if root:
-                # sqrt(p) against a constant k meets it where p = k^2, and
-                # turns nan where p < 0
-                if qroot or any(_degree(q, len(names)) for q in Q):
-                    raise _Outside
-                polys += P
-                Q = [q * q for q in Q]
-            polys += [p - q for p in P for q in Q]
-    else:
-        raise _Outside
+class _Outside(Exception):
+    """A node of an implicit expression outside the exact cast's grammar."""
+
+
+def _refused(node, why="is outside the grammar of docs/domains.md"):
+    return ValueError(f"implicit expr failed: {ast.unparse(node)!r} {why}")
+
+
+def _comparisons(node, names):
+    # the boolean level: & | ~ over comparisons of one operator, each one
+    # atom whose roots are where its sides' branches meet. The atoms'
+    # polynomials, or None where a side lies outside the exact cast's grammar
+    op = type(getattr(node, "op", None))
+    if op in (ast.BitAnd, ast.BitOr):
+        L, R = _comparisons(node.left, names), _comparisons(node.right, names)
+        return None if L is None or R is None else L + R
+    if op is ast.Invert:
+        return _comparisons(node.operand, names)
+    if not isinstance(node, ast.Compare) or len(node.ops) > 1:
+        _branches(node, names)
+        raise ValueError("implicit expr must produce a boolean mask: "
+                         f"{ast.unparse(node)!r} is a number")
+    if not isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+                                    ast.Eq, ast.NotEq)):
+        raise _refused(node)
+    # the root side first: sqrt(p) against a constant k meets it where
+    # p = k^2, and turns nan where p < 0
+    (P, root), (Q, qroot) = sorted((_branches(s, names) for s in (
+        node.left, node.comparators[0])), key=lambda side: not side[1])
+    if P is None or Q is None or root and (
+            qroot or any(_degree(q, len(names)) for q in Q)):
+        return None
+    return (P if root else []) + [p - q * q if root else p - q
+                                  for p in P for q in Q]
 
 
 def _branches(node, names):
     """(P, root) of a numeric node: at every point its value is one of the
     polynomials P (abs, minimum and maximum give every branch's, so P is a
-    superset), or with root the square root of one. Raises _Outside past
-    the grammar: constants, pi, the coordinates, + - * and unary -, / by
-    a constant, ** 2, abs, minimum, maximum, and sqrt(p) and hypot(p, q)
-    of degree 2 or less under the root, which only a comparison with a
-    constant takes."""
+    superset), or with root the square root of one. Raises ValueError past
+    the grammar (_checked); P is None past the exact cast's: constants, pi,
+    the coordinates, + - * and unary -, / by a constant, ** 2, abs,
+    minimum, maximum, and sqrt(p) and hypot(p, q) of degree 2 or less
+    under the root, which only a comparison with a constant takes."""
     d = len(names)
 
     def const(v):
@@ -421,11 +425,12 @@ def _branches(node, names):
         p[0] = v
         return p
 
-    def polys(n):
-        P, root = _branches(n, names)
-        if root:
+    def polys(*nodes):
+        # each node is checked before any is found outside the exact cast
+        out = [_branches(n, names) for n in nodes]
+        if any(P is None or root for P, root in out):
             raise _Outside
-        return P
+        return [P for P, _ in out]
 
     def mul(p, q):
         if _degree(p, d) + _degree(q, d) > 2:
@@ -437,48 +442,52 @@ def _branches(node, names):
         return np.concatenate([[p[0] * q[0]], p[0] * bq + q[0] * bp,
                                (0.5 * (A + A.T)).ravel()])
 
-    P, root = None, False
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
-            and -math.inf < node.value < math.inf:
-        P = [const(node.value)]
-    elif isinstance(node, ast.Name) and node.id in names + ("pi",):
-        P = [const(math.pi)] if node.id == "pi" else [np.eye(1 + d + d * d)[
-            1 + names.index(node.id)]]
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        P = [-p for p in polys(node.operand)]
-    elif isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
-        L, R = polys(node.left), polys(node.right)
-        if isinstance(node.op, (ast.Div, ast.Pow)) and (
-                len(R) > 1 or _degree(R[0], d)):
-            raise _Outside
-        if isinstance(node.op, ast.Div):
-            if R[0][0] == 0.0:
-                raise _Outside
-            P = [p / R[0][0] for p in L]
-        elif isinstance(node.op, ast.Pow):
-            if R[0][0] != 2.0:
-                raise _Outside
-            P = [mul(p, p) for p in L]
+    P, root, op = None, False, type(getattr(node, "op", None))
+    try:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            if abs(node.value) <= float(np.finfo(float).max):
+                P = [const(node.value)]
+        elif isinstance(node, ast.Name) and node.id in names + ("pi",):
+            P = [const(math.pi)] if node.id == "pi" else [np.eye(
+                1 + d + d * d)[1 + names.index(node.id)]]
+        elif op in (ast.UAdd, ast.USub):
+            [L] = polys(node.operand)
+            P = [-p for p in L] if op is ast.USub else None
+        elif op in (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow):
+            L, R = polys(node.left, node.right)
+            k = R[0][0] if len(R) == 1 and not _degree(R[0], d) else None
+            if op is ast.Div:
+                P = [p / k for p in L] if k else None
+            elif op is ast.Pow:
+                P = [mul(p, p) for p in L] if k == 2.0 else None
+            else:
+                op = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: mul}[op]
+                P = [op(p, q) for p in L for q in R]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and _FUNCTIONS.get(node.func.id) == len(node.args) \
+                and not node.keywords:
+            f, (L, *R) = node.func.id, polys(*node.args)
+            if f == "abs":
+                P = [s * p for p in L for s in (1.0, -1.0)]
+            elif f in ("minimum", "maximum"):
+                P = L + R[0]
+            elif f in ("sqrt", "hypot"):
+                P = L if f == "sqrt" else [mul(p, p) + mul(q, q) for p in L
+                                           for q in R[0]]
+                root = True
+        elif isinstance(node, ast.Compare) and len(node.ops) == 1:
+            raise _refused(node, "is a comparison used as a number")
+        elif isinstance(node, (ast.BoolOp, ast.Compare)) or op is ast.Not:
+            raise ValueError(
+                "implicit expr takes the truth value of an array: combine "
+                "comparisons with &, |, ~ (not and, or, not) and write "
+                "a < x < b as (a < x) & (x < b)")
         else:
-            op = {ast.Add: np.add, ast.Sub: np.subtract,
-                  ast.Mult: mul}[type(node.op)]
-            P = [op(p, q) for p in L for q in R]
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and not node.keywords:
-        f, args = node.func.id, node.args
-        if f == "abs" and len(args) == 1:
-            P = [s * p for p in polys(args[0]) for s in (1.0, -1.0)]
-        elif f in ("minimum", "maximum") and len(args) == 2:
-            P = polys(args[0]) + polys(args[1])
-        elif f == "sqrt" and len(args) == 1:
-            P, root = polys(args[0]), True
-        elif f == "hypot" and len(args) == 2:
-            P = [mul(p, p) + mul(q, q)
-                 for p in polys(args[0]) for q in polys(args[1])]
-            root = True
+            raise _refused(node)
+    except _Outside:
+        P = None
     if P is None or len(P) > _BRANCHES:
-        raise _Outside
+        return None, False
     return P, root
 
 
@@ -641,33 +650,17 @@ def implicit_domain(d, expr, bounds, volume=None):
     exactly, the volume is the radial reduction of f = 1 (G = R^d / d)
     about the bbox center, with the default rule's direction count.
     """
-    if "__" in expr:
-        raise ValueError("implicit expr must not contain '__'")
     b = np.asarray(bounds, dtype=float)
     if b.shape != (2 * d,) or np.any(b[1::2] <= b[0::2]) \
             or not np.isfinite(b).all():
         raise ValueError("bounds must be d finite ordered (lo, hi) pairs")
     dom = Domain(d, "implicit", {"expr": expr}, _tup(np.zeros(d)), 1.0,
-                 1.0, 0.0, (_tup(b[0::2]), _tup(b[1::2])))
-    mid = 0.5 * (b[0::2] + b[1::2])
-    # evaluate once up front so a bad expression fails here, not
-    # mid-quadrature, on two copies of the bbox center: numpy refuses the
-    # truth value of two points, which and, or, not and a chained
-    # comparison take, where one point would pass
-    try:
-        _eval_implicit(expr, list(np.repeat(mid[:, None], 2, axis=1)))
-    except ValueError as exc:
-        if "truth value" not in str(exc):
-            raise
-        raise ValueError("implicit expr takes the truth value of an array: "
-                         "combine comparisons with &, |, ~ (not and, or, "
-                         "not) and write a < x < b as (a < x) & (x < b)"
-                         ) from None
+                 1.0 if volume is None else float(volume), 0.0,
+                 (_tup(b[0::2]), _tup(b[1::2])))
     if volume is not None:
-        if volume <= 0.0:
-            raise ValueError("volume must be positive")
-        return replace(dom, volume=float(volume))
-    rows = _Rays(dom, default_quadrature(d).cells, mid).rows(lambda t: [t**d])
+        return dom
+    rows = _Rays(dom, default_quadrature(d).cells,
+                 0.5 * (b[0::2] + b[1::2])).rows(lambda t: [t**d])
     vol, err = (float(x) for x in _estimate(rows[0] / d))
     if vol <= 0.0:
         raise ValueError("implicit domain appears empty")
@@ -874,8 +867,11 @@ _TO_POWER = np.array([[
 
 def _panel_nodes(umax, panels):
     # the Gauss-Legendre nodes of the panels of width 1 / panels on
-    # [0, max(umax, 1)], one panel a row
+    # [0, max(umax, 1)], one panel a row; at most 2^22 nodes (0.45 GB)
     top = math.ceil(max(umax, 1.0) * panels)
+    if top * _GAUSS_NODES > 2**22:
+        raise ValueError(f"radial tables to r = {umax:.6g} need more than "
+                         "2^22 nodes: the domain is too elongated")
     return (np.arange(top)[:, None] + 0.5 * (_NODES + 1.0)) / panels
 
 
@@ -1141,8 +1137,10 @@ def _quotient(domain, mode, quad, center=None, tol=None):
                          _panels(profile))
     if quad.kind == "radial":
         num, den = rays.rows(table.G(domain.d))
-        if den[0] == 0.0:
-            raise ValueError(_NO_CROSSING)
+        if 0.0 in den:
+            raise ValueError(_NO_CROSSING if den[0] == 0.0 else
+                             "a companion of the radial rule crosses no part "
+                             "of the domain: raise --samples")
         Q, eq = (float(x) for x in _estimate(num / den))
         return Q, abs(Q) * (eq / abs(Q))
     (num, den), (en, ed), cov = _integrate(domain, table, quad, rays.center)

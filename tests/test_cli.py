@@ -371,6 +371,19 @@ def test_quotient_error_paths(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: domain appears empty: no ray of the radial rule "
                    "crosses it\n")
+    # a companion row of the radial rule that crosses nothing (its Q was
+    # 0/0, printed as error_bar = nan with exit 0), and a radial table
+    # past 2^22 nodes
+    far = tmp_path / "far.cfg"
+    for text, needle in (
+            ("shape=two-balls\ndim=2\nradii=0.5,0.5\ncenters=0,0;1000,0\n",
+             "crosses no part of the domain: raise --samples"),
+            ("shape=box\ndim=2\nsides=1e6,1e-6\n",
+             "2^22 nodes: the domain is too elongated")):
+        far.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "quotient", "--domain", str(far),
+                             "--tau", "1")
+        assert (code, out) == (2, "") and needle in err
     # a chained comparison fails at construction, given a volume or not
     band = tmp_path / "band.cfg"
     for extra in ("volume=2\n", ""):

@@ -1,14 +1,18 @@
+import ast
 import hashlib
 import math
+import re
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from freeplate import ball as ballmod
-from freeplate import geom, specfun, trial
+from freeplate import cli, geom, specfun, trial
 from freeplate.geom import QuadratureSpec
 
 from oracles import legendre_to_power, mp_gauss_gegenbauer
@@ -171,6 +175,104 @@ def test_implicit_domain_basics():
             with pytest.raises(ValueError, match=r"&, \|, ~.*\(a < x\) & "
                                                  r"\(x < b\)"):
                 geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume)
+
+
+# expressions outside the implicit grammar (docs/domains.md); each of them
+# but the first two was accepted before the grammar was checked, and the
+# last read geom's module globals through a generator's frame
+ESCAPES = (
+    "x.tofile({probe!r}) < 1", "__import__('os')", "(w := x) < 1",
+    "(lambda: x)() < 1", "[v for v in (x, y)][0] < 1", "x[...] < 1",
+    "(x < 1) & ('a' < 'b')", "hypot(x, y=y) < 1", "(x < 1) & True",
+    "x // 2 < 1", "x % 2 < 1", "(x < 1) ^ (y < 1)", "(x < 1) * 1 < 2",
+    "(x.size > 0) & (x < 1)",
+    "(x*x + y*y <= 1) & ((x == x) == [(L := []), L.append("
+    "(z.gi_frame.f_back.f_back.f_globals.get('np') is not None for z in L)),"
+    " [*L[0]]][2][0])",
+)
+# and, or, not and chained comparisons, refused with the hint to use &, |, ~
+TRUTH = ("(-1 < x < 1) & (y*y < 0.5)", "(x*x < 0.5) and (y*y < 0.5)",
+         "(x*x < 0.5) or (y > 0)", "not (x*x + y*y > 1)", "-1 < x < 1",
+         "(-1 < x) and (x < 1)")
+
+
+def test_implicit_grammar_is_checked_before_evaluation(monkeypatch, tmp_path,
+                                                       capsys):
+    # each escape raises on all three construction paths, a config in the
+    # CLI exits 2, and no expression is evaluated on the way
+    calls = []
+    monkeypatch.setattr(geom, "_eval_implicit",
+                        lambda *args: calls.append(args))
+    probe, cfg = tmp_path / "probe", tmp_path / "d.cfg"
+    for expr in [e.format(probe=str(probe)) for e in ESCAPES] + list(TRUTH):
+        with pytest.raises(ValueError, match="^implicit expr"):
+            geom.implicit_domain(2, expr, (-1, 1, -1, 1))
+        cfg.write_text(f"shape=implicit\ndim=2\nexpr={expr}\n"
+                       "bounds=-1,1,-1,1\nvolume=1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^implicit expr"):
+            geom.load_domain(str(cfg))
+        assert cli.main(["quotient", "--domain", str(cfg), "--tau", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: implicit expr")
+        with pytest.raises(ValueError, match="^implicit expr"):
+            geom.Domain(2, "implicit", {"expr": expr}, (0.0, 0.0), 1.0, 1.0,
+                        0.0, ((-1.0, -1.0), (1.0, 1.0)))
+    assert calls == [] and not probe.exists()
+    # nesting past the walk's recursion is refused too
+    with pytest.raises(ValueError, match="does not parse"):
+        geom.implicit_domain(2, "x" + " + x" * 2000 + " < 1", (-1, 1, -1, 1))
+
+
+def _written_expressions():
+    # every implicit expression written out in tests/, docs/domains.md, the
+    # README and bench/workloads.py: string literals that parse, compare
+    # and read a coordinate and only coordinates, pi and functions (or the
+    # text after expr= in a config), f-strings with 0.5 for each field, and
+    # in the markdown the expr= lines and code spans; with the dimension
+    # their names need
+    root = Path(__file__).resolve().parents[1]
+    texts = []
+    for path in [*sorted((root / "tests").glob("*.py")),
+                 root / "bench" / "workloads.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.append(node.value)
+            elif isinstance(node, ast.JoinedStr):
+                texts.append("".join(v.value if isinstance(v, ast.Constant)
+                                     else "0.5" for v in node.values))
+    for name in ("docs/domains.md", "README.md"):
+        md = (root / name).read_text(encoding="utf-8")
+        texts += re.findall(r"^expr=(.*)$", md, re.M)
+        texts += re.findall(r"`([^`\n]+)`", md)
+    coords = {"x", "y", "z"} | {f"x{k}" for k in range(1, 31)}
+    functions = {"pi", *geom._FUNCTIONS}
+    out = set()
+    for text in texts:
+        for expr in re.findall(r"expr=([^\n]*)", text) or [text]:
+            try:
+                tree = ast.parse(expr, mode="eval")
+            except SyntaxError:
+                continue
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            if any(isinstance(n, ast.Compare) for n in ast.walk(tree)) \
+                    and names & coords and names <= coords | functions:
+                d = max([int(n[1:]) for n in names if n[1:].isdigit()]
+                        + [3 if "z" in names else 2])
+                out.add((expr, d))
+    return out
+
+
+def test_implicit_grammar_accepts_every_written_expression():
+    # the escapes and the truth-value cases are the only written
+    # expressions the check refuses; 200 random CSG shapes pass it too
+    written = _written_expressions()
+    assert len(written) > 40
+    refused = set(ESCAPES) | set(TRUTH)
+    for expr, d in written:
+        if expr not in refused:
+            geom._checked(expr, d)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        geom._checked(_random_csg(rng, 3), 2)
 
 
 def test_domains_need_finite_numbers():
@@ -575,7 +677,7 @@ def test_implicit_twins_match_the_closed_forms():
                                                           volume=lib.volume))
         lib = geom.normalize_volume(lib)
         assert twin.scale == lib.scale and twin.bbox == lib.bbox
-        assert geom._atoms(expr, d) is not None
+        assert geom._checked(expr, d)[1] is not None
         dirs, W = geom._sphere_rule(d, geom.default_quadrature(d).cells)
         u = dirs[W[0] > 0.0]
         diam = lib.diameter()
@@ -650,7 +752,7 @@ def test_exact_cast_matches_dense_sampling_of_random_shapes():
     rng = np.random.default_rng(23)
     for _ in range(30):
         expr = _random_csg(rng, 3)
-        assert geom._atoms(expr, 2) is not None, expr
+        assert geom._checked(expr, 2)[1] is not None, expr
         dom = geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume=1.0)
         u = rng.normal(size=(48, 2))
         u /= np.linalg.norm(u, axis=1)[:, None]
@@ -736,7 +838,7 @@ def test_exact_cast_expression_call_budget(monkeypatch):
     dom = l_shape()
     dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
     u = dirs[W[0] > 0.0]
-    (c1, _), (c2, _, _) = geom._atoms(dom.params["expr"], 2)
+    (c1, _), (c2, _, _) = geom._checked(dom.params["expr"], 2)[1]
     pieces = 1 + len(c1) + 2 * len(c2)
     assert pieces == 7
     evaluate, sizes = geom._eval_implicit, []
@@ -869,7 +971,7 @@ def test_implicit_crossings_are_pinned():
         2, "(x*x + y*y <= 1) & (x*x + y*y >= 0.25)", (-1, 1, -1, 1),
         volume=0.75 * math.pi)}
     for name, expr in sampled.items():
-        assert geom._atoms(expr, 2) is None
+        assert geom._checked(expr, 2)[1] is None
         doms[name] = geom.implicit_domain(2, expr, (-1, 1, -1, 1), volume=1.0)
     dirs, _ = geom._sphere_rule(2, 512)
     for (name, k), digest in pinned.items():
@@ -1274,6 +1376,43 @@ def test_quotient_argument_validation():
         with pytest.raises(ValueError, match="^domain appears empty: no ray "
                                              "of the radial rule crosses"):
             geom.quotient_bound(empty, 1.0, center=center)
+
+
+def test_radial_rows_that_cross_nothing_raise():
+    # from the trial center midway between two small balls 1000 apart, the
+    # quarter rule on every fourth azimuth node from the third (row 4 of
+    # _sphere_rule) has no ray that crosses either ball: its Q was 0/0, an
+    # error bar of nan with a RuntimeWarning
+    far = geom.two_balls(2, (0.5, 0.5), ((0.0, 0.0), (1000.0, 0.0)))
+    with pytest.raises(ValueError, match="^a companion of the radial rule "
+                                         "crosses no part of the domain: "
+                                         "raise --samples$"):
+        geom.quotient_bound(far, 1.0)
+    # at 400 apart every row crosses (about two rays a ball), as before
+    near = geom.two_balls(2, (0.5, 0.5), ((0.0, 0.0), (400.0, 0.0)))
+    Q, err = geom.quotient_bound(near, 1.0)
+    assert (Q.hex(), err.hex()) == ("0x1.a363677540ff2p-15",
+                                    "0x1.02d3648656366p-33")
+
+
+def test_radial_tables_are_bounded():
+    # a radial table holds (64 + ceil(2 b)) x 10 nodes per unit of the
+    # normalized radius it reaches: the box of aspect ratio 1e12 reaches
+    # 8.9e5 (about 6e8 nodes, which had not returned after 60 s) and is
+    # refused before its table is allocated
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^radial tables to r = 886227 "
+                                         r"need more than 2\^22 nodes"):
+        geom.quotient_bound(geom.box(2, (1e6, 1e-6)), 1.0)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 16 * 2**20
+    # aspect ratio 1e6 (radius 886, 593,780 nodes) solves as before
+    Q, err = geom.quotient_bound(geom.box(2, (1e3, 1e-3)), 1.0)
+    assert (Q.hex(), err.hex()) == ("0x1.0c6ef802051acp-16",
+                                    "0x1.132d4db30595ep+4")
 
 
 def test_centers_must_be_d_finite_numbers():

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -113,3 +114,42 @@ def test_every_definition_is_named_by_the_program():
         and node.name not in named and node.name not in freeplate._EXPORTS
         and not (node.name.startswith("__") and node.name.endswith("__")))
     assert orphans == sorted(NAMED_OUTSIDE)
+
+
+def test_implicit_functions_are_listed_once(monkeypatch):
+    # the functions docs/domains.md's implicit grammar names, the namespace
+    # the expression is evaluated in and the calls the grammar check lets
+    # through are one set, so none of the three drifts from the others
+    import numpy as np
+
+    from freeplate import geom
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "domains.md"
+            ).read_text(encoding="utf-8").split("### implicit", 1)[1]
+    [item] = [part for part in docs.split("\n- ")
+              if part.startswith("the functions")]
+    documented = set(re.findall(r"`(\w+)`", item))
+    seen = {}
+
+    def spy(code, scope, ns):
+        seen.update(ns)
+        return ns["x"] < 1.0
+
+    monkeypatch.setattr(geom, "eval", spy, raising=False)
+    geom._eval_implicit("x < 1", [np.zeros(3), np.zeros(3)])
+    evaluated = set(seen) - {"x", "y", "pi"}
+
+    def passes(name):
+        for args in ("x", "x, y"):
+            try:
+                geom._checked(f"{name}({args}) < 1", 2)
+                return True
+            except ValueError:
+                pass
+        return False
+
+    candidates = documented | evaluated | {"pi", "x", "eval", "open"} | {
+        n for n in dir(np) if n.isidentifier()}
+    allowed = {name for name in candidates if passes(name)}
+    assert documented == evaluated == allowed
+    assert documented == {"abs", "sqrt", "exp", "cos", "sin", "minimum",
+                          "maximum", "hypot"}

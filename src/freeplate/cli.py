@@ -9,7 +9,6 @@ verification check failed, 2 bad input or solver failure.
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -94,27 +93,16 @@ def cmd_verify(args):
     return 0
 
 
-def _quadrature_from(args, d):
-    # --samples sets the direction count (radial), the cells per axis
-    # (grid) or the sample count (mc); a kind other than the dimension
-    # default's starts from its own defaults
-    quad = geom.default_quadrature(d)
-    if args.quad not in (None, quad.kind):
-        quad = geom.QuadratureSpec(args.quad)
-    if args.samples is not None:
-        quad = replace(quad, cells=args.samples, samples=args.samples)
-    if args.seed is not None:
-        quad = replace(quad, seed=args.seed)
-    return quad
-
-
 def cmd_quotient(args):
     domain = geom.load_domain(args.domain)
     if args.dim is not None and args.dim != domain.d:
         raise ValueError("dim disagrees with the domain config")
     d = domain.d
     dom = geom.normalize_volume(domain)
-    quad = _quadrature_from(args, d)
+    # --samples and --seed where given, else the kind's own defaults
+    quad = geom.QuadratureSpec(args.quad, **{
+        k: v for k, v in (("samples", args.samples), ("seed", args.seed))
+        if v is not None})
     mode = ball.fundamental_tone(args.tau, d)
     # quotient_bound's own path past its normalization, at s = 1
     Q, err = geom._quotient(dom, mode, quad, tol=args.tol)
@@ -171,10 +159,11 @@ def build_parser():
                    help="path to a key=value domain config")
     q.add_argument("--dim", type=int, default=None)
     q.add_argument("--tau", type=float, required=True)
-    q.add_argument("--quad", choices=("radial", "grid", "mc"), default=None)
+    q.add_argument("--quad", choices=tuple(geom._SAMPLES), default="radial")
     q.add_argument("--samples", type=int, default=None,
                    help="directions (radial), cells per axis (grid) or "
-                        "sample count (mc)")
+                        "sample count (mc); by default " + ", ".join(
+                            f"{n} ({k})" for k, n in geom._SAMPLES.items()))
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--tol", type=float, default=None,
                    help="centering tolerance of two-balls and implicit "

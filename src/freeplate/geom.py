@@ -30,6 +30,11 @@ _SHAPES = {"ball": ("radius",), "ellipsoid": ("semiaxes",), "box": ("sides",),
            "implicit": ("expr", "bounds")}
 _SYMMETRIC = frozenset(("ball", "ellipsoid", "box", "annulus"))
 _MC_CHUNK = 2**20
+# each rule's count unless one is given (--samples): the radial rule's
+# directions, spread over the d - 1 angles, the grid's cells per axis and
+# mc's draws
+_SAMPLES = {"radial": 8192, "grid": 1024, "mc": 10**7}
+_KIND_DEFAULT = object()
 # implicit domains whose comparisons are polynomials of degree <= 2 (_checked)
 # are cast exactly, from their roots along each ray; roots this many ulps
 # of the farthest bbox corner's distance apart, or from a bbox end, are one
@@ -355,8 +360,13 @@ def _checked(expr, d):
     try:
         tree = ast.parse(expr, mode="eval")
         polys = _comparisons(tree.body, _names(d))
+        # int literals compile as floats, so that ** between them overflows
+        # at once where exact Python ints would grow without bound
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)
         code = compile(tree, "<domain-config>", "eval")
-    except (SyntaxError, RecursionError, MemoryError) as exc:
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
         raise ValueError("implicit expr does not parse: "
                          f"{str(exc) or 'nested too deeply'}") from None
     if polys is None:
@@ -659,7 +669,7 @@ def implicit_domain(d, expr, bounds, volume=None):
                  (_tup(b[0::2]), _tup(b[1::2])))
     if volume is not None:
         return dom
-    rows = _Rays(dom, default_quadrature(d).cells,
+    rows = _Rays(dom, QuadratureSpec("radial").samples,
                  0.5 * (b[0::2] + b[1::2])).rows(lambda t: [t**d])
     vol, err = (float(x) for x in _estimate(rows[0] / d))
     if vol <= 0.0:
@@ -671,31 +681,27 @@ def implicit_domain(d, expr, bounds, volume=None):
 class QuadratureSpec:
     """Quadrature selection: radial (the default), grid, or mc.
 
-    cells is the direction count of the radial rule or the grid
-    resolution per axis; samples and seed fix the mc stream. All three are
-    integers, cells and samples at least 2, seed at least 0 (or
-    ValueError). The integrators return their error bars explicitly.
+    samples is the direction count of the radial rule, the grid's cells
+    per axis or mc's draws, by default the kind's own (_SAMPLES); seed
+    fixes the mc stream. Both are integers, samples at least 2 and seed at
+    least 0 (or ValueError). The integrators return their error bars
+    explicitly.
     """
 
     kind: str
-    cells: int = 1024
-    samples: int = 10**7
+    samples: int = _KIND_DEFAULT
     seed: int = 7
 
     def __post_init__(self):
-        if self.kind not in ("radial", "grid", "mc"):
+        if self.kind not in _SAMPLES:
             raise ValueError("quadrature kind must be radial, grid, or mc")
+        if self.samples is _KIND_DEFAULT:
+            object.__setattr__(self, "samples", _SAMPLES[self.kind])
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.cells, self.samples, self.seed)):
-            raise ValueError("cells, samples and seed must be integers")
-        if self.cells < 2 or self.samples < 2 or self.seed < 0:
-            raise ValueError("cells and samples must be >= 2, seed >= 0")
-
-
-def default_quadrature(d):
-    # the radial reduction everywhere, with 8192 directions spread over
-    # the d - 1 angles
-    return QuadratureSpec("radial", cells=8192)
+                   for v in (self.samples, self.seed)):
+            raise ValueError("samples and seed must be integers")
+        if self.samples < 2 or self.seed < 0:
+            raise ValueError("samples must be >= 2, seed >= 0")
 
 
 def normalize_volume(domain):
@@ -723,7 +729,7 @@ def _integrate(domain, f, quad, center):
     whose only consumer this is.
 
     Returns (values, error bars, covariance). grid: the midpoint rule on
-    the bbox cells (quad.cells per axis), bars |full - half| from a pass
+    the bbox cells (quad.samples per axis), bars |full - half| from a pass
     at half the cells per axis, no covariance. mc: hit-or-miss means over
     the uniform stream on the bbox seeded by quad.seed, in _MC_CHUNK draws
     (bounded memory; the fixed chunks fix the stream and the reduction
@@ -747,8 +753,8 @@ def _integrate(domain, f, quad, center):
             g = values(np.stack([m.ravel() for m in mesh], axis=1))
             return float(np.prod(steps)) * np.array([np.sum(gi) for gi in g])
 
-        full = midpoint(quad.cells)
-        return full, np.abs(full - midpoint(quad.cells // 2)), None
+        full = midpoint(quad.samples)
+        return full, np.abs(full - midpoint(quad.samples // 2)), None
     n = int(quad.samples)
     w = float(np.prod(hi - lo)) / n
     rng = np.random.default_rng(quad.seed)
@@ -793,8 +799,8 @@ def _turn(d, n):
 
 
 @lru_cache(maxsize=4)
-def _sphere_rule(d, cells):
-    """Directions of the product rule on S^(d-1) with about cells
+def _sphere_rule(d, samples):
+    """Directions of the product rule on S^(d-1) with about samples
     directions, and the weights of the rule and of its companions (cached).
 
     The rule has n Gauss nodes in each of the d - 2 polar angles and 2n
@@ -807,7 +813,7 @@ def _sphere_rule(d, cells):
     """
     if d < 2:
         raise ValueError("radial quadrature needs d >= 2")
-    n = 2 * max(1, round(0.5 * (cells / 2.0) ** (1.0 / (d - 1))))
+    n = 2 * max(1, round(0.5 * (samples / 2.0) ** (1.0 / (d - 1))))
     if 2 * n ** (d - 1) > 2**20:  # the rule has 2^d or more directions
         raise ValueError(f"radial rule in d = {d} needs {2 * n ** (d - 1)} "
                          "directions (more than 2^20); use --quad mc")
@@ -959,13 +965,13 @@ class _Rays:
     the main rows (W[0] > 0, which come first), then the companion rows.
     .pieces: center_trial's profile pass (panel nodes u, trial pieces)."""
 
-    def __init__(self, domain, cells, center):
-        self.domain, self.cells, self.center = domain, cells, center
+    def __init__(self, domain, samples, center):
+        self.domain, self.samples, self.center = domain, samples, center
         self._hits = []
         self.pieces = None
 
     def _cast(self, parts=2):
-        dirs, W = _sphere_rule(self.domain.d, self.cells)
+        dirs, W = _sphere_rule(self.domain.d, self.samples)
         m = int(np.count_nonzero(W[0] > 0.0))
         for rows in (dirs[:m], dirs[m:])[len(self._hits):parts]:
             self._hits.append(self.domain.crossings(self.center, rows))
@@ -973,7 +979,7 @@ class _Rays:
 
     def rows(self, G):
         # the rule's rows (_estimate) of sum_j sign_j G_i(t_j) over each ray
-        W = _sphere_rule(self.domain.d, self.cells)[1]
+        W = _sphere_rule(self.domain.d, self.samples)[1]
         return [W @ np.concatenate(s) for s in zip(*(
             [_ray_sums(sign, Gt) for Gt in G(t)]
             for t, sign in self._cast()))]
@@ -981,7 +987,7 @@ class _Rays:
     def main(self, G):
         # the main rows' directions and their weighted sums of each G_i
         [(t, sign)] = self._cast(1)
-        dirs, W = _sphere_rule(self.domain.d, self.cells)
+        dirs, W = _sphere_rule(self.domain.d, self.samples)
         w = W[0, :len(t)]
         return dirs[:len(t)], [w * _ray_sums(sign, Gt) for Gt in G(t)]
 
@@ -993,7 +999,7 @@ def center_trial(domain, profile, quad=None, tol=None):
     = int_{S^{d-1}} theta sum_j sign_j H(t_j) dtheta with
     H(R) = int_0^R rho(r) r^(d-1) dr over the crossings of the rays from
     v: the one centering field. A radial quad gives the sphere rule, any
-    other kind the dimension default's (the grid and mc node sets carry
+    other kind the radial rule's default (the grid and mc node sets carry
     only the quotient's integrals).
 
     X = -grad Phi for the convex Phi(v) = int P(|x - v|) dx, P' = rho, and
@@ -1018,7 +1024,7 @@ def center_trial(domain, profile, quad=None, tol=None):
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if quad is None or quad.kind != "radial":
-        quad = default_quadrature(domain.d)
+        quad = QuadratureSpec("radial")
     # one profile pass, on the panel nodes to the diameter and at it (the
     # default tol): Newton keeps v in the bbox, so no crossing lies beyond
     # the diameter, and the quotient's tables read the same pass (.pieces)
@@ -1034,7 +1040,7 @@ def center_trial(domain, profile, quad=None, tol=None):
     def cast(v):
         # |X(v)|, the Newton step clipped to the bbox, and the record from
         # v; H, A and B share one Horner pass at the record's crossings
-        rays = _Rays(domain, quad.cells, v)
+        rays = _Rays(domain, quad.samples, v)
         u, (h, a, b) = rays.main(G)
         if not b.any():
             raise ValueError(_NO_CROSSING)
@@ -1065,7 +1071,7 @@ def _panels(profile):
     return _PANELS + math.ceil(2.0 * profile.mode.b)
 
 
-def quotient_bound(domain, tau, d=None, quad=None, center=None):
+def quotient_bound(domain, tau, quad=None, center=None):
     """Upper bound for the fundamental tone from the trial quotient.
 
     The trial profile is built for the ball of the same volume: with
@@ -1079,10 +1085,8 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     domain : Domain
     tau : float
         Tension, > 0.
-    d : int, optional
-        Must match domain.d when given.
     quad : QuadratureSpec, optional
-        Defaults to the dimension default (the radial rule).
+        Defaults to the radial rule, QuadratureSpec("radial").
     center : array_like, optional
         Trial center (d finite numbers); default is the domain offset for
         symmetric shapes and the zero of X (center_trial) otherwise.
@@ -1092,8 +1096,6 @@ def quotient_bound(domain, tau, d=None, quad=None, center=None):
     (Q, error_estimate)
         The quotient and its quadrature error estimate.
     """
-    if d is not None and d != domain.d:
-        raise ValueError("d disagrees with domain.d")
     d = domain.d
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -1119,12 +1121,12 @@ def _quotient(domain, mode, quad, center=None, tol=None):
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be positive")
     if quad is None:
-        quad = default_quadrature(domain.d)
+        quad = QuadratureSpec("radial")
     profile = trial.TrialProfile(mode)
     if center is None and domain.shape not in _SYMMETRIC:
         rays = center_trial(domain, profile, quad, tol=tol)
     else:
-        rays = _Rays(domain, quad.cells, np.asarray(
+        rays = _Rays(domain, quad.samples, np.asarray(
             domain.offset if center is None else center, dtype=float))
     if rays.pieces is None:
         # a profile pass to the farthest crossing (radial) or bbox corner

@@ -1,9 +1,9 @@
 """Ultraspherical Bessel functions and their derivatives.
 
 j_l(z) = z^(-s) J_(s+l)(z) and i_l(z) = z^(-s) I_(s+l)(z) with s = (d-2)/2,
-for integer dimension d >= 2 and integer order 0 <= l <= 8, together with
-derivatives through fourth order, the series coefficients d_k of the
-expansions of j_1'' and i_1'', the first nontrivial zero of j_1', the
+for integer dimension d >= 2, integer order l >= 0 and derivatives of
+order k >= 0 with l + k <= 5 (the orders s..s+5), together with the series
+coefficients d_k of j_1'' and i_1'', the first nontrivial zero of j_1', the
 bracketed root finder (safeguarded Newton steps on f and f') that both it
 and the ball's tone solve use, and the Gauss-Gegenbauer rule of membrane_C
 and of geom's polar angles.
@@ -18,9 +18,8 @@ e^z = I_0 + 2 sum I_k, and at half-integer orders (odd d) by the closed
 forms at nu = -1/2 and 1/2 (Gautschi, SIAM Review 9, 1967; Olver & Sookne,
 Math. Comp. 26, 1972). Then j_l = z^l h_(s+l) and h_nu' = -+ z h_(nu+1), so
 every derivative is a sum of nonnegative powers of z times h's, each term
-positive for i. There is no series branch and no power of 1/z. Orders
-up to s+5, all that the program reads, sweep from above s+5, the others
-from above s+12.
+positive for i. There is no series branch and no power of 1/z. Every
+sweep starts from above s+5, the highest order a table reads.
 
 The sweep, the kernel tables and the root finder each have one body that
 runs on a float or on an array, chosen by the argument's type: a scalar z
@@ -40,9 +39,8 @@ import numpy as np
 
 _J_Z_MAX = 1.0e4       # the sweep for j_l runs over O(z) orders
 _I_Z_MAX = 690.0       # i_l exceeds double range beyond this
-MAX_ORDER = 8          # l <= 8 and deriv <= 4 span orders s..s+12; those
-MAX_DERIV = 4          # above s + _READ_TOP only tests and direct reads use
-_READ_TOP = 5          # the program's tables (l = 1, deriv <= 4) read s..s+5
+_TOP = 5               # l + deriv <= 5: the orders s..s+5, all that the
+                       # program's tables (l = 1, deriv <= 4) read
 _RESCALE = 32          # orders between rescalings of the sweep
 _ROOT_STEP_RTOL = 1e-8  # relative Newton step below which a root is accepted
 _ROOT_MAX_ITER = 2046   # evaluations; 2046 bisections span the doubles
@@ -98,9 +96,9 @@ _ARRAYS = _Ops(
 
 
 def _sweep(kind, d, lo, hi, z, ops):
-    """h at the kernel orders s+lo..s+hi, from one body on a float z (ops
-    _FLOATS) or on an array of points (_ARRAYS): orders up to s + _READ_TOP
-    by a sweep based above it, the others by one based above s + 12.
+    """h at the kernel orders s+lo..s+hi, hi <= _TOP, from one body on a
+    float z (ops _FLOATS) or on an array of points (_ARRAYS), by one sweep
+    based above s + _TOP.
 
     Index n stands for the order nu = n + (d % 2)/2. The sweep carries h
     itself, h_(nu-1) = 2 nu h_nu -+ z^2 h_(nu+1). Every _RESCALE orders h
@@ -114,16 +112,12 @@ def _sweep(kind, d, lo, hi, z, ops):
     half-integer ones by a least-squares fit of (h_(-1/2), z h_(1/2)) to
     sqrt(2/pi) (cos z, sin z), (cosh z, sinh z) for i, which no zero harms.
     """
-    if lo <= _READ_TOP < hi:
-        return (_sweep(kind, d, lo, _READ_TOP, z, ops)
-                + _sweep(kind, d, _READ_TOP + 1, hi, z, ops))
     frexp, ldexp, maximum = ops.frexp, ops.ldexp, ops.maximum
     half = d % 2
     n_lo, n_hi = (d - 2) // 2 + lo, (d - 2) // 2 + hi
-    # past the sweep's top order, by a margin for Miller's method and, for
-    # j, the O(z) orders before J_n falls off
-    top = _READ_TOP if hi <= _READ_TOP else MAX_ORDER + MAX_DERIV
-    base = (d - 2) // 2 + top + 5
+    # past the top order, by a margin for Miller's method and, for j, the
+    # O(z) orders before J_n falls off
+    base = (d - 2) // 2 + _TOP + 5
     start = ops.as_int(base + (
         8.0 * ops.sqrt(z) + (z if kind == "j" else 0.0)) // 1.0)
     low, high = ops.ends(start, base)
@@ -202,8 +196,9 @@ def _powers(z, p):
 
 def _ultra_table(kind, l, d, z, deriv):
     """Table of j (kind "j") or i of orders l.. at z, for derivatives up to
-    deriv; deriv also sets the span of orders, (order - l) + k <= deriv,
-    so a table of l = 1 and deriv = 2 serves j_3 as well.
+    deriv, l + deriv <= _TOP; deriv also sets the span of orders,
+    (order - l) + k <= deriv, so a table of l = 1 and deriv = 2 serves j_3
+    as well.
 
     Validates z once, by its min and max, and runs one _sweep for h at the
     orders s+l..s+l+deriv: on Python floats for a scalar z (a float, an
@@ -214,12 +209,12 @@ def _ultra_table(kind, l, d, z, deriv):
     for bit the value ultra_j/ultra_i give. A scalar z gives floats, an
     array z a new array per entry, which the caller may write into.
     """
-    if not (isinstance(l, int) and 0 <= l <= MAX_ORDER):
-        raise ValueError(f"order l must be an integer in [0, {MAX_ORDER}]")
+    if not (isinstance(l, int) and 0 <= l <= _TOP):
+        raise ValueError(f"order l must be an integer in [0, {_TOP}]")
     if not (isinstance(d, int) and d >= 2):
         raise ValueError("dimension d must be an integer >= 2")
-    if not (isinstance(deriv, int) and 0 <= deriv <= MAX_DERIV):
-        raise ValueError(f"deriv must be an integer in [0, {MAX_DERIV}]")
+    if not (isinstance(deriv, int) and 0 <= deriv <= _TOP - l):
+        raise ValueError(f"deriv must be an integer in [0, {_TOP} - l]")
     if isinstance(z, float) or np.ndim(z) == 0:
         z = lo = hi = float(z)
         ops = _FLOATS

@@ -4,7 +4,7 @@ import math
 import re
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import mpmath as mp
@@ -222,6 +222,25 @@ def test_implicit_grammar_is_checked_before_evaluation(monkeypatch, tmp_path,
         geom.implicit_domain(2, "x" + " + x" * 2000 + " < 1", (-1, 1, -1, 1))
 
 
+def test_int_powers_overflow_at_once(capsys, tmp_path):
+    # int literals evaluate as floats, so a tower of ** between them
+    # overflows on its first evaluation (as exact ints, 10**10**7 took
+    # 7.5 s, 20-30x more per decade of the exponent, and 9**9**9**9 did
+    # not return); a literal past the float range does not parse
+    cfg = tmp_path / "tower.cfg"
+    for expr in ("x < 10**10**7", "x < 9**9**9**9", "x < " + "9" * 400):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^implicit expr"):
+            geom.implicit_domain(2, expr, (-1, 1, -1, 1))
+        assert time.perf_counter() - start < 1.0
+        for extra in ("", "volume=1\n"):
+            cfg.write_text(f"shape=implicit\ndim=2\nexpr={expr}\n"
+                           f"bounds=-1,1,-1,1\n{extra}", encoding="utf-8")
+            assert cli.main(["quotient", "--domain", str(cfg),
+                             "--tau", "1"]) == 2
+            assert capsys.readouterr().err.startswith("error: implicit expr")
+
+
 def _written_expressions():
     # every implicit expression written out in tests/, docs/domains.md, the
     # README and bench/workloads.py: string literals that parse, compare
@@ -311,23 +330,31 @@ def test_normalize_volume_examples():
 
 
 def test_quadrature_spec_validation():
-    assert geom.default_quadrature(2).kind == "radial"
-    assert geom.default_quadrature(3).kind == "radial"
+    # three fields; a kind alone takes its own count from the one table
+    assert [f.name for f in fields(QuadratureSpec)] == ["kind", "samples",
+                                                        "seed"]
+    for kind, n in (("radial", 8192), ("grid", 1024), ("mc", 10**7)):
+        assert QuadratureSpec(kind) == QuadratureSpec(kind, n, 7)
+    with pytest.raises(TypeError):
+        QuadratureSpec("grid", cells=64)
     with pytest.raises(ValueError):
         QuadratureSpec("simpson")
     with pytest.raises(ValueError):
-        QuadratureSpec("grid", cells=1)
-    # integer cells, samples and seed, the seed nonnegative: a float cells
-    # would put the grid's last node on the bbox face, a seed of None
-    # would draw an unseeded stream
-    for field, bad in (("cells", 64.5), ("cells", 64.0), ("samples", 1e6),
-                       ("seed", None), ("seed", 2.5), ("seed", True),
-                       ("seed", -1), ("cells", "64")):
-        with pytest.raises(ValueError):
-            QuadratureSpec("mc", **{field: bad})
-    assert QuadratureSpec("mc", cells=np.int64(64), seed=np.int32(0)).seed == 0
-    # the radial product rule has at least 2^d directions whatever cells
-    # asks for, and refuses more than 2^20 before building any array
+        QuadratureSpec("grid", 1)
+    # integer samples and seed, the seed nonnegative: a float count would
+    # put the grid's last node on the bbox face, a seed of None would draw
+    # an unseeded stream
+    for kind in ("radial", "grid", "mc"):
+        for field, bad in (("samples", 64.5), ("samples", 64.0),
+                           ("samples", 1e6), ("samples", None),
+                           ("samples", True), ("samples", -2),
+                           ("samples", "64"), ("seed", None), ("seed", 2.5),
+                           ("seed", True), ("seed", -1)):
+            with pytest.raises(ValueError):
+                QuadratureSpec(kind, **{field: bad})
+    assert QuadratureSpec("mc", np.int64(64), np.int32(0)).seed == 0
+    # the radial product rule has at least 2^d directions whatever count
+    # is asked for, and refuses more than 2^20 before building any array
     with pytest.raises(ValueError, match="d = 30 needs 1073741824 "
                                          "directions.*--quad mc"):
         geom._sphere_rule(30, 8192)
@@ -351,7 +378,7 @@ def test_gauss_gegenbauer_rule_against_scipy_and_mpmath(monkeypatch):
     monkeypatch.setattr(geom, "_gauss_gegenbauer", spy)
     geom._sphere_rule.cache_clear()     # the rules are cached once built
     for d in range(3, 7):
-        geom._sphere_rule(d, geom.default_quadrature(d).cells)
+        geom._sphere_rule(d, QuadratureSpec("radial").samples)
     assert (64, 0.5) in built and (3, 2.0) in built
     for n, alpha in sorted(built):
         t, w = real(n, alpha)
@@ -403,7 +430,7 @@ def integrate_radial(dom, f, quad, center=None):
     # rule's rows from a record at center, or the grid or mc node set
     c = np.asarray(dom.offset if center is None else center, dtype=float)
     if quad.kind == "radial":
-        rays = geom._Rays(dom, quad.cells, c)
+        rays = geom._Rays(dom, quad.samples, c)
         u = geom._panel_nodes(max(float(t.max()) for t, _ in rays._cast()),
                               geom._PANELS)
         rows = rays.rows(geom._RadialTable(u, [f(u)], geom._PANELS).G(dom.d))
@@ -416,10 +443,10 @@ def test_integrate_radial_closed_forms():
     one = lambda r: np.ones_like(r)
     for d in (2, 3):
         dom = geom.ball(d)
-        val, err = integrate_radial(dom, one, QuadratureSpec("radial"))
+        val, err = integrate_radial(dom, one, QuadratureSpec("radial", 1024))
         assert val == pytest.approx(geom.unit_ball_volume(d), rel=1e-12)
         val, err = integrate_radial(dom, lambda r: r**2,
-                                    QuadratureSpec("radial"))
+                                    QuadratureSpec("radial", 1024))
         exact = d * geom.unit_ball_volume(d) / (d + 2)
         assert val == pytest.approx(exact, rel=1e-12)
 
@@ -429,7 +456,7 @@ def test_integrate_radial_grid_and_mc_agree():
     f = lambda r: r**2
     # second moment of the ellipse about its center
     exact = math.pi * 2.0 * 0.5 * (2.0**2 + 0.5**2) / 4
-    gval, gerr = integrate_radial(el, f, QuadratureSpec("grid", cells=1024))
+    gval, gerr = integrate_radial(el, f, QuadratureSpec("grid", 1024))
     assert gerr > 0.0
     assert abs(gval - exact) <= 5 * gerr + 1e-6
     mval, merr = integrate_radial(
@@ -442,7 +469,7 @@ def test_radial_quadrature_off_balls_and_off_center():
     f = lambda r: r**2
     el = geom.ellipsoid(2, (2.0, 0.5))
     exact = math.pi * 2.0 * 0.5 * (2.0**2 + 0.5**2) / 4
-    val, err = integrate_radial(el, f, QuadratureSpec("radial"))
+    val, err = integrate_radial(el, f, QuadratureSpec("radial", 1024))
     assert val == pytest.approx(exact, rel=1e-10)
     assert abs(val - exact) <= err
     # about an off-center point the second moment gains the parallel-axis
@@ -451,7 +478,7 @@ def test_radial_quadrature_off_balls_and_off_center():
         dom = geom.ball(len(c))
         vol = dom.volume
         exact = vol * len(c) / (len(c) + 2) + vol * float(np.dot(c, c))
-        val, err = integrate_radial(dom, f, QuadratureSpec("radial"),
+        val, err = integrate_radial(dom, f, QuadratureSpec("radial", 1024),
                                     center=c)
         assert val == pytest.approx(exact, rel=1e-10)
         assert abs(val - exact) <= err
@@ -486,7 +513,7 @@ def test_centering_argument_validation():
         with pytest.raises(ValueError, match="tol must be positive"):
             geom.center_trial(dom, prof, tol=tol)
     shifted = geom.ball(2, center=(0.3, 0.0))
-    v = geom.center_trial(shifted, prof, QuadratureSpec("radial")).center
+    v = geom.center_trial(shifted, prof, QuadratureSpec("radial", 1024)).center
     assert np.linalg.norm(v - np.array([0.3, 0.0])) <= 1e-9
 
 
@@ -495,7 +522,7 @@ def test_centering_reports_nonconvergence():
         2, "(abs(x) <= 0.75) & (abs(y) <= 0.75) & ~((x > 0) & (y > 0))",
         (-0.75, 0.75, -0.75, 0.75), volume=27.0 / 16.0)
     with pytest.raises(RuntimeError, match="did not converge"):
-        geom.center_trial(dom, profile(), QuadratureSpec("grid", cells=128),
+        geom.center_trial(dom, profile(), QuadratureSpec("grid", 128),
                           tol=1e-300)
 
 
@@ -510,7 +537,7 @@ def test_every_quadrature_kind_centers_at_the_same_point():
                 (-1, 1, -1, 1), volume=3.0)]
     for dom in doms:
         v = geom.center_trial(dom, prof).center
-        for quad in (QuadratureSpec("grid", cells=256),
+        for quad in (QuadratureSpec("grid", 256),
                      QuadratureSpec("mc", samples=2 * 10**5, seed=5)):
             got = geom._quotient(dom, prof.mode, quad)
             at_v = geom._quotient(dom, prof.mode, quad, center=v)
@@ -678,7 +705,7 @@ def test_implicit_twins_match_the_closed_forms():
         lib = geom.normalize_volume(lib)
         assert twin.scale == lib.scale and twin.bbox == lib.bbox
         assert geom._checked(expr, d)[1] is not None
-        dirs, W = geom._sphere_rule(d, geom.default_quadrature(d).cells)
+        dirs, W = geom._sphere_rule(d, QuadratureSpec("radial").samples)
         u = dirs[W[0] > 0.0]
         diam = lib.diameter()
         for o in origins:
@@ -706,7 +733,7 @@ def test_exact_cast_finds_features_thinner_than_a_sample_step():
     # at once: chords of 1.5e-3 and 2.7e-4 outside, then up to the top
     c, L = 0.05, l_shape()
     s, o = L.scale, np.array([0.3, -0.5])
-    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    dirs, W = geom._sphere_rule(2, QuadratureSpec("radial").samples)
     u = dirs[W[0] > 0.0]
     with np.errstate(divide="ignore", invalid="ignore"):
         ta, tb = (c * s - o[1]) / u[:, 1], (c * s - o[0]) / u[:, 0]
@@ -800,7 +827,7 @@ def test_implicit_cast_evaluates_each_sample_once(monkeypatch):
     # call per ray would make thousands of calls); past _RAY_CHUNK rays
     # the blocks still hold at most _RAY_CHUNK points
     dom = exp_disc()
-    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    dirs, W = geom._sphere_rule(2, QuadratureSpec("radial").samples)
     u, o = dirs[W[0] > 0.0], np.array([-0.1, -0.1])
     lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
     far = np.linalg.norm(np.maximum(np.abs(o - lo), np.abs(hi - o)))
@@ -836,7 +863,7 @@ def test_exact_cast_expression_call_budget(monkeypatch):
     # has at most 7 pieces: at most 8 calls, where the sampled cast makes
     # one per block of samples and 45 bisection rounds (about 80)
     dom = l_shape()
-    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    dirs, W = geom._sphere_rule(2, QuadratureSpec("radial").samples)
     u = dirs[W[0] > 0.0]
     (c1, _), (c2, _, _) = geom._checked(dom.params["expr"], 2)[1]
     pieces = 1 + len(c1) + 2 * len(c2)
@@ -990,7 +1017,7 @@ def test_centering_stays_on_the_mirror_of_a_thin_l_shape():
         dom = l_shape(c)
         prof = trial.TrialProfile(ballmod.fundamental_tone(tau, 2))
         v = geom.center_trial(dom, prof,
-                              QuadratureSpec("radial", cells=2048)).center
+                              QuadratureSpec("radial", samples=2048)).center
         assert abs(v[0] - v[1]) <= 1e-12 * dom.diameter()
 
 
@@ -1009,7 +1036,7 @@ def test_quotient_reusing_the_centering_cast_changes_nothing():
     # from the centering's last cast; a fresh cast from the same center
     # gives the same bits
     for dom in (l_shape(), two_balls_2d(), two_balls_3d()):
-        quad = geom.default_quadrature(dom.d)
+        quad = QuadratureSpec("radial")
         mode = ballmod.fundamental_tone(1.7, dom.d, 1.0)
         v = geom.center_trial(dom, trial.TrialProfile(mode), quad).center
         got = geom._quotient(dom, mode, quad)
@@ -1054,7 +1081,7 @@ def test_centered_quotient_casts_each_ray_once(monkeypatch):
     geom._quotient(dom, ballmod.fundamental_tone(1.0, 2, 1.0), None)
     # one rule serves every Newton step and the quotient
     assert geom._sphere_rule.cache_info().misses == 1
-    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    dirs, W = geom._sphere_rule(2, QuadratureSpec("radial").samples)
     main = int(np.sum(W[0] > 0.0))
     assert calls == [main] * 3 + [len(dirs) - main]
     assert sum(calls) == 32768
@@ -1244,7 +1271,7 @@ def test_radial_series_peak_memory_on_a_centering_cast():
     # over the whole cast would hold 33 copies of its radii
     dom = two_balls_2d()
     prof = profile(tau=1.7)
-    dirs, W = geom._sphere_rule(2, geom.default_quadrature(2).cells)
+    dirs, W = geom._sphere_rule(2, QuadratureSpec("radial").samples)
     lo, hi = np.asarray(dom.bbox[0]), np.asarray(dom.bbox[1])
     t, _ = dom.crossings(0.5 * (lo + hi), dirs[W[0] > 0.0])
     assert t.shape == (8192, 4)
@@ -1269,7 +1296,7 @@ def test_quotient_equals_tone_on_the_unit_ball():
         for tau in (0.5, 2.0):
             omega = ballmod.fundamental_tone(tau, d).omega
             Q, err = geom.quotient_bound(geom.ball(d), tau,
-                                         quad=QuadratureSpec("radial"))
+                                         quad=QuadratureSpec("radial", 1024))
             assert abs(Q - omega) <= 1e-8 * omega
             assert err <= 1e-6 * omega
 
@@ -1278,9 +1305,9 @@ def test_quotient_scaling_law_on_balls():
     # dilating the ball by s maps (tau, Q) to (tau/s^2, Q/s^4)
     tau, s = 3.0, 0.7
     base, _ = geom.quotient_bound(geom.ball(2), tau,
-                                  quad=QuadratureSpec("radial"))
+                                  quad=QuadratureSpec("radial", 1024))
     scaled, _ = geom.quotient_bound(geom.ball(2, s), tau / s**2,
-                                    quad=QuadratureSpec("radial"))
+                                    quad=QuadratureSpec("radial", 1024))
     assert scaled == pytest.approx(base / s**4, rel=1e-9)
     omega = ballmod.fundamental_tone(tau, 2).omega
     assert base == pytest.approx(omega, rel=1e-9)
@@ -1292,9 +1319,9 @@ def test_quotient_scaling_law_off_balls():
     tau, s = 3.0, 0.7
     dom = geom.box(2, (1.0, 2.0))
     scaled = geom.box(2, (s, 2.0 * s))
-    base, eb = geom.quotient_bound(dom, tau, quad=QuadratureSpec("grid", cells=512))
+    base, eb = geom.quotient_bound(dom, tau, quad=QuadratureSpec("grid", 512))
     other, eo = geom.quotient_bound(scaled, tau / s**2,
-                                    quad=QuadratureSpec("grid", cells=768))
+                                    quad=QuadratureSpec("grid", 768))
     assert abs(other - base / s**4) <= (eo + eb / s**4) + 1e-9
 
 
@@ -1312,7 +1339,7 @@ def test_quotient_scaling_law_with_an_explicit_center(kind):
     # c / s: dilating an unnormalized domain and its center by s maps
     # (tau, Q) to (tau / s^2, Q / s^4) whatever c is
     tau, s = 2.0, 0.7
-    quad = QuadratureSpec(kind, cells=8192 if kind == "radial" else 256)
+    quad = QuadratureSpec(kind, samples=8192 if kind == "radial" else 256)
     c = 0.05
     doms = [(geom.ellipsoid(2, (1.6, 0.9), center=(0.3, -0.2)), (0.4, -0.1)),
             (geom.implicit_domain(
@@ -1329,14 +1356,28 @@ def test_quotient_scaling_law_with_an_explicit_center(kind):
         assert eo * s**4 == pytest.approx(eb, rel=0.1, abs=0.0)
 
 
+def test_the_radial_rule_by_name_is_the_default():
+    # quotient_bound's default rule and QuadratureSpec("radial") are one
+    # rule, bit for bit: on the ellipse, and on the L-shape whose volume
+    # comes from the rule too
+    lshape = geom.implicit_domain(
+        2, "(abs(x) <= 1) & (abs(y) <= 1) & ~((x > 0.05) & (y > 0.05))",
+        (-1, 1, -1, 1))
+    for dom in (geom.ellipsoid(2, (2.0, 0.5)), lshape):
+        default = geom.quotient_bound(dom, 1.0)
+        named = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("radial"))
+        assert np.array(default).tobytes() == np.array(named).tobytes()
+    assert geom.quotient_bound(geom.ellipsoid(2, (2.0, 0.5)), 1.0)[1] < 1e-12
+
+
 def test_grid_and_mc_quotients_at_a_center_outside_the_domain():
     # the node sets reach the bbox corner farthest from the center, past
     # 1.5 diameters + 1 at (10, 0): their table covers it, and they agree
     # with the radial rule within the summed bars
     dom = geom.ball(2)
     for center in ((3.0, 0.0), (10.0, 0.0)):
-        Q, err = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("radial"),
-                                     center=center)
+        Q, err = geom.quotient_bound(
+            dom, 1.0, quad=QuadratureSpec("radial", 1024), center=center)
         for quad in (QuadratureSpec("grid"),
                      QuadratureSpec("mc", samples=10**6, seed=1)):
             q, e = geom.quotient_bound(dom, 1.0, quad=quad, center=center)
@@ -1345,7 +1386,7 @@ def test_grid_and_mc_quotients_at_a_center_outside_the_domain():
 
 def test_quotient_is_strictly_below_tone_on_an_ellipse():
     dom = geom.ellipsoid(2, (2.0, 0.5))
-    Q, err = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("grid", cells=512))
+    Q, err = geom.quotient_bound(dom, 1.0, quad=QuadratureSpec("grid", 512))
     omega = ballmod.fundamental_tone(1.0, 2).omega
     assert Q < omega
     assert omega - Q > 5 * err
@@ -1367,8 +1408,9 @@ def test_quotient_argument_validation():
     dom = geom.ball(2)
     with pytest.raises(ValueError, match="tau must be positive"):
         geom.quotient_bound(dom, 0.0)
-    with pytest.raises(ValueError, match="disagrees"):
-        geom.quotient_bound(dom, 1.0, d=3)
+    # the dimension is the domain's own
+    with pytest.raises(TypeError):
+        geom.quotient_bound(dom, 1.0, d=2)
     # no ray crosses this shape: the centered quotient stops before its
     # Newton solve, the one about a given center before its 0/0
     empty = geom.implicit_domain(2, "x > 100", (-1, 1, -1, 1), volume=1.0)
@@ -1419,7 +1461,7 @@ def test_centers_must_be_d_finite_numbers():
     # a NaN center used to end in a ZeroDivisionError in the quotient
     dom = geom.ellipsoid(2, (2.0, 0.5))
     for center in ((math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0)):
-        for quad in (QuadratureSpec("radial"), QuadratureSpec("grid")):
+        for quad in (QuadratureSpec("radial", 1024), QuadratureSpec("grid")):
             with pytest.raises(ValueError, match="center must be d finite"):
                 geom.quotient_bound(dom, 1.0, quad=quad, center=center)
 

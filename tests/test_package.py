@@ -153,3 +153,23 @@ def test_implicit_functions_are_listed_once(monkeypatch):
     assert documented == evaluated == allowed
     assert documented == {"abs", "sqrt", "exp", "cos", "sin", "minimum",
                           "maximum", "hypot"}
+
+
+def test_quadrature_defaults_are_stated_once(capsys):
+    # the count each rule takes unless --samples gives one, as the README's
+    # quotient paragraph and the --samples help state it, is geom's one
+    # table of defaults, kind by kind
+    from freeplate import cli, geom
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    [item] = [" ".join(part.split()) for part in readme.split("\n- ")
+              if part.startswith("`quotient`")]
+    stated = {kind: float(n) for kind, n in re.findall(
+        r"\b(radial|grid|mc)(?: rule)? \(([\d.e]+) by default", item)}
+    assert stated == {kind: float(n) for kind, n in geom._SAMPLES.items()}
+    with pytest.raises(SystemExit):
+        cli.main(["quotient", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    [helped] = re.findall(r"--samples SAMPLES (.*?) --seed", text)
+    assert {kind: int(n) for n, kind in re.findall(
+        r"(\d+) \((radial|grid|mc)\)", helped)} == geom._SAMPLES

@@ -19,7 +19,7 @@ SETTINGS = settings(max_examples=100, deadline=None)
 
 def second_moment(dom, center):
     return integrate_radial(dom, lambda r: r**2,
-                            geom.default_quadrature(dom.d), center)
+                            QuadratureSpec("radial"), center)
 
 
 @st.composite
@@ -84,7 +84,7 @@ def test_radial_volumes_of_holes_and_unions(dom, center):
     # segments add with their signs, so origins in a hole, between two
     # balls or outside a union all give the closed-form volume
     val, err = integrate_radial(dom, np.ones_like,
-                                geom.default_quadrature(dom.d), center)
+                                QuadratureSpec("radial"), center)
     assert abs(val - dom.volume) <= err
 
 
@@ -109,13 +109,13 @@ def test_radial_quotient_on_tangent_rays_and_corners(kind, p, tau):
     else:
         dom = l_shape(0.1 * p)
     dom = geom.normalize_volume(dom)
-    radial = QuadratureSpec("radial", cells=2048)
+    radial = QuadratureSpec("radial", samples=2048)
     v = geom.center_trial(
         dom, trial.TrialProfile(ballmod.fundamental_tone(tau, 2)),
         radial).center
     q, e = geom.quotient_bound(dom, tau, quad=radial, center=v)
     fine, _ = geom.quotient_bound(
-        dom, tau, quad=QuadratureSpec("radial", cells=32768), center=v)
+        dom, tau, quad=QuadratureSpec("radial", samples=32768), center=v)
     assert abs(q - fine) <= e
     qm, em = geom.quotient_bound(
         dom, tau, quad=QuadratureSpec("mc", samples=10**6, seed=3), center=v)
@@ -147,7 +147,7 @@ def test_newton_centering_converges_and_keeps_the_symmetry(case, log_tau):
     dom = geom.normalize_volume(dom)
     prof = trial.TrialProfile(ballmod.fundamental_tone(10.0**log_tau, dom.d))
     v = geom.center_trial(dom, prof,
-                          QuadratureSpec("radial", cells=2048)).center
+                          QuadratureSpec("radial", samples=2048)).center
     if dom.shape == "implicit":
         assert abs(v[0] - v[1]) <= 1e-6 * dom.diameter()
     elif on_axis:

@@ -75,7 +75,7 @@ def test_ode_residuals_random_sampling():
     rng = np.random.default_rng(20240815)
     for _ in range(200):
         z = float(rng.uniform(1e-3, 10.0))
-        l = int(rng.integers(0, 6))
+        l = int(rng.integers(0, sf._TOP - 1))
         d = int(rng.integers(2, 8))
         for fn, flip in ((sf.ultra_j, 1.0), (sf.ultra_i, -1.0)):
             w0 = fn(l, d, z)
@@ -89,7 +89,7 @@ def test_recurrence_residuals_random_sampling():
     rng = np.random.default_rng(20240815)
     for _ in range(200):
         z = float(rng.uniform(1e-3, 10.0))
-        l = int(rng.integers(1, 6))
+        l = int(rng.integers(1, sf._TOP))
         d = int(rng.integers(2, 8))
         for fn, sgn in ((sf.ultra_j, -1.0), (sf.ultra_i, 1.0)):
             w = [fn(l + off, d, z) for off in (-1, 0, 1)]
@@ -117,29 +117,38 @@ def test_series_and_kernel_agree_on_small_arguments():
 
 def _table_keys(l, deriv):
     # every (order, k) that the table of (l, deriv) holds
-    return [(order, k) for order in range(l, min(l + deriv, sf.MAX_ORDER) + 1)
+    return [(order, k) for order in range(l, l + deriv + 1)
             for k in range(deriv - (order - l) + 1)]
+
+
+def _tables():
+    # every (l, deriv) a table takes, l + deriv <= _TOP
+    return [(l, deriv) for l in range(sf._TOP + 1)
+            for deriv in range(sf._TOP - l + 1)]
+
+
+def _derivs(l):
+    # the derivatives of order l checked against mpmath: through the
+    # fourth, as far as the table reaches
+    return range(min(4, sf._TOP - l) + 1)
 
 
 def test_table_entries_match_single_kernels_bit_for_bit():
     # z from 0 across 1/2 and 1 over arrays of 14 and 19 points; a scalar
-    # z, a 0-d array among them, gives floats. Every table that straddles
-    # order s + _READ_TOP takes its orders from two sweeps, as the single
-    # reads do. At the tops of the ranges (i at 300 and 689.9, j at 1e3
-    # and 9999.5) on floats, as an array sweep up from z = 9999.5 takes
-    # about 30 ms
+    # z, a 0-d array among them, gives floats. At the tops of the ranges
+    # (i at 300 and 689.9, j at 1e3 and 9999.5) on floats, as an array
+    # sweep up from z = 9999.5 takes about 30 ms
     small = np.concatenate([[0.0], np.geomspace(1e-3, 0.5, 6),
                             0.5 + np.geomspace(1e-9, 20.0, 7)])
     for zs, kind, fn in ((zs, kind, fn) for zs in (
             small, np.concatenate([small, np.linspace(0.7, 20.0, 5)]))
             for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i))):
         for d in (2, 3, 4, 8, 30):
-            for l in range(sf.MAX_ORDER + 1):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    table = sf._ultra_table(kind, l, d, zs, deriv)
-                    for order, k in _table_keys(l, deriv):
-                        np.testing.assert_array_equal(
-                            table(order, k), fn(order, d, zs, k))
+            for l, deriv in _tables():
+                table = sf._ultra_table(kind, l, d, zs, deriv)
+                for order, k in _table_keys(l, deriv):
+                    np.testing.assert_array_equal(
+                        table(order, k), fn(order, d, zs, k))
             for z in (0.3, 2.0, np.array(0.3), np.float64(2.0), 2):
                 table = sf._ultra_table(kind, 1, d, z, 4)
                 assert table(3, 2) == fn(3, d, float(z), 2)
@@ -148,14 +157,12 @@ def test_table_entries_match_single_kernels_bit_for_bit():
                            ("i", sf.ultra_i, (300.0, 689.9))):
         for d, z in ((d, z) for d in (2, 3, 4, 30) for z in tops):
             single = {(order, k): fn(order, d, z, k)
-                      for order in range(sf.MAX_ORDER + 1)
-                      for k in range(sf.MAX_DERIV + 1)}
+                      for order, k in _tables()}
             assert all(math.isfinite(v) for v in single.values())
-            for l in range(sf.MAX_ORDER + 1):
-                for deriv in range(sf.MAX_DERIV + 1):
-                    table = sf._ultra_table(kind, l, d, z, deriv)
-                    for key in _table_keys(l, deriv):
-                        assert table(*key) == single[key]
+            for l, deriv in _tables():
+                table = sf._ultra_table(kind, l, d, z, deriv)
+                for key in _table_keys(l, deriv):
+                    assert table(*key) == single[key]
 
 
 def test_table_entries_match_across_batch_sizes_bit_for_bit():
@@ -169,7 +176,7 @@ def test_table_entries_match_across_batch_sizes_bit_for_bit():
     for kind, top in (("j", sf._J_Z_MAX), ("i", 689.9)):
         zs = np.append(pts[pts <= top], top)
         for d in (2, 3, 30):
-            for l, deriv in ((0, 4), (1, 2), (sf.MAX_ORDER, 4)):
+            for l, deriv in ((0, sf._TOP), (1, 2), (sf._TOP, 0)):
                 keys = [(l + m, k) for m in range(deriv + 1)
                         for k in range(deriv - m + 1)]
                 keys += [(l + m, 0, 1) for m in range(deriv + 1) if l + m]
@@ -200,8 +207,7 @@ def test_sweep_bits_hold_when_start_orders_lie_far_apart():
                              np.logspace(-300.0, math.log10(top), 24),
                              rng.uniform(0.0, 4.0, 8)])
         for d in (2, 3, 30):
-            for lo, hi in ((0, sf.MAX_DERIV),
-                           (sf.MAX_ORDER, sf.MAX_ORDER + sf.MAX_DERIV)):
+            for lo, hi in ((0, sf._TOP), (sf._TOP, sf._TOP)):
                 z = rng.permutation(zs)
                 batch = sf._sweep(kind, d, lo, hi, z, sf._ARRAYS)
                 for i, zi in enumerate(z):
@@ -230,16 +236,14 @@ def test_kernel_rows_built_on_request_match_the_all_rows_table():
     for zs in (0.5 + np.geomspace(1e-9, 20.0, 9), np.linspace(0.0, 20.0, 33)):
         for kind in ("j", "i"):
             for d in (2, 3, 8, 30):
-                for l in range(sf.MAX_ORDER + 1):
-                    for deriv in range(sf.MAX_DERIV + 1):
-                        keys = [(l + m, k) for m in range(deriv + 1)
-                                for k in range(deriv - m + 1)]
-                        up = sf._ultra_table(kind, l, d, zs, deriv)
-                        ref = {key: up(*key).tobytes() for key in keys}
-                        down = sf._ultra_table(kind, l, d, zs, deriv)
-                        for key in reversed(keys):
-                            assert down(*key).tobytes() == ref[key]
-                            assert down(*key).tobytes() == ref[key]
+                for l, deriv in _tables():
+                    keys = _table_keys(l, deriv)
+                    up = sf._ultra_table(kind, l, d, zs, deriv)
+                    ref = {key: up(*key).tobytes() for key in keys}
+                    down = sf._ultra_table(kind, l, d, zs, deriv)
+                    for key in reversed(keys):
+                        assert down(*key).tobytes() == ref[key]
+                        assert down(*key).tobytes() == ref[key]
 
 
 def test_table_error_contracts():
@@ -247,10 +251,10 @@ def test_table_error_contracts():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 sf._ultra_table(kind, 1, 2, np.array([0.3, bad]), 2)
-        with pytest.raises(ValueError):
-            sf._ultra_table(kind, 1, 2, 1.0, sf.MAX_DERIV + 1)
-        with pytest.raises(ValueError):
-            sf._ultra_table(kind, sf.MAX_ORDER + 1, 2, 1.0, 0)
+        with pytest.raises(ValueError, match="deriv must be"):
+            sf._ultra_table(kind, 1, 2, 1.0, sf._TOP)
+        with pytest.raises(ValueError, match="order l must be"):
+            sf._ultra_table(kind, sf._TOP + 1, 2, 1.0, 0)
         # over z^over only where every term keeps a nonnegative power
         for zs in (0.5, np.array(0.5), np.array([0.0, 0.5]),
                    np.linspace(0.0, 1.0, 32)):
@@ -291,28 +295,28 @@ def test_high_precision_agreement_across_paths():
     for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
         for d in (2, 3, 5, 8):
             for l in (0, 1, 5):
-                for deriv in range(5):
+                for deriv in _derivs(l):
                     for z in (0.05, 0.5, 0.9, 3.2, 6.1, 9.7, 14.0):
                         ref = mp_ultra(kind, l, d, z, deriv)
                         got = fn(l, d, z, deriv)
                         assert got == pytest.approx(ref, rel=5e-12, abs=1e-13)
     # at the tops of the ranges, against mpmath's Bessel functions: j
     # relative to its envelope sqrt(J^2 + Y^2) z^-s, i relative to itself,
-    # on floats and in an array. The sweeps for orders up to s + _READ_TOP
-    # start 5 + 8 sqrt(z) orders above it, so at d = 2, z = 689.9 the sum
+    # on floats and in an array. The sweeps start 5 + 8 sqrt(z) orders
+    # above s + _TOP, so at d = 2, z = 689.9 the sum
     # e^z = I_0 + 2 sum I_k ends at order 220, where its terms, out to
     # about 8.6 sqrt(z), still count: i at orders s..s+5 holds 2e-15
     for kind, fn, tops in (("j", sf.ultra_j, (1e3, 9999.5)),
                            ("i", sf.ultra_i, (300.0, 689.9))):
         for d in (2, 3, 4, 30):
-            for l in range(sf._READ_TOP + 1):
+            for l in range(sf._TOP + 1):
                 f, s = _mp_ultra_fn(kind, l, d)
                 table = sf._ultra_table(kind, l, d, np.array([0.5, *tops]),
-                                        sf.MAX_DERIV)
-                got = [table(l, k)[1:] for k in range(sf.MAX_DERIV + 1)]
+                                        _derivs(l)[-1])
+                got = [table(l, k)[1:] for k in _derivs(l)]
                 for n, z in enumerate(tops):
                     zm = mp.mpf(z)
-                    refs = list(mp.diffs(f, zm, sf.MAX_DERIV))
+                    refs = list(mp.diffs(f, zm, _derivs(l)[-1]))
                     scale = [abs(ref) for ref in refs]
                     if kind == "j":
                         nu = s + l
@@ -334,7 +338,7 @@ def test_vectorized_matches_scalar():
 
 
 def test_order_and_dimension_validation():
-    # l must be an int in [0, MAX_ORDER] and d an int >= 2; 1.0 == 1 is no
+    # l must be an int in [0, _TOP] and d an int >= 2; 1.0 == 1 is no
     # integer order
     for fn in (sf.ultra_j, sf.ultra_i):
         with pytest.raises(ValueError, match="order l must be an integer"):
@@ -378,12 +382,12 @@ def test_kernels_match_mpmath_over_the_kernel_range():
     for kind, fn, zmax in (("j", sf.ultra_j, 1.0e3), ("i", sf.ultra_i, 690.0)):
         zs = np.geomspace(1e-2, zmax, 12)
         for d in (2, 3, 8, 30):
-            for l in (0, 1, 5, 8):
+            for l in (0, 1, 5):
                 f, s = _mp_ultra_fn(kind, l, d)
-                got = np.array([fn(l, d, zs, deriv) for deriv in range(5)])
+                got = np.array([fn(l, d, zs, deriv) for deriv in _derivs(l)])
                 for k, z in enumerate(zs):
                     zm = mp.mpf(float(z))
-                    refs = list(mp.diffs(f, zm, 4))
+                    refs = list(mp.diffs(f, zm, _derivs(l)[-1]))
                     if kind == "j":
                         nu = s + l
                         env = mp.sqrt(mp.besselj(nu, zm) ** 2 + mp.bessely(nu, zm) ** 2) \
@@ -404,13 +408,13 @@ def test_kernels_match_mpmath_where_the_old_paths_met():
     with mp.workdps(50):
         for kind, fn in (("j", sf.ultra_j), ("i", sf.ultra_i)):
             for d in (2, 3, 17, 30):
-                for l in range(sf.MAX_ORDER + 1):
+                for l in range(sf._TOP + 1):
                     f, s = _mp_ultra_fn(kind, l, d)
                     got = np.array([fn(l, d, np.array(zs), k)
-                                    for k in range(sf.MAX_DERIV + 1)])
+                                    for k in _derivs(l)])
                     for n, z in enumerate(zs):
                         zm = mp.mpf(z)
-                        refs = list(mp.diffs(f, zm, sf.MAX_DERIV))
+                        refs = list(mp.diffs(f, zm, _derivs(l)[-1]))
                         env = None
                         if kind == "j" and z > 0.5:
                             nu = s + l
